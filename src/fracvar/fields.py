@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -170,6 +171,12 @@ class ScalarField:
     def sup_norm_bound(self) -> float:
         return 1.0
 
+    @property
+    def axis_factors(self) -> tuple | None:
+        """Per-axis 1-d callables whose product, taken in axis order, is
+        ``values``; None unless the field is a tensor product of profiles."""
+        return None
+
     def is_singular(self, x: np.ndarray) -> bool:
         pt = as_points(x, self.dim)[0]
         return any(np.array_equal(pt, np.asarray(s)) for s in self.singular_points)
@@ -264,6 +271,10 @@ def _bump_1d(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_axis(center: float, width: float, y: np.ndarray) -> np.ndarray:
+    return _bump_1d((y - center) / width)
+
+
 def _bump_1d_d1(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
@@ -323,14 +334,17 @@ class SmoothBump(ScalarField):
     def smooth_scale(self) -> float:
         return min(self.width)
 
+    @cached_property
+    def axis_factors(self) -> tuple:
+        return tuple(partial(_bump_axis, c, w) for c, w in zip(self.center, self.width))
+
     def _t(self, X: np.ndarray) -> np.ndarray:
         return (X - np.asarray(self.center)) / np.asarray(self.width)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        t = self._t(X)
         out = np.ones(X.shape[0])
-        for i in range(self.dim):
-            out = out * _bump_1d(t[:, i])
+        for i, factor in enumerate(self.axis_factors):
+            out = out * factor(X[:, i])
         return out
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:

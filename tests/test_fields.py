@@ -73,6 +73,13 @@ class TestCompactSupport:
             assert feval(b, x) == 0.0
         assert feval(b, 0.25) == 1.0
 
+    def test_bump_axis_factors_multiply_to_values(self):
+        b = SmoothBump(center=(0.1, -0.3), width=(1.2, 0.7))
+        X = np.random.default_rng(0).uniform(-1.5, 1.5, (200, 2))
+        f0, f1 = b.axis_factors
+        assert np.array_equal(b.values(X), f0(X[:, 0]) * f1(X[:, 1]))
+        assert Gaussian(center=(0.0, 0.0)).axis_factors is None
+
     def test_indicator_open_interval(self):
         chi = IntervalIndicator(a=-1.0, b=1.0)
         assert feval(chi, 0.0) == 1.0

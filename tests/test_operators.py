@@ -1,6 +1,7 @@
 """Operator quadratures against closed forms, oracles, and structural identities."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracvar.fields import (
     HalfSpaceIndicator,
     IntervalIndicator,
     ProductField,
+    ScalarField,
     ScaledField,
     SmoothBump,
     UnsupportedFieldError,
@@ -81,6 +83,60 @@ class TestFracGradient:
         batch = ops.frac_gradient_batch(f, 0.5, P)
         point = np.array([ops.frac_gradient(f, 0.5, p) for p in P])
         assert np.max(np.abs(batch - point)) < 1e-5 * np.max(np.abs(point))
+
+    def test_batch_per_axis_path_bit_identical_2d(self):
+        f = SmoothBump(center=(0.1, 0.2), width=(1.0, 1.3))
+        xs = np.linspace(-1.6, 1.8, 12)
+        ys = np.linspace(-1.4, 2.0, 9)
+        grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        scattered = np.random.default_rng(7).uniform(-2.5, 2.5, (40, 2))
+        kw = dict(n_theta=96, radial_order=10, panel_cap=1.2)
+        for P in (grid, scattered):
+            factored = ops.frac_gradient_batch(f, 0.5, P, **kw)
+            generic = ops.frac_gradient_batch(_PlainField(f), 0.5, P, **kw)
+            assert np.array_equal(factored, generic)
+
+    def test_batch_n3_unsupported(self):
+        f = SmoothBump(center=(0.0, 0.0, 0.0), width=1.0)
+        with pytest.raises(UnsupportedFieldError):
+            ops.frac_gradient_batch(f, 0.5, np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]))
+
+
+@dataclass(frozen=True)
+class _PlainField(ScalarField):
+    """Delegates evaluation to ``base`` but has no ``axis_factors``."""
+
+    base: ScalarField
+
+    @property
+    def kind(self) -> str:
+        return self.base.kind
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    @property
+    def quad_box(self):
+        return self.base.quad_box
+
+    @property
+    def is_smooth(self) -> bool:
+        return self.base.is_smooth
+
+    @property
+    def has_gradient(self) -> bool:
+        return self.base.has_gradient
+
+    @property
+    def smooth_scale(self) -> float:
+        return self.base.smooth_scale
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return self.base.values(X)
+
+    def grad_values(self, X: np.ndarray) -> np.ndarray:
+        return self.base.grad_values(X)
 
 
 class TestFracOrder:
