@@ -58,6 +58,7 @@ from .operators import (
     variation_lower_bound,
 )
 from .quadrature import (
+    OffsetIntegrand,
     QuadResult,
     QuadSpec,
     integrate_1d,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import ball_volume, gamma, mu
 from .fields import HalfSpace, SingularPointError, as_points
-from .quadrature import QuadSpec, integrate_1d
+from .quadrature import OffsetIntegrand, QuadSpec, integrate_1d
 
 __all__ = [
     "half_space_gradient",
@@ -125,26 +125,27 @@ def weight_w(
     if t == 0.0:
         base = 2.0 if n == 3 else math.pi  # int (1-s^2)^edge ds over [-1, 1]
         return front * base * r**-alpha
-    if t == r and edge - alpha <= -1.0:
+    c = r / t  # the kernel point: |s t - r| = t |s - c|
+    if c == 1.0 and edge - alpha <= -1.0:
         raise SingularPointError("weight integrand is non-integrable at the t = r edge")
 
-    # substitute u = s t - r: the kernel singularity lands exactly at u = 0 and
-    # the edge factors become stable linear forms (t - r - u)(t + r + u) / t^2
-    def integrand(u: np.ndarray) -> np.ndarray:
-        base = np.maximum((t - r - u) * (t + r + u), 0.0) / t**2
-        return base**edge * np.abs(u) ** -alpha
+    def integrand(s: np.ndarray, ds) -> np.ndarray:
+        base = np.maximum(-ds(1.0) * ds(-1.0), 0.0)  # (1 - s)(1 + s)
+        # offsets are exact from whichever point anchors the segment: c while
+        # it lies in [-1, 1], else the edge s = 1 next to it
+        kern = t * ds(c) if c <= 1.0 else t * ds(1.0) + (t - r)
+        return base**edge * np.abs(kern) ** -alpha
 
-    u_lo, u_hi = -t - r, t - r
-    sings: list[tuple[float, float]] = [(u_lo, edge)] if edge != 0.0 else []
-    if u_lo < 0.0 < u_hi:
-        sings.append((0.0, -alpha))
+    sings: list[tuple[float, float]] = [(-1.0, edge)] if edge != 0.0 else []
+    if c < 1.0:
+        sings.append((c, -alpha))
         if edge != 0.0:
-            sings.append((u_hi, edge))
+            sings.append((1.0, edge))
     else:
-        # t <= r: kernel and right-edge singularities meet at or beyond u_hi
-        sings.append((u_hi, edge - alpha if u_hi == 0.0 else edge))
-    res = integrate_1d(integrand, u_lo, u_hi, singularities=sings, spec=spec)
-    return front * res.value / t
+        # t <= r: kernel and right-edge singularities meet at or beyond s = 1
+        sings.append((1.0, edge - alpha if c == 1.0 else edge))
+    res = integrate_1d(OffsetIntegrand(integrand), -1.0, 1.0, singularities=sings, spec=spec)
+    return front * res.value
 
 
 def f_alpha_closed(alpha: float, x: float) -> float:

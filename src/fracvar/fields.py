@@ -544,11 +544,17 @@ class FAlpha(ScalarField):
 
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
+        return self.values_from_offsets(lambda c: x - c)
+
+    def values_from_offsets(self, dx) -> np.ndarray:
+        """Values from ``dx(c)`` = x - c at the singular points c = 0 and 1,
+        as an :class:`~fracvar.quadrature.OffsetIntegrand` supplies them."""
+        d0, d1 = dx(0.0), dx(1.0)
         m = mu(1, -self.alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = m * (
-                np.abs(x) ** (self.alpha - 1.0) * np.sign(x)
-                - np.abs(x - 1.0) ** (self.alpha - 1.0) * np.sign(x - 1.0)
+                np.abs(d0) ** (self.alpha - 1.0) * np.sign(d0)
+                - np.abs(d1) ** (self.alpha - 1.0) * np.sign(d1)
             )
         return np.where(np.isfinite(v), v, 0.0)
 

@@ -44,6 +44,7 @@ from .fields import (
     as_points,
 )
 from .quadrature import (
+    OffsetIntegrand,
     QuadSpec,
     _Counter,
     _segment,
@@ -461,9 +462,7 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
     if n == 1:
         x0 = float(pt[0])
 
-        def g(y: np.ndarray) -> np.ndarray:
-            return f.values(y[:, None]) * np.abs(y - x0) ** (s - 1.0)
-
+        g = OffsetIntegrand(lambda y, dy: f.values(y[:, None]) * np.abs(dy(x0)) ** (s - 1.0))
         sings: list[tuple[float, float]] = [(x0, s - 1.0)]
         box = _field_box(f)
         if box is not None:
@@ -1108,7 +1107,11 @@ def frac_gradient_batch(
         return out
 
     Xn = X[~far]
-    reach = max(_reach(box, xx) for xx in Xn)
+    # the farthest box corner over all targets; candidates are picked by a
+    # row-wise square norm and the winner is taken with _reach itself, whose
+    # rounding the radial panels (and so the values) depend on
+    far_sq = np.square(np.maximum(np.abs(lo_b - Xn), np.abs(hi_b - Xn))).sum(axis=1)
+    reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
     scale = field_scale(f)
     delta = 2e-4 * scale
     gl_t, gl_w = np.polynomial.legendre.leggauss(radial_order)

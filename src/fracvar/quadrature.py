@@ -11,9 +11,13 @@ Design notes
 * Infinite endpoints require a declared algebraic tail |x|^(-tau), tau > 1,
   and are mapped to [0, 1) by x = c + s u/(1-u); the image endpoint exponent
   tau - 2 is then handled like any other declared singularity.
-* Double precision cannot represent offsets below one ulp of a singular point
-  p, so integrands singular at |p| >~ 1 carry an intrinsic accuracy floor of
-  order eps^(1+g); singularities located at 0 do not (subnormals are dense).
+* On a segment mapped from a declared singular endpoint p the offset
+  d = x - p = +/- h t^m is known exactly, even where x itself rounds to p.
+  An :class:`OffsetIntegrand` reads offsets from its singular points through
+  that d instead of subtracting from the rounded x, so a singularity at any p
+  is resolved to full precision.  A plain ``f(x)`` integrand singular at
+  |p| >~ 1 sees x only to one ulp of p, which floors its accuracy at about
+  eps^(1+g); at p = 0 it does not (subnormals are dense).
 * Integrands are evaluated in vectorized batches (callables take and return
   numpy arrays); evaluation counts are tracked against ``max_evals``.
 
@@ -34,6 +38,7 @@ import numpy as np
 __all__ = [
     "QuadSpec",
     "QuadResult",
+    "OffsetIntegrand",
     "NonIntegrableSingularityError",
     "QuadratureBudgetError",
     "integrate_1d",
@@ -52,18 +57,14 @@ class QuadratureBudgetError(RuntimeError):
     """Evaluation budget exhausted before reaching the requested tolerance."""
 
 
-FAR_STRATEGIES = ("auto", "exact-compact", "power-tail", "symmetric-cancel")
-
-
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature policy: tolerances, near-field radius rule, far-field strategy, budget."""
+    """Quadrature policy: tolerances, near-field radius rule, default tail, budget."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     near_radius: float | None = None  # None -> chosen automatically from the tolerance
-    far_strategy: str = "auto"
-    tail_exponent: float | None = None  # used by the power-tail strategy
+    tail_exponent: float | None = None  # tail declared for infinite endpoints
     max_evals: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -71,20 +72,8 @@ class QuadSpec:
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_evals < 100:
             raise ValueError("max_evals must be at least 100")
-        if self.far_strategy not in FAR_STRATEGIES:
-            raise ValueError(f"unknown far_strategy {self.far_strategy!r}")
         if self.near_radius is not None and not self.near_radius > 0.0:
             raise ValueError("near_radius must be positive when given")
-
-    def scaled(self, factor: float) -> "QuadSpec":
-        return QuadSpec(
-            rel_tol=self.rel_tol * factor,
-            abs_tol=self.abs_tol * factor,
-            near_radius=self.near_radius,
-            far_strategy=self.far_strategy,
-            tail_exponent=self.tail_exponent,
-            max_evals=self.max_evals,
-        )
 
 
 _DEFAULT_REL = {1: 1e-8, 2: 1e-6, 3: 1e-5}
@@ -109,6 +98,30 @@ class QuadResult:
                 f"{self.evals_used} evaluations)"
             )
         return self.value
+
+
+class OffsetIntegrand:
+    """An integrand ``fn(x, dx)`` that reads offsets from its singular points
+    through ``dx(c)``, which returns x - c.
+
+    On a segment mapped from a declared singular endpoint p the engine holds
+    d = x - p exactly (d = +/- h t^m, never recomputed from x), and ``dx(c)``
+    is d + (p - c): exactly d at c = p, however far below one ulp of p the
+    offset lies.  Everywhere else ``dx(c)`` is x - c.  Called with x alone,
+    the wrapper evaluates as a plain integrand.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[np.ndarray, Callable[[float], np.ndarray]], np.ndarray]):
+        self.fn = fn
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.at(0.0, x)
+
+    def at(self, p: float, d: np.ndarray) -> np.ndarray:
+        """Evaluate at x = p + d with the offset d from p known exactly."""
+        return self.fn(p + d, lambda c: d + (p - c))
 
 
 # 15-point Kronrod extension of 7-point Gauss (standard QUADPACK constants).
@@ -264,6 +277,19 @@ def _power_m(exponent: float) -> int:
     return min(64, max(1, math.ceil(3.0 / (1.0 + exponent))))
 
 
+def _mapped(f: Callable[[np.ndarray], np.ndarray], p: float, h: float, m: int):
+    """f(x) |dx/dt| on t in [0, 1] under x = p + h t^m, anchored at p."""
+    jac_scale = m * abs(h)
+
+    def g(t: np.ndarray) -> np.ndarray:
+        d = h * t**m
+        vals = np.asarray(f.at(p, d) if isinstance(f, OffsetIntegrand) else f(p + d), dtype=float)
+        jac = jac_scale * t ** (m - 1)
+        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    return g
+
+
 def _segment(
     f: Callable[[np.ndarray], np.ndarray],
     p: float,
@@ -283,27 +309,11 @@ def _segment(
     if g_left is not None:
         m = _power_m(g_left)
         if m > 1:
-            h = q - p
-
-            def g(t: np.ndarray) -> np.ndarray:
-                tm = t**m
-                jac = m * h * t ** (m - 1)
-                vals = np.asarray(f(p + h * tm), dtype=float)
-                return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-            return _adaptive(g, 0.0, 1.0, rel_tol, abs_tol, counter)
+            return _adaptive(_mapped(f, p, q - p, m), 0.0, 1.0, rel_tol, abs_tol, counter)
     if g_right is not None:
         m = _power_m(g_right)
         if m > 1:
-            h = q - p
-
-            def g(t: np.ndarray) -> np.ndarray:
-                tm = t**m
-                jac = m * h * t ** (m - 1)
-                vals = np.asarray(f(q - h * tm), dtype=float)
-                return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-            return _adaptive(g, 0.0, 1.0, rel_tol, abs_tol, counter)
+            return _adaptive(_mapped(f, q, p - q, m), 0.0, 1.0, rel_tol, abs_tol, counter)
     return _adaptive(f, p, q, rel_tol, abs_tol, counter)
 
 

@@ -31,7 +31,7 @@ from .fields import (
     SmoothBump,
     VectorField,
 )
-from .quadrature import QuadSpec, integrate_1d
+from .quadrature import OffsetIntegrand, QuadResult, QuadSpec, integrate_1d
 
 __all__ = [
     "CaseResult",
@@ -181,13 +181,14 @@ def suite_ibp(
             return f1.values(xs[:, None]) * div
 
         lhs = integrate_1d(lhs_fn, min(lo_f, lo_p), max(hi_f, hi_p),
-                           spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).value
+                           spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
 
         def rhs_fn(xs: np.ndarray) -> np.ndarray:
             grad = ops.frac_gradient_batch(f1, a, xs[:, None])[:, 0]
             return comp.values(xs[:, None]) * grad
 
-        rhs = -integrate_1d(rhs_fn, lo_p, hi_p, spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).value
+        rhs = -integrate_1d(rhs_fn, lo_p, hi_p,
+                            spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
         report.add_compare(f"ibp_1d_a{a}", a, 1, lhs, rhs, tol=1e-6,
                            inputs="gaussian(0.3,1) vs bump(-0.2,1.5)")
     # zero case: f identically 0 pairs to 0 = 0
@@ -275,7 +276,7 @@ def suite_hardy_optimal(alpha_grid: Sequence[float] = IDENTITY_ALPHAS) -> SuiteR
         quad = integrate_1d(
             lambda x: np.abs(x) ** -a, -1.0, 1.0, singularities=[(0.0, -a)],
             spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13),
-        ).value
+        ).require()
         report.add_compare(f"hardy_integral_a{a}", a, 1, quad, hardy_integral, tol=1e-8)
     hi5, var5, c5 = cf.interval_identities(0.5)
     report.add_compare("row_hardy_integral_0.5", 0.5, 1, hi5, 4.0, tol=1e-12)
@@ -286,34 +287,23 @@ def suite_hardy_optimal(alpha_grid: Sequence[float] = IDENTITY_ALPHAS) -> SuiteR
 
 
 def _atom_pairing(fa: FAlpha, bump: ScalarField, a: float) -> float:
-    """int f_a(x) div_a phi(x) dx with the x = 1 neighborhood handled in offset
-    coordinates: evaluating |x - 1|^(a-1) through a rounded x loses the offset
-    near the singular point, so the window integrand is built from u = x - 1
-    directly (the x = 0 window needs no care: subnormals are dense at 0)."""
-    m_neg = mu(1, -a)
+    """int f_a(x) div_a phi(x) dx, with f_a read through exact offsets from
+    its singular points 0 and 1."""
     spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-11)
 
-    def div_phi(xs: np.ndarray) -> np.ndarray:
-        return ops.frac_gradient_batch(bump, a, xs[:, None])[:, 0]
+    def pairing(xs: np.ndarray, dx) -> np.ndarray:
+        div_phi = ops.frac_gradient_batch(bump, a, xs[:, None])[:, 0]
+        return fa.values_from_offsets(dx) * div_phi
 
-    def g(xs: np.ndarray) -> np.ndarray:
-        return fa.values(xs[:, None]) * div_phi(xs)
-
-    def g_near_one(u: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fval = m_neg * (
-                np.abs(1.0 + u) ** (a - 1.0) * np.sign(1.0 + u)
-                - np.abs(u) ** (a - 1.0) * np.sign(u)
-            )
-        fval = np.where(np.isfinite(fval), fval, 0.0)
-        return fval * div_phi(1.0 + u)
-
-    total = integrate_1d(g, -math.inf, -0.4, [(-math.inf, 3.0)], spec).value
-    total += integrate_1d(g, -0.4, 0.4, [(0.0, a - 1.0)], spec).value
-    total += integrate_1d(g, 0.4, 0.6, [], spec).value
-    total += integrate_1d(g_near_one, -0.4, 0.4, [(0.0, a - 1.0)], spec).value
-    total += integrate_1d(g, 1.4, math.inf, [(math.inf, 3.0)], spec).value
-    return total
+    g = OffsetIntegrand(pairing)
+    windows = (
+        (-math.inf, -0.4, [(-math.inf, 3.0)]),
+        (-0.4, 0.4, [(0.0, a - 1.0)]),
+        (0.4, 0.6, []),
+        (0.6, 1.4, [(1.0, a - 1.0)]),
+        (1.4, math.inf, [(math.inf, 3.0)]),
+    )
+    return sum(integrate_1d(g, lo, hi, sings, spec).require() for lo, hi, sings in windows)
 
 
 def suite_chain_failure(
@@ -353,7 +343,7 @@ def suite_chain_failure(
             val = integrate_1d(
                 lambda x: np.abs(fa.values(x[:, None])) * x ** -a, eps, 0.5,
                 spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13),
-            ).value
+            ).require()
             ps.append(val)
         logs = np.log(1.0 / np.asarray(eps_list))
         slope = float(np.polyfit(logs, np.asarray(ps), 1)[0])
@@ -380,26 +370,22 @@ def _halfspace_flux(f: ScalarField, a: float, nu_sign: float, x0: float) -> floa
 
     if nu_sign > 0:
         val = integrate_1d(g, x0, math.inf, singularities=[(math.inf, 1.0 + a)],
-                           spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                           spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
     else:
         val = integrate_1d(g, -math.inf, x0, singularities=[(-math.inf, 1.0 + a)],
-                           spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                           spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
     return -nu_sign * val
 
 
 def _hardy_weighted_integral(f: ScalarField, a: float, x0: float) -> float:
-    """(mu(1,a)/a) int f(x) |x - x0|^(-a) dx over the support of f.
-
-    Integrated in the offset u = x - x0, which keeps the kernel singularity
-    at an exactly representable 0 (evaluating |x - x0| through a rounded x
-    would floor the accuracy at ~eps^(1-a) for x0 away from the origin).
-    """
+    """(mu(1,a)/a) int f(x) |x - x0|^(-a) dx over the support of f, with the
+    kernel read through the exact offset from x0."""
     lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
-    sings = [(0.0, -a)] if lo <= x0 <= hi else []
+    sings = [(x0, -a)] if lo <= x0 <= hi else []
     val = integrate_1d(
-        lambda u: f.values((x0 + u)[:, None]) * np.abs(u) ** -a, lo - x0, hi - x0,
+        OffsetIntegrand(lambda xs, dx: f.values(xs[:, None]) * np.abs(dx(x0)) ** -a), lo, hi,
         singularities=sings, spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12),
-    ).value
+    ).require()
     return mu(1, a) / a * val
 
 
@@ -447,15 +433,33 @@ def suite_hardy_halfspace(
 
         if nu_sign > 0:
             rhs = integrate_1d(absg, x0, math.inf, singularities=[(math.inf, 1.0 + a)],
-                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
         else:
             rhs = integrate_1d(absg, -math.inf, x0, singularities=[(-math.inf, 1.0 + a)],
-                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
         report.add_margin(f"hh_{name}", a, 1, lhs, rhs, tol=1e-6,
                           inputs=f"bump({c},{w}), nu={nu_sign:+.0f}, x0={x0}")
     report.add_margin("hh_zero_field", a, 1, 0.0, 0.0, tol=1e-6, inputs="f = 0")
     report.wall_time = time.perf_counter() - t0
     return report
+
+
+def _weighted_hardy_lhs(f: ScalarField, a: float, r: float, x0: float = 0.0) -> QuadResult:
+    """int f(x) w(|x - x0|, r) dx for the n = 1 weight of ``closed_forms.weight_w``.
+
+    The kernel |t - r| (t = |x - x0|) is read through the exact offset from
+    x0 + r or x0 - r, the declared singular points inside the support.
+    """
+    lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
+    scale = mu(1, a) / (2.0 * a)
+
+    def wfun(xs: np.ndarray, dx) -> np.ndarray:
+        near = np.abs(np.where(xs >= x0, dx(x0 + r), dx(x0 - r)))
+        return scale * (near**-a + (np.abs(dx(x0)) + r) ** -a) * f.values(xs[:, None])
+
+    sings = [(p, -a) for p in (x0 - r, x0 + r) if lo < p < hi]
+    return integrate_1d(OffsetIntegrand(wfun), lo, hi, singularities=sings,
+                        spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11))
 
 
 def suite_weighted_hardy(
@@ -468,28 +472,18 @@ def suite_weighted_hardy(
     report = SuiteReport("weighted", tolerance=1e-6)
     t0 = time.perf_counter()
     f = SmoothBump(center=(0.0,), width=1.0)
-    lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
     for a in np.atleast_1d(alpha):
         a = float(a)
         for r in radii:
-
-            def wfun(xs: np.ndarray) -> np.ndarray:
-                t = np.abs(xs - x0)
-                return (mu(1, a) / (2.0 * a)) * (
-                    np.abs(t - r) ** -a + (t + r) ** -a
-                ) * f.values(xs[:, None])
-
-            sings = [(p, -a) for p in (x0 - r, x0 + r) if lo < p < hi]
-            lhs = integrate_1d(wfun, lo, hi, singularities=sings,
-                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+            lhs = _weighted_hardy_lhs(f, a, r, x0).require()
 
             def absg(xs: np.ndarray) -> np.ndarray:
                 return np.abs(ops.frac_gradient_batch(f, a, xs[:, None])[:, 0])
 
             rhs = integrate_1d(absg, x0 + r, math.inf, singularities=[(math.inf, 1.0 + a)],
-                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                               spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
             rhs += integrate_1d(absg, -math.inf, x0 - r, singularities=[(-math.inf, 1.0 + a)],
-                                spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).value
+                                spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
             report.add_margin(f"wh_a{a}_r{r}", a, 1, lhs, rhs, tol=1e-6,
                               inputs=f"bump(0,1), r={r}")
     report.add_margin("wh_zero_field", 0.5, 1, 0.0, 0.0, tol=1e-6, inputs="f = 0")
@@ -606,7 +600,7 @@ def suite_gagliardo_bound(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteRepor
             absg, -math.inf, math.inf,
             singularities=[(-1.0, 0.0), (1.0, 0.0), (math.inf, 1.0 + a), (-math.inf, 1.0 + a)],
             spec=QuadSpec(rel_tol=1e-7, abs_tol=1e-10),
-        ).value
+        ).require()
         report.add_margin(f"gag_a{a}", a, 1, lhs, mu(1, a) * seminorm, tol=1e-6,
                           inputs="bump(0,1)")
     report.wall_time = time.perf_counter() - t0

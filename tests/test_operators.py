@@ -207,6 +207,16 @@ class TestRieszPotential:
         assert val == pytest.approx(oracle, rel=1e-9)
         assert val == pytest.approx(1.086434811213308, rel=1e-10)
 
+    def test_gaussian_off_center_against_mpmath(self):
+        # s = 0.25 puts an |y - x|^-0.75 kernel at x = -1.2, away from the origin
+        mp = pytest.importorskip("mpmath")
+        s, x = 0.25, -1.2
+        val = ops.riesz_potential(Gaussian(center=(0.0,), width=1.0), s, x)
+        with mp.workdps(30):
+            ref = mp.quad(lambda y: mp.exp(-mp.pi * y * y) * abs(y - x) ** (s - 1),
+                          [-mp.inf, x, mp.inf])
+        assert val == pytest.approx(ops.riesz_constant(1, s) * float(ref), rel=1e-8)
+
     def test_divergent_potential_refused(self):
         hs = HalfSpaceIndicator(halfspace=HalfSpace.make((1.0,)))
         with pytest.raises(ops.DivergentPotentialError):

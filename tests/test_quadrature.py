@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fracvar.constants import gamma
 from fracvar.quadrature import (
     NonIntegrableSingularityError,
+    OffsetIntegrand,
     QuadSpec,
     integrate_1d,
     integrate_ball,
@@ -55,6 +56,20 @@ class TestIntegrate1d:
             assert res.converged
             assert res.value == pytest.approx(exact, rel=1e-10)
             assert res.err_estimate >= abs(res.value - exact)
+
+    def test_offset_integrand_away_from_origin(self):
+        # int |x - p|^-0.9 over one unit beside p = 1.7 is 10; through a
+        # rounded x the offset is lost below one ulp of p, the exact one is not
+        p = 1.7
+        f = OffsetIntegrand(lambda x, dx: np.abs(dx(p)) ** -0.9)
+        for a, b in ((p, p + 1.0), (p - 1.0, p)):
+            res = integrate_1d(f, a, b, singularities=[(p, -0.9)])
+            assert res.converged
+            assert res.value == pytest.approx(10.0, rel=1e-12)
+
+    def test_offset_integrand_called_plainly(self):
+        f = OffsetIntegrand(lambda x, dx: dx(0.25))
+        assert np.array_equal(f(np.array([1.0, -2.0])), np.array([0.75, -2.25]))
 
     def test_two_sided_tails(self):
         res = integrate_1d(
@@ -108,8 +123,6 @@ class TestQuadSpec:
             QuadSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadSpec(max_evals=10)
-        with pytest.raises(ValueError):
-            QuadSpec(far_strategy="bogus")
         with pytest.raises(ValueError):
             QuadSpec(near_radius=-1.0)
 

@@ -7,6 +7,10 @@ import sys
 
 import pytest
 
+from fracvar import cli, suites
+from fracvar.constants import mu
+from fracvar.fields import SmoothBump
+from fracvar.quadrature import QuadSpec
 from fracvar.suites import (
     SUITE_NAMES,
     SuiteReport,
@@ -104,6 +108,35 @@ class TestSuiteRuns:
             "quad": {"rel_tol": 1e-7, "abs_tol": 1e-11},
         })
         assert code == 0 and reports[0].passed
+
+
+def test_weighted_lhs_against_mpmath():
+    # alpha = 0.75, r = 0.5: kernel |t - r|^-0.75 at x = +/-0.5, reference by
+    # tanh-sinh split at +/-r and 0
+    mp = pytest.importorskip("mpmath")
+    a, r = 0.75, 0.5
+    res = suites._weighted_hardy_lhs(SmoothBump(center=(0.0,), width=1.0), a, r)
+    assert res.converged
+    assert res.evals_used < 5000
+
+    def integrand(x):
+        t = abs(x)
+        return (abs(t - r) ** -a + (t + r) ** -a) * mp.exp(1 - 1 / (1 - x * x))
+
+    with mp.workdps(30):
+        ref = mp.quad(integrand, [-1, -r, 0, r, 1])
+    assert res.value == pytest.approx(mu(1, a) / (2 * a) * float(ref), rel=1e-8)
+
+
+def test_verify_budget_exhaustion_exit_code(monkeypatch, tmp_path):
+    # a suite integral that cannot converge within its budget stops the run
+    def starved(**kw):
+        return QuadSpec(**{**kw, "max_evals": 100})
+
+    monkeypatch.setattr(suites, "QuadSpec", starved)
+    out = tmp_path / "report.csv"
+    assert cli.main(["verify", "--suite", "weighted", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def _cli(*args, env_extra=None, timeout=600):
