@@ -12,9 +12,10 @@ fractional Laplacian sharing the same singular-kernel machinery:
   correction for the fractional Laplacian); delta is then halved, adding back
   annular shells, until the value stabilizes within tolerance,
 * indicator fields: the kernel integral over the indicator's region is
-  decomposed geometrically (interval pieces, spherical wedges with exact
-  angular moments, box strips) and reduced to declared-singularity radial
-  integrals, since generic cubature cannot see the jump,
+  decomposed geometrically, since generic cubature cannot see the jump:
+  interval pieces and spherical wedges with exact angular moments reduce to
+  declared-singularity radial integrals, and a cube's kernel integral becomes
+  a sum of smooth face fluxes by the divergence theorem,
 * the f(x) kernel term is cancelled exactly by odd symmetry over every sphere
   centered at x, so only f(y) itself is ever integrated for the gradient.
 
@@ -44,11 +45,14 @@ from .fields import (
     as_points,
 )
 from .quadrature import (
+    NonIntegrableSingularityError,
     OffsetIntegrand,
+    QuadratureBudgetError,
     QuadSpec,
     _Counter,
     _segment,
     _tail_segment,
+    angular_profile,
     default_spec,
     integrate_1d,
     integrate_core,
@@ -217,16 +221,23 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         else:
             y_lo, y_hi = x[0] - reach, x[0] + reach
 
-        def kernel(y: np.ndarray) -> np.ndarray:
-            d = y - x[0]
-            return field.values(y[:, None]) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
+        if isinstance(field, FAlpha):
+            # read the offsets from the singular points 0 and 1 exactly
+            sings = [(s[0], field.alpha - 1.0) for s in field.singular_points]
+
+            def fa_kernel(y: np.ndarray, dy) -> np.ndarray:
+                d = dy(x[0])
+                return field.values_from_offsets(dy) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
+
+            kernel = OffsetIntegrand(fa_kernel)
+        else:
+            sings = []
+
+            def kernel(y: np.ndarray) -> np.ndarray:
+                d = y - x[0]
+                return field.values(y[:, None]) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
 
         def annulus(r_in: float, r_out: float):
-            sings = (
-                [(s[0], field.alpha - 1.0) for s in field.singular_points]
-                if isinstance(field, FAlpha)
-                else []
-            )
             val, err_, conv_ = np.zeros(1), 0.0, True
             for a_, b_ in (
                 (max(x[0] + r_in, y_lo), min(x[0] + r_out, y_hi)),
@@ -241,8 +252,6 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     else:
 
         def moment(r: np.ndarray) -> np.ndarray:
-            from .quadrature import angular_profile
-
             _, mom, _ = angular_profile(
                 field.values, x, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True
             )
@@ -484,7 +493,6 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
     if box is None:
         raise UnsupportedFieldError("Riesz potential for n >= 2 needs a finite evaluation box")
     reach = _reach(box, pt)
-    from .quadrature import angular_profile
 
     def radial(r: np.ndarray) -> np.ndarray:
         s0, _, _ = angular_profile(
@@ -540,6 +548,28 @@ def riesz_potential_hyperplane(
 # ---------------------------------------------------------------------------
 
 
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """expm1(x) / x, continued by 1 at x = 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
+
+
+def _fan(dist: float, s_lo: float, s_hi: float) -> tuple[float, float, float, float]:
+    """Polar piece of the segment s in (s_lo, s_hi) of a line at signed
+    distance dist from a center, s measured from the center's foot point.
+
+    With s = |dist| sinh(tau) the point lies at radius |dist| cosh(tau) and
+    dphi = dtau / cosh(tau), so the piece (sign(dist), |dist|, tau_lo, tau_hi)
+    stands for the signed angular integral
+    sign(dist) int K(|dist| cosh tau) / cosh(tau) dtau over (tau_lo, tau_hi).
+    In tau both the part near the foot and the far part of a segment seen at
+    a grazing angle stay resolved; in phi the far part would shrink to an
+    angle of order |dist| / |s|.
+    """
+    delta = abs(dist)
+    return math.copysign(1.0, dist), delta, math.asinh(s_lo / delta), math.asinh(s_hi / delta)
+
+
 def cube_kernel_integral(
     p: np.ndarray,
     exponent: float,
@@ -547,63 +577,91 @@ def cube_kernel_integral(
     over_complement: bool = False,
     spec: QuadSpec | None = None,
 ) -> float:
-    """int |y - p|^(-exponent) dy over the cube (-h, h)^n or its complement.
+    """int |y - p|^(-exponent) dy over the cube Q = (-h, h)^n or its complement.
 
-    The complement is split into 2n disjoint slabs, each a product of
-    intervals with at most one infinite axis pair, and integrated by nested
-    declared-tail quadrature.
+    Flux form: div_y[(y - p) |y - p|^(-E)] = (n - E) |y - p|^(-E), so the
+    integral over Q (p outside, or inside with E < n) is -1/(E - n), and the
+    one over the complement (p inside, E > n) +1/(E - n), times the boundary
+    sum  sum_faces int_face d_f |y - p|^(-E) dS,  where d_f = h - s p_i is
+    (y - p).nu_out on the face y_i = s h.  In n = 1 the sum is closed form.
+    In n = 2, 3 each face is integrated in polar coordinates about the foot
+    point c of p on the face plane (see ``_fan``):
+
+    * n = 2: the face is a segment at distance d from p, and contributes
+      sign(d) int r^(2-E) dphi over the angles it subtends;
+    * n = 3: the square face is a signed fan of four triangles about c, one
+      per edge, signed by the side of the edge line c lies on.  The radial
+      part is exact, d/(E - 2) (|d|^(2-E) - (d^2 + R^2)^((2-E)/2)) out to the
+      edge at R, which leaves one angular integral per triangle.  When c lies
+      outside the face the signed angles sum to zero, so the radial part is
+      taken relative to (d^2 + h^2) instead of d^2 and stays well conditioned
+      at grazing angles.
+
+    All pieces are mapped to [0, 1] and integrated as one sum, so the
+    tolerance applies to the boundary sum itself; the budget counts one
+    evaluation per piece and node.  Raises QuadratureBudgetError when the sum
+    does not converge, SingularPointError for p on the boundary of Q,
+    NonIntegrableSingularityError when the kernel is not integrable at p, and
+    ValueError for a complement with E <= n or for E == n.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     n = p.size
-    h = half_width
+    if n not in (1, 2, 3):
+        raise ValueError("cube_kernel_integral supports n in {1, 2, 3}")
+    h = float(half_width)
+    E = float(exponent)
     spec = spec or default_spec(n)
+    inside = bool(np.all(np.abs(p) < h))
+    if not inside and bool(np.all(np.abs(p) <= h)):
+        raise SingularPointError(f"{p.tolist()} lies on the boundary of the cube")
+    if over_complement and E <= n:
+        raise ValueError(f"the complement integral diverges at infinity for exponent {E} <= n")
+    if inside != over_complement and E >= n:
+        raise NonIntegrableSingularityError(f"exponent {E} >= n is not integrable at p")
+    if E == n:
+        raise ValueError("the flux form needs exponent != n")
+    factor = 1.0 / (E - n) if over_complement else -1.0 / (E - n)
 
-    def nested(bounds: list[tuple[float, float]], offsets: list[float], q2: float) -> float:
-        (lo, hi), rest = bounds[0], bounds[1:]
-        c = offsets[0]
-        remaining = len(rest)
+    faces = [(h - s * p[i], np.delete(p, i)) for i in range(n) for s in (1.0, -1.0)]
+    if n == 1:
+        return factor * float(sum(d * abs(d) ** (-E) for d, _ in faces))
 
-        if not rest:
+    rows = []  # one (sign, |dist|, tau_lo, tau_hi, d, S) per piece
+    for d, c in faces:
+        if d == 0.0:
+            continue  # p on the face plane, outside the face: zero flux
+        if n == 2:
+            rows.append(_fan(d, -h - c[0], h - c[0]) + (d, 0.0))
+            continue
+        S = d * d if bool(np.all(np.abs(c) <= h)) else d * d + h * h
+        for a in (0, 1):
+            for s in (1.0, -1.0):
+                e = h - s * c[a]
+                if e != 0.0:
+                    rows.append(_fan(e, -h - c[1 - a], h - c[1 - a]) + (d, S))
+    w, delta, lo, hi, D, S = (np.array(col) for col in zip(*rows))
+    k = (2.0 - E) / 2.0
 
-            def g(y: np.ndarray) -> np.ndarray:
-                return (q2 + (y - c) ** 2) ** (-exponent / 2.0)
+    def boundary_sum(u: np.ndarray) -> np.ndarray:
+        ch = np.cosh(lo + (hi - lo) * u[:, None])
+        rho2 = (delta * ch) ** 2
+        if n == 2:
+            K = rho2**k
+        else:  # d/(2k) ((d^2 + rho^2)^k - S^k), as d S^k (ell/2) exprel(k ell)
+            ell = np.where(S == D * D, np.log1p(rho2 / (D * D)), np.log((rho2 + D * D) / S))
+            K = D * S**k * (0.5 * ell) * _exprel(k * ell)
+        return (K / ch) @ (w * (hi - lo))
 
-        else:
-
-            def g(y: np.ndarray) -> np.ndarray:
-                return np.array([nested(rest, offsets[1:], q2 + (yi - c) ** 2) for yi in y])
-
-        tau = exponent - remaining
-        sings = []
-        if math.isinf(hi):
-            sings.append((math.inf, tau))
-        if math.isinf(lo):
-            sings.append((-math.inf, tau))
-        # the integrated-out kernel behaves like |y - c|^-(e - remaining) at c
-        # only if the remaining axes can actually reach the target point
-        reachable = all(b[0] <= pc <= b[1] for b, pc in zip(rest, offsets[1:]))
-        if q2 == 0.0 and lo <= c <= hi and reachable:
-            # non-integrable only when the target point sits inside the region,
-            # which the indicator decomposition excludes
-            sings.append((c, -(exponent - remaining)))
-        local = QuadSpec(
-            rel_tol=spec.rel_tol / (2.0 ** len(rest)),
-            abs_tol=spec.abs_tol,
-            max_evals=spec.max_evals,
+    counter = _Counter(spec.max_evals // len(rows))
+    flux, err, conv = _segment(
+        boundary_sum, 0.0, 1.0, None, None, spec.rel_tol / 4.0, spec.abs_tol * abs(E - n), counter
+    )
+    if not conv:
+        raise QuadratureBudgetError(
+            f"cube kernel integral did not converge (err ~ {abs(factor) * err:.3e} after "
+            f"{counter.used * len(rows)} evaluations)"
         )
-        v, e, _, _ = integrate_core(g, lo, hi, sings, local)
-        return float(v[0])
-
-    if not over_complement:
-        return nested([(-h, h)] * n, list(p), 0.0)
-    total = 0.0
-    for k in range(n):
-        for side in (+1, -1):
-            bounds = [(-h, h)] * k
-            bounds.append((h, math.inf) if side > 0 else (-math.inf, -h))
-            bounds.extend([(-math.inf, math.inf)] * (n - k - 1))
-            total += nested(bounds, list(p), 0.0)
-    return total
+    return factor * float(flux[0])
 
 
 def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None) -> float:
@@ -663,8 +721,6 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
     else:
 
         def profile(r: np.ndarray) -> np.ndarray:
-            from .quadrature import angular_profile
-
             s0, _, _ = angular_profile(
                 f.values, pt, r, n, tol=max(absr, rel) * 1e-2, counter=counter
             )
@@ -754,8 +810,6 @@ def nl_gradient(
         return mu(1, alpha) * np.atleast_1d(v1 + v2)
 
     def moment(r: np.ndarray) -> np.ndarray:
-        from .quadrature import angular_profile
-
         def h(Y: np.ndarray) -> np.ndarray:
             return (f.values(Y) - fx) * (g.values(Y) - gx)
 

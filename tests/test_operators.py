@@ -1,5 +1,6 @@
 """Operator quadratures against closed forms, oracles, and structural identities."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,6 +101,14 @@ class TestFracGradient:
         f = SmoothBump(center=(0.0, 0.0, 0.0), width=1.0)
         with pytest.raises(UnsupportedFieldError):
             ops.frac_gradient_batch(f, 0.5, np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]))
+
+    @pytest.mark.parametrize("a, x", [(0.25, 0.8905), (0.5, 2.1748)])
+    def test_f_alpha_gradient_vanishes_near_atoms(self, a, x):
+        # d_a f_a = delta_0 - delta_1, so the gradient is 0 away from 0 and 1;
+        # the annulus reads the field's offsets from 0 and 1 exactly
+        res = ops.frac_gradient(FAlpha(alpha=a), a, x, detail=True)
+        assert res.converged
+        assert abs(res.value[0]) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -295,6 +304,141 @@ class TestFracLaplacian:
         lv = ops.frac_laplacian(CubeIndicator(ndim=2), 0.5, (1.1, 0.0))
         ref = float(MagicCube(alpha=0.5, ndim=2).values(np.array([[1.1, 0.0]]))[0])
         assert lv == pytest.approx(ref, rel=1e-6)
+
+
+def _square_polar_reference(beta: float, x) -> float:
+    """Fractional Laplacian of the (-1, 1)^2 indicator at an interior x in
+    polar coordinates: -nu(2, b)/b int rho(theta)^-b dtheta, rho the exit
+    distance, with breakpoints at the corner directions."""
+    import mpmath as mp
+
+    from fracvar.constants import nu
+
+    p = [mp.mpf(v) for v in x]
+
+    def rho(theta):
+        u = (mp.cos(theta), mp.sin(theta))
+        return min((1 - mp.sign(ui) * pi) / abs(ui) for pi, ui in zip(p, u) if ui != 0)
+
+    corners = sorted(
+        mp.atan2(cy - p[1], cx - p[0]) % (2 * mp.pi) for cx in (-1, 1) for cy in (-1, 1)
+    )
+    val = mp.quad(lambda t: rho(t) ** -beta, [0] + corners + [2 * mp.pi])
+    return float(-nu(2, beta) * val / beta)
+
+
+def _cube_sphere_reference(beta: float, p) -> float:
+    """Fractional Laplacian of the (-1, 1)^3 indicator at an interior p as an
+    integral over the sphere of directions: -nu(3, b)/b int R(w)^-b dw, R the
+    exit distance along w, in polar/azimuthal angles with the azimuthal
+    breakpoints where the exit face changes."""
+    integrate = pytest.importorskip("scipy.integrate")
+    from fracvar.constants import nu
+
+    gap = {(i, s): 1.0 - s * p[i] for i in range(3) for s in (1.0, -1.0)}
+    axis_angle = {(0, 1.0): 0.0, (1, 1.0): math.pi / 2, (0, -1.0): math.pi, (1, -1.0): -math.pi / 2}
+
+    def exit_dist(w):
+        return min(gap[i, math.copysign(1.0, wi)] / abs(wi) for i, wi in enumerate(w) if wi)
+
+    def phi_kinks(theta):
+        st, ct = math.sin(theta), math.cos(theta)
+        kinks = [  # between an x face and a y face
+            math.atan2(sy * gap[1, sy], sx * gap[0, sx]) for sx in (1.0, -1.0) for sy in (1.0, -1.0)
+        ]
+        for face, angle in axis_angle.items():  # between a side face and the z face
+            c = gap[face] * abs(ct) / (gap[2, math.copysign(1.0, ct)] * st)
+            if c < 1.0:
+                kinks += [angle + math.acos(c), angle - math.acos(c)]
+        return sorted({k % (2 * math.pi) for k in kinks})
+
+    def ring(theta):
+        st, ct = math.sin(theta), math.cos(theta)
+
+        def g(phi):
+            return exit_dist((st * math.cos(phi), st * math.sin(phi), ct)) ** -beta
+
+        edges = [0.0] + phi_kinks(theta) + [2 * math.pi]
+        return st * sum(
+            integrate.quad(g, a, b, epsabs=1e-14, epsrel=1e-12)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+            if b > a
+        )
+
+    corners = sorted(
+        {
+            math.acos((c[2] - p[2]) / math.dist(c, p))
+            for c in itertools.product((1.0, -1.0), repeat=3)
+        }
+    )
+    edges = [0.0] + corners + [math.pi]
+    val = sum(
+        integrate.quad(ring, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+    return -nu(3, beta) * val / beta
+
+
+class TestCubeKernelIntegral:
+    """Indicator Laplacians of the square and the cube through the flux form."""
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("x", [(0.3, 0.2), (-0.85, 0.6)])
+    def test_square_interior_against_polar_reference(self, beta, x):
+        pytest.importorskip("mpmath")
+        from fracvar.fields import CubeIndicator
+
+        lv = ops.frac_laplacian(CubeIndicator(ndim=2), beta, x)
+        assert lv == pytest.approx(_square_polar_reference(beta, x), rel=1e-6)
+
+    def test_cube_interior_against_sphere_reference(self):
+        from fracvar.fields import CubeIndicator
+
+        p = (0.2, 0.1, -0.3)
+        lv = ops.frac_laplacian(CubeIndicator(ndim=3), 0.5, p)
+        assert lv == pytest.approx(_cube_sphere_reference(0.5, p), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "beta, x, ref",
+        [  # values of the nested slab quadrature this form replaced
+            (0.5, (1.3, 0.2), -0.32777732269039556),
+            (0.25, (1.1, 0.0), -0.325151209316587),
+            (0.75, (1.6, -1.4), -0.09351543154658472),
+            (0.5, (-1.05, 0.7), -1.2503149697373124),
+            (0.5, (1.3, 0.2, -0.4), -0.2588656806296843),
+            (0.25, (1.5, -1.2, 0.3), -0.03183858596506953),
+        ],
+    )
+    def test_exterior_values_pinned(self, beta, x, ref):
+        from fracvar.fields import CubeIndicator
+
+        lv = ops.frac_laplacian(CubeIndicator(ndim=len(x)), beta, x)
+        assert lv == pytest.approx(ref, rel=1e-8)
+
+    def test_budget_exhaustion_raises(self):
+        from fracvar.fields import CubeIndicator
+        from fracvar.quadrature import QuadratureBudgetError
+
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_laplacian(CubeIndicator(ndim=2), 0.5, (0.3, 0.2), QuadSpec(max_evals=100))
+
+    def test_rejected_inputs(self):
+        from fracvar.fields import SingularPointError
+        from fracvar.quadrature import NonIntegrableSingularityError
+
+        with pytest.raises(SingularPointError):
+            ops.cube_kernel_integral(np.array([1.0, 0.3]), 2.5)
+        with pytest.raises(ValueError):  # complement diverges at infinity
+            ops.cube_kernel_integral(np.array([0.2, 0.3]), 1.5, over_complement=True)
+        with pytest.raises(NonIntegrableSingularityError):
+            ops.cube_kernel_integral(np.array([0.2, 0.3, 0.1]), 3.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_far_point_approaches_point_mass(self, n):
+        # |y - p|^-E over the unit-volume cube tends to |p|^-E as p -> infinity
+        p = np.full(n, 40.0)
+        val = ops.cube_kernel_integral(p, n + 0.5, half_width=0.5)
+        assert val == pytest.approx(np.linalg.norm(p) ** -(n + 0.5), rel=1e-3)
 
 
 class TestNlGradient:
