@@ -1,7 +1,8 @@
 """Command-line interface: constants tables, operator evaluation, oracles, suites.
 
-Exit codes for ``verify``: 0 all cases pass, 1 any failure, 2 usage error,
-3 quadrature budget exceeded.  ``FRACVAR_THREADS`` caps suite parallelism.
+Exit codes: 0 success (for ``verify``: all cases pass), 1 any ``verify``
+case failed, 2 usage error, 3 quadrature budget exceeded.  ``FRACVAR_THREADS``
+caps suite parallelism.
 """
 
 from __future__ import annotations
@@ -130,16 +131,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             config = json.load(fh)
     if args.alpha:
         config["alphas"] = tuple(args.alpha)
-    try:
-        if args.suite == "all":
-            reports, code = run_all(config)
-        else:
-            spec = QuadSpec(**config["quad"]) if "quad" in config else None
-            report = run_suite(args.suite, config.get("alphas"), spec)
-            reports, code = [report], (0 if report.passed else 1)
-    except QuadratureBudgetError as exc:
-        print(f"quadrature budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    if args.suite == "all":
+        reports, code = run_all(config)
+    else:
+        spec = QuadSpec(**config["quad"]) if "quad" in config else None
+        report = run_suite(args.suite, config.get("alphas"), spec)
+        reports, code = [report], (0 if report.passed else 1)
     csv_text = reports_to_csv(reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -214,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except QuadratureBudgetError as exc:
+        print(f"quadrature budget exceeded: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,16 +9,13 @@ constants per (n, order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "GammaPoleError",
-    "GammaValue",
     "MAX_GAMMA_ARG",
     "MAX_CONST_DIM",
     "gamma",
-    "gamma_value",
     "validate_dim",
     "mu",
     "nu",
@@ -89,18 +86,6 @@ def gamma(x: float) -> float:
         if math.floor(x) % 2 != 0:
             sin_pix = -sin_pix
     return math.pi / (sin_pix * _gamma_positive(1.0 - x))
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """A Gamma evaluation bundled with its argument (handy for invariant checks)."""
-
-    argument: float
-    value: float
-
-
-def gamma_value(x: float) -> GammaValue:
-    return GammaValue(argument=float(x), value=gamma(x))
 
 
 def validate_dim(n: int, *, max_dim: int = MAX_CONST_DIM) -> int:

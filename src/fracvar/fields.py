@@ -47,7 +47,6 @@ __all__ = [
     "precise_representative",
     "d_alpha_measure",
     "field_from_json",
-    "bump_vector",
 ]
 
 
@@ -156,6 +155,12 @@ class ScalarField:
         return ()
 
     @property
+    def singular_exponent(self) -> float | None:
+        """e such that the field behaves like |x - p|^e at each of its
+        ``singular_points`` p; None for a field without algebraic singular points."""
+        return None
+
+    @property
     def is_smooth(self) -> bool:
         return False
 
@@ -184,6 +189,23 @@ class ScalarField:
     # -- evaluation ---------------------------------------------------------
     def values(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def values_from_offsets(self, dx) -> np.ndarray:
+        """Values at the points x whose offsets ``dx(c)`` = x - c an
+        :class:`~fracvar.quadrature.OffsetIntegrand` supplies; a field with
+        singular points reads them from there exactly.  By default this is
+        ``values`` at x = dx(0), bit-identical to calling it with x."""
+        return self.values(dx(0.0)[:, None])
+
+    def variation_measure(self, alpha: float) -> "SignedMeasure":
+        """D^alpha f where it is known; by default the absolutely continuous
+        density, the fractional gradient, of a smooth field."""
+        if not (self.is_smooth and self.has_gradient):
+            raise UnsupportedFieldError(f"variation measure of {self.kind} is not identified")
+        comps = tuple(
+            FracGradientComponent(base=self, alpha=alpha, component=i) for i in range(self.dim)
+        )
+        return SignedMeasure(atoms=(), density=VectorField(components=comps))
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         raise UnsupportedFieldError(f"{self.kind} has no closed-form gradient")
@@ -403,9 +425,6 @@ class IntervalIndicator(ScalarField):
         x = X[:, 0]
         return np.where((x > self.a) & (x < self.b), 1.0, 0.0)
 
-    def region_intervals(self) -> tuple[tuple[float, float], ...]:
-        return ((self.a, self.b),)
-
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         x0 = as_points(x, 1)[0, 0]
         lo, hi = max(self.a, x0 - r), min(self.b, x0 + r)
@@ -539,6 +558,10 @@ class FAlpha(ScalarField):
         return ((0.0,), (1.0,))
 
     @property
+    def singular_exponent(self) -> float:
+        return self.alpha - 1.0
+
+    @property
     def has_gradient(self) -> bool:
         return True  # away from the singular pair
 
@@ -569,12 +592,21 @@ class FAlpha(ScalarField):
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         x0 = as_points(x, 1)[0, 0]
-        sing = [(p[0], self.alpha - 1.0) for p in self.singular_points if x0 - r < p[0] < x0 + r]
+        e = self.singular_exponent
+        sing = [(p[0], e) for p in self.singular_points if x0 - r < p[0] < x0 + r]
         res = integrate_1d(
             lambda y: self.values(y[:, None]), x0 - r, x0 + r, singularities=sing,
             spec=spec or QuadSpec(rel_tol=1e-9),
         )
         return res.value / (2.0 * r)
+
+    def variation_measure(self, alpha: float) -> "SignedMeasure":
+        """The atom pair +delta_0 - delta_1, at the field's own order only."""
+        if abs(alpha - self.alpha) > 1e-12:
+            raise UnsupportedFieldError(
+                "the variation measure of f_alpha is identified only at its own order"
+            )
+        return SignedMeasure(atoms=(((0.0,), (1.0,)), ((1.0,), (-1.0,))))
 
 
 @dataclass(frozen=True)
@@ -613,6 +645,10 @@ class MagicCube(ScalarField):
             return ((-1.0,), (1.0,))
         return ()
 
+    @property
+    def singular_exponent(self) -> float:
+        return self.alpha - 1.0
+
     def is_singular(self, x) -> bool:
         pt = as_points(x, self.dim)[0]
         on_face = np.any(np.abs(pt) == 1.0)
@@ -644,6 +680,20 @@ class MagicCube(ScalarField):
         inside = bool(np.all(np.abs(p) < 1.0))
         val = cube_kernel_integral(p, exponent=n + 1.0 - a, half_width=1.0, over_complement=inside)
         return -c * val if inside else c * val
+
+    def variation_measure(self, alpha: float) -> "SignedMeasure":
+        """In dimension 1 the atoms of the derivative of the cube indicator, at
+        the field's own order only."""
+        if abs(alpha - self.alpha) > 1e-12:
+            raise UnsupportedFieldError(
+                "the variation measure of magic_cube is identified only at its own order"
+            )
+        if self.dim == 1:
+            return SignedMeasure(atoms=(((-1.0,), (1.0,)), ((1.0,), (-1.0,))))
+        raise UnsupportedFieldError(
+            "for dim >= 2 the variation measure of magic_cube is a surface measure, "
+            "which this atomic+density representation cannot hold"
+        )
 
 
 @dataclass(frozen=True)
@@ -704,9 +754,8 @@ class Mollified(ScalarField):
                 t = (x0 - y) / self.eps
                 return _bump_1d(t) * self.base.values(y[:, None])
 
-            base_exp = getattr(self.base, "alpha", 0.5) - 1.0
             sing = [
-                (s[0], base_exp)
+                (s[0], self.base.singular_exponent)
                 for s in self.base.singular_points
                 if x0 - self.eps < s[0] < x0 + self.eps
             ]
@@ -840,6 +889,10 @@ class ScaledField(ScalarField):
         return self.base.singular_points
 
     @property
+    def singular_exponent(self) -> float | None:
+        return self.base.singular_exponent
+
+    @property
     def is_smooth(self) -> bool:
         return self.base.is_smooth
 
@@ -860,6 +913,9 @@ class ScaledField(ScalarField):
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return self.factor * self.base.values(X)
+
+    def values_from_offsets(self, dx) -> np.ndarray:
+        return self.factor * self.base.values_from_offsets(dx)
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         return self.factor * self.base.grad_values(X)
@@ -1054,16 +1110,6 @@ class VectorField:
         return max(c.sup_norm_bound for c in self.components)
 
 
-def bump_vector(center: Sequence[float], width: float, dim: int) -> VectorField:
-    """Vector field whose components are translated tensor bumps."""
-    comps = []
-    for i in range(dim):
-        c = list(center)
-        c[i % len(c)] += 0.1 * width * i
-        comps.append(SmoothBump(center=tuple(c), width=width))
-    return VectorField(components=tuple(comps))
-
-
 @dataclass(frozen=True)
 class SignedMeasure:
     """Atoms (point, vector weight) plus an optional absolutely continuous part."""
@@ -1134,30 +1180,7 @@ def d_alpha_measure(field: ScalarField, alpha: float) -> SignedMeasure:
     magic_cube in dimension 1 gives the atoms of the derivative of the cube
     indicator.  Everything else is refused.
     """
-    if isinstance(field, FAlpha):
-        if abs(alpha - field.alpha) > 1e-12:
-            raise UnsupportedFieldError(
-                "the variation measure of f_alpha is identified only at its own order"
-            )
-        return SignedMeasure(atoms=(((0.0,), (1.0,)), ((1.0,), (-1.0,))))
-    if isinstance(field, MagicCube):
-        if abs(alpha - field.alpha) > 1e-12:
-            raise UnsupportedFieldError(
-                "the variation measure of magic_cube is identified only at its own order"
-            )
-        if field.dim == 1:
-            return SignedMeasure(atoms=(((-1.0,), (1.0,)), ((1.0,), (-1.0,))))
-        raise UnsupportedFieldError(
-            "for dim >= 2 the variation measure of magic_cube is a surface measure, "
-            "which this atomic+density representation cannot hold"
-        )
-    if field.is_smooth and field.has_gradient:
-        comps = tuple(
-            FracGradientComponent(base=field, alpha=alpha, component=i)
-            for i in range(field.dim)
-        )
-        return SignedMeasure(atoms=(), density=VectorField(components=comps))
-    raise UnsupportedFieldError(f"variation measure of {field.kind} is not identified")
+    return field.variation_measure(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 from .constants import ball_volume, gamma, mu, nu, sphere_area
 from .fields import (
     CubeIndicator,
-    FAlpha,
     Gaussian,
     HalfSpaceIndicator,
     IntervalIndicator,
@@ -60,7 +59,6 @@ from .quadrature import (
 
 __all__ = [
     "OperatorEval",
-    "FracOrder",
     "DivergentPotentialError",
     "TestFieldNormError",
     "ALPHA_QUAD_RANGE",
@@ -90,33 +88,6 @@ class TestFieldNormError(ValueError):
 
 
 ALPHA_QUAD_RANGE = (0.05, 0.95)
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A validated fractional exponent tagged with its operator role.
-
-    Roles: "gradient" (alpha, quadrature range [0.05, 0.95]), "potential"
-    (s in (0, n), validated against the ambient dimension at use), and
-    "laplacian" (beta, quadrature range).
-    """
-
-    value: float
-    role: str = "gradient"
-
-    def __post_init__(self) -> None:
-        if self.role not in ("gradient", "potential", "laplacian"):
-            raise ValueError(f"unknown order role {self.role!r}")
-        v = float(self.value)
-        if self.role in ("gradient", "laplacian"):
-            lo, hi = ALPHA_QUAD_RANGE
-            if not lo <= v <= hi:
-                raise ValueError(f"{self.role} order must lie in [{lo}, {hi}]")
-        elif not v > 0.0:
-            raise ValueError("potential order must be positive")
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -164,9 +135,49 @@ def _box_radial_range(box, x: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(gap)), _reach(box, x)
 
 
+def _require(converged: bool, what: str, err: float, counter: _Counter) -> None:
+    if not converged:
+        raise QuadratureBudgetError(
+            f"{what} did not converge (err ~ {err:.3e} after {counter.used} evaluations)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # fractional gradient
 # ---------------------------------------------------------------------------
+
+
+def _shrink_annulus(
+    annulus, corr, delta: float, reach: float, far: float, spec: QuadSpec, counter: _Counter
+):
+    """Taylor-corrected shrinking-annulus limit of a singular kernel integral.
+
+    ``annulus(r_in, r_out)`` integrates the kernel over the shell r_in < |y - x|
+    < r_out and ``corr(delta)`` is the Taylor correction for the removed ball
+    B_delta(x).  delta is halved, adding back shells, until the corrected value
+    moves by at most max(abs_tol, rel_tol |value + far|) / 4, where ``far`` is
+    the part of the full integral added outside (0 if none).  Returns (value,
+    err, converged); value and err leave ``far`` out.
+    """
+    core_val, core_err, converged = annulus(delta, reach)
+    value = core_val + corr(delta)
+    for _ in range(80):
+        new_delta = delta / 2.0
+        shell, se, sc = annulus(new_delta, delta)
+        core_val = core_val + shell
+        core_err += se
+        converged &= sc
+        new_value = core_val + corr(new_delta)
+        step = float(np.max(np.abs(new_value - value)))
+        delta, value = new_delta, new_value
+        if step <= max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0:
+            break
+        if counter.used > spec.max_evals:
+            converged = False
+            break
+    else:
+        converged = False
+    return value, core_err + step, converged
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
@@ -178,6 +189,14 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     absr = spec.abs_tol / 4.0
     grad_x = field.grad_values(x[None, :])[0]
     omega_n = ball_volume(n)
+    # the n = 1 kernel reads x - p from the field's declared singular points exactly
+    sings = [(s[0], field.singular_exponent) for s in field.singular_points]
+
+    def kernel(y: np.ndarray, dy) -> np.ndarray:
+        d = dy(x[0])
+        return field.values_from_offsets(dy) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
+
+    kernel = OffsetIntegrand(kernel)
 
     if box is not None:
         d_min, d_max = _box_radial_range(box, x)
@@ -194,18 +213,12 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             (abs(s[0]) for s in field.singular_points), default=0.0
         )
         tau = 1.0 + alpha + field.decay_exponent
-
-        def ray(y: np.ndarray) -> np.ndarray:
-            d = y - x[0]
-            return field.values(y[:, None]) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
-
-        sings = [(s[0], field.alpha - 1.0) for s in field.singular_points]
         v1, e1, _, c1 = integrate_core(
-            ray, x[0] + reach, math.inf, sings + [(math.inf, tau)],
+            kernel, x[0] + reach, math.inf, sings + [(math.inf, tau)],
             QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
         )
         v2, e2, _, c2 = integrate_core(
-            ray, -math.inf, x[0] - reach, sings + [(-math.inf, tau)],
+            kernel, -math.inf, x[0] - reach, sings + [(-math.inf, tau)],
             QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
         )
         tail_val = np.atleast_1d(v1 + v2)
@@ -220,22 +233,6 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             y_lo, y_hi = float(box[0][0]), float(box[1][0])
         else:
             y_lo, y_hi = x[0] - reach, x[0] + reach
-
-        if isinstance(field, FAlpha):
-            # read the offsets from the singular points 0 and 1 exactly
-            sings = [(s[0], field.alpha - 1.0) for s in field.singular_points]
-
-            def fa_kernel(y: np.ndarray, dy) -> np.ndarray:
-                d = dy(x[0])
-                return field.values_from_offsets(dy) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
-
-            kernel = OffsetIntegrand(fa_kernel)
-        else:
-            sings = []
-
-            def kernel(y: np.ndarray) -> np.ndarray:
-                d = y - x[0]
-                return field.values(y[:, None]) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
 
         def annulus(r_in: float, r_out: float):
             val, err_, conv_ = np.zeros(1), 0.0, True
@@ -264,37 +261,22 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             v, e, c = _segment(moment, r_in, r_out, None, None, rel, absr, counter)
             return v, e, c
 
+    def corr(d: float) -> np.ndarray:
+        return omega_n * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
+
     delta = spec.near_radius or min(field.smooth_scale / 2.0, reach / 4.0)
-    core_val, core_err, ok = annulus(delta, reach)
-    converged = ok
-    value = core_val + omega_n * delta ** (1.0 - alpha) / (1.0 - alpha) * grad_x
-    for _ in range(80):
-        new_delta = delta / 2.0
-        shell, se, sc = annulus(new_delta, delta)
-        core_val = core_val + shell
-        core_err += se
-        converged &= sc
-        new_value = core_val + omega_n * new_delta ** (1.0 - alpha) / (1.0 - alpha) * grad_x
-        step = float(np.max(np.abs(new_value - value)))
-        delta, value = new_delta, new_value
-        if step <= max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value)))) / 4.0:
-            break
-        if counter.used > spec.max_evals:
-            converged = False
-            break
-    else:
-        converged = False
+    value, core_err, converged = _shrink_annulus(annulus, corr, delta, reach, 0.0, spec, counter)
     total = mu(n, alpha) * (value + tail_val)
-    err = abs(mu(n, alpha)) * (core_err + tail_err + step)
+    err = abs(mu(n, alpha)) * (core_err + tail_err)
     return total, err, counter.used, converged
 
 
 def _segment_with_sings(f, a: float, b: float, sings, rel: float, absr: float, counter: _Counter):
-    """Finite-interval integral with declared interior singular points."""
-    pts = sorted(p for p, _ in sings if a < p < b)
-    if not pts:
-        return _segment(f, a, b, None, None, rel, absr, counter)
+    """Finite-interval integral with declared singular points inside or at the ends."""
     exps = dict(sings)
+    pts = sorted(p for p in exps if a < p < b)
+    if not pts:
+        return _segment(f, a, b, exps.get(a), exps.get(b), rel, absr, counter)
     edges = [a] + pts + [b]
     total, err, conv = None, 0.0, True
     for p, q in zip(edges[:-1], edges[1:]):
@@ -470,22 +452,19 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
     counter = _Counter(spec.max_evals)
     if n == 1:
         x0 = float(pt[0])
-
-        g = OffsetIntegrand(lambda y, dy: f.values(y[:, None]) * np.abs(dy(x0)) ** (s - 1.0))
-        sings: list[tuple[float, float]] = [(x0, s - 1.0)]
+        # the field and the kernel read x - p from their singular points exactly
+        g = OffsetIntegrand(lambda y, dy: f.values_from_offsets(dy) * np.abs(dy(x0)) ** (s - 1.0))
+        sings = [(x0, s - 1.0)] + [(sp[0], f.singular_exponent) for sp in f.singular_points]
         box = _field_box(f)
         if box is not None:
             lo, hi = float(box[0][0]), float(box[1][0])
             a, b = min(lo, x0 - 1.0), max(hi, x0 + 1.0)
-            for sp in f.singular_points:
-                sings.append((sp[0], getattr(f, "alpha", 0.5) - 1.0))
-            v, e, used, conv = integrate_core(g, a, b, sings, spec, counter)
         else:
+            a, b = -math.inf, math.inf
             tau = f.decay_exponent + 1.0 - s
-            for sp in f.singular_points:
-                sings.append((sp[0], getattr(f, "alpha", 0.5) - 1.0))
             sings += [(math.inf, tau), (-math.inf, tau)]
-            v, e, used, conv = integrate_core(g, -math.inf, math.inf, sings, spec, counter)
+        v, e, _, conv = integrate_core(g, a, b, sings, spec, counter)
+        _require(conv, "Riesz potential", e, counter)
         return k * float(v[0])
 
     # n >= 2: radial profile around x with declared r^(s-1) behavior at 0
@@ -502,6 +481,7 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
 
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
     v, e, conv = _segment(radial, 0.0, reach, s - 1.0 if s < 1.0 else None, None, rel, absr, counter)
+    _require(conv, "Riesz potential", e, counter)
     return k * float(np.atleast_1d(v)[0])
 
 
@@ -690,7 +670,8 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
             g = lambda y: np.abs(y - x0) ** (-1.0 - beta)
             sings = [(math.inf, 1.0 + beta)] if math.isinf(b) else []
             sings += [(-math.inf, 1.0 + beta)] if math.isinf(a) else []
-            v, e, _, _ = integrate_core(g, a, b, sings, spec, counter)
+            v, e, _, conv = integrate_core(g, a, b, sings, spec, counter)
+            _require(conv, "fractional Laplacian", e, counter)
             total += float(v[0])
         return const * sign * total
 
@@ -732,34 +713,16 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
 
     far = -fx * sphere_area(n) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
     omega_n = ball_volume(n)
-    delta = spec.near_radius or min(field_scale(f) / 2.0, reach / 4.0)
-    core_val, core_err, ok = annulus(delta, reach)
-    converged = ok
 
     def corr(dlt: float) -> float:
         if lap_x is None:
             return 0.0
         return lap_x * omega_n * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
 
-    value = float(core_val[0]) + corr(delta)
-    step = math.inf
-    for _ in range(80):
-        new_delta = delta / 2.0
-        shell, se, sc = annulus(new_delta, delta)
-        core_val = core_val + shell
-        core_err += se
-        converged &= sc
-        new_value = float(core_val[0]) + corr(new_delta)
-        step = abs(new_value - value)
-        delta, value = new_delta, new_value
-        if step <= max(spec.abs_tol, spec.rel_tol * abs(new_value + far)) / 4.0:
-            break
-        if counter.used > spec.max_evals:
-            converged = False
-            break
-    else:
-        converged = False
-    return const * (value + far)
+    delta = spec.near_radius or min(field_scale(f) / 2.0, reach / 4.0)
+    value, err, converged = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
+    _require(converged, "fractional Laplacian", err, counter)
+    return const * (float(value[0]) + far)
 
 
 def field_scale(f: ScalarField) -> float:

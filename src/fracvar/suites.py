@@ -163,7 +163,6 @@ def suite_ibp(
     alpha: Sequence[float] = DEFAULT_ALPHAS,
     f: ScalarField | None = None,
     phi: VectorField | None = None,
-    spec: QuadSpec | None = None,
     include_2d: bool = True,
 ) -> SuiteReport:
     """int f div_a phi dx = -int phi . grad_a f dx for smooth pairs, n = 1, 2."""
@@ -309,7 +308,6 @@ def _atom_pairing(fa: FAlpha, bump: ScalarField, a: float) -> float:
 def suite_chain_failure(
     alpha: Sequence[float] = DEFAULT_ALPHAS,
     eps_list: Sequence[float] = (1e-7, 1e-8, 1e-9, 1e-10),
-    spec: QuadSpec | None = None,
 ) -> SuiteReport:
     """Atom-pair pairing of the counterexample function and its log divergence.
 
@@ -392,7 +390,6 @@ def _hardy_weighted_integral(f: ScalarField, a: float, x0: float) -> float:
 def suite_gauss_green(
     alpha: float = 0.5,
     geometries=_GG_GEOMETRIES,
-    spec: QuadSpec | None = None,
 ) -> SuiteReport:
     """Half-space flux identity for smooth bumps:
 
@@ -418,7 +415,6 @@ def suite_gauss_green(
 def suite_hardy_halfspace(
     alpha: float = 0.5,
     geometries=_GG_GEOMETRIES,
-    spec: QuadSpec | None = None,
 ) -> SuiteReport:
     """(mu/a) int f / |(x-x0).nu|^a dx <= int_{cl H+} |grad_a f| dx for f >= 0."""
     report = SuiteReport("hardy-half", tolerance=1e-6)
@@ -466,7 +462,6 @@ def suite_weighted_hardy(
     alpha: Sequence[float] = DEFAULT_ALPHAS,
     radii: Sequence[float] = (0.5, 1.0, 2.0),
     x0: float = 0.0,
-    spec: QuadSpec | None = None,
 ) -> SuiteReport:
     """int f w(|x - x0|, r) dx <= int_{|x-x0|>r} |grad_a f| dx for f >= 0 (n = 1)."""
     report = SuiteReport("weighted", tolerance=1e-6)
@@ -495,7 +490,6 @@ def suite_rigidity(
     alpha: float = 0.5,
     L: float = 1.0,
     sample_count: int = 20,
-    spec: QuadSpec | None = None,
 ) -> SuiteReport:
     """Sign rigidity of non-negative bumps: the gradient component past the
     support is strictly negative, with magnitude decaying like x^-(n+alpha)."""
@@ -636,6 +630,10 @@ _SUITE_RUNNERS: dict[str, Callable[[], SuiteReport]] = {
 }
 
 
+# the suites whose operator calls take a QuadSpec; the others pin their own
+_SPEC_SUITES = ("halfspace", "leibniz")
+
+
 def run_suite(
     name: str,
     alphas: Sequence[float] | None = None,
@@ -644,9 +642,7 @@ def run_suite(
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     runner = _SUITE_RUNNERS[name]
-    kwargs = {}
-    if spec is not None and name not in ("hardy", "varbound", "gagliardo"):
-        kwargs["spec"] = spec
+    kwargs = {"spec": spec} if spec is not None and name in _SPEC_SUITES else {}
     if alphas is None:
         return runner(**kwargs)
     if name in ("gauss-green", "hardy-half", "rigidity", "leibniz"):

@@ -13,7 +13,6 @@ from fracvar.constants import (
     GammaPoleError,
     ball_volume,
     gamma,
-    gamma_value,
     hardy_constants,
     mu,
     nu,
@@ -73,11 +72,6 @@ class TestGamma:
             gamma(65.0)
         with pytest.raises(ValueError):
             gamma(-70.0)
-
-    def test_gamma_value_bundle(self):
-        gv = gamma_value(3.0)
-        assert gv.argument == 3.0
-        assert gv.value == pytest.approx(2.0, rel=1e-13)
 
 
 class TestMu:

@@ -102,11 +102,19 @@ class TestFracGradient:
         with pytest.raises(UnsupportedFieldError):
             ops.frac_gradient_batch(f, 0.5, np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]))
 
-    @pytest.mark.parametrize("a, x", [(0.25, 0.8905), (0.5, 2.1748)])
+    @pytest.mark.parametrize("a, x", [(0.25, 0.8905), (0.5, 2.1748), (0.25, 0.5)])
     def test_f_alpha_gradient_vanishes_near_atoms(self, a, x):
         # d_a f_a = delta_0 - delta_1, so the gradient is 0 away from 0 and 1;
-        # the annulus reads the field's offsets from 0 and 1 exactly
+        # the annulus reads the field's offsets from 0 and 1 exactly, also
+        # where a shell ends on one of them (x = 0.5)
         res = ops.frac_gradient(FAlpha(alpha=a), a, x, detail=True)
+        assert res.converged
+        assert abs(res.value[0]) <= 1e-12
+
+    def test_scaled_f_alpha_gradient_vanishes(self):
+        # the scaled field declares its base's singular exponent and offsets
+        res = ops.frac_gradient(ScaledField(base=FAlpha(alpha=0.25), factor=2.0), 0.25, 2.3,
+                                detail=True)
         assert res.converged
         assert abs(res.value[0]) <= 1e-12
 
@@ -146,23 +154,6 @@ class _PlainField(ScalarField):
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         return self.base.grad_values(X)
-
-
-class TestFracOrder:
-    def test_roles_and_validation(self):
-        assert float(ops.FracOrder(0.5, "gradient")) == 0.5
-        assert float(ops.FracOrder(1.5, "potential")) == 1.5
-        with pytest.raises(ValueError):
-            ops.FracOrder(0.99, "gradient")
-        with pytest.raises(ValueError):
-            ops.FracOrder(0.5, "mystery")
-
-    def test_accepted_by_operators(self):
-        g = Gaussian(center=(0.0,), width=1.0)
-        order = ops.FracOrder(0.5, "gradient")
-        v1 = ops.frac_gradient(g, order, 0.3)[0]
-        v2 = ops.frac_gradient(g, 0.5, 0.3)[0]
-        assert v1 == v2
 
 
 class TestFracDivergence:
@@ -226,6 +217,35 @@ class TestRieszPotential:
                           [-mp.inf, x, mp.inf])
         assert val == pytest.approx(ops.riesz_constant(1, s) * float(ref), rel=1e-8)
 
+    def test_f_alpha_against_mpmath(self):
+        # the kernel reads the field's offsets from its singular points 0 and 1
+        mp = pytest.importorskip("mpmath")
+        a, s, x = 0.25, 0.5, 0.3
+        m = mu(1, -a)
+
+        def integrand(y):
+            fa = m * (mp.sign(y) * abs(y) ** (a - 1) - mp.sign(y - 1) * abs(y - 1) ** (a - 1))
+            return fa * abs(y - x) ** (s - 1)
+
+        with mp.workdps(30):
+            ref = ops.riesz_constant(1, s) * float(mp.quad(integrand, [-mp.inf, 0, x, 1, mp.inf]))
+        assert ops.riesz_potential(FAlpha(alpha=a), s, x) == pytest.approx(ref, rel=1e-9)
+        tight = ops.riesz_potential(FAlpha(alpha=a), s, x, QuadSpec(rel_tol=1e-10))
+        assert tight == pytest.approx(ref, rel=1e-9)
+
+    def test_scaled_f_alpha_linearity(self):
+        v1 = ops.riesz_potential(FAlpha(alpha=0.25), 0.5, 0.3)
+        v2 = ops.riesz_potential(ScaledField(base=FAlpha(alpha=0.25), factor=2.0), 0.5, 0.3)
+        assert v2 == pytest.approx(2.0 * v1, rel=1e-10)
+
+    @pytest.mark.parametrize("n, x", [(1, 0.3), (2, (0.3, 0.2))])
+    def test_budget_exhaustion_raises(self, n, x):
+        from fracvar.quadrature import QuadratureBudgetError
+
+        g = Gaussian(center=(0.0,) * n, width=1.0)
+        with pytest.raises(QuadratureBudgetError):
+            ops.riesz_potential(g, 0.5, x, QuadSpec(max_evals=100))
+
     def test_divergent_potential_refused(self):
         hs = HalfSpaceIndicator(halfspace=HalfSpace.make((1.0,)))
         with pytest.raises(ops.DivergentPotentialError):
@@ -287,6 +307,13 @@ class TestFracLaplacian:
                 spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-15),
             ).value
             assert ker == pytest.approx(freq, abs=1e-10)
+
+    @pytest.mark.parametrize("field", [Gaussian(center=(0.0,), width=1.0), IntervalIndicator()])
+    def test_budget_exhaustion_raises(self, field):
+        from fracvar.quadrature import QuadratureBudgetError
+
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_laplacian(field, 0.5, 0.3, QuadSpec(max_evals=100))
 
     def test_magic_cube_2d_blowup_direction(self):
         # approaching the face midpoint from outside, values decrease without

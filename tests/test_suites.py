@@ -139,6 +139,29 @@ def test_verify_budget_exhaustion_exit_code(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+def test_eval_budget_exhaustion_exit_code(capsys):
+    code = cli.main([
+        "eval", "--op", "laplacian", "--alpha", "0.5",
+        "--field", '{"kind":"cube_indicator","dim":2,"half_width":1}',
+        "--points", "0.3,0.2", "--quad", '{"max_evals":100}',
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature budget exceeded:") and err.count("\n") == 1
+
+
+def test_runners_take_spec_exactly_when_forwarded(monkeypatch):
+    import inspect
+
+    spec = QuadSpec(rel_tol=1e-7)
+    for name, runner in suites._SUITE_RUNNERS.items():
+        seen = []
+        monkeypatch.setitem(suites._SUITE_RUNNERS, name, lambda **kw: seen.append(kw))
+        run_suite(name, None, spec)
+        takes_spec = "spec" in inspect.signature(runner).parameters
+        assert takes_spec == ("spec" in seen[0]), name
+
+
 def _cli(*args, env_extra=None, timeout=600):
     env = dict(os.environ)
     if env_extra:
