@@ -49,6 +49,7 @@ from .quadrature import (
     QuadratureBudgetError,
     QuadSpec,
     _Counter,
+    _adaptive_batch,
     _segment,
     _tail_segment,
     angular_profile,
@@ -857,7 +858,10 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     Smooth compactly supported fields only.  The inner integral is split into
     an analytic Taylor window around the diagonal (no cancellation noise),
     geometric panels grading away from it, and the exact power tail
-    |f(x)| ((x - lo)^-a + (hi - x)^-a) / a outside the support.
+    |f(x)| ((x - lo)^-a + (hi - x)^-a) / a outside the support.  The panels
+    of all outer nodes of a Gauss-Kronrod panel run as one lockstep batch of
+    adaptive integrals.  Raises QuadratureBudgetError when an inner or the
+    outer integral does not converge.
     """
     alpha = _check_alpha(alpha)
     if f.dim != 1:
@@ -884,36 +888,61 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     ys = np.concatenate(ys)
     wabs = np.concatenate(ws) * np.abs(f.values(ys[:, None]))
 
-    def inner(x0: float) -> float:
-        if not lo < x0 < hi:
-            return float(wabs @ np.abs(x0 - ys) ** (-1.0 - alpha))
-        fx = float(f.values(np.array([[x0]]))[0])
-        c1 = float(f.grad_values(np.array([[x0]]))[0, 0])
+    def inner(x0: np.ndarray) -> np.ndarray:
+        """Inner integrals at the nodes x0, all inside (lo, hi)."""
+        pts = x0[:, None]
+        fx = f.values(pts)
+        c1 = f.grad_values(pts)[:, 0]
         try:
-            c2 = float(f.laplacian_values(np.array([[x0]]))[0])
+            c2 = f.laplacian_values(pts)
         except UnsupportedFieldError:
-            c2 = 0.0
-        d_eff = min(delta, 0.25 * (x0 - lo), 0.25 * (hi - x0))
-        out = _abs_taylor_window(c1, c2, d_eff, alpha)
+            c2 = np.zeros_like(x0)
+        d_eff = np.minimum(np.minimum(delta, 0.25 * (x0 - lo)), 0.25 * (hi - x0))
+        out = np.array([
+            _abs_taylor_window(u, v, d, alpha)
+            for u, v, d in zip(c1.tolist(), c2.tolist(), d_eff.tolist())
+        ])
 
-        def g(y: np.ndarray) -> np.ndarray:
-            return np.abs(fx - f.values(y[:, None])) * np.abs(y - x0) ** (-1.0 - alpha)
-
-        # geometric panels away from the window, then the smooth remainder
+        # geometric panels [r, min(2r, width)] away from the window, r = d_eff 2^k,
+        # one column per k and side, summed into out in that order
+        node, a, b, col = [], [], [], []
         for sgn, end in ((+1.0, hi), (-1.0, lo)):
-            r = d_eff
-            width = abs(end - x0)
-            while r < width:
-                r_next = min(2.0 * r, width)
-                a, b = sorted((x0 + sgn * r, x0 + sgn * r_next))
-                v, e, _ = _segment(g, a, b, None, None, rel_in, abs_in, counter)
-                out += float(np.atleast_1d(v)[0])
-                r = r_next
-        out += abs(fx) * ((x0 - lo) ** (-alpha) + (hi - x0) ** (-alpha)) / alpha
-        return out
+            width = np.abs(end - x0)
+            r = d_eff.copy()
+            while (live := np.flatnonzero(r < width)).size:
+                r_next = np.minimum(2.0 * r[live], width[live])
+                near, far = x0[live] + sgn * r[live], x0[live] + sgn * r_next
+                a.append(np.minimum(near, far))
+                b.append(np.maximum(near, far))
+                node.append(live)
+                col.append(np.full(live.size, len(col)))
+                r[live] = r_next
+        node, col = np.concatenate(node), np.concatenate(col)
+
+        def g(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            j = node[owner][:, None]
+            fy = f.values(y.reshape(-1, 1)).reshape(y.shape)
+            return np.abs(fx[j] - fy) * np.abs(y - x0[j]) ** (-1.0 - alpha)
+
+        v, e, c = _adaptive_batch(g, np.concatenate(a), np.concatenate(b), rel_in, abs_in, counter)
+        _require(bool(c.all()), "Gagliardo inner integral", float(e.max()), counter)
+        sums = np.zeros((int(col.max()) + 1, x0.size))
+        sums[col, node] = v
+        for row in sums:
+            out = out + row
+        # the window and the tail in Python floats: numpy's vector pow can
+        # round differently from the scalar pow these formulas were pinned with
+        tail = [abs(u) * ((x - lo) ** (-alpha) + (hi - x) ** (-alpha)) / alpha
+                for u, x in zip(fx.tolist(), x0.tolist())]
+        return out + np.array(tail)
 
     def outer(xs: np.ndarray) -> np.ndarray:
-        return np.array([inner(float(v)) for v in xs])
+        out = np.empty(xs.size)
+        inside = (lo < xs) & (xs < hi)
+        out[~inside] = np.vecdot(np.abs(xs[~inside, None] - ys) ** (-1.0 - alpha), wabs)
+        if inside.any():
+            out[inside] = inner(xs[inside])
+        return out
 
     res = integrate_1d(
         outer,
@@ -922,7 +951,7 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
         singularities=[(lo, 0.0), (hi, 0.0), (math.inf, 1.0 + alpha), (-math.inf, 1.0 + alpha)],
         spec=QuadSpec(rel_tol=max(spec.rel_tol, 1e-7), abs_tol=spec.abs_tol, max_evals=spec.max_evals),
     )
-    return res.value
+    return res.require()
 
 
 # ---------------------------------------------------------------------------
@@ -1053,23 +1082,6 @@ def _support_grid(f: ScalarField, per_axis: int = 8, order: int = 24):
     return ys, wf
 
 
-def _tensor_values(factors, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``values(X[:, None, :] + Z[None, :, :])`` of a field with per-axis
-    factors, shape (len(X), len(Z)).  Each factor is evaluated once per
-    distinct coordinate of X along its axis, and the rows are multiplied in
-    the order ``values`` multiplies them, so the result is bit-identical."""
-    out = None
-    for i, factor in enumerate(factors):
-        u, inv = np.unique(X[:, i], return_inverse=True)
-        rows = factor(u[:, None] + Z[None, :, i])
-        if out is None:
-            out = rows[inv]
-        else:
-            for row, k in zip(out, inv):
-                row *= rows[k]
-    return out
-
-
 def frac_gradient_batch(
     f: ScalarField,
     alpha: float,
@@ -1085,11 +1097,15 @@ def frac_gradient_batch(
     the field's structure scale see a smooth integrand and use a cached
     support grid with the kernel applied directly.  Nearer points use a
     Taylor-corrected annulus on fixed geometric radial panels (Gauss-Legendre
-    nodes, trapezoid angles in n = 2).  In n = 2, a field with
-    ``axis_factors`` is evaluated one axis at a time on the polar grids, once
-    per distinct target coordinate; the values are bit-identical to calling
-    ``values``.  Accuracy is ~1e-8 relative for the catalog's smooth fields;
-    the test suite cross-checks against the adaptive pointwise path.
+    nodes, trapezoid angles in n = 2); in n = 2 the polar sums are one matmul
+    of the values against the (nodes, 2) weight matrix.  When a field has
+    ``axis_factors`` and the near targets have at most four times as many
+    pairs of distinct coordinates as targets (a tensor grid has exactly as
+    many), each factor is evaluated once per distinct coordinate and the sums
+    of all pairs are one GEMM per component; it sums in another order than
+    the matmul, so the two agree to rounding.  Accuracy is ~1e-8 relative for
+    the catalog's smooth fields; the test suite cross-checks against the
+    adaptive pointwise path.
     """
     alpha = _check_alpha(alpha)
     if f.dim > 2:
@@ -1163,20 +1179,28 @@ def frac_gradient_batch(
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (T, 2)
     Zf = (r[:, None, None] * omega[None, :, :]).reshape(-1, 2)
     wk = np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta)  # (K*T,)
-    omega_full = np.tile(omega, (r.size, 1))  # (K*T, 2)
+    w_omega = wk[:, None] * np.tile(omega, (r.size, 1))  # (K*T, 2)
     near_idx = np.flatnonzero(~far)
-    chunk = max(1, int(2e7 // max(Zf.shape[0], 1)))
     factors = f.axis_factors
+    if factors is not None:
+        u0, inv0 = np.unique(Xn[:, 0], return_inverse=True)
+        u1, inv1 = np.unique(Xn[:, 1], return_inverse=True)
+        if u0.size * u1.size <= 4 * Xn.shape[0]:
+            # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
+            # distinct coordinates are one GEMM per component
+            A = factors[0](u0[:, None] + Zf[None, :, 0])  # (U0, K*T)
+            B = factors[1](u1[:, None] + Zf[None, :, 1])  # (U1, K*T)
+            core = np.stack(
+                [((A * w_omega[:, i]) @ B.T)[inv0, inv1] for i in range(2)], axis=1
+            )
+            out[near_idx] = mu(2, alpha) * (core + corr * grad_x)
+            return out
 
-    def polar_values(blk: np.ndarray) -> np.ndarray:
-        if factors is not None:
-            return _tensor_values(factors, blk, Zf)
-        pts = blk[:, None, :] + Zf[None, :, :]
-        return f.values(pts.reshape(-1, 2)).reshape(blk.shape[0], -1)
-
+    chunk = max(1, int(2e7 // max(Zf.shape[0], 1)))
     for s in range(0, Xn.shape[0], chunk):
         blk = Xn[s : s + chunk]
-        core = np.einsum("mk,k,ki->mi", polar_values(blk), wk, omega_full)
+        pts = blk[:, None, :] + Zf[None, :, :]
+        core = f.values(pts.reshape(-1, 2)).reshape(blk.shape[0], -1) @ w_omega
         out[near_idx[s : s + chunk]] = mu(2, alpha) * (
             core + corr * grad_x[s : s + chunk]
         )

@@ -20,6 +20,9 @@ Design notes
   eps^(1+g); at p = 0 it does not (subnormals are dense).
 * Integrands are evaluated in vectorized batches (callables take and return
   numpy arrays); evaluation counts are tracked against ``max_evals``.
+* Many independent scalar integrals can run in lockstep
+  (``_adaptive_batch``): one integrand call per round for the panels of all
+  of them, each making the scalar routine's decisions bit for bit.
 
 Balls and complements in n = 2, 3 factor into a radial integral of angular
 averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
@@ -208,14 +211,77 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, counter: _C
     resabs = half * (_W_K @ np.abs(vals))
     mean = resk / (b - a)
     resasc = half * (_W_K @ np.abs(vals - mean))
+    err = _panel_error(resk, resg, resabs, resasc)
+    return resk, float(np.max(err)) + drop_charge, ok
+
+
+def _panel_error(resk, resg, resabs, resasc) -> np.ndarray:
+    """QUADPACK error estimate of GK15 panels, elementwise (Piessens et al. 1983):
+    |K - G| scaled by the panel's mean deviation, floored at rounding level."""
     err = np.abs(resk - resg)
-    # QUADPACK-style scaling keeps the estimate sharp without losing safety.
     scale = np.where(resasc > 0.0, resasc, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
     err = np.where(resasc > 0.0, scaled, err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, float(np.max(err)) + drop_charge, ok
+    return np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _magnitude(v) -> float:
+    """max |v_i| of a value vector, or |v| of a scalar."""
+    return abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+
+
+class _AdaptiveState:
+    """Interval heap and running sums of one adaptive integral.
+
+    ``_adaptive`` and ``_adaptive_batch`` both drive it, so they bisect the
+    same intervals and stop at the same point: worst interval first (largest
+    error, ties by lo, then hi), a width floor, and a stall counter for
+    refinement that has reached the integrand's round-off floor.
+    """
+
+    __slots__ = ("heap", "done", "value_sum", "err_sum", "stalls", "span", "converged")
+
+    def __init__(self, a: float, b: float, val, err: float, ok: bool) -> None:
+        self.heap = [(-err, a, b, val, err)]
+        self.done: list[tuple] = []
+        self.value_sum, self.err_sum = val, err
+        self.stalls = 0
+        self.span = b - a
+        self.converged = ok
+
+    def next_split(self, rel_tol: float, abs_tol: float):
+        """The heap entry to bisect next, or None once the integral stops."""
+        while True:
+            tol = max(abs_tol, rel_tol * _magnitude(self.value_sum))
+            if self.err_sum <= tol or not self.heap or self.stalls >= 40:
+                return None
+            item = heapq.heappop(self.heap)
+            lo, hi = item[1], item[2]
+            width = hi - lo
+            if width <= 1e-14 * max(abs(lo), abs(hi), self.span) or width < 5e-308:
+                self.done.append(item)
+                continue
+            return item
+
+    def split(self, item, mid: float, vl, el: float, vr, er: float) -> None:
+        _, lo, hi, v, e = item
+        self.stalls = self.stalls + 1 if el + er >= 0.99 * e else 0
+        self.value_sum = self.value_sum - v + vl + vr
+        self.err_sum = self.err_sum - e + el + er
+        heapq.heappush(self.heap, (-el, lo, mid, vl, el))
+        heapq.heappush(self.heap, (-er, mid, hi, vr, er))
+
+    def result(self, rel_tol: float, abs_tol: float):
+        """(value, err, converged), the pieces summed in (lo, hi) order."""
+        pieces = sorted(self.heap + self.done, key=lambda p: (p[1], p[2]))
+        value = err = 0.0
+        for p in pieces:
+            value = value + p[3]
+            err = err + p[4]
+        if self.converged:
+            return value, err, err <= max(abs_tol, rel_tol * _magnitude(value))
+        return value, err, False
 
 
 def _adaptive(
@@ -227,46 +293,100 @@ def _adaptive(
     counter: _Counter,
 ) -> tuple[np.ndarray, float, bool]:
     """Adaptive Gauss-Kronrod on [a, b] for a vectorized (possibly vector-valued) f."""
-    span = b - a
-    val, err, ok = _gk15(f, a, b, counter)
-    heap: list[tuple[float, float, float, np.ndarray, float]] = []
-    heapq.heappush(heap, (-err, a, b, val, err))
-    done: list[tuple[float, float, np.ndarray, float]] = []
-    converged = ok
-
-    value_sum, err_sum = val.copy(), err
-    stalls = 0
-    while True:
-        tol = max(abs_tol, rel_tol * float(np.max(np.abs(value_sum))))
-        if err_sum <= tol:
-            break
-        if not heap or stalls >= 40:
-            # Either nothing left to split or refinement has hit the round-off
-            # floor of the integrand; report whatever accuracy was reached.
-            break
-        neg, lo, hi, v, e = heapq.heappop(heap)
-        width = hi - lo
-        if width <= 1e-14 * max(abs(lo), abs(hi), span) or width < 5e-308:
-            done.append((lo, hi, v, e))
-            continue
-        midp = 0.5 * (lo + hi)
-        vl, el, ok1 = _gk15(f, lo, midp, counter)
-        vr, er, ok2 = _gk15(f, midp, hi, counter)
-        stalls = stalls + 1 if el + er >= 0.99 * e else 0
-        value_sum = value_sum - v + vl + vr
-        err_sum = err_sum - e + el + er
-        heapq.heappush(heap, (-el, lo, midp, vl, el))
-        heapq.heappush(heap, (-er, midp, hi, vr, er))
+    state = _AdaptiveState(a, b, *_gk15(f, a, b, counter))
+    while (item := state.next_split(rel_tol, abs_tol)) is not None:
+        mid = 0.5 * (item[1] + item[2])
+        vl, el, ok1 = _gk15(f, item[1], mid, counter)
+        vr, er, ok2 = _gk15(f, mid, item[2], counter)
+        state.split(item, mid, vl, el, vr, er)
         if not (ok1 and ok2):
-            converged = False
+            state.converged = False
             break
-    # Deterministic final summation order: sort all intervals by left endpoint.
-    pieces = [(lo, hi, v, e) for (neg, lo, hi, v, e) in heap] + done
-    pieces.sort(key=lambda p: (p[0], p[1]))
-    value = sum((p[2] for p in pieces), start=np.zeros_like(val))
-    err_tot = sum(p[3] for p in pieces)
-    if converged:
-        converged = err_tot <= max(abs_tol, rel_tol * float(np.max(np.abs(value))))
+    return state.result(rel_tol, abs_tol)
+
+
+def _gk15_rows(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counter: _Counter):
+    """GK15 panels [lo[j], hi[j]] of scalar integrals from one call
+    ``g(x[j, 15], owner[j])``.  Row j is ``_gk15`` of the scalar integrand on
+    its panel, bit for bit:
+    ``np.vecdot`` reduces each row with the BLAS dot that ``_W_K @ column``
+    uses.  Returns (value[j], err[j], ok)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _NODES
+    ok = counter.add(x.size)
+    with np.errstate(all="ignore"):
+        vals = np.ascontiguousarray(g(x, owner), dtype=float)
+    drop_charge = np.zeros(lo.size)
+    finite = np.isfinite(vals)
+    if not finite.all():  # the per-panel rule of _gk15, row by row
+        for j in np.flatnonzero(~finite.all(axis=1)):
+            if finite[j].any():
+                scale = float(np.max(np.abs(vals[j, finite[j]])))
+                drop_charge[j] = abs(half[j]) * float(_W_K[~finite[j]].sum()) * scale
+        vals = np.where(finite, vals, 0.0)
+    resk = half * np.vecdot(vals, _W_K)
+    resg = half * np.vecdot(vals, _W_G)
+    resabs = half * np.vecdot(np.abs(vals), _W_K)
+    mean = resk / (hi - lo)
+    resasc = half * np.vecdot(np.abs(vals - mean[:, None]), _W_K)
+    return resk, _panel_error(resk, resg, resabs, resasc) + drop_charge, ok
+
+
+def _adaptive_batch(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+    counter: _Counter,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_adaptive`` for independent scalar integrals over [a[j], b[j]], in lockstep.
+
+    ``g(x, owner)`` returns the integrand of integral ``owner[j]`` at the 15
+    points ``x[j]``.  Each round evaluates the panels of every unfinished
+    integral in one call, and each integral makes the decisions of the scalar
+    routine: it bisects its worst interval (largest error, ties by lo, then
+    hi), keeps the same running sums, stall counter and width floor, and sums
+    its pieces in (lo, hi) order.  So integral j returns bit for bit what
+    ``_adaptive`` returns for ``x -> g(x[None], [j])[0]`` on [a[j], b[j]].
+    When ``counter`` runs out during a round, every integral evaluated in it
+    stops with converged=False.  Returns (value[J], err[J], converged[J]).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    val, err, ok = _gk15_rows(g, a, b, np.arange(a.size), counter)
+    settled = err <= np.fmax(abs_tol, rel_tol * np.abs(val))
+    # an integral settled by its first panel is that one piece, summed from 0.0
+    value, err_tot, converged = 0.0 + val, 0.0 + err, ok & settled
+    open_idx = np.flatnonzero(~settled).tolist()
+    states = {
+        j: _AdaptiveState(*args, ok)
+        for j, *args in zip(open_idx, a[open_idx].tolist(), b[open_idx].tolist(),
+                            val[open_idx].tolist(), err[open_idx].tolist())
+    }
+    active = open_idx
+    while active:
+        todo = [(j, item) for j in active
+                if (item := states[j].next_split(rel_tol, abs_tol)) is not None]
+        if not todo:
+            break
+        owner = np.array([j for j, _ in todo])
+        lo = np.array([item[1] for _, item in todo])
+        hi = np.array([item[2] for _, item in todo])
+        mid = 0.5 * (lo + hi)
+        v, e, ok = _gk15_rows(
+            g, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+            np.concatenate([owner, owner]), counter,
+        )
+        r = len(todo)
+        v, e, mid = v.tolist(), e.tolist(), mid.tolist()
+        for i, (j, item) in enumerate(todo):
+            states[j].split(item, mid[i], v[i], e[i], v[r + i], e[r + i])
+            states[j].converged = states[j].converged and ok
+        active = owner.tolist() if ok else []
+    for j, state in states.items():
+        value[j], err_tot[j], converged[j] = state.result(rel_tol, abs_tol)
     return value, err_tot, converged
 
 

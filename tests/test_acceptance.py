@@ -5,6 +5,7 @@ lines; every tolerance below is pinned, nothing is deferred to calibration.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -197,12 +198,16 @@ def test_criterion_10_inequality_margins():
 
 
 def test_criterion_11_determinism():
+    # one serial run with single-threaded BLAS, one with the default suite and
+    # BLAS threads: no reduction may depend on either thread count
     t0 = time.perf_counter()
     outputs = []
-    for run in range(2):
+    serial = {"FRACVAR_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    default = {k: v for k, v in os.environ.items() if k not in serial}
+    for env in ({**default, **serial}, default):
         res = subprocess.run(
             [sys.executable, "-m", "fracvar", "verify", "--suite", "all"],
-            capture_output=True, timeout=1200,
+            capture_output=True, timeout=1200, env=env,
         )
         assert res.returncode == 0, res.stderr.decode()[-2000:]
         outputs.append(res.stdout)

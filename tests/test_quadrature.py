@@ -12,6 +12,9 @@ from fracvar.quadrature import (
     NonIntegrableSingularityError,
     OffsetIntegrand,
     QuadSpec,
+    _adaptive,
+    _adaptive_batch,
+    _Counter,
     integrate_1d,
     integrate_ball,
     integrate_complement,
@@ -115,6 +118,58 @@ class TestIntegrate1d:
             )
             ref = gamma(a / 2.0) * gamma((n - 1.0) / 2.0) / (2.0 * gamma((n + a - 1.0) / 2.0))
             assert res.value == pytest.approx(ref, rel=1e-10)
+
+
+def _lockstep_family(J: int = 60, seed: int = 3):
+    """Intervals [a, b] with one of three integrands each: smooth, kinked
+    |c - f(y)| |y - x0|^(-1-a) (f a Gaussian, x0 just left of a), and
+    near-singular |y - x0|^(-1-a)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 1.0, J)
+    b = a + rng.uniform(1e-3, 3.0, J)
+    kind = np.arange(J) % 3
+    x0 = a - 10.0 ** rng.uniform(-10.0, -1.0, J)
+    c = rng.uniform(0.2, 0.9, J)
+    p = -1.0 - rng.uniform(0.1, 0.9, J)
+
+    def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        k, x0o, co, po = kind[owner][:, None], x0[owner][:, None], c[owner][:, None], p[owner][:, None]
+        return np.select(
+            [k == 0, k == 1],
+            [np.cos(3.0 * x) * np.exp(x), np.abs(co - np.exp(-x * x)) * np.abs(x - x0o) ** po],
+            np.abs(x - x0o) ** po,
+        )
+
+    def scalar(j: int):
+        return lambda x: g(x[None, :], np.array([j]))[0]
+
+    return a, b, g, scalar
+
+
+class TestAdaptiveBatch:
+    def test_bit_identical_to_scalar_adaptive(self):
+        a, b, g, scalar = _lockstep_family()
+        value, err, conv = _adaptive_batch(g, a, b, 1e-9, 1e-12, _Counter(10**8))
+        for j in range(a.size):
+            v, e, c = _adaptive(scalar(j), a[j], b[j], 1e-9, 1e-12, _Counter(10**8))
+            assert (value[j], err[j], conv[j]) == (v[0], e, c), j
+
+    def test_budget_out_mid_round(self):
+        a, b, g, scalar = _lockstep_family(J=40)
+        # one first panel each, then 15 points more: the second round overruns
+        counter = _Counter(15 * a.size + 15)
+        value, err, conv = _adaptive_batch(g, a, b, 1e-9, 1e-12, counter)
+        assert counter.used > counter.budget
+        one_panel = 0
+        for j in range(a.size):
+            ref = _Counter(10**8)
+            v, e, c = _adaptive(scalar(j), a[j], b[j], 1e-9, 1e-12, ref)
+            if ref.used == 15:  # settled by its first panel, before the budget ran out
+                one_panel += 1
+                assert (value[j], err[j], conv[j]) == (v[0], e, c)
+            else:
+                assert not conv[j]
+        assert 0 < one_panel < a.size
 
 
 class TestQuadSpec:
