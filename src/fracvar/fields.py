@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .constants import ball_volume, mu, nu
-from .quadrature import QuadSpec, integrate_1d, integrate_ball
+from .quadrature import QuadSpec, gauss_legendre, integrate_1d, integrate_ball
 
 __all__ = [
     "ScalarField",
@@ -182,6 +182,17 @@ class ScalarField:
         ``values``; None unless the field is a tensor product of profiles."""
         return None
 
+    @property
+    def heat_factors(self) -> tuple | None:
+        """Per-axis factors g_i, f(x) = g_1(x_1) ... g_n(x_n) up to rounding,
+        each callable on coordinates and with ``deriv(y)`` = g_i'(y) and
+        ``heat(x, t, check)``, which returns G_t g_i(x), G_t g_i'(x) (arrays of
+        shape (x.size, t.size), G_t g(x) = int g(y) exp(-t (x - y)^2) dy) and
+        the number of samples drawn; ``check`` asks for a cheaper, less
+        accurate evaluation that bounds the error of the full one.  None
+        unless the field is such a product."""
+        return None
+
     def is_singular(self, x: np.ndarray) -> bool:
         pt = as_points(x, self.dim)[0]
         return any(np.array_equal(pt, np.asarray(s)) for s in self.singular_points)
@@ -268,6 +279,14 @@ class Gaussian(ScalarField):
     def sup_norm_bound(self) -> float:
         return abs(self.amplitude)
 
+    @cached_property
+    def heat_factors(self) -> tuple:
+        # the amplitude rides on the first factor
+        return tuple(
+            _GaussianAxis(c, self.width, self.amplitude if i == 0 else 1.0)
+            for i, c in enumerate(self.center)
+        )
+
     def values(self, X: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center)
         return self.amplitude * np.exp(-math.pi * _norm2(X, c) / self.width**2)
@@ -317,6 +336,80 @@ def _bump_1d_d2(t: np.ndarray) -> np.ndarray:
     return out
 
 
+_HEAT_WINDOW = 12.0  # exp(-t (x - y)^2) < e^-144 beyond |x - y| = 12 / sqrt(t)
+_HEAT_ORDER = 24  # Gauss-Legendre nodes per panel
+_HEAT_PANELS = (12, 8)  # panels per window, of the full and of the check evaluation
+_HEAT_CHUNK = 1 << 20  # samples per block of targets
+
+
+@dataclass(frozen=True)
+class _GaussianAxis:
+    """Factor amplitude exp(-pi (y - center)^2 / width^2) of a Gaussian; its
+    heat convolutions are closed form."""
+
+    center: float
+    width: float
+    amplitude: float = 1.0
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(-math.pi * ((y - self.center) / self.width) ** 2)
+
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        return (-2.0 * math.pi / self.width**2) * (y - self.center) * self(y)
+
+    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False):
+        a = math.pi / self.width**2
+        dx = (np.asarray(x, dtype=float) - self.center)[:, None]
+        t = np.asarray(t, dtype=float)[None, :]
+        G = self.amplitude * np.sqrt(math.pi / (a + t)) * np.exp(-a * t * dx**2 / (a + t))
+        return G, (-2.0 * a * t * dx / (a + t)) * G, G.size
+
+
+@dataclass(frozen=True)
+class _BumpAxis:
+    """Factor exp(1 - 1/(1 - s^2)), s = (y - center) / width, of a SmoothBump.
+
+    Its heat convolutions are Gauss-Legendre sums over equal panels of the
+    window [x - 12/sqrt(t), x + 12/sqrt(t)] clipped to the support.  The
+    nodes are placed as offsets d = y - x, so the kernel exp(-t d^2) keeps
+    full precision however narrow the window.
+    """
+
+    center: float
+    width: float
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return _bump_axis(self.center, self.width, y)
+
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        return _bump_1d_d1((y - self.center) / self.width) / self.width
+
+    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False):
+        z, wz = gauss_legendre(_HEAT_ORDER)
+        panels = _HEAT_PANELS[check]
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        reach = _HEAT_WINDOW / np.sqrt(t)
+        G, dG = np.empty((x.size, t.size)), np.empty((x.size, t.size))
+        rows = max(1, _HEAT_CHUNK // (t.size * panels * z.size))
+        for s in range(0, x.size, rows):
+            xs = x[s : s + rows, None]
+            lo = np.maximum(-reach, self.center - self.width - xs)
+            hi = np.maximum(np.minimum(reach, self.center + self.width - xs), lo)
+            half = (hi - lo) / (2 * panels)  # (rows, t.size)
+            mids = lo[..., None] + half[..., None] * np.arange(1, 2 * panels, 2)
+            d = mids[..., None] + half[..., None, None] * z  # (rows, t.size, panels, order)
+            kern = np.exp(-t[:, None, None] * d * d) * wz
+            u = (xs[..., None, None] + d - self.center) / self.width
+            om = 1.0 - u * u
+            inside = om > 0.0
+            om = np.where(inside, om, 1.0)
+            val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0) * kern
+            G[s : s + rows] = half * val.sum(axis=(-1, -2))
+            dG[s : s + rows] = half * (val * (-2.0 * u / om**2)).sum(axis=(-1, -2)) / self.width
+        return G, dG, x.size * t.size * panels * z.size
+
+
 @dataclass(frozen=True)
 class SmoothBump(ScalarField):
     """Tensor product of 1-d bumps exp(1 - 1/(1 - t^2)), peak 1, support the open box."""
@@ -357,8 +450,12 @@ class SmoothBump(ScalarField):
         return min(self.width)
 
     @cached_property
+    def heat_factors(self) -> tuple:
+        return tuple(_BumpAxis(c, w) for c, w in zip(self.center, self.width))
+
+    @property
     def axis_factors(self) -> tuple:
-        return tuple(partial(_bump_axis, c, w) for c, w in zip(self.center, self.width))
+        return self.heat_factors
 
     def _t(self, X: np.ndarray) -> np.ndarray:
         return (X - np.asarray(self.center)) / np.asarray(self.width)

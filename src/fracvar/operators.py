@@ -7,10 +7,16 @@ The fractional gradient of f at x is
 with the divergence, non-local two-function gradient, Riesz potential, and
 fractional Laplacian sharing the same singular-kernel machinery:
 
-* smooth fields: the ball B_delta(x) is removed and replaced by the Taylor
-  correction omega_n delta^(1-alpha)/(1-alpha) grad f(x) (resp. the Laplacian
-  correction for the fractional Laplacian); delta is then halved, adding back
-  annular shells, until the value stabilizes within tolerance,
+* smooth fields: the gradient of a tensor-product field (``heat_factors``,
+  such as ``SmoothBump`` and ``Gaussian``) in n >= 2 is I_(1-alpha) grad f
+  by Gaussian subordination, an integral over t of products of 1-d heat
+  convolutions G_t g(x_i), summed by the trapezoid rule in log t
+  (``_grad_heat``).  Every other smooth field, and every smooth field in
+  n = 1, takes the Taylor-corrected annulus: the ball B_delta(x) is removed
+  and replaced by the Taylor correction omega_n delta^(1-alpha)/(1-alpha)
+  grad f(x) (resp. the Laplacian correction for the fractional Laplacian);
+  delta is then halved, adding back annular shells, until the value
+  stabilizes within tolerance,
 * indicator fields: the kernel integral over the indicator's region is
   decomposed geometrically, since generic cubature cannot see the jump:
   interval pieces and spherical wedges with exact angular moments reduce to
@@ -54,8 +60,10 @@ from .quadrature import (
     _tail_segment,
     angular_profile,
     default_spec,
+    gauss_legendre,
     integrate_1d,
     integrate_core,
+    log_trapezoid,
 )
 
 __all__ = [
@@ -272,6 +280,52 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     return total, err, counter.used, converged
 
 
+def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, counter: _Counter):
+    """Fractional gradient at the targets X of a field with ``heat_factors``,
+    by Gaussian subordination of grad_a f = I_(1-a) grad f (CS19):
+
+        d_j^a f(x) = k(n, 1-a)/Gamma(b) int_0^inf t^(b-1) prod_i G_t g_ij(x_i) dt,
+
+    b = (n - 1 + a)/2, g_jj = g_j' and g_ij = g_i otherwise, summed by
+    ``log_trapezoid``.  Each factor's G_t is evaluated once per distinct
+    coordinate of its axis, and each target takes a row-wise product.  As
+    t -> inf, G_t g(x) ~ sqrt(pi/t) g(x); as t -> 0, G_t g_j' = O(t).
+    Returns (value, err, converged), value and err of shape (m, n).
+    """
+    n = f.dim
+    factors = f.heat_factors
+    b = (n - 1.0 + alpha) / 2.0
+    axes = [np.unique(X[:, i], return_inverse=True) for i in range(n)]
+
+    def F(t: np.ndarray, check: bool) -> np.ndarray:
+        heat = []
+        for g, (u, inv) in zip(factors, axes):
+            G, dG, samples = g.heat(u, t, check)
+            counter.add(samples)
+            heat.append((G[inv], dG[inv]))
+        out = np.empty((t.size, X.shape[0], n))
+        for j in range(n):
+            prod = heat[0][j == 0]
+            for i in range(1, n):
+                prod = prod * heat[i][i == j]
+            out[:, :, j] = prod.T
+        return out
+
+    tail = np.empty((X.shape[0], n))
+    for j in range(n):
+        tail[:, j] = math.pi ** (n / 2.0)
+        for i, g in enumerate(factors):
+            tail[:, j] *= g.deriv(X[:, i]) if i == j else g(X[:, i])
+    lo, hi = f.quad_box
+    far_corner = np.linalg.norm(np.maximum(np.abs(lo - X), np.abs(hi - X)), axis=1)
+    reach = max(field_scale(f), float(np.max(far_corner)))
+    value, err, converged = log_trapezoid(
+        F, b, tail, (1.0 - alpha) / 2.0, b + 1.0, reach, field_scale(f), spec, counter
+    )
+    k = riesz_constant(n, 1.0 - alpha) / gamma(b)
+    return k * value, abs(k) * err, converged
+
+
 def _segment_with_sings(f, a: float, b: float, sings, rel: float, absr: float, counter: _Counter):
     """Finite-interval integral with declared singular points inside or at the ends."""
     exps = dict(sings)
@@ -390,7 +444,15 @@ def _grad_halfspace(field: HalfSpaceIndicator, alpha: float, x: np.ndarray, spec
 def frac_gradient(
     f: ScalarField, alpha: float, x, spec: QuadSpec | None = None, detail: bool = False
 ):
-    """Fractional gradient of f at x from the defining singular integral."""
+    """Fractional gradient of f at x from the defining singular integral.
+
+    With ``detail`` the result is an :class:`OperatorEval` that carries the
+    error estimate, the evaluation count and the convergence flag; without
+    it the value is returned only if it converged, and QuadratureBudgetError
+    is raised otherwise.  In n >= 2, fields with ``heat_factors`` take the
+    Gaussian subordination route (``_grad_heat``), other smooth fields the
+    Taylor-corrected annulus.
+    """
     alpha = _check_alpha(alpha)
     pt = _check_point(f, x)
     n = f.dim
@@ -405,6 +467,10 @@ def frac_gradient(
         value, err, used, conv = _grad_indicator_1d(f, alpha, pt, spec)
     elif isinstance(f, CubeIndicator):
         raise UnsupportedFieldError("gradient of cube indicators implemented for n = 1")
+    elif n >= 2 and f.heat_factors is not None:
+        counter = _Counter(spec.max_evals)
+        v, e, conv = _grad_heat(f, alpha, pt[None, :], spec, counter)
+        value, err, used = v[0], float(np.max(e)), counter.used
     elif f.has_gradient:
         value, err, used, conv = _grad_smooth(f, alpha, pt, spec)
     else:
@@ -413,6 +479,10 @@ def frac_gradient(
         return OperatorEval(
             "grad", alpha, tuple(pt.tolist()), tuple(np.atleast_1d(value).tolist()),
             err, used, conv,
+        )
+    if not conv:
+        raise QuadratureBudgetError(
+            f"fractional gradient did not converge (err ~ {err:.3e} after {used} evaluations)"
         )
     return np.atleast_1d(value)
 
@@ -878,7 +948,7 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     delta = 2e-4 * field_scale(f)
 
     # cached far-field: G(x) = int |f(y)| |x - y|^(-1-alpha) dy for x beyond the support
-    gl_t, gl_w = np.polynomial.legendre.leggauss(48)
+    gl_t, gl_w = gauss_legendre(48)
     panels = np.linspace(lo, hi, 9)
     ys, ws = [], []
     for p, q in zip(panels[:-1], panels[1:]):
@@ -997,7 +1067,7 @@ def variation_lower_bound_detail(
             raise UnsupportedFieldError("variation pairing needs a finite evaluation box")
         lo, hi = float(box[0][0]), float(box[1][0])
         weight = f
-    gl_t, gl_w = np.polynomial.legendre.leggauss(16)
+    gl_t, gl_w = gauss_legendre(16)
     edges = np.linspace(lo, hi, 9)
     xs, ws = [], []
     for p, q in zip(edges[:-1], edges[1:]):
@@ -1054,12 +1124,29 @@ def default_test_family() -> tuple[VectorField, ...]:
 # ---------------------------------------------------------------------------
 
 
+_BATCH_CHUNK = 4e6  # polar values per block of targets in the generic n = 2 path
+_VALUE_BLOCK = 1 << 17  # values per block in _blocked_rows
+
+
+def _blocked_rows(values, m: int, k: int) -> np.ndarray:
+    """The (m, k) array whose rows s..e-1 are ``values(s, e)``, filled a few
+    rows at a time so that the temporaries of an elementwise ``values`` stay
+    small; the result does not depend on the blocks.  The sums over the rows
+    stay single matrix products, whose rounding would depend on the blocks."""
+    out = np.empty((m, k))
+    step = max(1, _VALUE_BLOCK // max(k, 1))
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        out[s:e] = np.reshape(values(s, e), (e - s, k))
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _support_grid(f: ScalarField, per_axis: int = 8, order: int = 24):
     """Composite Gauss-Legendre grid over the field's evaluation box with
     f-weighted quadrature weights, cached for the most recent fields."""
     lo, hi = f.quad_box
-    gl_t, gl_w = np.polynomial.legendre.leggauss(order)
+    gl_t, gl_w = gauss_legendre(order)
     axes_nodes, axes_weights = [], []
     for i in range(f.dim):
         edges = np.linspace(lo[i], hi[i], per_axis + 1)
@@ -1092,11 +1179,16 @@ def frac_gradient_batch(
 ) -> np.ndarray:
     """Fractional gradient of a smooth field at many points on shared grids.
 
-    Implemented for n = 1 and n = 2; n = 3 raises UnsupportedFieldError.
-    Points whose distance from the box center exceeds the box diagonal plus
-    the field's structure scale see a smooth integrand and use a cached
-    support grid with the kernel applied directly.  Nearer points use a
-    Taylor-corrected annulus on fixed geometric radial panels (Gauss-Legendre
+    In n = 3 the field needs ``heat_factors`` (UnsupportedFieldError
+    otherwise): the targets take the Gaussian subordination route of
+    ``frac_gradient``, with each factor's heat convolutions evaluated once
+    per distinct coordinate, at the default n = 3 tolerance per target, and
+    QuadratureBudgetError is raised if any target does not converge; the
+    grid arguments do not apply.  In n = 1 and 2, points whose distance from
+    the box center exceeds the box diagonal plus the field's structure scale
+    see a smooth integrand and use a cached support grid with the kernel
+    applied directly.  Nearer points use a Taylor-corrected annulus on fixed
+    geometric radial panels (Gauss-Legendre
     nodes, trapezoid angles in n = 2); in n = 2 the polar sums are one matmul
     of the values against the (nodes, 2) weight matrix.  When a field has
     ``axis_factors`` and the near targets have at most four times as many
@@ -1108,14 +1200,22 @@ def frac_gradient_batch(
     adaptive pointwise path.
     """
     alpha = _check_alpha(alpha)
-    if f.dim > 2:
-        raise UnsupportedFieldError(
-            f"batch gradient implemented for n <= 2, not n = {f.dim}; use frac_gradient"
-        )
     if not (f.is_smooth and f.has_gradient):
         raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
     X = as_points(X, f.dim)
     n = f.dim
+    if n == 3:
+        if f.heat_factors is None:
+            raise UnsupportedFieldError(
+                f"batch gradient in n = 3 needs a field with heat_factors, not {f.kind}"
+            )
+        spec = default_spec(3)
+        counter = _Counter(spec.max_evals * X.shape[0])
+        value, err, converged = _grad_heat(f, alpha, X, spec, counter)
+        _require(converged, "batch gradient", float(np.max(err)), counter)
+        return value
+    if n > 3:
+        raise UnsupportedFieldError(f"batch gradient implemented for n <= 3, not n = {n}")
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("batch gradient needs a finite evaluation box")
@@ -1147,7 +1247,7 @@ def frac_gradient_batch(
     reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
     scale = field_scale(f)
     delta = 2e-4 * scale
-    gl_t, gl_w = np.polynomial.legendre.leggauss(radial_order)
+    gl_t, gl_w = gauss_legendre(radial_order)
 
     # geometric panels near the kernel singularity, capped at the field's
     # structure scale farther out so Gauss-Legendre resolves every feature
@@ -1169,8 +1269,10 @@ def frac_gradient_batch(
     if n == 1:
         offs = np.concatenate([r, -r])  # (2K,)
         w_eff = np.concatenate([wr, -wr])
-        pts = Xn[:, None, 0] + offs[None, :]
-        vals = f.values(pts.reshape(-1, 1)).reshape(Xn.shape[0], -1)
+        vals = _blocked_rows(
+            lambda s, e: f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)),
+            Xn.shape[0], offs.size,
+        )
         core = vals @ w_eff
         out[~far] = mu(1, alpha) * (core + corr * grad_x[:, 0])[:, None]
         return out
@@ -1188,15 +1290,17 @@ def frac_gradient_batch(
         if u0.size * u1.size <= 4 * Xn.shape[0]:
             # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
             # distinct coordinates are one GEMM per component
-            A = factors[0](u0[:, None] + Zf[None, :, 0])  # (U0, K*T)
-            B = factors[1](u1[:, None] + Zf[None, :, 1])  # (U1, K*T)
+            A = _blocked_rows(lambda s, e: factors[0](u0[s:e, None] + Zf[None, :, 0]),
+                              u0.size, Zf.shape[0])  # (U0, K*T)
+            B = _blocked_rows(lambda s, e: factors[1](u1[s:e, None] + Zf[None, :, 1]),
+                              u1.size, Zf.shape[0])  # (U1, K*T)
             core = np.stack(
                 [((A * w_omega[:, i]) @ B.T)[inv0, inv1] for i in range(2)], axis=1
             )
             out[near_idx] = mu(2, alpha) * (core + corr * grad_x)
             return out
 
-    chunk = max(1, int(2e7 // max(Zf.shape[0], 1)))
+    chunk = max(1, int(_BATCH_CHUNK // max(Zf.shape[0], 1)))
     for s in range(0, Xn.shape[0], chunk):
         blk = Xn[s : s + chunk]
         pts = blk[:, None, :] + Zf[None, :, :]

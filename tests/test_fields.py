@@ -80,6 +80,30 @@ class TestCompactSupport:
         assert np.array_equal(b.values(X), f0(X[:, 0]) * f1(X[:, 1]))
         assert Gaussian(center=(0.0, 0.0)).axis_factors is None
 
+    @pytest.mark.parametrize("field", [
+        SmoothBump(center=(0.1, -0.3), width=(1.2, 0.7)),
+        Gaussian(center=(0.2, -0.1), width=0.8, amplitude=1.5),
+    ])
+    def test_heat_factors_against_quadrature(self, field):
+        # the factors multiply to the field, and G_t of a factor and of its
+        # derivative match an adaptive quadrature of the defining integral
+        X = np.random.default_rng(1).uniform(-1.5, 1.5, (50, 2))
+        g0, g1 = field.heat_factors
+        assert np.allclose(g0(X[:, 0]) * g1(X[:, 1]), field.values(X), rtol=1e-14, atol=0.0)
+        x, t = np.array([-0.4, 0.3, 1.6]), np.array([1e-3, 1.0, 50.0, 1e6])
+        G, dG, samples = g1.heat(x, t)
+        assert G.shape == dG.shape == (3, 4) and samples >= G.size
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-300)
+        box_lo, box_hi = float(field.quad_box[0][1]), float(field.quad_box[1][1])
+        for i, xi in enumerate(x):
+            for j, tj in enumerate(t):
+                lo = max(xi - 12.0 / math.sqrt(tj), box_lo)
+                hi = min(xi + 12.0 / math.sqrt(tj), box_hi)
+                for h, g in ((G, g1), (dG, g1.deriv)):
+                    ref = integrate_1d(lambda y: g(y) * np.exp(-tj * (xi - y) ** 2), lo, hi,
+                                       spec=spec).value if lo < hi else 0.0
+                    assert h[i, j] == pytest.approx(ref, rel=1e-9, abs=1e-15)
+
     def test_indicator_open_interval(self):
         chi = IntervalIndicator(a=-1.0, b=1.0)
         assert feval(chi, 0.0) == 1.0

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ from fracvar.fields import (
     UnsupportedFieldError,
     VectorField,
 )
-from fracvar.quadrature import QuadratureBudgetError, QuadSpec, integrate_1d
+from fracvar.quadrature import QuadratureBudgetError, QuadSpec, _Counter, default_spec, integrate_1d
 
 
 class TestFracGradient:
@@ -110,9 +113,21 @@ class TestFracGradient:
             assert np.max(np.abs(factored[sub] - generic)) <= 1e-14 * np.max(np.abs(generic))
 
     def test_batch_n3_unsupported(self):
-        f = SmoothBump(center=(0.0, 0.0, 0.0), width=1.0)
+        # n = 3 batches need heat_factors; the wrapper hides the bump's
+        f = _PlainField(SmoothBump(center=(0.0, 0.0, 0.0), width=1.0))
         with pytest.raises(UnsupportedFieldError):
             ops.frac_gradient_batch(f, 0.5, np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]))
+
+    def test_batch_n3_matches_pointwise(self):
+        # a tensor grid (shared coordinates) plus scattered and far targets
+        f = SmoothBump(center=(0.1, -0.2, 0.0), width=(1.0, 1.3, 0.8))
+        axes = (np.linspace(-1.0, 1.2, 3), np.linspace(-1.4, 1.0, 3), np.array([-0.5, 0.3]))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        P = np.concatenate([grid, np.random.default_rng(3).uniform(-2.0, 2.0, (5, 3)),
+                            [[4.0, -3.0, 2.5]]])
+        batch = ops.frac_gradient_batch(f, 0.5, P)
+        point = np.array([ops.frac_gradient(f, 0.5, p) for p in P])
+        assert np.max(np.abs(batch - point)) <= 1e-12 * np.max(np.abs(point))
 
     @pytest.mark.parametrize("a, x", [(0.25, 0.8905), (0.5, 2.1748), (0.25, 0.5)])
     def test_f_alpha_gradient_vanishes_near_atoms(self, a, x):
@@ -122,6 +137,14 @@ class TestFracGradient:
         res = ops.frac_gradient(FAlpha(alpha=a), a, x, detail=True)
         assert res.converged
         assert abs(res.value[0]) <= 1e-12
+
+    def test_bare_call_raises_when_not_converged(self):
+        # the annulus stop test cannot be met at an exact-zero value (-5953
+        # with converged=False), so the bare call must not return it
+        res = ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 0.25, detail=True)
+        assert not res.converged
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 0.25)
 
     def test_scaled_f_alpha_gradient_vanishes(self):
         # the scaled field declares its base's singular exponent and offsets
@@ -133,7 +156,8 @@ class TestFracGradient:
 
 @dataclass(frozen=True)
 class _PlainField(ScalarField):
-    """Delegates evaluation to ``base`` but has no ``axis_factors``."""
+    """Delegates evaluation to ``base`` but has neither ``axis_factors`` nor
+    ``heat_factors``, so its gradients take the generic and annulus paths."""
 
     base: ScalarField
 
@@ -166,6 +190,114 @@ class _PlainField(ScalarField):
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         return self.base.grad_values(X)
+
+
+def _gaussian_grad_mp(n, alpha, width, d):
+    """grad I_(1-a) of exp(-pi |y|^2 / w^2) at offset d: I_s of a Gaussian is
+    a confluent hypergeometric function of |d|^2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.pi / mp.mpf(width) ** 2
+        s, h = 1 - mp.mpf(alpha), mp.mpf(n) / 2
+        b = (n - s) / 2
+        r2 = mp.fsum(mp.mpf(v) ** 2 for v in d)
+        c = mp.gamma(b) / mp.gamma(h) * (4 * a) ** (-s / 2) * (b / h)
+        radial = c * mp.hyp1f1(b + 1, h + 1, -a * r2) * (-2 * a)
+        return np.array([float(radial * mp.mpf(v)) for v in d])
+
+
+class TestSubordination:
+    """The Gaussian-subordination route of the n >= 2 gradient."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+    def test_gaussian_against_mpmath(self, n, a):
+        center = (0.1, -0.2, 0.15)[:n]
+        g = Gaussian(center=center, width=1.0)
+        for x in ((0.5, 0.3, -0.4), (-1.3, 0.9, 0.4), (2.5, -1.5, 1.0)):
+            x = np.array(x[:n])
+            res = ops.frac_gradient(g, a, x, detail=True)
+            ref = _gaussian_grad_mp(n, a, 1.0, x - np.array(center))
+            assert res.converged
+            assert np.max(np.abs(np.array(res.value) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("a", [0.25, 0.75])
+    def test_bump_1d_matches_adaptive(self, a):
+        f = SmoothBump(center=(0.1,), width=1.3)
+        spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
+        X = np.array([[0.3], [-0.9], [1.35], [2.5]])
+        value, err, conv = ops._grad_heat(f, a, X, spec, _Counter(spec.max_evals))
+        ref_spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-15)
+        ref = np.array([ops.frac_gradient(f, a, x, ref_spec)[0] for x in X[:, 0]])
+        assert conv
+        assert np.max(np.abs(value[:, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        # the estimate covers the error of the panel sums for G_t, which
+        # dominates once the trapezoid sums in log t have converged
+        assert np.all(np.abs(value[:, 0] - ref) <= err[:, 0])
+
+    def test_bump_2d_matches_annulus(self):
+        # the wrapper has no heat_factors, so it takes the annulus route
+        f = SmoothBump(center=(0.1, -0.2), width=(1.0, 1.3))
+        rel_tol = default_spec(2).rel_tol
+        for x in ((0.3, 0.1), (0.8, -0.4), (0.0, 1.1), (1.5, 0.2)):
+            heat = ops.frac_gradient(f, 0.5, x, detail=True)
+            annulus = ops.frac_gradient(_PlainField(f), 0.5, x, detail=True)
+            assert heat.converged and annulus.converged
+            diff = np.max(np.abs(np.array(heat.value) - np.array(annulus.value)))
+            assert diff <= rel_tol * np.max(np.abs(annulus.value))
+
+    @pytest.mark.parametrize("a, x", [
+        (0.25, (0.4180263564558081, -0.478936392837862, 0.7971352080118591)),
+        (0.5, (-1.224608825273144, 0.9288437249608741, 0.3489427130445786)),
+        (0.75, (0.7243338556055445, -1.6394006684647116, 0.6517175003210751)),
+    ])
+    def test_bump_3d_converges_within_budget(self, a, x):
+        # points where the annulus route ends with converged=False; the
+        # budget keeps at least a factor 2 in reserve
+        spec = default_spec(3)
+        res = ops.frac_gradient(SmoothBump(center=(0.0, 0.0, 0.0), width=1.0), a, x, detail=True)
+        assert res.converged
+        assert res.err_estimate <= spec.rel_tol * np.max(np.abs(res.value))
+        assert 2 * res.evals_used <= spec.max_evals
+
+    def test_exact_zero_at_bump_center(self):
+        # every component vanishes at the center by symmetry, so only abs_tol
+        # can be met; one coordinate at the center zeroes its own component
+        f = SmoothBump(center=(0.2, -0.1, 0.3), width=(1.0, 1.2, 0.9))
+        abs_tol = default_spec(3).abs_tol
+        res = ops.frac_gradient(f, 0.5, f.center, detail=True)
+        assert res.converged
+        assert np.max(np.abs(res.value)) <= abs_tol
+        res = ops.frac_gradient(f, 0.5, (0.2, 0.4, -0.5), detail=True)
+        assert res.converged
+        assert abs(res.value[0]) <= abs_tol < np.min(np.abs(res.value[1:]))
+
+    def test_budget_exhaustion(self):
+        f = SmoothBump(center=(0.0, 0.0), width=1.0)
+        spec = QuadSpec(max_evals=100)
+        res = ops.frac_gradient(f, 0.5, (0.3, 0.2), spec, detail=True)
+        assert not res.converged and res.evals_used > 100
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(f, 0.5, (0.3, 0.2), spec)
+
+    def test_bit_identical_across_blas_threads(self):
+        code = (
+            "import numpy as np\n"
+            "from fracvar import operators as ops\n"
+            "from fracvar.fields import Gaussian, SmoothBump\n"
+            "f = SmoothBump(center=(0.0, 0.1, -0.2), width=1.0)\n"
+            "P = np.random.default_rng(5).uniform(-1.5, 1.5, (6, 3))\n"
+            "print(repr(ops.frac_gradient_batch(f, 0.5, P).tolist()))\n"
+            "print(repr(ops.frac_gradient(Gaussian(center=(0.1, 0.2)), 0.75, (0.4, -0.3))))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert res.returncode == 0, res.stderr[-2000:]
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestFracDivergence:
