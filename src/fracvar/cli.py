@@ -1,8 +1,7 @@
 """Command-line interface: constants tables, operator evaluation, oracles, suites.
 
 Exit codes: 0 success (for ``verify``: all cases pass), 1 any ``verify``
-case failed, 2 usage error, 3 quadrature budget exceeded.  ``FRACVAR_THREADS``
-caps suite parallelism.
+case failed, 2 usage error, 3 quadrature budget exceeded.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for p in pts:
         if args.op == "grad":
             res = ops.frac_gradient(field, args.alpha, p, spec, detail=True)
-            value, err, evals = res.value, res.err_estimate, res.evals_used
+            value, err, evals = res.require(), res.err_estimate, res.evals_used
         elif args.op == "div":
             phi = VectorField(components=(field,) * field.dim) if field.dim == 1 else None
             if field.dim != 1:

@@ -145,7 +145,7 @@ def weight_w(
         # t <= r: kernel and right-edge singularities meet at or beyond s = 1
         sings.append((1.0, edge - alpha if c == 1.0 else edge))
     res = integrate_1d(OffsetIntegrand(integrand), -1.0, 1.0, singularities=sings, spec=spec)
-    return front * res.value
+    return front * res.require()
 
 
 def f_alpha_closed(alpha: float, x: float) -> float:

@@ -208,6 +208,14 @@ class ScalarField:
         ``values`` at x = dx(0), bit-identical to calling it with x."""
         return self.values(dx(0.0)[:, None])
 
+    def fold_from_offsets(self, x0: float, r: np.ndarray, plus, minus) -> np.ndarray:
+        """f(x0 + r) - f(x0 - r) in n = 1, with ``plus(c)`` and ``minus(c)`` the
+        offsets of x0 + r and x0 - r from c, as ``values_from_offsets`` reads
+        them.  By default the difference of the two values, whose rounding
+        noise does not shrink with r; a field may evaluate it without that
+        cancellation."""
+        return self.values_from_offsets(plus) - self.values_from_offsets(minus)
+
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """D^alpha f where it is known; by default the absolutely continuous
         density, the fractional gradient, of a smooth field."""
@@ -233,7 +241,7 @@ class ScalarField:
         """Mean of the field over B_r(x); default is numeric quadrature."""
         x = as_points(x, self.dim)[0]
         res = integrate_ball(self.values, x, r, spec)
-        return res.value / (ball_volume(self.dim) * r**self.dim)
+        return res.require() / (ball_volume(self.dim) * r**self.dim)
 
 
 def _norm2(X: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -586,7 +594,7 @@ class CubeIndicator(ScalarField):
             if not a < b:
                 return 0.0
             res = integrate_1d(chord, a, b, spec=spec or QuadSpec(rel_tol=1e-9))
-            return res.value / (math.pi * r**2)
+            return res.require() / (math.pi * r**2)
         raise UnsupportedFieldError("cube ball averages implemented for n <= 2")
 
 
@@ -678,6 +686,28 @@ class FAlpha(ScalarField):
             )
         return np.where(np.isfinite(v), v, 0.0)
 
+    def fold_from_offsets(self, x0: float, r: np.ndarray, plus, minus) -> np.ndarray:
+        """f(x0 + r) - f(x0 - r), without cancellation where r < |x0 - c|/2
+        for both singular points c.
+
+        With u = x0 - c and t = r/u, the term |u +/- r|^(a-1) sgn(u +/- r) is
+        sgn(u) |u|^(a-1) (1 +/- t)^(a-1), so the pair differs by
+        sgn(u) |u|^(a-1) (expm1((a-1) log1p(t)) - expm1((a-1) log1p(-t))),
+        which keeps its relative precision as r -> 0.  Farther out the two
+        values are read from the offsets, exactly near c.
+        """
+        e = self.alpha - 1.0
+        near = r < 0.5 * min(abs(x0), abs(x0 - 1.0))
+        pairs = 0.0
+        for c, sign in ((0.0, 1.0), (1.0, -1.0)):
+            u = x0 - c
+            t = np.where(near, r / u, 0.0)
+            pairs = pairs + sign * math.copysign(abs(u) ** e, u) * (
+                np.expm1(e * np.log1p(t)) - np.expm1(e * np.log1p(-t))
+            )
+        split = self.values_from_offsets(plus) - self.values_from_offsets(minus)
+        return np.where(near, mu(1, -self.alpha) * pairs, split)
+
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
         m = mu(1, -self.alpha)
@@ -695,7 +725,7 @@ class FAlpha(ScalarField):
             lambda y: self.values(y[:, None]), x0 - r, x0 + r, singularities=sing,
             spec=spec or QuadSpec(rel_tol=1e-9),
         )
-        return res.value / (2.0 * r)
+        return res.require() / (2.0 * r)
 
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """The atom pair +delta_0 - delta_1, at the field's own order only."""
@@ -860,26 +890,26 @@ class Mollified(ScalarField):
                 g, x0 - self.eps, x0 + self.eps, singularities=sing,
                 spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
             )
-            return rho * res.value
+            return rho * res.require()
 
         def g2(Y: np.ndarray) -> np.ndarray:
             t = np.linalg.norm((p - Y) / self.eps, axis=1)
             return _bump_1d(t) * self.base.values(Y)
 
         res = integrate_ball(g2, p, self.eps, QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
-        return rho * res.value
+        return rho * res.require()
 
 
 def _mollifier_norm_1d() -> float:
     res = integrate_1d(_bump_1d, -1.0, 1.0, spec=QuadSpec(rel_tol=1e-13, abs_tol=1e-16))
-    return 1.0 / res.value
+    return 1.0 / res.require()
 
 
 def _mollifier_norm_2d() -> float:
     res = integrate_1d(
         lambda r: r * _bump_1d(r), 0.0, 1.0, spec=QuadSpec(rel_tol=1e-13, abs_tol=1e-16)
     )
-    return 1.0 / (2.0 * math.pi * res.value)
+    return 1.0 / (2.0 * math.pi * res.require())
 
 
 _MOLLIFIER_NORM = {1: _mollifier_norm_1d(), 2: _mollifier_norm_2d()}
@@ -1013,6 +1043,9 @@ class ScaledField(ScalarField):
 
     def values_from_offsets(self, dx) -> np.ndarray:
         return self.factor * self.base.values_from_offsets(dx)
+
+    def fold_from_offsets(self, x0: float, r: np.ndarray, plus, minus) -> np.ndarray:
+        return self.factor * self.base.fold_from_offsets(x0, r, plus, minus)
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         return self.factor * self.base.grad_values(X)

@@ -54,6 +54,7 @@ from .quadrature import (
     OffsetIntegrand,
     QuadratureBudgetError,
     QuadSpec,
+    _EPS,
     _Counter,
     _adaptive_batch,
     _segment,
@@ -108,6 +109,15 @@ class OperatorEval:
     err_estimate: float
     evals_used: int
     converged: bool
+
+    def require(self) -> tuple[float, ...]:
+        """The value, or QuadratureBudgetError if it did not converge."""
+        if not self.converged:
+            raise QuadratureBudgetError(
+                f"{self.operator} did not converge (err ~ {self.err_estimate:.3e} "
+                f"after {self.evals_used} evaluations)"
+            )
+        return self.value
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
@@ -164,33 +174,70 @@ def _shrink_annulus(
     ``annulus(r_in, r_out)`` integrates the kernel over the shell r_in < |y - x|
     < r_out and ``corr(delta)`` is the Taylor correction for the removed ball
     B_delta(x).  delta is halved, adding back shells, until the corrected value
-    moves by at most max(abs_tol, rel_tol |value + far|) / 4, where ``far`` is
-    the part of the full integral added outside (0 if none).  Returns (value,
-    err, converged); value and err leave ``far`` out.
+    moves by at most tol = max(abs_tol, rel_tol |value + far|) / 4, where
+    ``far`` is the part of the full integral added outside (0 if none).
+
+    Two rules end the loop at the rounding floor of the shells instead of the
+    budget, both without convergence:
+
+    * once the steps stop falling, only noise is added.  When
+      ``_STALE_HALVINGS`` halvings in a row neither bring a step smaller than
+      the smallest one so far nor halve the step before them, the loop stops
+      and returns the value at that smallest step.  Early, pre-asymptotic
+      steps may rise, or one may be small by accident, before the steps
+      settle into their geometric decay; neither stops a loop whose steps
+      keep halving;
+    * the value is a sum of shells, so it carries a rounding error of about
+      eps times the sum of their magnitudes, which no step shows.  A value
+      whose steps meet tol while that floor exceeds it has not converged.
+
+    Returns (value, err, converged); value and err leave ``far`` out.
     """
     core_val, core_err, converged = annulus(delta, reach)
     value = core_val + corr(delta)
+    mass = float(np.max(np.abs(core_val)))  # sum of |shell|, the scale of core_val's rounding
+    best_step, best = math.inf, (value, core_err)  # the value at the smallest step
+    stale, prev_step = 0, math.inf
     for _ in range(80):
         new_delta = delta / 2.0
         shell, se, sc = annulus(new_delta, delta)
         core_val = core_val + shell
         core_err += se
         converged &= sc
+        mass += float(np.max(np.abs(shell)))
         new_value = core_val + corr(new_delta)
         step = float(np.max(np.abs(new_value - value)))
         delta, value = new_delta, new_value
-        if step <= max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0:
+        tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0
+        if step <= tol:
+            return value, core_err + step, converged and _EPS * mass <= tol
+        if step < best_step:
+            best_step, best = step, (value, core_err + step)
+        stale = 0 if step == best_step or step <= prev_step / 2.0 else stale + 1
+        prev_step = step
+        if stale >= _STALE_HALVINGS or counter.used > spec.max_evals:
             break
-        if counter.used > spec.max_evals:
-            converged = False
-            break
-    else:
-        converged = False
-    return value, core_err + step, converged
+    return best[0], best[1], False
+
+
+_STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus loop
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    """Taylor-corrected annulus evaluation for fields with a closed-form gradient."""
+    """Taylor-corrected annulus evaluation for fields with a closed-form gradient.
+
+    In n = 1 each shell folds the two sides of x into one integral over r,
+    of (f(x + r) - f(x - r)) r^(-1-a) on [r_in, r_out], so the mirror
+    cancellation happens at every node (``fold_from_offsets``).  A declared
+    singular point p of the field sits at r = |x - p|, where the side that
+    reaches it reads its offset exactly, +/- dr(|x - p|); the shells are cut
+    where a side leaves the support.  No shell is asked to resolve its
+    integral below the rounding noise of a difference of two field values.
+    A field without a support box adds its two tails as before, and the
+    annulus loop's tolerance is relative to the whole integral, tails
+    included.  In n >= 2 the shells are radial integrals of angular moments.
+    The loop stops at the rounding floor of its shells (``_shrink_annulus``).
+    """
     n = field.dim
     box = _field_box(field)
     counter = _Counter(spec.max_evals)
@@ -236,21 +283,45 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             return tail_val, tail_err, counter.used, False
 
     if n == 1:
-        # clip annulus pieces to the support box so distant evaluation points
-        # never hide the field inside a huge featureless panel
+        x0 = float(x[0])
+        # a side leaves the field's support (or the tails' reach) at these radii;
+        # cutting the shells there keeps a vanishing side out of a featureless panel
         if box is not None:
             y_lo, y_hi = float(box[0][0]), float(box[1][0])
         else:
-            y_lo, y_hi = x[0] - reach, x[0] + reach
+            y_lo, y_hi = x0 - reach, x0 + reach
+        right = (y_lo - x0, y_hi - x0)  # r with x + r in the support
+        left = (x0 - y_hi, x0 - y_lo)  # r with x - r in the support
+        # a singular point p lies at r = |x - p| on the side that reaches it
+        ahead = {p: p - x0 for p, _ in sings if p > x0}
+        behind = {p: x0 - p for p, _ in sings if p < x0}
+        r_sings = [(r, field.singular_exponent) for r in {**ahead, **behind}.values()]
+
+        def folded(r: np.ndarray, dr) -> np.ndarray:
+            def plus(c: float) -> np.ndarray:  # offsets of x + r
+                return dr(ahead[c]) if c in ahead else (x0 - c) + r
+
+            def minus(c: float) -> np.ndarray:  # offsets of x - r
+                return -dr(behind[c]) if c in behind else (x0 - c) - r
+
+            return field.fold_from_offsets(x0, r, plus, minus) * r ** (-1.0 - alpha)
+
+        folded = OffsetIntegrand(folded)
+        # f(x + r) - f(x - r) computed as a difference carries rounding noise of
+        # about eps (2 |f(x)| + |x f'(x)|) that does not shrink with r; no shell
+        # is asked for more than that noise integrated against r^(-1-a)
+        noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0 * grad_x[0]))
 
         def annulus(r_in: float, r_out: float):
+            cuts = sorted({r for r in right + left if r_in < r < r_out} | {r_in, r_out})
             val, err_, conv_ = np.zeros(1), 0.0, True
-            for a_, b_ in (
-                (max(x[0] + r_in, y_lo), min(x[0] + r_out, y_hi)),
-                (max(x[0] - r_out, y_lo), min(x[0] - r_in, y_hi)),
-            ):
-                if a_ < b_:
-                    v, e, c = _segment_with_sings(kernel, a_, b_, sings, rel, absr, counter)
+            for a_, b_ in zip(cuts[:-1], cuts[1:]):
+                m_ = 0.5 * (a_ + b_)
+                if right[0] < m_ < right[1] or left[0] < m_ < left[1]:
+                    floor = noise * (a_**-alpha - b_**-alpha) / alpha
+                    v, e, c = _segment_with_sings(
+                        folded, a_, b_, r_sings, rel, max(absr, floor), counter
+                    )
                     val = val + np.atleast_1d(v)
                     err_ += e
                     conv_ &= c
@@ -274,7 +345,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         return omega_n * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
 
     delta = spec.near_radius or min(field.smooth_scale / 2.0, reach / 4.0)
-    value, core_err, converged = _shrink_annulus(annulus, corr, delta, reach, 0.0, spec, counter)
+    value, core_err, converged = _shrink_annulus(annulus, corr, delta, reach, tail_val, spec, counter)
     total = mu(n, alpha) * (value + tail_val)
     err = abs(mu(n, alpha)) * (core_err + tail_err)
     return total, err, counter.used, converged
@@ -475,16 +546,11 @@ def frac_gradient(
         value, err, used, conv = _grad_smooth(f, alpha, pt, spec)
     else:
         raise UnsupportedFieldError(f"no gradient evaluation path for {f.kind}")
-    if detail:
-        return OperatorEval(
-            "grad", alpha, tuple(pt.tolist()), tuple(np.atleast_1d(value).tolist()),
-            err, used, conv,
-        )
-    if not conv:
-        raise QuadratureBudgetError(
-            f"fractional gradient did not converge (err ~ {err:.3e} after {used} evaluations)"
-        )
-    return np.atleast_1d(value)
+    res = OperatorEval(
+        "grad", alpha, tuple(pt.tolist()), tuple(np.atleast_1d(value).tolist()),
+        err, used, conv,
+    )
+    return res if detail else np.array(res.require())
 
 
 def frac_divergence(phi: VectorField, alpha: float, x, spec: QuadSpec | None = None) -> float:
@@ -581,7 +647,7 @@ def riesz_potential_hyperplane(
             singularities=[(math.inf, p)],
             spec=spec,
         )
-        return 2.0 * k * res.value
+        return 2.0 * k * res.require()
     if n == 3:
         res = integrate_1d(
             lambda rho: rho * (d * d + rho * rho) ** (-p / 2.0),
@@ -590,7 +656,7 @@ def riesz_potential_hyperplane(
             singularities=[(math.inf, p - 1.0)],
             spec=spec,
         )
-        return 2.0 * math.pi * k * res.value
+        return 2.0 * math.pi * k * res.require()
     raise ValueError("hyperplane potential implemented for n in {2, 3}")
 
 
@@ -812,7 +878,8 @@ def nl_gradient(
 
     The integrand vanishes like |y-x|^(2-n-a) at the center and the constant
     far-field product cancels by odd symmetry over |y - x| > reach, so a
-    symmetric truncation at the joint support reach is exact.
+    symmetric truncation at the joint support reach is exact.  Raises
+    QuadratureBudgetError when the integral does not converge.
     """
     alpha = _check_alpha(alpha)
     if f.dim != g.dim:
@@ -841,6 +908,7 @@ def nl_gradient(
 
         v1, e1, c1 = _segment(kern, x0, x0 + reach, 1.0 - alpha, None, rel, absr, counter)
         v2, e2, c2 = _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter)
+        _require(c1 and c2, "non-local gradient", e1 + e2, counter)
         return mu(1, alpha) * np.atleast_1d(v1 + v2)
 
     def moment(r: np.ndarray) -> np.ndarray:
@@ -851,6 +919,7 @@ def nl_gradient(
         return r[:, None] ** (-1.0 - alpha) * mom
 
     v, e, c = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
+    _require(c, "non-local gradient", e, counter)
     return mu(n, alpha) * np.atleast_1d(v)
 
 
@@ -886,7 +955,7 @@ def spectral_gradient_1d(f: ScalarField, alpha: float, x) -> float:
         integrand, 0.0, cutoff, singularities=[(0.0, alpha)],
         spec=QuadSpec(rel_tol=1e-11, abs_tol=1e-14),
     )
-    return -2.0 * f.amplitude * w * res.value
+    return -2.0 * f.amplitude * w * res.require()
 
 
 # ---------------------------------------------------------------------------

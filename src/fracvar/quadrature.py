@@ -253,15 +253,20 @@ class _AdaptiveState:
     ``_adaptive`` and ``_adaptive_batch`` both drive it, so they bisect the
     same intervals and stop at the same point: worst interval first (largest
     error, ties by lo, then hi), a width floor, and a stall counter for
-    refinement that has reached the integrand's round-off floor.
+    refinement that has reached the integrand's round-off floor.  Intervals
+    retired at the width floor keep their error; once that retired error
+    alone exceeds the tolerance, no further bisection can meet it, and the
+    integral stops.
     """
 
-    __slots__ = ("heap", "done", "value_sum", "err_sum", "stalls", "span", "converged")
+    __slots__ = ("heap", "done", "value_sum", "err_sum", "retired_err", "stalls", "span",
+                 "converged")
 
     def __init__(self, a: float, b: float, val, err: float, ok: bool) -> None:
         self.heap = [(-err, a, b, val, err)]
         self.done: list[tuple] = []
         self.value_sum, self.err_sum = val, err
+        self.retired_err = 0.0
         self.stalls = 0
         self.span = b - a
         self.converged = ok
@@ -270,13 +275,15 @@ class _AdaptiveState:
         """The heap entry to bisect next, or None once the integral stops."""
         while True:
             tol = max(abs_tol, rel_tol * _magnitude(self.value_sum))
-            if self.err_sum <= tol or not self.heap or self.stalls >= 40:
+            if (self.err_sum <= tol or not self.heap or self.stalls >= 40
+                    or self.retired_err > tol):
                 return None
             item = heapq.heappop(self.heap)
             lo, hi = item[1], item[2]
             width = hi - lo
             if width <= 1e-14 * max(abs(lo), abs(hi), self.span) or width < 5e-308:
                 self.done.append(item)
+                self.retired_err += item[4]
                 continue
             return item
 

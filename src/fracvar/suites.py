@@ -10,9 +10,7 @@ adds 2 for usage errors and 3 for an exhausted quadrature budget.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -662,39 +660,19 @@ def run_suite(
 
 
 def run_all(config: dict | None = None) -> tuple[list[SuiteReport], int]:
-    """Run every suite on its default grid; exit code 0 iff all cases pass.
+    """Run every suite on its default grid, one after another; exit code 0 iff
+    all cases pass.
 
-    Config keys: "suites" (names), "alphas" (order grid override), "threads"
-    (parallelism cap), "quad" (QuadSpec field overrides).
+    Config keys: "suites" (names), "alphas" (order grid override), "quad"
+    (QuadSpec field overrides).
     """
     config = config or {}
     names = config.get("suites", SUITE_NAMES)
     alphas = config.get("alphas")
     spec = QuadSpec(**config["quad"]) if "quad" in config else None
-    workers = config.get("threads") or _thread_cap()
-    reports: list[SuiteReport | None] = [None] * len(names)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_suite, nm, alphas, spec): i for i, nm in enumerate(names)}
-            for fut, i in futures.items():
-                reports[i] = fut.result()
-    else:
-        for i, nm in enumerate(names):
-            reports[i] = run_suite(nm, alphas, spec)
-    done = [r for r in reports if r is not None]
-    if not all(r.passed for r in done):
-        return done, 1
-    return done, 0
-
-
-def _thread_cap() -> int:
-    env = os.environ.get("FRACVAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    reports = [run_suite(nm, alphas, spec) for nm in names]
+    reports = [r for r in reports if r is not None]  # an empty order grid skips some suites
+    return reports, 0 if all(r.passed for r in reports) else 1
 
 
 def reports_to_csv(reports: Sequence[SuiteReport]) -> str:

@@ -139,12 +139,13 @@ class TestFracGradient:
         assert abs(res.value[0]) <= 1e-12
 
     def test_bare_call_raises_when_not_converged(self):
-        # the annulus stop test cannot be met at an exact-zero value (-5953
-        # with converged=False), so the bare call must not return it
-        res = ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 0.25, detail=True)
+        # close to the atom at 0 the shells that straddle it reach ~1e4, so
+        # their sum cannot resolve the exact-zero value to abs_tol; the bare
+        # call must not return what the annulus stopped at
+        res = ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 2.0**-16, detail=True)
         assert not res.converged
         with pytest.raises(QuadratureBudgetError):
-            ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 0.25)
+            ops.frac_gradient(FAlpha(alpha=0.25), 0.25, 2.0**-16)
 
     def test_scaled_f_alpha_gradient_vanishes(self):
         # the scaled field declares its base's singular exponent and offsets
@@ -152,6 +153,89 @@ class TestFracGradient:
                                 detail=True)
         assert res.converged
         assert abs(res.value[0]) <= 1e-12
+
+
+class TestFoldedAnnulus:
+    """The n = 1 annulus integrates f(x + r) - f(x - r) over each shell in r,
+    and stops at the rounding floor of its shells."""
+
+    @pytest.mark.parametrize("a, x", [
+        (0.75, 0.18776619318958226),  # eval-mix seed 1: converged=False, 0.5 s before the fold
+        (0.75, 0.8503000975172985),  # eval-mix seed 7: likewise
+        (0.25, 0.25),  # returned -5953, converged=False, before the fold
+        (0.25, 0.125),  # returned -10199, converged=False
+        (0.75, 0.1357),  # ran the whole budget without the stop rule
+    ])
+    def test_f_alpha_exact_zero(self, a, x):
+        res = ops.frac_gradient(FAlpha(alpha=a), a, x, detail=True)
+        assert res.converged
+        assert abs(res.value[0]) <= 1e-12
+        assert res.evals_used < 2000
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_f_alpha_dyadic_sweep(self, a):
+        # near the atom at 0 the annulus may fail to converge, but a value it
+        # reports as converged must be the exact zero to abs_tol
+        converged = 0
+        for k in range(1, 21):
+            res = ops.frac_gradient(FAlpha(alpha=a), a, 2.0**-k, detail=True)
+            if res.converged:
+                converged += 1
+                assert abs(res.value[0]) <= 1e-12, k
+        assert converged >= 8
+
+    def test_stop_rule_at_rounding_floor(self):
+        # with the plain difference of the two values, the rounding noise of
+        # each shell grows like delta^-a while the steps must reach 2.5e-13:
+        # the steps stop falling, and the loop ends within a few halvings
+        # (750 evaluations; all 80 halvings take about 8,900)
+        f = _DifferencedFAlpha(alpha=0.75)
+        res = ops.frac_gradient(f, 0.75, 0.1357, detail=True)
+        assert not res.converged
+        assert res.evals_used < 2_000
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(f, 0.75, 0.1357)
+
+    @pytest.mark.parametrize("a, x, ref", [
+        # mu(1, a) int_0^inf (f(x + t) - f(x - t)) t^(-1-a) dt by mpmath at 30 digits
+        (0.25, -0.8989, 0.6595462171619431),
+        (0.25, 0.45, -0.6834922960387048),
+        (0.5, -0.8989, 0.703693023106095),
+        (0.5, -0.3, 0.5207218410847188),
+        (0.5, 0.93, -0.542007083536738),
+        # its first step is small by accident, and the next four, though larger,
+        # fall geometrically: the stop rule must not fire on them
+        (0.5, 0.4776403439728828, -0.8525533965934597),
+        (0.75, -0.3, 0.5894386738288476),
+        (0.75, 0.45, -0.9394799027842019),
+        (0.75, 0.93, -0.4424757752097982),
+    ])
+    def test_bump_against_mpmath(self, a, x, ref):
+        g = ops.frac_gradient(SmoothBump(center=(0.0,), width=1.0), a, x)
+        assert g[0] == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("a, x, ref", [
+        # spectral_gradient_1d, the frequency-side route
+        (0.25, -1.2, 0.184294004756936),
+        (0.25, 2.5, -0.10473794222060684),
+        (0.5, 0.05, 0.7252857024407691),
+        (0.5, 0.7, -0.904784290052207),
+        (0.75, 0.05, 0.9596874261220351),
+        (0.75, 0.7, -1.1637589039994682),
+    ])
+    def test_gaussian_against_spectral(self, a, x, ref):
+        f = Gaussian(center=(0.3,), width=1.0)
+        assert ops.spectral_gradient_1d(f, a, x) == pytest.approx(ref, rel=1e-12)
+        assert ops.frac_gradient(f, a, x)[0] == pytest.approx(ref, rel=1e-8)
+
+
+@dataclass(frozen=True)
+class _DifferencedFAlpha(FAlpha):
+    """FAlpha whose fold is the plain difference of its two values, the
+    default of fields without a cancellation-free one."""
+
+    def fold_from_offsets(self, x0, r, plus, minus):
+        return ScalarField.fold_from_offsets(self, x0, r, plus, minus)
 
 
 @dataclass(frozen=True)
@@ -637,6 +721,14 @@ class TestNlGradient:
             f.values(np.array([[x]]))[0]
         ) * ops.frac_gradient(f, a, x)[0]
         assert nl == pytest.approx(ref, rel=1e-7)
+
+
+    @pytest.mark.parametrize("n, x", [(1, 0.3), (2, (0.3, -0.2))])
+    def test_budget_exhaustion_raises(self, n, x):
+        f = Gaussian(center=(0.0,) * n, width=1.0)
+        g = Gaussian(center=(0.5,) * n, width=1.2)
+        with pytest.raises(QuadratureBudgetError):
+            ops.nl_gradient(f, g, 0.5, x, QuadSpec(max_evals=100))
 
 
 class TestSpectralOracle:

@@ -172,6 +172,21 @@ class TestAdaptiveBatch:
         assert 0 < one_panel < a.size
 
 
+    def test_retired_error_stops_the_loop(self):
+        # x0 sits 6.3e-13 left of the interval, so the panels next to it are
+        # retired at the width floor with errors far above the tolerance;
+        # bisecting the live ones cannot help, and the loop must stop there
+        a, b, x0 = -1.727, 0.933, -1.727 - 6.3e-13
+
+        def f(y):
+            return np.abs(0.5 - np.exp(-y * y)) * np.abs(y - x0) ** -1.46
+
+        counter = _Counter(10**6)
+        _, err, conv = _adaptive(f, a, b, 1e-9, 1e-12, counter)
+        assert not conv
+        assert counter.used < 50_000
+
+
 class TestQuadSpec:
     def test_validation(self):
         with pytest.raises(ValueError):

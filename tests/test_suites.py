@@ -1,7 +1,6 @@
 """Suite machinery: reports, pass rules, determinism, CLI plumbing."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -91,20 +90,13 @@ class TestSuiteRuns:
         assert all(line.split(",")[-1] in ("0", "1") for line in lines[1:])
 
     def test_run_all_subset_exit_code(self):
-        reports, code = run_all({"suites": ("hardy", "halfspace"), "threads": 1})
+        reports, code = run_all({"suites": ("hardy", "halfspace")})
         assert code == 0
         assert [r.suite for r in reports] == ["hardy", "halfspace"]
 
-    def test_run_all_threaded_matches_serial(self):
-        serial, _ = run_all({"suites": ("hardy", "varbound"), "threads": 1,
-                             "alphas": (0.5,)})
-        threaded, _ = run_all({"suites": ("hardy", "varbound"), "threads": 4,
-                               "alphas": (0.5,)})
-        assert reports_to_csv(serial) == reports_to_csv(threaded)
-
     def test_quad_config_accepted(self):
         reports, code = run_all({
-            "suites": ("halfspace",), "threads": 1, "alphas": (0.5,),
+            "suites": ("halfspace",), "alphas": (0.5,),
             "quad": {"rel_tol": 1e-7, "abs_tol": 1e-11},
         })
         assert code == 0 and reports[0].passed
@@ -162,13 +154,10 @@ def test_runners_take_spec_exactly_when_forwarded(monkeypatch):
         assert takes_spec == ("spec" in seen[0]), name
 
 
-def _cli(*args, env_extra=None, timeout=600):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "fracvar", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -217,16 +206,6 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("suite,case_id,alpha,n,lhs,rhs")
         assert "[pass] hardy" in res.stderr
-
-    def test_verify_respects_thread_env(self, tmp_path):
-        out1 = tmp_path / "r1.csv"
-        out2 = tmp_path / "r2.csv"
-        r1 = _cli("verify", "--suite", "varbound", "--alpha", "0.5", "--out", str(out1),
-                  env_extra={"FRACVAR_THREADS": "1"})
-        r2 = _cli("verify", "--suite", "varbound", "--alpha", "0.5", "--out", str(out2),
-                  env_extra={"FRACVAR_THREADS": "4"})
-        assert r1.returncode == 0 and r2.returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_usage_error_exit_code(self):
         res = _cli("eval", "--op", "unknown-op", "--alpha", "0.5",
