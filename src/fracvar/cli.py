@@ -70,7 +70,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for p in pts:
         if args.op == "grad":
             res = ops.frac_gradient(field, args.alpha, p, spec, detail=True)
-            value, err, evals = res.require(), res.err_estimate, res.evals_used
+            value, err, evals = res.require("fractional gradient"), res.err_estimate, res.evals_used
         elif args.op == "div":
             phi = VectorField(components=(field,) * field.dim) if field.dim == 1 else None
             if field.dim != 1:

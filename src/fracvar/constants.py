@@ -2,8 +2,8 @@
 
 Everything downstream (operator kernels, closed-form identities, Hardy
 constants) is a ratio of Gamma values, so this module owns a single Gamma
-backend accurate to ~1e-13 relative error on |x| <= 64 and caches the derived
-constants per (n, order).
+entry point, ``math.gamma`` behind range and pole checks on |x| <= 64, and
+caches the derived constants per (n, order).
 """
 
 from __future__ import annotations
@@ -32,33 +32,6 @@ class GammaPoleError(ValueError):
 MAX_GAMMA_ARG = 64.0
 MAX_CONST_DIM = 8
 
-# Lanczos approximation, g = 7, 9 terms.  Gives ~1e-14 relative error for
-# positive arguments; negative arguments go through the reflection formula.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _gamma_positive(x: float) -> float:
-    # Valid for x >= 0.5.
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def gamma(x: float) -> float:
     """Gamma(x) for real x with |x| <= 64, x not a non-positive integer.
@@ -73,19 +46,7 @@ def gamma(x: float) -> float:
         raise ValueError(f"gamma argument out of supported range |x| <= {MAX_GAMMA_ARG}: {x}")
     if x <= 0.0 and x == math.floor(x):
         raise GammaPoleError(f"gamma has a pole at {x}")
-    if x >= 0.5:
-        return _gamma_positive(x)
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).  Computing sin(pi x)
-    # through the fractional part keeps the argument reduction exact.
-    frac = x - math.floor(x)
-    sin_pix = math.sin(math.pi * frac)
-    if x == math.floor(x) + 0.5:
-        # sin(pi x) = +/-1 exactly at half-integers; frac == 0.5 already gives 1.0
-        sin_pix = 1.0 if (math.floor(x) % 2 == 0) else -1.0
-    else:
-        if math.floor(x) % 2 != 0:
-            sin_pix = -sin_pix
-    return math.pi / (sin_pix * _gamma_positive(1.0 - x))
+    return math.gamma(x)
 
 
 def validate_dim(n: int, *, max_dim: int = MAX_CONST_DIM) -> int:

@@ -131,10 +131,6 @@ class ScalarField:
 
     # -- metadata -----------------------------------------------------------
     @property
-    def compact_support(self) -> bool:
-        return self.support_box is not None
-
-    @property
     def support_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         return None  # unbounded by default
 

@@ -25,6 +25,11 @@ fractional Laplacian sharing the same singular-kernel machinery:
 * the f(x) kernel term is cancelled exactly by odd symmetry over every sphere
   centered at x, so only f(y) itself is ever integrated for the gradient.
 
+Every evaluation path returns a :class:`~fracvar.quadrature.QuadResult`,
+with the convergence flags of its angular profiles AND-ed in.  The public
+operators return the value if it converged and raise QuadratureBudgetError
+otherwise; ``frac_gradient(detail=True)`` returns the result itself.
+
 Quadrature operators accept alpha in [0.05, 0.95] and dimensions 1..3.
 """
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +57,7 @@ from .fields import (
 from .quadrature import (
     NonIntegrableSingularityError,
     OffsetIntegrand,
-    QuadratureBudgetError,
+    QuadResult,
     QuadSpec,
     _EPS,
     _Counter,
@@ -68,7 +73,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "OperatorEval",
     "DivergentPotentialError",
     "TestFieldNormError",
     "ALPHA_QUAD_RANGE",
@@ -98,26 +102,6 @@ class TestFieldNormError(ValueError):
 
 
 ALPHA_QUAD_RANGE = (0.05, 0.95)
-
-
-@dataclass(frozen=True)
-class OperatorEval:
-    operator: str
-    order: float
-    point: tuple[float, ...]
-    value: tuple[float, ...]
-    err_estimate: float
-    evals_used: int
-    converged: bool
-
-    def require(self) -> tuple[float, ...]:
-        """The value, or QuadratureBudgetError if it did not converge."""
-        if not self.converged:
-            raise QuadratureBudgetError(
-                f"{self.operator} did not converge (err ~ {self.err_estimate:.3e} "
-                f"after {self.evals_used} evaluations)"
-            )
-        return self.value
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
@@ -154,13 +138,6 @@ def _box_radial_range(box, x: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(gap)), _reach(box, x)
 
 
-def _require(converged: bool, what: str, err: float, counter: _Counter) -> None:
-    if not converged:
-        raise QuadratureBudgetError(
-            f"{what} did not converge (err ~ {err:.3e} after {counter.used} evaluations)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # fractional gradient
 # ---------------------------------------------------------------------------
@@ -191,33 +168,33 @@ def _shrink_annulus(
       eps times the sum of their magnitudes, which no step shows.  A value
       whose steps meet tol while that floor exceeds it has not converged.
 
-    Returns (value, err, converged); value and err leave ``far`` out.
+    ``annulus`` returns a QuadResult; the result's value and error leave
+    ``far`` out.
     """
-    core_val, core_err, converged = annulus(delta, reach)
-    value = core_val + corr(delta)
-    mass = float(np.max(np.abs(core_val)))  # sum of |shell|, the scale of core_val's rounding
-    best_step, best = math.inf, (value, core_err)  # the value at the smallest step
+    core = annulus(delta, reach)
+    value = core.value + corr(delta)
+    mass = float(np.max(np.abs(core.value)))  # sum of |shell|, the scale of core's rounding
+    best_step, best = math.inf, (value, core.err_estimate)  # the value at the smallest step
     stale, prev_step = 0, math.inf
     for _ in range(80):
         new_delta = delta / 2.0
-        shell, se, sc = annulus(new_delta, delta)
-        core_val = core_val + shell
-        core_err += se
-        converged &= sc
-        mass += float(np.max(np.abs(shell)))
-        new_value = core_val + corr(new_delta)
+        shell = annulus(new_delta, delta)
+        core = core + shell
+        mass += float(np.max(np.abs(shell.value)))
+        new_value = core.value + corr(new_delta)
         step = float(np.max(np.abs(new_value - value)))
         delta, value = new_delta, new_value
         tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0
         if step <= tol:
-            return value, core_err + step, converged and _EPS * mass <= tol
+            return QuadResult(value, core.err_estimate + step, counter.used,
+                              core.converged and _EPS * mass <= tol)
         if step < best_step:
-            best_step, best = step, (value, core_err + step)
+            best_step, best = step, (value, core.err_estimate + step)
         stale = 0 if step == best_step or step <= prev_step / 2.0 else stale + 1
         prev_step = step
         if stale >= _STALE_HALVINGS or counter.used > spec.max_evals:
             break
-    return best[0], best[1], False
+    return QuadResult(best[0], best[1], counter.used, False)
 
 
 _STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus loop
@@ -257,7 +234,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     if box is not None:
         d_min, d_max = _box_radial_range(box, x)
         reach = max(d_max, 2.0 * field.smooth_scale)
-        tail_val, tail_err = np.zeros(n), 0.0
+        tail = QuadResult(np.zeros(n), 0.0, 0, True)
     else:
         d_min = 0.0
         # algebraic tail: rays handled by declared tail exponents (n = 1 only)
@@ -269,18 +246,13 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             (abs(s[0]) for s in field.singular_points), default=0.0
         )
         tau = 1.0 + alpha + field.decay_exponent
-        v1, e1, _, c1 = integrate_core(
-            kernel, x[0] + reach, math.inf, sings + [(math.inf, tau)],
-            QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
-        )
-        v2, e2, _, c2 = integrate_core(
-            kernel, -math.inf, x[0] - reach, sings + [(-math.inf, tau)],
-            QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
-        )
-        tail_val = np.atleast_1d(v1 + v2)
-        tail_err = e1 + e2
-        if not (c1 and c2):
-            return tail_val, tail_err, counter.used, False
+        tail_spec = QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals)
+        tail = (integrate_core(kernel, x[0] + reach, math.inf, sings + [(math.inf, tau)],
+                               tail_spec, counter)
+                + integrate_core(kernel, -math.inf, x[0] - reach, sings + [(-math.inf, tau)],
+                                 tail_spec, counter))
+        if not tail.converged:
+            return tail
 
     if n == 1:
         x0 = float(x[0])
@@ -312,43 +284,42 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         # is asked for more than that noise integrated against r^(-1-a)
         noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0 * grad_x[0]))
 
-        def annulus(r_in: float, r_out: float):
+        def annulus(r_in: float, r_out: float) -> QuadResult:
             cuts = sorted({r for r in right + left if r_in < r < r_out} | {r_in, r_out})
-            val, err_, conv_ = np.zeros(1), 0.0, True
+            shells = []
             for a_, b_ in zip(cuts[:-1], cuts[1:]):
                 m_ = 0.5 * (a_ + b_)
                 if right[0] < m_ < right[1] or left[0] < m_ < left[1]:
                     floor = noise * (a_**-alpha - b_**-alpha) / alpha
-                    v, e, c = _segment_with_sings(
+                    shells.append(_segment_with_sings(
                         folded, a_, b_, r_sings, rel, max(absr, floor), counter
-                    )
-                    val = val + np.atleast_1d(v)
-                    err_ += e
-                    conv_ &= c
-            return val, err_, conv_
+                    ))
+            return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
     else:
 
         def moment(r: np.ndarray) -> np.ndarray:
-            _, mom, _ = angular_profile(
+            nonlocal ang_ok
+            prof = angular_profile(
                 field.values, x, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True
             )
-            return r[:, None] ** (-1.0 - alpha) * mom
+            ang_ok = ang_ok and prof.converged
+            return r[:, None] ** (-1.0 - alpha) * prof.value
 
-        def annulus(r_in: float, r_out: float):
+        def annulus(r_in: float, r_out: float) -> QuadResult:
             r_in = max(r_in, d_min)
             if not r_in < r_out:
-                return np.zeros(n), 0.0, True
-            v, e, c = _segment(moment, r_in, r_out, None, None, rel, absr, counter)
-            return v, e, c
+                return QuadResult(np.zeros(n), 0.0, 0, True)
+            return _segment(moment, r_in, r_out, None, None, rel, absr, counter)
 
     def corr(d: float) -> np.ndarray:
         return omega_n * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
 
+    ang_ok = True
     delta = spec.near_radius or min(field.smooth_scale / 2.0, reach / 4.0)
-    value, core_err, converged = _shrink_annulus(annulus, corr, delta, reach, tail_val, spec, counter)
-    total = mu(n, alpha) * (value + tail_val)
-    err = abs(mu(n, alpha)) * (core_err + tail_err)
-    return total, err, counter.used, converged
+    core = _shrink_annulus(annulus, corr, delta, reach, tail.value, spec, counter)
+    return QuadResult(mu(n, alpha) * (core.value + tail.value),
+                      abs(mu(n, alpha)) * (core.err_estimate + tail.err_estimate),
+                      counter.used, core.converged and ang_ok)
 
 
 def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, counter: _Counter):
@@ -361,7 +332,7 @@ def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, coun
     ``log_trapezoid``.  Each factor's G_t is evaluated once per distinct
     coordinate of its axis, and each target takes a row-wise product.  As
     t -> inf, G_t g(x) ~ sqrt(pi/t) g(x); as t -> 0, G_t g_j' = O(t).
-    Returns (value, err, converged), value and err of shape (m, n).
+    The result's value and err_estimate have shape (m, n).
     """
     n = f.dim
     factors = f.heat_factors
@@ -390,27 +361,25 @@ def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, coun
     lo, hi = f.quad_box
     far_corner = np.linalg.norm(np.maximum(np.abs(lo - X), np.abs(hi - X)), axis=1)
     reach = max(field_scale(f), float(np.max(far_corner)))
-    value, err, converged = log_trapezoid(
+    res = log_trapezoid(
         F, b, tail, (1.0 - alpha) / 2.0, b + 1.0, reach, field_scale(f), spec, counter
     )
     k = riesz_constant(n, 1.0 - alpha) / gamma(b)
-    return k * value, abs(k) * err, converged
+    return QuadResult(k * res.value, abs(k) * res.err_estimate, res.evals_used, res.converged)
 
 
-def _segment_with_sings(f, a: float, b: float, sings, rel: float, absr: float, counter: _Counter):
+def _segment_with_sings(
+    f, a: float, b: float, sings, rel: float, absr: float, counter: _Counter
+) -> QuadResult:
     """Finite-interval integral with declared singular points inside or at the ends."""
     exps = dict(sings)
     pts = sorted(p for p in exps if a < p < b)
     if not pts:
         return _segment(f, a, b, exps.get(a), exps.get(b), rel, absr, counter)
     edges = [a] + pts + [b]
-    total, err, conv = None, 0.0, True
-    for p, q in zip(edges[:-1], edges[1:]):
-        v, e, c = _segment(f, p, q, exps.get(p), exps.get(q), rel, absr / len(edges), counter)
-        total = v if total is None else total + v
-        err += e
-        conv &= c
-    return total, err, conv
+    pieces = [_segment(f, p, q, exps.get(p), exps.get(q), rel, absr / len(edges), counter)
+              for p, q in zip(edges[:-1], edges[1:])]
+    return sum(pieces[1:], pieces[0])
 
 
 def _region_intervals(field: ScalarField) -> tuple[tuple[float, float], ...]:
@@ -451,26 +420,22 @@ def _grad_indicator_1d(field: ScalarField, alpha: float, x: np.ndarray, spec: Qu
         d = y - x0
         return np.sign(d) * np.abs(d) ** (-1.0 - alpha)
 
-    total, err, conv = 0.0, 0.0, True
+    piece_spec = QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals)
+    total = QuadResult(0.0, 0.0, 0, True)
     for a, b in pieces:
         sings = [(x0, -1.0 - alpha)] if not (a <= x0 <= b) else []
         if math.isinf(b):
-            v, e, _, c = integrate_core(
-                kernel, a, math.inf, sings + [(math.inf, 1.0 + alpha)],
-                QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
+            total = total + integrate_core(
+                kernel, a, math.inf, sings + [(math.inf, 1.0 + alpha)], piece_spec, counter
             )
         elif math.isinf(a):
-            v, e, _, c = integrate_core(
-                kernel, -math.inf, b, sings + [(-math.inf, 1.0 + alpha)],
-                QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals), counter,
+            total = total + integrate_core(
+                kernel, -math.inf, b, sings + [(-math.inf, 1.0 + alpha)], piece_spec, counter
             )
         else:
-            v, e, c = _segment(kernel, a, b, None, None, rel, absr, counter)
-        total += float(np.atleast_1d(v)[0])
-        err += e
-        conv &= c
-    g = mu(1, alpha) * sign * total
-    return np.array([g]), abs(mu(1, alpha)) * err, counter.used, conv
+            total = total + _segment(kernel, a, b, None, None, rel, absr, counter)
+    return QuadResult(np.array([mu(1, alpha) * sign * float(total.value[0])]),
+                      abs(mu(1, alpha)) * total.err_estimate, counter.used, total.converged)
 
 
 def _grad_halfspace(field: HalfSpaceIndicator, alpha: float, x: np.ndarray, spec: QuadSpec):
@@ -506,10 +471,10 @@ def _grad_halfspace(field: HalfSpaceIndicator, alpha: float, x: np.ndarray, spec
         edge_exp = 1.0
 
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    v1, e1, c1 = _segment(moment, a, 8.0 * a + 8.0, edge_exp, None, rel, absr, counter)
-    v2, e2, c2 = _tail_segment(moment, 8.0 * a + 8.0, 1.0 + alpha, +1, rel, absr, counter)
-    g = mu(n, alpha) * sign * (v1 + v2)
-    return g, abs(mu(n, alpha)) * (e1 + e2), counter.used, c1 and c2
+    res = (_segment(moment, a, 8.0 * a + 8.0, edge_exp, None, rel, absr, counter)
+           + _tail_segment(moment, 8.0 * a + 8.0, 1.0 + alpha, +1, rel, absr, counter))
+    return QuadResult(mu(n, alpha) * sign * res.value, abs(mu(n, alpha)) * res.err_estimate,
+                      counter.used, res.converged)
 
 
 def frac_gradient(
@@ -517,10 +482,11 @@ def frac_gradient(
 ):
     """Fractional gradient of f at x from the defining singular integral.
 
-    With ``detail`` the result is an :class:`OperatorEval` that carries the
-    error estimate, the evaluation count and the convergence flag; without
-    it the value is returned only if it converged, and QuadratureBudgetError
-    is raised otherwise.  In n >= 2, fields with ``heat_factors`` take the
+    With ``detail`` the result is the :class:`~fracvar.quadrature.QuadResult`
+    of the evaluation: the gradient vector as its value, the error estimate,
+    the evaluation count and the convergence flag.  Without it the vector is
+    returned only if it converged, and QuadratureBudgetError is raised
+    otherwise.  In n >= 2, fields with ``heat_factors`` take the
     Gaussian subordination route (``_grad_heat``), other smooth fields the
     Taylor-corrected annulus.
     """
@@ -531,26 +497,21 @@ def frac_gradient(
         raise ValueError("operators support n in {1, 2, 3}")
     spec = spec or default_spec(n)
     if isinstance(f, HalfSpaceIndicator) and n >= 2:
-        value, err, used, conv = _grad_halfspace(f, alpha, pt, spec)
+        res = _grad_halfspace(f, alpha, pt, spec)
     elif isinstance(f, (IntervalIndicator, HalfSpaceIndicator)) or (
         isinstance(f, CubeIndicator) and n == 1
     ):
-        value, err, used, conv = _grad_indicator_1d(f, alpha, pt, spec)
+        res = _grad_indicator_1d(f, alpha, pt, spec)
     elif isinstance(f, CubeIndicator):
         raise UnsupportedFieldError("gradient of cube indicators implemented for n = 1")
     elif n >= 2 and f.heat_factors is not None:
-        counter = _Counter(spec.max_evals)
-        v, e, conv = _grad_heat(f, alpha, pt[None, :], spec, counter)
-        value, err, used = v[0], float(np.max(e)), counter.used
+        res = _grad_heat(f, alpha, pt[None, :], spec, _Counter(spec.max_evals))
+        res = replace(res, value=res.value[0], err_estimate=float(np.max(res.err_estimate)))
     elif f.has_gradient:
-        value, err, used, conv = _grad_smooth(f, alpha, pt, spec)
+        res = _grad_smooth(f, alpha, pt, spec)
     else:
         raise UnsupportedFieldError(f"no gradient evaluation path for {f.kind}")
-    res = OperatorEval(
-        "grad", alpha, tuple(pt.tolist()), tuple(np.atleast_1d(value).tolist()),
-        err, used, conv,
-    )
-    return res if detail else np.array(res.require())
+    return res if detail else res.require("fractional gradient")
 
 
 def frac_divergence(phi: VectorField, alpha: float, x, spec: QuadSpec | None = None) -> float:
@@ -600,26 +561,28 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
             a, b = -math.inf, math.inf
             tau = f.decay_exponent + 1.0 - s
             sings += [(math.inf, tau), (-math.inf, tau)]
-        v, e, _, conv = integrate_core(g, a, b, sings, spec, counter)
-        _require(conv, "Riesz potential", e, counter)
-        return k * float(v[0])
+        res = integrate_core(g, a, b, sings, spec, counter)
+        return k * float(res.require("Riesz potential")[0])
 
     # n >= 2: radial profile around x with declared r^(s-1) behavior at 0
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Riesz potential for n >= 2 needs a finite evaluation box")
     reach = _reach(box, pt)
+    ang_ok = True
 
     def radial(r: np.ndarray) -> np.ndarray:
-        s0, _, _ = angular_profile(
+        nonlocal ang_ok
+        prof = angular_profile(
             f.values, pt, r, n, tol=max(spec.abs_tol, spec.rel_tol) * 1e-2, counter=counter
         )
-        return r ** (s - 1.0) * s0
+        ang_ok = ang_ok and prof.converged
+        return r ** (s - 1.0) * prof.value
 
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    v, e, conv = _segment(radial, 0.0, reach, s - 1.0 if s < 1.0 else None, None, rel, absr, counter)
-    _require(conv, "Riesz potential", e, counter)
-    return k * float(np.atleast_1d(v)[0])
+    res = _segment(radial, 0.0, reach, s - 1.0 if s < 1.0 else None, None, rel, absr, counter)
+    res = replace(res, converged=res.converged and ang_ok)
+    return k * float(res.require("Riesz potential")[0])
 
 
 def riesz_potential_hyperplane(
@@ -770,15 +733,12 @@ def cube_kernel_integral(
         return (K / ch) @ (w * (hi - lo))
 
     counter = _Counter(spec.max_evals // len(rows))
-    flux, err, conv = _segment(
+    flux = _segment(
         boundary_sum, 0.0, 1.0, None, None, spec.rel_tol / 4.0, spec.abs_tol * abs(E - n), counter
     )
-    if not conv:
-        raise QuadratureBudgetError(
-            f"cube kernel integral did not converge (err ~ {abs(factor) * err:.3e} after "
-            f"{counter.used * len(rows)} evaluations)"
-        )
-    return factor * float(flux[0])
+    res = QuadResult(factor * float(flux.value[0]), abs(factor) * flux.err_estimate,
+                     flux.evals_used * len(rows), flux.converged)
+    return res.require("cube kernel integral")
 
 
 def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None) -> float:
@@ -807,9 +767,8 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
             g = lambda y: np.abs(y - x0) ** (-1.0 - beta)
             sings = [(math.inf, 1.0 + beta)] if math.isinf(b) else []
             sings += [(-math.inf, 1.0 + beta)] if math.isinf(a) else []
-            v, e, _, conv = integrate_core(g, a, b, sings, spec, counter)
-            _require(conv, "fractional Laplacian", e, counter)
-            total += float(v[0])
+            res = integrate_core(g, a, b, sings, spec, counter)
+            total += float(res.require("fractional Laplacian")[0])
         return const * sign * total
 
     if not f.is_smooth:
@@ -832,21 +791,21 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
         def kernel(y: np.ndarray) -> np.ndarray:
             return (f.values(y[:, None]) - fx) * np.abs(y - x0) ** (-1.0 - beta)
 
-        def annulus(r_in: float, r_out: float):
-            v1, e1, c1 = _segment(kernel, x0 + r_in, x0 + r_out, None, None, rel, absr, counter)
-            v2, e2, c2 = _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter)
-            return np.atleast_1d(v1 + v2), e1 + e2, c1 and c2
+        def annulus(r_in: float, r_out: float) -> QuadResult:
+            return (_segment(kernel, x0 + r_in, x0 + r_out, None, None, rel, absr, counter)
+                    + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
     else:
 
         def profile(r: np.ndarray) -> np.ndarray:
-            s0, _, _ = angular_profile(
+            nonlocal ang_ok
+            prof = angular_profile(
                 f.values, pt, r, n, tol=max(absr, rel) * 1e-2, counter=counter
             )
-            return r ** (-1.0 - beta) * (s0 - sphere_area(n) * fx)
+            ang_ok = ang_ok and prof.converged
+            return r ** (-1.0 - beta) * (prof.value - sphere_area(n) * fx)
 
-        def annulus(r_in: float, r_out: float):
-            v, e, c = _segment(profile, r_in, r_out, None, None, rel, absr, counter)
-            return np.atleast_1d(v), e, c
+        def annulus(r_in: float, r_out: float) -> QuadResult:
+            return _segment(profile, r_in, r_out, None, None, rel, absr, counter)
 
     far = -fx * sphere_area(n) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
     omega_n = ball_volume(n)
@@ -856,10 +815,11 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
             return 0.0
         return lap_x * omega_n * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
 
+    ang_ok = True
     delta = spec.near_radius or min(field_scale(f) / 2.0, reach / 4.0)
-    value, err, converged = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
-    _require(converged, "fractional Laplacian", err, counter)
-    return const * (float(value[0]) + far)
+    res = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
+    res = replace(res, converged=res.converged and ang_ok)
+    return const * (float(res.require("fractional Laplacian")[0]) + far)
 
 
 def field_scale(f: ScalarField) -> float:
@@ -906,21 +866,27 @@ def nl_gradient(
             dg = g.values(y[:, None]) - gx
             return np.sign(d) * np.abs(d) ** (-1.0 - alpha) * df * dg
 
-        v1, e1, c1 = _segment(kern, x0, x0 + reach, 1.0 - alpha, None, rel, absr, counter)
-        v2, e2, c2 = _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter)
-        _require(c1 and c2, "non-local gradient", e1 + e2, counter)
-        return mu(1, alpha) * np.atleast_1d(v1 + v2)
+        res = (_segment(kern, x0, x0 + reach, 1.0 - alpha, None, rel, absr, counter)
+               + _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter))
+        return mu(1, alpha) * res.require("non-local gradient")
+
+    ang_ok = True
 
     def moment(r: np.ndarray) -> np.ndarray:
+        nonlocal ang_ok
+
         def h(Y: np.ndarray) -> np.ndarray:
             return (f.values(Y) - fx) * (g.values(Y) - gx)
 
-        _, mom, _ = angular_profile(h, ptf, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True)
-        return r[:, None] ** (-1.0 - alpha) * mom
+        prof = angular_profile(
+            h, ptf, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True
+        )
+        ang_ok = ang_ok and prof.converged
+        return r[:, None] ** (-1.0 - alpha) * prof.value
 
-    v, e, c = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
-    _require(c, "non-local gradient", e, counter)
-    return mu(n, alpha) * np.atleast_1d(v)
+    res = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
+    res = replace(res, converged=res.converged and ang_ok)
+    return mu(n, alpha) * res.require("non-local gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1030,9 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
             return np.abs(fx[j] - fy) * np.abs(y - x0[j]) ** (-1.0 - alpha)
 
         v, e, c = _adaptive_batch(g, np.concatenate(a), np.concatenate(b), rel_in, abs_in, counter)
-        _require(bool(c.all()), "Gagliardo inner integral", float(e.max()), counter)
+        QuadResult(v, float(e.max()), counter.used, bool(c.all())).require(
+            "Gagliardo inner integral"
+        )
         sums = np.zeros((int(col.max()) + 1, x0.size))
         sums[col, node] = v
         for row in sums:
@@ -1263,10 +1231,10 @@ def frac_gradient_batch(
     ``axis_factors`` and the near targets have at most four times as many
     pairs of distinct coordinates as targets (a tensor grid has exactly as
     many), each factor is evaluated once per distinct coordinate and the sums
-    of all pairs are one GEMM per component; it sums in another order than
-    the matmul, so the two agree to rounding.  Accuracy is ~1e-8 relative for
-    the catalog's smooth fields; the test suite cross-checks against the
-    adaptive pointwise path.
+    of all pairs are one ``np.einsum`` product per component; it sums in
+    another order than the matmul, so the two agree to rounding.  Accuracy
+    is ~1e-8 relative for the catalog's smooth fields; the test suite
+    cross-checks against the adaptive pointwise path.
     """
     alpha = _check_alpha(alpha)
     if not (f.is_smooth and f.has_gradient):
@@ -1280,9 +1248,7 @@ def frac_gradient_batch(
             )
         spec = default_spec(3)
         counter = _Counter(spec.max_evals * X.shape[0])
-        value, err, converged = _grad_heat(f, alpha, X, spec, counter)
-        _require(converged, "batch gradient", float(np.max(err)), counter)
-        return value
+        return _grad_heat(f, alpha, X, spec, counter).require("batch gradient")
     if n > 3:
         raise UnsupportedFieldError(f"batch gradient implemented for n <= 3, not n = {n}")
     box = _field_box(f)
@@ -1358,13 +1324,16 @@ def frac_gradient_batch(
         u1, inv1 = np.unique(Xn[:, 1], return_inverse=True)
         if u0.size * u1.size <= 4 * Xn.shape[0]:
             # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
-            # distinct coordinates are one GEMM per component
+            # distinct coordinates are one matrix product per component, summed
+            # by einsum's own loop: a threaded BLAS GEMM rounds differently at
+            # different thread counts
             A = _blocked_rows(lambda s, e: factors[0](u0[s:e, None] + Zf[None, :, 0]),
                               u0.size, Zf.shape[0])  # (U0, K*T)
             B = _blocked_rows(lambda s, e: factors[1](u1[s:e, None] + Zf[None, :, 1]),
                               u1.size, Zf.shape[0])  # (U1, K*T)
             core = np.stack(
-                [((A * w_omega[:, i]) @ B.T)[inv0, inv1] for i in range(2)], axis=1
+                [np.einsum("uk,vk->uv", A * w_omega[:, i], B)[inv0, inv1] for i in range(2)],
+                axis=1,
             )
             out[near_idx] = mu(2, alpha) * (core + corr * grad_x)
             return out

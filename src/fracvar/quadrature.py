@@ -27,10 +27,17 @@ Design notes
   1-d heat convolutions (Gaussian subordination), use the trapezoid rule in
   u = log t (``log_trapezoid``), which converges exponentially for such
   integrands, with both ends summed as geometric series on the same grid.
+* Every routine above the Gauss--Kronrod loop returns a :class:`QuadResult`
+  (value, error estimate, evaluations, convergence flag), and results of
+  the pieces of one integral add with ``+``.  The panel routines
+  (``_gk15``, ``_adaptive``, ``_adaptive_batch``) keep raw tuples, which
+  ``_segment`` turns into a result.
 
 Balls and complements in n = 2, 3 factor into a radial integral of angular
 averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
 Gauss-Legendre x trapezoid product (n = 3), both with fixed node layouts.
+``angular_profile`` evaluates a level only if it fits into the budget, and
+its convergence flag is AND-ed into the result of the radial integral.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,15 +103,35 @@ def default_spec(n: int = 1) -> QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_estimate: float
+    """A quadrature value with its error estimate, the evaluations charged to
+    its counter when it finished, and whether it met its tolerance.
+
+    ``value`` is a float or an array; ``err_estimate`` is a float, or an
+    array of the value's shape where each entry has its own estimate
+    (``log_trapezoid``).  Results add: values and errors add, flags AND, and
+    ``evals_used`` is the larger reading, since the pieces of one integral
+    share one monotone ``_Counter`` and its last reading counts every
+    evaluation once.
+    """
+
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     evals_used: int
     converged: bool
 
-    def require(self) -> float:
+    def __add__(self, other: QuadResult) -> QuadResult:
+        return QuadResult(
+            self.value + other.value,
+            self.err_estimate + other.err_estimate,
+            max(self.evals_used, other.evals_used),
+            self.converged and other.converged,
+        )
+
+    def require(self, what: str = "quadrature") -> float | np.ndarray:
+        """The value, or QuadratureBudgetError naming ``what`` if it did not converge."""
         if not self.converged:
             raise QuadratureBudgetError(
-                f"quadrature did not converge (err ~ {self.err_estimate:.3e} after "
+                f"{what} did not converge (err ~ {_magnitude(self.err_estimate):.3e} after "
                 f"{self.evals_used} evaluations)"
             )
         return self.value
@@ -442,22 +469,22 @@ def _segment(
     rel_tol: float,
     abs_tol: float,
     counter: _Counter,
-) -> tuple[np.ndarray, float, bool]:
-    """Integrate f over [p, q] with optional declared endpoint exponents."""
+) -> QuadResult:
+    """Integrate f over [p, q] with optional declared endpoint exponents.
+
+    The value is ``_adaptive``'s value vector; ``evals_used`` reads ``counter``.
+    """
     if g_left is not None and g_right is not None:
         mid = 0.5 * (p + q)
-        v1, e1, c1 = _segment(f, p, mid, g_left, None, rel_tol, abs_tol / 2, counter)
-        v2, e2, c2 = _segment(f, mid, q, None, g_right, rel_tol, abs_tol / 2, counter)
-        return v1 + v2, e1 + e2, c1 and c2
-    if g_left is not None:
-        m = _power_m(g_left)
-        if m > 1:
-            return _adaptive(_mapped(f, p, q - p, m), 0.0, 1.0, rel_tol, abs_tol, counter)
-    if g_right is not None:
-        m = _power_m(g_right)
-        if m > 1:
-            return _adaptive(_mapped(f, q, p - q, m), 0.0, 1.0, rel_tol, abs_tol, counter)
-    return _adaptive(f, p, q, rel_tol, abs_tol, counter)
+        return (_segment(f, p, mid, g_left, None, rel_tol, abs_tol / 2, counter)
+                + _segment(f, mid, q, None, g_right, rel_tol, abs_tol / 2, counter))
+    g, lo, hi = f, p, q
+    if g_left is not None and _power_m(g_left) > 1:
+        g, lo, hi = _mapped(f, p, q - p, _power_m(g_left)), 0.0, 1.0
+    elif g_right is not None and _power_m(g_right) > 1:
+        g, lo, hi = _mapped(f, q, p - q, _power_m(g_right)), 0.0, 1.0
+    value, err, converged = _adaptive(g, lo, hi, rel_tol, abs_tol, counter)
+    return QuadResult(value, err, counter.used, converged)
 
 
 def _tail_segment(
@@ -468,7 +495,7 @@ def _tail_segment(
     rel_tol: float,
     abs_tol: float,
     counter: _Counter,
-) -> tuple[np.ndarray, float, bool]:
+) -> QuadResult:
     """Integrate f over [anchor, +inf) (direction=+1) or (-inf, anchor].
 
     Uses x = anchor + direction * s (1 - v)/v so the point at infinity maps to
@@ -494,10 +521,11 @@ def integrate_core(
     singularities: Sequence[tuple[float, float]] = (),
     spec: QuadSpec | None = None,
     counter: _Counter | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
+) -> QuadResult:
     """Shared integration plan; f may be vector-valued (returns (m, k) arrays).
 
-    Returns (value vector, error estimate, evaluations, converged).
+    Returns the result with a value vector; ``evals_used`` reads the counter,
+    which callers may share across several integrals.
     """
     spec = spec or QuadSpec()
     if not a < b:
@@ -540,24 +568,15 @@ def integrate_core(
     abs_seg = spec.abs_tol / max(nseg, 1) / 2.0
 
     counter = counter or _Counter(spec.max_evals)
-    total: np.ndarray | None = None
-    err = 0.0
-    converged = True
-
-    def accumulate(v: np.ndarray, e: float, c: bool) -> None:
-        nonlocal total, err, converged
-        total = v if total is None else total + v
-        err += e
-        converged &= c
-
-    for p, q in zip(edges[:-1], edges[1:]):
-        accumulate(*_segment(f, p, q, points.get(p), points.get(q), rel_seg, abs_seg, counter))
+    pieces = [_segment(f, p, q, points.get(p), points.get(q), rel_seg, abs_seg, counter)
+              for p, q in zip(edges[:-1], edges[1:])]
     if anchor_hi is not None:
-        accumulate(*_tail_segment(f, anchor_hi, float(tail_hi), +1, rel_seg, abs_seg, counter))
+        pieces.append(_tail_segment(f, anchor_hi, float(tail_hi), +1, rel_seg, abs_seg, counter))
     if anchor_lo is not None:
-        accumulate(*_tail_segment(f, anchor_lo, float(tail_lo), -1, rel_seg, abs_seg, counter))
-    converged = converged and counter.used <= spec.max_evals
-    return np.atleast_1d(total), err, counter.used, converged
+        pieces.append(_tail_segment(f, anchor_lo, float(tail_lo), -1, rel_seg, abs_seg, counter))
+    total = sum(pieces[1:], pieces[0])
+    return QuadResult(np.atleast_1d(total.value), total.err_estimate, counter.used,
+                      total.converged and counter.used <= spec.max_evals)
 
 
 def integrate_1d(
@@ -575,8 +594,8 @@ def integrate_1d(
     that end (required g > 1).  Infinite endpoints require a matching tail
     declaration, either here or through ``spec.tail_exponent``.
     """
-    value, err, used, converged = integrate_core(f, a, b, singularities, spec)
-    return QuadResult(value=float(value[0]), err_estimate=err, evals_used=used, converged=converged)
+    res = integrate_core(f, a, b, singularities, spec)
+    return replace(res, value=float(res.value[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +617,7 @@ def log_trapezoid(
     scale: float,
     spec: QuadSpec,
     counter: _Counter,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> QuadResult:
     """int_0^inf t^(b-1) F(t) dt by the trapezoid rule in u = log t.
 
     ``F(t, check)`` returns the integrand factor at the nodes ``t`` as an
@@ -625,7 +644,7 @@ def log_trapezoid(
       meets max(abs_tol, rel_tol * |value|), |value| the max-norm over the
       last axis, or the budget runs out.
 
-    Returns (value, err, converged), value and err of F's per-node shape.
+    Returns the result with value and err_estimate of F's per-node shape.
     """
     h = _LOG_T_STEP
     u_hi = math.log(_HEAT_T_MAX / scale**2)
@@ -659,7 +678,7 @@ def log_trapezoid(
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.max(np.abs(value), axis=-1, keepdims=True))
         within_budget = counter.used <= counter.budget
         if bool(np.all(err <= tol)) or not within_budget or level == _LOG_T_LEVELS:
-            return value, err, bool(np.all(err <= tol)) and within_budget
+            return QuadResult(value, err, counter.used, bool(np.all(err <= tol)) and within_budget)
         # halve the step: the new nodes sit midway between the current ones
         coarse = value
         h /= 2.0
@@ -698,56 +717,51 @@ def angular_profile(
     tol: float,
     counter: _Counter,
     moments: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """Sphere integrals S0(r) = int f(c + r w) dw and optionally M_i(r) = int w_i f dw.
+) -> QuadResult:
+    """Sphere integrals S0(r) = int f(c + r w) dw, or the moments M_i(r) = int w_i f dw.
 
     Vectorized over the radius batch ``r``; node counts double until the whole
-    batch is below ``tol`` (absolute, on the max-norm of the increment).
+    batch is below ``tol`` (absolute, on the max-norm of the increment of S0
+    and, with ``moments``, of M).  The value is M with ``moments``, else S0,
+    and the error estimate is the last increment.  A level is evaluated only
+    if its nodes fit into what is left of the counter's budget (the first
+    level always is); a call that would overrun the budget, or that reaches
+    the finest level (8192 circle nodes, 256 x 512 sphere nodes) without
+    meeting ``tol``, returns the last level it evaluated, unconverged.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    prev0 = None
-    prevM = None
     if n == 2:
-        m = 32
-        while True:
-            omega = _circle_nodes(m)
-            pts = center[None, None, :] + r[:, None, None] * omega[None, :, :]
-            ok = counter.add(pts.shape[0] * pts.shape[1])
-            vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(r.size, m)
-            s0 = vals.mean(axis=1) * 2.0 * math.pi
-            mom = None
-            if moments:
-                mom = (vals[:, :, None] * omega[None, :, :]).mean(axis=1) * 2.0 * math.pi
-            if prev0 is not None:
-                delta = float(np.max(np.abs(s0 - prev0)))
-                if moments:
-                    delta = max(delta, float(np.max(np.abs(mom - prevM))))
-                if delta <= tol or m >= 8192 or not ok:
-                    return s0, mom, delta <= tol and ok
-            prev0, prevM = s0, mom
-            m *= 2
+        levels = [(1, 32 << k) for k in range(9)]
     elif n == 3:
-        q, m = 8, 16
-        while True:
-            omega, w = _sphere_nodes(q, m)
-            pts = center[None, None, :] + r[:, None, None] * omega[None, :, :]
-            ok = counter.add(pts.shape[0] * pts.shape[1])
-            vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(r.size, -1)
-            s0 = vals @ w
-            mom = None
-            if moments:
-                mom = np.einsum("rk,k,ki->ri", vals, w, omega)
-            if prev0 is not None:
-                delta = float(np.max(np.abs(s0 - prev0)))
-                if moments:
-                    delta = max(delta, float(np.max(np.abs(mom - prevM))))
-                if delta <= tol or q >= 256 or not ok:
-                    return s0, mom, delta <= tol and ok
-            prev0, prevM = s0, mom
-            q *= 2
-            m *= 2
+        levels = [(8 << k, 16 << k) for k in range(6)]
     else:
         raise ValueError(f"angular_profile supports n in {{2, 3}}, got {n}")
+    prev, delta = None, math.inf
+    for q, m in levels:
+        size = r.size * q * m
+        if prev is not None and counter.used + size > counter.budget:
+            break
+        counter.add(size)
+        if n == 2:
+            omega = _circle_nodes(m)
+            vals = np.asarray(f((center + r[:, None, None] * omega).reshape(-1, 2)),
+                              dtype=float).reshape(r.size, m)
+            s0 = vals.mean(axis=1) * 2.0 * math.pi
+            mom = (vals[:, :, None] * omega).mean(axis=1) * 2.0 * math.pi if moments else None
+        else:
+            omega, w = _sphere_nodes(q, m)
+            vals = np.asarray(f((center + r[:, None, None] * omega).reshape(-1, 3)),
+                              dtype=float).reshape(r.size, -1)
+            s0 = vals @ w
+            mom = np.einsum("rk,k,ki->ri", vals, w, omega) if moments else None
+        if prev is not None:
+            delta = float(np.max(np.abs(s0 - prev[0])))
+            if moments:
+                delta = max(delta, float(np.max(np.abs(mom - prev[1]))))
+            if delta <= tol:
+                return QuadResult(mom if moments else s0, delta, counter.used, True)
+        prev = (s0, mom)
+    return QuadResult(prev[1] if moments else prev[0], delta, counter.used, False)
 
 
 def _as_point_fn(f: Callable[[np.ndarray], np.ndarray], n: int):
@@ -780,14 +794,17 @@ def integrate_ball(
         return integrate_1d(g, center[0] - radius, center[0] + radius, spec=spec)
     counter = _Counter(spec.max_evals)
     ang_tol = max(spec.abs_tol / radius ** (n - 1), spec.rel_tol) * 1e-2
+    ang_ok = True
 
     def radial(r: np.ndarray) -> np.ndarray:
-        s0, _, _ = angular_profile(f, center, r, n, ang_tol, counter)
-        return r ** (n - 1) * s0
+        nonlocal ang_ok
+        prof = angular_profile(f, center, r, n, ang_tol, counter)
+        ang_ok = ang_ok and prof.converged
+        return r ** (n - 1) * prof.value
 
-    v, e, c = _segment(radial, 0.0, radius, None, None, spec.rel_tol / 2, spec.abs_tol / 2, counter)
-    c = c and counter.used <= spec.max_evals
-    return QuadResult(float(v[0]), e, counter.used, c)
+    res = _segment(radial, 0.0, radius, None, None, spec.rel_tol / 2, spec.abs_tol / 2, counter)
+    return QuadResult(float(res.value[0]), res.err_estimate, counter.used,
+                      res.converged and ang_ok and counter.used <= spec.max_evals)
 
 
 def integrate_complement(
@@ -812,8 +829,10 @@ def integrate_complement(
         raise ValueError(f"tail_exponent must exceed n = {n} for convergence")
     counter = _Counter(spec.max_evals)
     ang_tol = max(spec.abs_tol, spec.rel_tol) * 1e-2
+    ang_ok = True
 
     def shell_density(r: np.ndarray) -> np.ndarray:
+        nonlocal ang_ok
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if n == 1:
             pts = np.concatenate([center[0] + r, center[0] - r])
@@ -821,33 +840,27 @@ def integrate_complement(
             vals = np.asarray(f(pts[:, None]), dtype=float)
             s0 = vals[: r.size] + vals[r.size :]
         else:
-            s0, _, _ = angular_profile(f, center, r, n, ang_tol, counter)
+            prof = angular_profile(f, center, r, n, ang_tol, counter)
+            ang_ok = ang_ok and prof.converged
+            s0 = prof.value
         return r ** (n - 1) * s0
 
-    total = 0.0
-    err = 0.0
-    converged = True
+    total = QuadResult(0.0, 0.0, 0, True)
     r_lo = radius
     for _ in range(140):
         r_hi = 2.0 * r_lo
-        v, e, c = _segment(
+        total = total + _segment(
             shell_density, r_lo, r_hi, None, None, spec.rel_tol / 4, spec.abs_tol / 4, counter
         )
-        total += float(v[0])
-        err += e
-        converged &= c
         g_end = float(shell_density(np.array([r_hi]))[0])
         closure = g_end * r_hi / (tail_exponent - n)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if abs(closure) <= 0.5 * tol:
-            total += closure
-            err += 0.5 * abs(closure)
+        if abs(closure) <= 0.5 * max(spec.abs_tol, spec.rel_tol * _magnitude(total.value)):
+            total = total + QuadResult(closure, 0.5 * abs(closure), 0, True)
             break
         if counter.used > spec.max_evals:
-            converged = False
             break
         r_lo = r_hi
     else:
-        converged = False
-    converged = converged and counter.used <= spec.max_evals
-    return QuadResult(total, err, counter.used, converged)
+        total = replace(total, converged=False)
+    return QuadResult(float(total.value[0]), total.err_estimate, counter.used,
+                      total.converged and ang_ok and counter.used <= spec.max_evals)

@@ -29,7 +29,7 @@ from .fields import (
     SmoothBump,
     VectorField,
 )
-from .quadrature import OffsetIntegrand, QuadResult, QuadSpec, integrate_1d
+from .quadrature import OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre, integrate_1d
 
 __all__ = [
     "CaseResult",
@@ -126,17 +126,6 @@ def _default_ibp_fields_2d() -> tuple[ScalarField, VectorField]:
     return f, phi
 
 
-def _gl_grid_1d(lo: float, hi: float, panels: int = 12, order: int = 16):
-    gl_t, gl_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    xs, ws = [], []
-    for p, q in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (p + q), 0.5 * (q - p)
-        xs.append(mid + half * gl_t)
-        ws.append(half * gl_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float], order: int = 16,
                      max_width: float = 0.8):
     """Composite Gauss-Legendre grid with panel edges at the given cut points.
@@ -144,7 +133,7 @@ def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float], order: int = 1
     Bump-type fields are non-analytic at their support edges; aligning panel
     boundaries there keeps the composite rule spectrally accurate.
     """
-    gl_t, gl_w = np.polynomial.legendre.leggauss(order)
+    gl_t, gl_w = gauss_legendre(order)
     edges = sorted({lo, hi, *[c for c in cuts if lo < c < hi]})
     xs, ws = [], []
     for p, q in zip(edges[:-1], edges[1:]):

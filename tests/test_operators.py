@@ -89,9 +89,9 @@ class TestFracGradient:
         assert np.max(np.abs(batch - point)) < 1e-5 * np.max(np.abs(point))
 
     def test_batch_per_axis_path_matches_generic_2d(self):
-        # tensor grids take the GEMM over distinct coordinates, scattered
-        # points the chunked path; the GEMM sums in another order, so the two
-        # agree to rounding, not bit for bit
+        # tensor grids take the einsum over distinct coordinates, scattered
+        # points the chunked path; the einsum sums in another order, so the
+        # two agree to rounding, not bit for bit
         f = SmoothBump(center=(0.1, 0.2), width=(1.0, 1.3))
 
         def grid(xs, ys):
@@ -111,6 +111,28 @@ class TestFracGradient:
             sub = np.union1d(np.arange(0, len(P), max(1, len(P) // 50)), np.argmax(reach))
             generic = ops.frac_gradient_batch(_PlainField(f), 0.5, P[sub], **kw)
             assert np.max(np.abs(factored[sub] - generic)) <= 1e-14 * np.max(np.abs(generic))
+
+    def test_batch_tensor_grid_bit_identical_across_blas_threads(self):
+        # the 70 x 70 grid of the ibp_2d case, where a threaded BLAS GEMM
+        # rounded the sums over distinct coordinates differently
+        code = (
+            "import numpy as np\n"
+            "from fracvar import operators as ops\n"
+            "from fracvar.fields import SmoothBump\n"
+            "f = SmoothBump(center=(-0.2, 0.15), width=(1.0, 1.4))\n"
+            "u = np.linspace(-1.5, 1.7, 70)\n"
+            "P = np.stack(np.meshgrid(u, u - 0.2, indexing='ij'), axis=-1).reshape(-1, 2)\n"
+            "g = ops.frac_gradient_batch(f, 0.5, P, n_theta=96, radial_order=10, panel_cap=1.2)\n"
+            "print(g.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert res.returncode == 0, res.stderr[-2000:]
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_batch_n3_unsupported(self):
         # n = 3 batches need heat_factors; the wrapper hides the bump's
@@ -310,14 +332,14 @@ class TestSubordination:
         f = SmoothBump(center=(0.1,), width=1.3)
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
         X = np.array([[0.3], [-0.9], [1.35], [2.5]])
-        value, err, conv = ops._grad_heat(f, a, X, spec, _Counter(spec.max_evals))
+        res = ops._grad_heat(f, a, X, spec, _Counter(spec.max_evals))
         ref_spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-15)
         ref = np.array([ops.frac_gradient(f, a, x, ref_spec)[0] for x in X[:, 0]])
-        assert conv
-        assert np.max(np.abs(value[:, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert res.converged
+        assert np.max(np.abs(res.value[:, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
         # the estimate covers the error of the panel sums for G_t, which
         # dominates once the trapezoid sums in log t have converged
-        assert np.all(np.abs(value[:, 0] - ref) <= err[:, 0])
+        assert np.all(np.abs(res.value[:, 0] - ref) <= res.err_estimate[:, 0])
 
     def test_bump_2d_matches_annulus(self):
         # the wrapper has no heat_factors, so it takes the annulus route
@@ -632,6 +654,41 @@ def _cube_sphere_reference(beta: float, p) -> float:
         for a, b in zip(edges[:-1], edges[1:])
     )
     return -nu(3, beta) * val / beta
+
+
+class TestAngularProfileFlag:
+    """An angular profile that stops short of its tolerance makes the
+    operator's result unconverged, even where the radial integral over the
+    profiles meets its own tolerance."""
+
+    @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
+    def test_short_profile_raises(self, op, monkeypatch):
+        f = Gaussian(center=(0.1, -0.2), width=1.0)
+        x = (0.3, 0.2)
+        used = []
+        profile = ops.angular_profile
+
+        def spy(*args, **kw):
+            res = profile(*args, **kw)
+            used.append(kw["counter"].used if "counter" in kw else args[5].used)
+            return res
+
+        monkeypatch.setattr(ops, "angular_profile", spy)
+        value = op(f, 0.5, x)
+        budget = used[-1]  # the last evaluation is the last profile's finest level
+        assert op(f, 0.5, x, QuadSpec(rel_tol=1e-6, max_evals=budget)) == value
+        with pytest.raises(QuadratureBudgetError):
+            op(f, 0.5, x, QuadSpec(rel_tol=1e-6, max_evals=budget - 1))
+
+    def test_annulus_gradient_stays_within_budget(self):
+        # a field without heat_factors takes the annulus in n = 3; a level of
+        # the angular profile that does not fit into the budget is not evaluated
+        f = ProductField(left=Gaussian(center=(0.0, 0.0, 0.0)),
+                         right=SmoothBump(center=(0.1, 0.0, 0.0), width=1.0))
+        spec = default_spec(3)
+        res = ops.frac_gradient(f, 0.5, (0.4, -0.3, 0.2), detail=True)
+        assert not res.converged
+        assert res.evals_used <= 1.01 * spec.max_evals
 
 
 class TestCubeKernelIntegral:

@@ -11,10 +11,14 @@ from fracvar.constants import gamma
 from fracvar.quadrature import (
     NonIntegrableSingularityError,
     OffsetIntegrand,
+    QuadratureBudgetError,
+    QuadResult,
     QuadSpec,
     _adaptive,
     _adaptive_batch,
     _Counter,
+    _segment,
+    angular_profile,
     integrate_1d,
     integrate_ball,
     integrate_complement,
@@ -185,6 +189,59 @@ class TestAdaptiveBatch:
         _, err, conv = _adaptive(f, a, b, 1e-9, 1e-12, counter)
         assert not conv
         assert counter.used < 50_000
+
+
+class TestQuadResult:
+    def test_sum_adds_values_and_errors_and_ands_flags(self):
+        a = QuadResult(np.array([1.0, -2.0]), 0.25, 30, True)
+        b = QuadResult(np.array([0.5, 4.0]), 0.5, 45, False)
+        s = a + b
+        assert np.array_equal(s.value, [1.5, 2.0])
+        assert s.err_estimate == 0.75
+        assert s.evals_used == 45
+        assert s.converged is False
+        assert (a + a).converged is True
+
+    def test_sum_counts_shared_evaluations_once(self):
+        counter = _Counter(10**6)
+        left = _segment(np.cos, 0.0, 1.0, None, None, 1e-10, 1e-13, counter)
+        right = _segment(np.exp, 1.0, 2.0, None, None, 1e-10, 1e-13, counter)
+        total = left + right
+        assert 0 < left.evals_used < right.evals_used == counter.used
+        assert total.evals_used == counter.used
+        assert total.converged
+        assert total.value[0] == pytest.approx(math.sin(1.0) + math.e**2 - math.e, rel=1e-12)
+
+    def test_require_names_the_quantity(self):
+        assert QuadResult(2.0, 0.0, 1, True).require("area") == 2.0
+        # an array of estimates is reported by its largest entry
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"^area did not converge \(err ~ 3\.0+e-01"):
+            QuadResult(2.0, np.array([0.1, 0.3]), 7, False).require("area")
+
+
+class TestAngularProfile:
+    def _narrow(self, p: np.ndarray) -> np.ndarray:
+        return np.exp(-1e4 * np.sum((p - 0.4) ** 2, axis=1))
+
+    @pytest.mark.parametrize("n, area", [(2, 2.0 * math.pi), (3, 4.0 * math.pi)])
+    def test_sphere_area(self, n, area):
+        res = angular_profile(lambda p: np.ones(p.shape[0]), np.zeros(n), [0.5, 2.0], n, 1e-12,
+                              _Counter(10**6))
+        assert res.converged
+        assert np.allclose(res.value, area, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stops_before_a_level_past_the_budget(self, n):
+        # a narrow peak off the center needs the finest levels; the budget
+        # admits only a few, and no level is evaluated past it
+        r = np.linspace(0.5, 0.8, 15)
+        counter = _Counter(20_000)
+        res = angular_profile(self._narrow, np.zeros(n), r, n, 1e-10, counter, moments=True)
+        assert not res.converged
+        assert res.value.shape == (15, n)
+        assert 0 < counter.used <= counter.budget
+        assert res.evals_used == counter.used
 
 
 class TestQuadSpec:
