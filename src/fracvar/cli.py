@@ -1,7 +1,8 @@
 """Command-line interface: constants tables, operator evaluation, oracles, suites.
 
 Exit codes: 0 success (for ``verify``: all cases pass), 1 any ``verify``
-case failed, 2 usage error, 3 quadrature budget exceeded.
+case failed, 2 usage error (also an unknown ``--quad`` or config ``"quad"``
+field), 3 quadrature budget exceeded.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     field = _load_field_arg(args.field)
     pts = _parse_points(args.points, field.dim)
-    spec = QuadSpec(**json.loads(args.quad)) if args.quad else None
+    spec = QuadSpec.from_overrides(json.loads(args.quad)) if args.quad else None
     rows = []
     for p in pts:
         if args.op == "grad":
@@ -133,7 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
         reports, code = run_all(config)
     else:
-        spec = QuadSpec(**config["quad"]) if "quad" in config else None
+        spec = QuadSpec.from_overrides(config["quad"]) if "quad" in config else None
         report = run_suite(args.suite, config.get("alphas"), spec)
         reports, code = [report], (0 if report.passed else 1)
     csv_text = reports_to_csv(reports)

@@ -5,7 +5,8 @@ support box, algebraic tail rate, singular set, smoothness, and (for smooth
 entries) closed-form first and second derivatives used by near-field
 corrections.  Raw ``values`` are total functions (indicator boundaries give 0,
 within-ulp singular hits give 0); the public :func:`eval` refuses declared
-singular points instead.
+singular points instead.  Operators pick their path from traits, not classes:
+an indicator's ``region`` and a tensor product's per-axis ``heat_factors``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .constants import ball_volume, mu, nu
-from .quadrature import QuadSpec, gauss_legendre, integrate_1d, integrate_ball
+from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_legendre,
+                         integrate_1d, integrate_ball)
 
 __all__ = [
     "ScalarField",
     "VectorField",
     "HalfSpace",
+    "AxisBox",
     "SignedMeasure",
     "SingularPointError",
     "UnsupportedFieldError",
@@ -48,10 +51,6 @@ __all__ = [
     "d_alpha_measure",
     "field_from_json",
 ]
-
-
-class SingularPointError(ValueError):
-    """Evaluation requested at a declared singular point."""
 
 
 class UnsupportedFieldError(ValueError):
@@ -112,6 +111,17 @@ class HalfSpace:
         return HalfSpace(nu=tuple(float(v) for v in n), x0=tuple(float(v) for v in x0))
 
 
+@dataclass(frozen=True)
+class AxisBox:
+    """Open axis box lo < y < hi.  A cube keeps the center and half-width it
+    was built from, since (lo + hi)/2 need not round back to its center."""
+
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    center: tuple[float, ...] | None = None
+    half_width: float | None = None
+
+
 # ---------------------------------------------------------------------------
 # Scalar fields
 # ---------------------------------------------------------------------------
@@ -132,7 +142,10 @@ class ScalarField:
     # -- metadata -----------------------------------------------------------
     @property
     def support_box(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return None  # unbounded by default
+        """The closed box outside which the field vanishes: the region of an
+        axis-box indicator, unbounded by default."""
+        box = self.region
+        return (np.array(box.lo), np.array(box.hi)) if isinstance(box, AxisBox) else None
 
     @property
     def quad_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +186,9 @@ class ScalarField:
         return 1.0
 
     @property
-    def axis_factors(self) -> tuple | None:
-        """Per-axis 1-d callables whose product, taken in axis order, is
-        ``values``; None unless the field is a tensor product of profiles."""
+    def region(self) -> HalfSpace | AxisBox | None:
+        """The set the field is the indicator of (a half-space, or an axis box,
+        an interval in n = 1); None unless the field is an indicator."""
         return None
 
     @property
@@ -316,10 +329,6 @@ def _bump_1d(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_axis(center: float, width: float, y: np.ndarray) -> np.ndarray:
-    return _bump_1d((y - center) / width)
-
-
 def _bump_1d_d1(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
@@ -383,7 +392,7 @@ class _BumpAxis:
     width: float
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return _bump_axis(self.center, self.width, y)
+        return _bump_1d((y - self.center) / self.width)
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return _bump_1d_d1((y - self.center) / self.width) / self.width
@@ -457,16 +466,12 @@ class SmoothBump(ScalarField):
     def heat_factors(self) -> tuple:
         return tuple(_BumpAxis(c, w) for c, w in zip(self.center, self.width))
 
-    @property
-    def axis_factors(self) -> tuple:
-        return self.heat_factors
-
     def _t(self, X: np.ndarray) -> np.ndarray:
         return (X - np.asarray(self.center)) / np.asarray(self.width)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         out = np.ones(X.shape[0])
-        for i, factor in enumerate(self.axis_factors):
+        for i, factor in enumerate(self.heat_factors):
             out = out * factor(X[:, i])
         return out
 
@@ -519,8 +524,8 @@ class IntervalIndicator(ScalarField):
         return 1
 
     @property
-    def support_box(self):
-        return np.array([self.a]), np.array([self.b])
+    def region(self) -> AxisBox:
+        return AxisBox((self.a,), (self.b,))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
@@ -555,9 +560,10 @@ class CubeIndicator(ScalarField):
         return self.ndim
 
     @property
-    def support_box(self):
+    def region(self) -> AxisBox:
         c = np.asarray(self.center)
-        return c - self.half_width, c + self.half_width
+        lo, hi = (c - self.half_width).tolist(), (c + self.half_width).tolist()
+        return AxisBox(tuple(lo), tuple(hi), self.center, self.half_width)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         lo, hi = self.support_box
@@ -611,6 +617,10 @@ class HalfSpaceIndicator(ScalarField):
     @property
     def decay_exponent(self) -> float:
         return 0.0  # bounded, no decay
+
+    @property
+    def region(self) -> HalfSpace:
+        return self.halfspace
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.halfspace.signed_distance(X) > 0.0, 1.0, 0.0)
@@ -796,8 +806,6 @@ class MagicCube(ScalarField):
         return np.where(np.isfinite(out), out, 0.0)
 
     def _value_nd(self, p: np.ndarray) -> float:
-        from .operators import cube_kernel_integral  # local import, avoids a cycle
-
         n, a = self.ndim, self.alpha
         c = nu(n, 1.0 - a)
         inside = bool(np.all(np.abs(p) < 1.0))

@@ -17,16 +17,18 @@ fractional Laplacian sharing the same singular-kernel machinery:
   grad f(x) (resp. the Laplacian correction for the fractional Laplacian);
   delta is then halved, adding back annular shells, until the value
   stabilizes within tolerance,
-* indicator fields: the kernel integral over the indicator's region is
-  decomposed geometrically, since generic cubature cannot see the jump:
-  interval pieces and spherical wedges with exact angular moments reduce to
-  declared-singularity radial integrals, and a cube's kernel integral becomes
-  a sum of smooth face fluxes by the divergence theorem,
+* indicator fields, which declare their ``region``: the kernel integral over
+  the region is decomposed geometrically, since generic cubature cannot see
+  the jump: interval pieces and spherical wedges with exact angular moments
+  reduce to declared-singularity radial integrals, and a cube's kernel
+  integral (``cube_kernel_integral``, the Laplacian and the Riesz potential
+  in n >= 2) becomes a sum of smooth face fluxes by the divergence theorem,
 * the f(x) kernel term is cancelled exactly by odd symmetry over every sphere
   centered at x, so only f(y) itself is ever integrated for the gradient.
 
 Every evaluation path returns a :class:`~fracvar.quadrature.QuadResult`,
-with the convergence flags of its angular profiles AND-ed in.  The public
+with the convergence flags of its angular profiles AND-ed in; an angular
+profile's tolerance is relative to the field's ``sup_norm_bound``.  The public
 operators return the value if it converged and raise QuadratureBudgetError
 otherwise; ``frac_gradient(detail=True)`` returns the result itself.
 
@@ -44,18 +46,19 @@ import numpy as np
 
 from .constants import ball_volume, gamma, mu, nu, sphere_area
 from .fields import (
-    CubeIndicator,
+    AxisBox,
     Gaussian,
-    HalfSpaceIndicator,
-    IntervalIndicator,
+    HalfSpace,
+    OddBumpPair,
+    OddPlateau,
     ScalarField,
     SingularPointError,
+    SmoothBump,
     UnsupportedFieldError,
     VectorField,
     as_points,
 )
 from .quadrature import (
-    NonIntegrableSingularityError,
     OffsetIntegrand,
     QuadResult,
     QuadSpec,
@@ -65,6 +68,7 @@ from .quadrature import (
     _segment,
     _tail_segment,
     angular_profile,
+    cube_kernel_integral,
     default_spec,
     gauss_legendre,
     integrate_1d,
@@ -136,6 +140,19 @@ def _box_radial_range(box, x: np.ndarray) -> tuple[float, float]:
     lo, hi = box
     gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
     return float(np.linalg.norm(gap)), _reach(box, x)
+
+
+def _profiles(values, center, n, abs_tol, rel_tol, bound, counter, moments=False):
+    """``profile(r)``, the ``angular_profile`` of ``values`` about center to a
+    tolerance relative to the sup-norm ``bound``, and the list of its flags."""
+    tol, flags = max(abs_tol, rel_tol * bound) * 1e-2, []
+
+    def profile(r: np.ndarray) -> np.ndarray:
+        prof = angular_profile(values, center, r, n, tol=tol, counter=counter, moments=moments)
+        flags.append(prof.converged)
+        return prof.value
+
+    return profile, flags
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +247,8 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         return field.values_from_offsets(dy) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
 
     kernel = OffsetIntegrand(kernel)
+    profile, flags = _profiles(field.values, x, n, absr, rel, field.sup_norm_bound, counter,
+                               moments=True)
 
     if box is not None:
         d_min, d_max = _box_radial_range(box, x)
@@ -298,12 +317,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     else:
 
         def moment(r: np.ndarray) -> np.ndarray:
-            nonlocal ang_ok
-            prof = angular_profile(
-                field.values, x, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True
-            )
-            ang_ok = ang_ok and prof.converged
-            return r[:, None] ** (-1.0 - alpha) * prof.value
+            return r[:, None] ** (-1.0 - alpha) * profile(r)
 
         def annulus(r_in: float, r_out: float) -> QuadResult:
             r_in = max(r_in, d_min)
@@ -314,12 +328,11 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     def corr(d: float) -> np.ndarray:
         return omega_n * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
 
-    ang_ok = True
-    delta = spec.near_radius or min(field.smooth_scale / 2.0, reach / 4.0)
+    delta = min(field.smooth_scale / 2.0, reach / 4.0)
     core = _shrink_annulus(annulus, corr, delta, reach, tail.value, spec, counter)
     return QuadResult(mu(n, alpha) * (core.value + tail.value),
                       abs(mu(n, alpha)) * (core.err_estimate + tail.err_estimate),
-                      counter.used, core.converged and ang_ok)
+                      counter.used, core.converged and all(flags))
 
 
 def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, counter: _Counter):
@@ -382,36 +395,22 @@ def _segment_with_sings(
     return sum(pieces[1:], pieces[0])
 
 
-def _region_intervals(field: ScalarField) -> tuple[tuple[float, float], ...]:
-    if isinstance(field, IntervalIndicator):
-        return ((field.a, field.b),)
-    if isinstance(field, CubeIndicator) and field.dim == 1:
-        lo, hi = field.support_box
-        return ((float(lo[0]), float(hi[0])),)
-    if isinstance(field, HalfSpaceIndicator) and field.dim == 1:
-        nu_1 = field.halfspace.nu[0]
-        x0 = field.halfspace.x0[0]
-        return ((x0, math.inf),) if nu_1 > 0 else ((-math.inf, x0),)
-    raise UnsupportedFieldError(f"no interval decomposition for {field.kind}")
-
-
-def _complement_intervals(pieces) -> tuple[tuple[float, float], ...]:
-    out = []
-    prev = -math.inf
-    for a, b in sorted(pieces):
-        if prev < a:
-            out.append((prev, a))
-        prev = b
-    if prev < math.inf:
-        out.append((prev, math.inf))
-    return tuple(out)
+def _jump_pieces(region, inside: bool):
+    """The pieces where chi(y) - chi(x) != 0 for the indicator chi of an n = 1
+    region (an interval or a half-line) and x inside or outside, and its sign."""
+    if isinstance(region, HalfSpace):
+        x0 = region.x0[0]
+        lo, hi = (x0, math.inf) if region.nu[0] > 0 else (-math.inf, x0)
+    else:
+        lo, hi = region.lo[0], region.hi[0]
+    if not inside:
+        return ((lo, hi),), 1.0
+    return tuple((a, b) for a, b in ((-math.inf, lo), (hi, math.inf)) if a < b), -1.0
 
 
 def _grad_indicator_1d(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    region = _region_intervals(field)
     fx = float(field.values(x[None, :])[0])
-    pieces = _complement_intervals(region) if fx == 1.0 else region
-    sign = -1.0 if fx == 1.0 else 1.0
+    pieces, sign = _jump_pieces(field.region, fx == 1.0)
     counter = _Counter(spec.max_evals)
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
     x0 = float(x[0])
@@ -424,24 +423,18 @@ def _grad_indicator_1d(field: ScalarField, alpha: float, x: np.ndarray, spec: Qu
     total = QuadResult(0.0, 0.0, 0, True)
     for a, b in pieces:
         sings = [(x0, -1.0 - alpha)] if not (a <= x0 <= b) else []
-        if math.isinf(b):
-            total = total + integrate_core(
-                kernel, a, math.inf, sings + [(math.inf, 1.0 + alpha)], piece_spec, counter
-            )
-        elif math.isinf(a):
-            total = total + integrate_core(
-                kernel, -math.inf, b, sings + [(-math.inf, 1.0 + alpha)], piece_spec, counter
-            )
+        tails = [(e, 1.0 + alpha) for e in (a, b) if math.isinf(e)]
+        if tails:
+            total = total + integrate_core(kernel, a, b, sings + tails, piece_spec, counter)
         else:
             total = total + _segment(kernel, a, b, None, None, rel, absr, counter)
     return QuadResult(np.array([mu(1, alpha) * sign * float(total.value[0])]),
                       abs(mu(1, alpha)) * total.err_estimate, counter.used, total.converged)
 
 
-def _grad_halfspace(field: HalfSpaceIndicator, alpha: float, x: np.ndarray, spec: QuadSpec):
+def _grad_halfspace(H: HalfSpace, alpha: float, x: np.ndarray, spec: QuadSpec):
     """Wedge reduction: exact angular moments of the cap, numeric radial integral."""
-    n = field.dim
-    H = field.halfspace
+    n = H.dim
     d = float(H.signed_distance(x[None, :])[0])
     if d == 0.0:
         raise SingularPointError("point lies on the boundary hyperplane")
@@ -486,9 +479,10 @@ def frac_gradient(
     of the evaluation: the gradient vector as its value, the error estimate,
     the evaluation count and the convergence flag.  Without it the vector is
     returned only if it converged, and QuadratureBudgetError is raised
-    otherwise.  In n >= 2, fields with ``heat_factors`` take the
-    Gaussian subordination route (``_grad_heat``), other smooth fields the
-    Taylor-corrected annulus.
+    otherwise.  The path follows the field's traits: an indicator's
+    ``region`` (interval pieces in n = 1, the half-space wedge in n >= 2),
+    then ``heat_factors`` in n >= 2 (the Gaussian subordination route,
+    ``_grad_heat``), then ``has_gradient`` (the Taylor-corrected annulus).
     """
     alpha = _check_alpha(alpha)
     pt = _check_point(f, x)
@@ -496,14 +490,13 @@ def frac_gradient(
     if n not in (1, 2, 3):
         raise ValueError("operators support n in {1, 2, 3}")
     spec = spec or default_spec(n)
-    if isinstance(f, HalfSpaceIndicator) and n >= 2:
-        res = _grad_halfspace(f, alpha, pt, spec)
-    elif isinstance(f, (IntervalIndicator, HalfSpaceIndicator)) or (
-        isinstance(f, CubeIndicator) and n == 1
-    ):
+    region = f.region
+    if region is not None and n == 1:
         res = _grad_indicator_1d(f, alpha, pt, spec)
-    elif isinstance(f, CubeIndicator):
-        raise UnsupportedFieldError("gradient of cube indicators implemented for n = 1")
+    elif isinstance(region, HalfSpace):
+        res = _grad_halfspace(region, alpha, pt, spec)
+    elif region is not None:
+        raise UnsupportedFieldError("gradient of box indicators implemented for n = 1")
     elif n >= 2 and f.heat_factors is not None:
         res = _grad_heat(f, alpha, pt[None, :], spec, _Counter(spec.max_evals))
         res = replace(res, value=res.value[0], err_estimate=float(np.max(res.err_estimate)))
@@ -535,7 +528,8 @@ def riesz_constant(n: int, s: float) -> float:
 
 
 def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -> float:
-    """Riesz potential I_s f(x) for 0 < s < n, requiring decay_exponent > s."""
+    """Riesz potential I_s f(x) for 0 < s < n, requiring decay_exponent > s;
+    in n >= 2 that of a cube indicator is k(n, s) ``cube_kernel_integral``."""
     n = f.dim
     s = float(s)
     if not 0.0 < s < n:
@@ -548,12 +542,12 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
     spec = spec or default_spec(n)
     k = riesz_constant(n, s)
     counter = _Counter(spec.max_evals)
+    box = _field_box(f)
     if n == 1:
         x0 = float(pt[0])
         # the field and the kernel read x - p from their singular points exactly
         g = OffsetIntegrand(lambda y, dy: f.values_from_offsets(dy) * np.abs(dy(x0)) ** (s - 1.0))
         sings = [(x0, s - 1.0)] + [(sp[0], f.singular_exponent) for sp in f.singular_points]
-        box = _field_box(f)
         if box is not None:
             lo, hi = float(box[0][0]), float(box[1][0])
             a, b = min(lo, x0 - 1.0), max(hi, x0 + 1.0)
@@ -564,24 +558,22 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
         res = integrate_core(g, a, b, sings, spec, counter)
         return k * float(res.require("Riesz potential")[0])
 
+    if isinstance(f.region, AxisBox):
+        c, h = np.asarray(f.region.center), f.region.half_width
+        return k * cube_kernel_integral(pt - c, n - s, h, spec=spec)
     # n >= 2: radial profile around x with declared r^(s-1) behavior at 0
-    box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Riesz potential for n >= 2 needs a finite evaluation box")
     reach = _reach(box, pt)
-    ang_ok = True
+    profile, flags = _profiles(f.values, pt, n, spec.abs_tol, spec.rel_tol, f.sup_norm_bound,
+                               counter)
 
     def radial(r: np.ndarray) -> np.ndarray:
-        nonlocal ang_ok
-        prof = angular_profile(
-            f.values, pt, r, n, tol=max(spec.abs_tol, spec.rel_tol) * 1e-2, counter=counter
-        )
-        ang_ok = ang_ok and prof.converged
-        return r ** (s - 1.0) * prof.value
+        return r ** (s - 1.0) * profile(r)
 
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
     res = _segment(radial, 0.0, reach, s - 1.0 if s < 1.0 else None, None, rel, absr, counter)
-    res = replace(res, converged=res.converged and ang_ok)
+    res = replace(res, converged=res.converged and all(flags))
     return k * float(res.require("Riesz potential")[0])
 
 
@@ -628,119 +620,6 @@ def riesz_potential_hyperplane(
 # ---------------------------------------------------------------------------
 
 
-def _exprel(x: np.ndarray) -> np.ndarray:
-    """expm1(x) / x, continued by 1 at x = 0."""
-    safe = np.where(x == 0.0, 1.0, x)
-    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
-
-
-def _fan(dist: float, s_lo: float, s_hi: float) -> tuple[float, float, float, float]:
-    """Polar piece of the segment s in (s_lo, s_hi) of a line at signed
-    distance dist from a center, s measured from the center's foot point.
-
-    With s = |dist| sinh(tau) the point lies at radius |dist| cosh(tau) and
-    dphi = dtau / cosh(tau), so the piece (sign(dist), |dist|, tau_lo, tau_hi)
-    stands for the signed angular integral
-    sign(dist) int K(|dist| cosh tau) / cosh(tau) dtau over (tau_lo, tau_hi).
-    In tau both the part near the foot and the far part of a segment seen at
-    a grazing angle stay resolved; in phi the far part would shrink to an
-    angle of order |dist| / |s|.
-    """
-    delta = abs(dist)
-    return math.copysign(1.0, dist), delta, math.asinh(s_lo / delta), math.asinh(s_hi / delta)
-
-
-def cube_kernel_integral(
-    p: np.ndarray,
-    exponent: float,
-    half_width: float = 1.0,
-    over_complement: bool = False,
-    spec: QuadSpec | None = None,
-) -> float:
-    """int |y - p|^(-exponent) dy over the cube Q = (-h, h)^n or its complement.
-
-    Flux form: div_y[(y - p) |y - p|^(-E)] = (n - E) |y - p|^(-E), so the
-    integral over Q (p outside, or inside with E < n) is -1/(E - n), and the
-    one over the complement (p inside, E > n) +1/(E - n), times the boundary
-    sum  sum_faces int_face d_f |y - p|^(-E) dS,  where d_f = h - s p_i is
-    (y - p).nu_out on the face y_i = s h.  In n = 1 the sum is closed form.
-    In n = 2, 3 each face is integrated in polar coordinates about the foot
-    point c of p on the face plane (see ``_fan``):
-
-    * n = 2: the face is a segment at distance d from p, and contributes
-      sign(d) int r^(2-E) dphi over the angles it subtends;
-    * n = 3: the square face is a signed fan of four triangles about c, one
-      per edge, signed by the side of the edge line c lies on.  The radial
-      part is exact, d/(E - 2) (|d|^(2-E) - (d^2 + R^2)^((2-E)/2)) out to the
-      edge at R, which leaves one angular integral per triangle.  When c lies
-      outside the face the signed angles sum to zero, so the radial part is
-      taken relative to (d^2 + h^2) instead of d^2 and stays well conditioned
-      at grazing angles.
-
-    All pieces are mapped to [0, 1] and integrated as one sum, so the
-    tolerance applies to the boundary sum itself; the budget counts one
-    evaluation per piece and node.  Raises QuadratureBudgetError when the sum
-    does not converge, SingularPointError for p on the boundary of Q,
-    NonIntegrableSingularityError when the kernel is not integrable at p, and
-    ValueError for a complement with E <= n or for E == n.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    n = p.size
-    if n not in (1, 2, 3):
-        raise ValueError("cube_kernel_integral supports n in {1, 2, 3}")
-    h = float(half_width)
-    E = float(exponent)
-    spec = spec or default_spec(n)
-    inside = bool(np.all(np.abs(p) < h))
-    if not inside and bool(np.all(np.abs(p) <= h)):
-        raise SingularPointError(f"{p.tolist()} lies on the boundary of the cube")
-    if over_complement and E <= n:
-        raise ValueError(f"the complement integral diverges at infinity for exponent {E} <= n")
-    if inside != over_complement and E >= n:
-        raise NonIntegrableSingularityError(f"exponent {E} >= n is not integrable at p")
-    if E == n:
-        raise ValueError("the flux form needs exponent != n")
-    factor = 1.0 / (E - n) if over_complement else -1.0 / (E - n)
-
-    faces = [(h - s * p[i], np.delete(p, i)) for i in range(n) for s in (1.0, -1.0)]
-    if n == 1:
-        return factor * float(sum(d * abs(d) ** (-E) for d, _ in faces))
-
-    rows = []  # one (sign, |dist|, tau_lo, tau_hi, d, S) per piece
-    for d, c in faces:
-        if d == 0.0:
-            continue  # p on the face plane, outside the face: zero flux
-        if n == 2:
-            rows.append(_fan(d, -h - c[0], h - c[0]) + (d, 0.0))
-            continue
-        S = d * d if bool(np.all(np.abs(c) <= h)) else d * d + h * h
-        for a in (0, 1):
-            for s in (1.0, -1.0):
-                e = h - s * c[a]
-                if e != 0.0:
-                    rows.append(_fan(e, -h - c[1 - a], h - c[1 - a]) + (d, S))
-    w, delta, lo, hi, D, S = (np.array(col) for col in zip(*rows))
-    k = (2.0 - E) / 2.0
-
-    def boundary_sum(u: np.ndarray) -> np.ndarray:
-        ch = np.cosh(lo + (hi - lo) * u[:, None])
-        rho2 = (delta * ch) ** 2
-        if n == 2:
-            K = rho2**k
-        else:  # d/(2k) ((d^2 + rho^2)^k - S^k), as d S^k (ell/2) exprel(k ell)
-            ell = np.where(S == D * D, np.log1p(rho2 / (D * D)), np.log((rho2 + D * D) / S))
-            K = D * S**k * (0.5 * ell) * _exprel(k * ell)
-        return (K / ch) @ (w * (hi - lo))
-
-    counter = _Counter(spec.max_evals // len(rows))
-    flux = _segment(
-        boundary_sum, 0.0, 1.0, None, None, spec.rel_tol / 4.0, spec.abs_tol * abs(E - n), counter
-    )
-    res = QuadResult(factor * float(flux.value[0]), abs(factor) * flux.err_estimate,
-                     flux.evals_used * len(rows), flux.converged)
-    return res.require("cube kernel integral")
-
-
 def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None) -> float:
     """Fractional Laplacian nu(n, beta) int (f(x+y) - f(x)) / |y|^(n+beta) dy."""
     beta = _check_alpha(beta, "beta")
@@ -750,24 +629,21 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
     const = nu(n, beta)
     fx = float(f.values(pt[None, :])[0])
 
-    if isinstance(f, (IntervalIndicator, HalfSpaceIndicator)) or isinstance(f, CubeIndicator):
-        if isinstance(f, CubeIndicator) and n >= 2:
-            inside = fx == 1.0
-            val = cube_kernel_integral(
-                pt - np.asarray(f.center), n + beta, f.half_width, over_complement=inside, spec=spec
-            )
-            return -const * val if inside else const * val
+    region = f.region
+    if isinstance(region, AxisBox) and n >= 2:
+        c, h = np.asarray(region.center), region.half_width
+        inside = fx == 1.0
+        val = cube_kernel_integral(pt - c, n + beta, h, over_complement=inside, spec=spec)
+        return -const * val if inside else const * val
+    if region is not None and n == 1:
         # 1-d indicators: difference is +/-1 on interval pieces
-        region = _region_intervals(f)
-        pieces = _complement_intervals(region) if fx == 1.0 else region
-        sign = -1.0 if fx == 1.0 else 1.0
+        pieces, sign = _jump_pieces(region, fx == 1.0)
         x0 = float(pt[0])
         total, counter = 0.0, _Counter(spec.max_evals)
         for a, b in pieces:
             g = lambda y: np.abs(y - x0) ** (-1.0 - beta)
-            sings = [(math.inf, 1.0 + beta)] if math.isinf(b) else []
-            sings += [(-math.inf, 1.0 + beta)] if math.isinf(a) else []
-            res = integrate_core(g, a, b, sings, spec, counter)
+            tails = [(e, 1.0 + beta) for e in (a, b) if math.isinf(e)]
+            res = integrate_core(g, a, b, tails, spec, counter)
             total += float(res.require("fractional Laplacian")[0])
         return const * sign * total
 
@@ -785,6 +661,8 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
     except UnsupportedFieldError:
         lap_x = None
 
+    profile, flags = _profiles(f.values, pt, n, absr, rel, f.sup_norm_bound, counter)
+
     if n == 1:
         x0 = float(pt[0])
 
@@ -796,16 +674,11 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
                     + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
     else:
 
-        def profile(r: np.ndarray) -> np.ndarray:
-            nonlocal ang_ok
-            prof = angular_profile(
-                f.values, pt, r, n, tol=max(absr, rel) * 1e-2, counter=counter
-            )
-            ang_ok = ang_ok and prof.converged
-            return r ** (-1.0 - beta) * (prof.value - sphere_area(n) * fx)
+        def shells(r: np.ndarray) -> np.ndarray:
+            return r ** (-1.0 - beta) * (profile(r) - sphere_area(n) * fx)
 
         def annulus(r_in: float, r_out: float) -> QuadResult:
-            return _segment(profile, r_in, r_out, None, None, rel, absr, counter)
+            return _segment(shells, r_in, r_out, None, None, rel, absr, counter)
 
     far = -fx * sphere_area(n) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
     omega_n = ball_volume(n)
@@ -815,10 +688,9 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
             return 0.0
         return lap_x * omega_n * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
 
-    ang_ok = True
-    delta = spec.near_radius or min(field_scale(f) / 2.0, reach / 4.0)
+    delta = min(field_scale(f) / 2.0, reach / 4.0)
     res = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
-    res = replace(res, converged=res.converged and ang_ok)
+    res = replace(res, converged=res.converged and all(flags))
     return const * (float(res.require("fractional Laplacian")[0]) + far)
 
 
@@ -870,22 +742,17 @@ def nl_gradient(
                + _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter))
         return mu(1, alpha) * res.require("non-local gradient")
 
-    ang_ok = True
+    def h(Y: np.ndarray) -> np.ndarray:
+        return (f.values(Y) - fx) * (g.values(Y) - gx)
+
+    bound = f.sup_norm_bound * g.sup_norm_bound
+    profile, flags = _profiles(h, ptf, n, absr, rel, bound, counter, moments=True)
 
     def moment(r: np.ndarray) -> np.ndarray:
-        nonlocal ang_ok
-
-        def h(Y: np.ndarray) -> np.ndarray:
-            return (f.values(Y) - fx) * (g.values(Y) - gx)
-
-        prof = angular_profile(
-            h, ptf, r, n, tol=max(absr, rel) * 1e-2, counter=counter, moments=True
-        )
-        ang_ok = ang_ok and prof.converged
-        return r[:, None] ** (-1.0 - alpha) * prof.value
+        return r[:, None] ** (-1.0 - alpha) * profile(r)
 
     res = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
-    res = replace(res, converged=res.converged and ang_ok)
+    res = replace(res, converged=res.converged and all(flags))
     return mu(n, alpha) * res.require("non-local gradient")
 
 
@@ -1095,15 +962,11 @@ def variation_lower_bound_detail(
     if f.dim != 1:
         raise ValueError("variation_lower_bound is implemented for n = 1")
     spec = spec or default_spec(1)
-    if isinstance(f, IntervalIndicator):
-        lo, hi = f.a, f.b
-        weight = None
-    else:
-        box = _field_box(f)
-        if box is None:
-            raise UnsupportedFieldError("variation pairing needs a finite evaluation box")
-        lo, hi = float(box[0][0]), float(box[1][0])
-        weight = f
+    box = _field_box(f)
+    if box is None:
+        raise UnsupportedFieldError("variation pairing needs a finite evaluation box")
+    lo, hi = float(box[0][0]), float(box[1][0])
+    weight = None if f.region is not None else f  # an indicator weighs 1 on its box
     gl_t, gl_w = gauss_legendre(16)
     edges = np.linspace(lo, hi, 9)
     xs, ws = [], []
@@ -1143,8 +1006,6 @@ def default_test_family() -> tuple[VectorField, ...]:
 
     Oriented for indicators centered at the origin: positive on the left.
     """
-    from .fields import OddBumpPair, OddPlateau, SmoothBump
-
     members: list[VectorField] = []
     for span, core, edge in ((5.0, 0.35, 0.8), (12.0, 0.45, 1.5), (40.0, 0.6, 4.0)):
         members.append(VectorField(components=(OddPlateau(span=span, core=core, edge=edge),)))
@@ -1228,7 +1089,7 @@ def frac_gradient_batch(
     geometric radial panels (Gauss-Legendre
     nodes, trapezoid angles in n = 2); in n = 2 the polar sums are one matmul
     of the values against the (nodes, 2) weight matrix.  When a field has
-    ``axis_factors`` and the near targets have at most four times as many
+    ``heat_factors`` and the near targets have at most four times as many
     pairs of distinct coordinates as targets (a tensor grid has exactly as
     many), each factor is evaluated once per distinct coordinate and the sums
     of all pairs are one ``np.einsum`` product per component; it sums in
@@ -1318,7 +1179,7 @@ def frac_gradient_batch(
     wk = np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta)  # (K*T,)
     w_omega = wk[:, None] * np.tile(omega, (r.size, 1))  # (K*T, 2)
     near_idx = np.flatnonzero(~far)
-    factors = f.axis_factors
+    factors = f.heat_factors
     if factors is not None:
         u0, inv0 = np.unique(Xn[:, 0], return_inverse=True)
         u1, inv1 = np.unique(Xn[:, 1], return_inverse=True)

@@ -38,6 +38,7 @@ averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
 Gauss-Legendre x trapezoid product (n = 3), both with fixed node layouts.
 ``angular_profile`` evaluates a level only if it fits into the budget, and
 its convergence flag is AND-ed into the result of the radial integral.
+Cube kernel integrals (``cube_kernel_integral``) are sums of face fluxes.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = [
     "OffsetIntegrand",
     "NonIntegrableSingularityError",
     "QuadratureBudgetError",
+    "SingularPointError",
+    "cube_kernel_integral",
     "integrate_1d",
     "integrate_core",
     "integrate_ball",
@@ -74,14 +77,16 @@ class QuadratureBudgetError(RuntimeError):
     """Evaluation budget exhausted before reaching the requested tolerance."""
 
 
+class SingularPointError(ValueError):
+    """Evaluation requested at a declared singular point."""
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature policy: tolerances, near-field radius rule, default tail, budget."""
+    """Quadrature policy: tolerances and evaluation budget."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    near_radius: float | None = None  # None -> chosen automatically from the tolerance
-    tail_exponent: float | None = None  # tail declared for infinite endpoints
     max_evals: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -89,8 +94,14 @@ class QuadSpec:
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_evals < 100:
             raise ValueError("max_evals must be at least 100")
-        if self.near_radius is not None and not self.near_radius > 0.0:
-            raise ValueError("near_radius must be positive when given")
+
+    @classmethod
+    def from_overrides(cls, overrides) -> QuadSpec:
+        """The spec with these field overrides; ValueError for a bad field or value."""
+        try:
+            return cls(**overrides)
+        except TypeError as exc:
+            raise ValueError(f"invalid quadrature overrides {overrides!r}: {exc}") from None
 
 
 _DEFAULT_REL = {1: 1e-8, 2: 1e-6, 3: 1e-5}
@@ -531,7 +542,7 @@ def integrate_core(
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
     points: dict[float, float] = {}
-    tail_lo = tail_hi = spec.tail_exponent
+    tail_lo = tail_hi = None
     for p, e in singularities:
         p = float(p)
         e = float(e)
@@ -592,7 +603,7 @@ def integrate_1d(
     ``p`` means f ~ |x - p|^g near p (required g > -1 when p lies in [a, b]);
     a pair with ``p = +/-inf`` declares an algebraic tail f ~ |x|^(-g) toward
     that end (required g > 1).  Infinite endpoints require a matching tail
-    declaration, either here or through ``spec.tail_exponent``.
+    declaration.
     """
     res = integrate_core(f, a, b, singularities, spec)
     return replace(res, value=float(res.value[0]))
@@ -864,3 +875,121 @@ def integrate_complement(
         total = replace(total, converged=False)
     return QuadResult(float(total.value[0]), total.err_estimate, counter.used,
                       total.converged and ang_ok and counter.used <= spec.max_evals)
+
+
+# ---------------------------------------------------------------------------
+# Kernel integrals over a cube
+# ---------------------------------------------------------------------------
+
+
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """expm1(x) / x, continued by 1 at x = 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
+
+
+def _fan(dist: float, s_lo: float, s_hi: float) -> tuple[float, float, float, float]:
+    """Polar piece of the segment s in (s_lo, s_hi) of a line at signed
+    distance dist from a center, s measured from the center's foot point.
+
+    With s = |dist| sinh(tau) the point lies at radius |dist| cosh(tau) and
+    dphi = dtau / cosh(tau), so the piece (sign(dist), |dist|, tau_lo, tau_hi)
+    stands for the signed angular integral
+    sign(dist) int K(|dist| cosh tau) / cosh(tau) dtau over (tau_lo, tau_hi).
+    In tau both the part near the foot and the far part of a segment seen at
+    a grazing angle stay resolved; in phi the far part would shrink to an
+    angle of order |dist| / |s|.
+    """
+    delta = abs(dist)
+    return math.copysign(1.0, dist), delta, math.asinh(s_lo / delta), math.asinh(s_hi / delta)
+
+
+def cube_kernel_integral(
+    p: np.ndarray,
+    exponent: float,
+    half_width: float = 1.0,
+    over_complement: bool = False,
+    spec: QuadSpec | None = None,
+) -> float:
+    """int |y - p|^(-exponent) dy over the cube Q = (-h, h)^n or its complement.
+
+    Flux form: div_y[(y - p) |y - p|^(-E)] = (n - E) |y - p|^(-E), so the
+    integral over Q (p outside, or inside with E < n) is -1/(E - n), and the
+    one over the complement (p inside, E > n) +1/(E - n), times the boundary
+    sum  sum_faces int_face d_f |y - p|^(-E) dS,  where d_f = h - s p_i is
+    (y - p).nu_out on the face y_i = s h.  In n = 1 the sum is closed form.
+    In n = 2, 3 each face is integrated in polar coordinates about the foot
+    point c of p on the face plane (see ``_fan``):
+
+    * n = 2: the face is a segment at distance d from p, and contributes
+      sign(d) int r^(2-E) dphi over the angles it subtends;
+    * n = 3: the square face is a signed fan of four triangles about c, one
+      per edge, signed by the side of the edge line c lies on.  The radial
+      part is exact, d/(E - 2) (|d|^(2-E) - (d^2 + R^2)^((2-E)/2)) out to the
+      edge at R, which leaves one angular integral per triangle.  When c lies
+      outside the face the signed angles sum to zero, so the radial part is
+      taken relative to (d^2 + h^2) instead of d^2 and stays well conditioned
+      at grazing angles.
+
+    All pieces are mapped to [0, 1] and integrated as one sum, so the
+    tolerance applies to the boundary sum itself; the budget counts one
+    evaluation per piece and node.  Raises QuadratureBudgetError when the sum
+    does not converge, SingularPointError for p on the boundary of Q,
+    NonIntegrableSingularityError when the kernel is not integrable at p, and
+    ValueError for a complement with E <= n or for E == n.
+    """
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    n = p.size
+    if n not in (1, 2, 3):
+        raise ValueError("cube_kernel_integral supports n in {1, 2, 3}")
+    h = float(half_width)
+    E = float(exponent)
+    spec = spec or default_spec(n)
+    inside = bool(np.all(np.abs(p) < h))
+    if not inside and bool(np.all(np.abs(p) <= h)):
+        raise SingularPointError(f"{p.tolist()} lies on the boundary of the cube")
+    if over_complement and E <= n:
+        raise ValueError(f"the complement integral diverges at infinity for exponent {E} <= n")
+    if inside != over_complement and E >= n:
+        raise NonIntegrableSingularityError(f"exponent {E} >= n is not integrable at p")
+    if E == n:
+        raise ValueError("the flux form needs exponent != n")
+    factor = 1.0 / (E - n) if over_complement else -1.0 / (E - n)
+
+    faces = [(h - s * p[i], np.delete(p, i)) for i in range(n) for s in (1.0, -1.0)]
+    if n == 1:
+        return factor * float(sum(d * abs(d) ** (-E) for d, _ in faces))
+
+    rows = []  # one (sign, |dist|, tau_lo, tau_hi, d, S) per piece
+    for d, c in faces:
+        if d == 0.0:
+            continue  # p on the face plane, outside the face: zero flux
+        if n == 2:
+            rows.append(_fan(d, -h - c[0], h - c[0]) + (d, 0.0))
+            continue
+        S = d * d if bool(np.all(np.abs(c) <= h)) else d * d + h * h
+        for a in (0, 1):
+            for s in (1.0, -1.0):
+                e = h - s * c[a]
+                if e != 0.0:
+                    rows.append(_fan(e, -h - c[1 - a], h - c[1 - a]) + (d, S))
+    w, delta, lo, hi, D, S = (np.array(col) for col in zip(*rows))
+    k = (2.0 - E) / 2.0
+
+    def boundary_sum(u: np.ndarray) -> np.ndarray:
+        ch = np.cosh(lo + (hi - lo) * u[:, None])
+        rho2 = (delta * ch) ** 2
+        if n == 2:
+            K = rho2**k
+        else:  # d/(2k) ((d^2 + rho^2)^k - S^k), as d S^k (ell/2) exprel(k ell)
+            ell = np.where(S == D * D, np.log1p(rho2 / (D * D)), np.log((rho2 + D * D) / S))
+            K = D * S**k * (0.5 * ell) * _exprel(k * ell)
+        return (K / ch) @ (w * (hi - lo))
+
+    counter = _Counter(spec.max_evals // len(rows))
+    flux = _segment(
+        boundary_sum, 0.0, 1.0, None, None, spec.rel_tol / 4.0, spec.abs_tol * abs(E - n), counter
+    )
+    res = QuadResult(factor * float(flux.value[0]), abs(factor) * flux.err_estimate,
+                     flux.evals_used * len(rows), flux.converged)
+    return res.require("cube kernel integral")

@@ -658,7 +658,7 @@ def run_all(config: dict | None = None) -> tuple[list[SuiteReport], int]:
     config = config or {}
     names = config.get("suites", SUITE_NAMES)
     alphas = config.get("alphas")
-    spec = QuadSpec(**config["quad"]) if "quad" in config else None
+    spec = QuadSpec.from_overrides(config["quad"]) if "quad" in config else None
     reports = [run_suite(nm, alphas, spec) for nm in names]
     reports = [r for r in reports if r is not None]  # an empty order grid skips some suites
     return reports, 0 if all(r.passed for r in reports) else 1

@@ -13,6 +13,7 @@ import pytest
 from fracvar import operators as ops
 from fracvar.constants import mu
 from fracvar.fields import (
+    CubeIndicator,
     FAlpha,
     Gaussian,
     HalfSpace,
@@ -262,8 +263,8 @@ class _DifferencedFAlpha(FAlpha):
 
 @dataclass(frozen=True)
 class _PlainField(ScalarField):
-    """Delegates evaluation to ``base`` but has neither ``axis_factors`` nor
-    ``heat_factors``, so its gradients take the generic and annulus paths."""
+    """Delegates evaluation to ``base`` but has no ``heat_factors``, so its
+    gradients take the generic and annulus paths."""
 
     base: ScalarField
 
@@ -506,6 +507,17 @@ class TestRieszPotential:
         with pytest.raises(ValueError):
             ops.riesz_potential(g, 1.0, 0.0)
 
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    @pytest.mark.parametrize("cube, x", [
+        (CubeIndicator(ndim=2), (0.3, 0.2)),
+        (CubeIndicator(ndim=2, half_width=0.5, center=(0.1, -0.2)), (0.25, -0.5)),
+    ])
+    def test_cube_against_polar_reference(self, s, cube, x):
+        # I_s chi_Q(x) = k int_0^(2 pi) rho(theta)^s / s dtheta at an interior x
+        pytest.importorskip("mpmath")
+        ref = ops.riesz_constant(2, s) * _square_exit_integral(s, x, cube.center, cube.half_width)
+        assert ops.riesz_potential(cube, s, x) == pytest.approx(ref / s, rel=1e-12)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_hyperplane_potential_vs_closed_form(self, n):
         from fracvar.closed_forms import riesz_hyperplane
@@ -583,25 +595,31 @@ class TestFracLaplacian:
         assert lv == pytest.approx(ref, rel=1e-6)
 
 
-def _square_polar_reference(beta: float, x) -> float:
-    """Fractional Laplacian of the (-1, 1)^2 indicator at an interior x in
-    polar coordinates: -nu(2, b)/b int rho(theta)^-b dtheta, rho the exit
-    distance, with breakpoints at the corner directions."""
+def _square_exit_integral(power: float, x, center=(0.0, 0.0), h: float = 1.0) -> float:
+    """int_0^(2 pi) rho(theta)^power dtheta, rho the distance from an interior
+    x to the boundary of the square center + (-h, h)^2 along theta, with
+    breakpoints at the corner directions."""
     import mpmath as mp
 
-    from fracvar.constants import nu
-
-    p = [mp.mpf(v) for v in x]
+    p = [mp.mpf(v) - mp.mpf(c) for v, c in zip(x, center)]
+    h = mp.mpf(h)
 
     def rho(theta):
         u = (mp.cos(theta), mp.sin(theta))
-        return min((1 - mp.sign(ui) * pi) / abs(ui) for pi, ui in zip(p, u) if ui != 0)
+        return min((h - mp.sign(ui) * pi) / abs(ui) for pi, ui in zip(p, u) if ui != 0)
 
     corners = sorted(
-        mp.atan2(cy - p[1], cx - p[0]) % (2 * mp.pi) for cx in (-1, 1) for cy in (-1, 1)
+        mp.atan2(cy - p[1], cx - p[0]) % (2 * mp.pi) for cx in (-h, h) for cy in (-h, h)
     )
-    val = mp.quad(lambda t: rho(t) ** -beta, [0] + corners + [2 * mp.pi])
-    return float(-nu(2, beta) * val / beta)
+    return float(mp.quad(lambda t: rho(t) ** power, [0] + corners + [2 * mp.pi]))
+
+
+def _square_polar_reference(beta: float, x) -> float:
+    """Fractional Laplacian of the (-1, 1)^2 indicator at an interior x in
+    polar coordinates: -nu(2, b)/b int rho(theta)^-b dtheta."""
+    from fracvar.constants import nu
+
+    return -nu(2, beta) * _square_exit_integral(-beta, x) / beta
 
 
 def _cube_sphere_reference(beta: float, p) -> float:
@@ -786,6 +804,75 @@ class TestNlGradient:
         g = Gaussian(center=(0.5,) * n, width=1.2)
         with pytest.raises(QuadratureBudgetError):
             ops.nl_gradient(f, g, 0.5, x, QuadSpec(max_evals=100))
+
+
+class TestAngularToleranceRelativeToField:
+    """Angular profiles meet a tolerance relative to the field's sup-norm
+    bound, so scaling the field scales the value and nothing else."""
+
+    big = Gaussian(center=(0.1, -0.2), amplitude=1e8)
+    unit = Gaussian(center=(0.1, -0.2))
+    other = Gaussian(center=(0.6, -0.3), width=1.2)
+    x = (0.3, 0.2)
+
+    def test_riesz_potential(self):
+        v = ops.riesz_potential(self.big, 0.5, self.x)
+        assert v == pytest.approx(1e8 * ops.riesz_potential(self.unit, 0.5, self.x), rel=1e-12)
+
+    def test_frac_laplacian(self):
+        v = ops.frac_laplacian(self.big, 0.5, self.x)
+        assert v == pytest.approx(1e8 * ops.frac_laplacian(self.unit, 0.5, self.x), rel=1e-12)
+
+    def test_nl_gradient(self):
+        v = ops.nl_gradient(self.big, self.other, 0.5, self.x)
+        ref = 1e8 * ops.nl_gradient(self.unit, self.other, 0.5, self.x)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@dataclass(frozen=True)
+class _RegionOnly(ScalarField):
+    """An indicator known only by its ``region`` trait: it delegates its
+    values and region to ``base`` and is none of the indicator classes."""
+
+    base: ScalarField
+
+    @property
+    def kind(self) -> str:
+        return "region_only"
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    @property
+    def region(self):
+        return self.base.region
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return self.base.values(X)
+
+
+class TestRegionTrait:
+    """The operators dispatch indicators on ``region``, not on their class."""
+
+    @pytest.mark.parametrize("base, x", [
+        (IntervalIndicator(a=-1.0, b=0.5), 0.2),
+        (IntervalIndicator(a=-1.0, b=0.5), 1.3),
+        (HalfSpaceIndicator(halfspace=HalfSpace.make((-1.0,), (0.2,))), 0.7),
+        (HalfSpaceIndicator(halfspace=HalfSpace.make((0.6, 0.8), (0.1, 0.1))), (0.4, -0.3)),
+    ])
+    def test_gradient_takes_the_indicator_path(self, base, x):
+        res = ops.frac_gradient(_RegionOnly(base), 0.5, x, detail=True)
+        ref = ops.frac_gradient(base, 0.5, x, detail=True)
+        assert np.array_equal(res.value, ref.value) and res.evals_used == ref.evals_used
+
+    @pytest.mark.parametrize("base, x", [
+        (IntervalIndicator(a=-1.0, b=0.5), 0.2),
+        (HalfSpaceIndicator(halfspace=HalfSpace.make((1.0,), (0.2,))), -0.4),
+        (CubeIndicator(ndim=2, half_width=0.5, center=(0.1, -0.2)), (0.3, 0.1)),
+    ])
+    def test_laplacian_takes_the_indicator_path(self, base, x):
+        assert ops.frac_laplacian(_RegionOnly(base), 0.5, x) == ops.frac_laplacian(base, 0.5, x)
 
 
 class TestSpectralOracle:

@@ -250,8 +250,6 @@ class TestQuadSpec:
             QuadSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadSpec(max_evals=10)
-        with pytest.raises(ValueError):
-            QuadSpec(near_radius=-1.0)
 
     def test_converged_implies_within_tolerance(self):
         spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-9)

@@ -142,6 +142,23 @@ def test_eval_budget_exhaustion_exit_code(capsys):
     assert err.startswith("quadrature budget exceeded:") and err.count("\n") == 1
 
 
+def test_unknown_quad_field_is_usage_error(tmp_path, capsys):
+    # an unknown QuadSpec field, on the command line or in a config, exits 2
+    code = cli.main([
+        "eval", "--op", "riesz", "--alpha", "0.5", "--field", '{"kind":"gaussian"}',
+        "--points", "0.3", "--quad", '{"near_radius":0.1}',
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid quadrature overrides")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"quad": {"bogus": 2.0}}))
+    out = tmp_path / "report.csv"
+    for suite in ("hardy", "all"):
+        assert cli.main(["verify", "--suite", suite, "--config", str(config),
+                         "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_runners_take_spec_exactly_when_forwarded(monkeypatch):
     import inspect
 
