@@ -79,11 +79,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             value = (ops.frac_divergence(phi, args.alpha, p, spec),)
             err, evals = float("nan"), 0
         elif args.op == "riesz":
-            value = (ops.riesz_potential(field, args.alpha, p, spec),)
-            err, evals = float("nan"), 0
+            res = ops.riesz_potential(field, args.alpha, p, spec, detail=True)
+            value, err, evals = (res.require("Riesz potential"),), res.err_estimate, res.evals_used
         elif args.op == "laplacian":
-            value = (ops.frac_laplacian(field, args.alpha, p, spec),)
-            err, evals = float("nan"), 0
+            res = ops.frac_laplacian(field, args.alpha, p, spec, detail=True)
+            value, err, evals = ((res.require("fractional Laplacian"),), res.err_estimate,
+                                 res.evals_used)
         elif args.op == "nlgrad":
             other = _load_field_arg(args.field2)
             value = tuple(ops.nl_gradient(field, other, args.alpha, p, spec).tolist())

@@ -102,6 +102,9 @@ class HalfSpace:
         x0 = np.asarray(self.x0)
         return (X - x0) @ n
 
+    def on_boundary(self, pt: np.ndarray) -> bool:
+        return bool(self.signed_distance(pt[None, :])[0] == 0.0)
+
     @staticmethod
     def make(nu: Sequence[float], x0: Sequence[float] | None = None) -> "HalfSpace":
         n = np.asarray(nu, dtype=float)
@@ -120,6 +123,10 @@ class AxisBox:
     hi: tuple[float, ...]
     center: tuple[float, ...] | None = None
     half_width: float | None = None
+
+    def on_boundary(self, pt: np.ndarray) -> bool:
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        return bool(np.any((pt == lo) | (pt == hi)) and np.all((pt >= lo) & (pt <= hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +210,8 @@ class ScalarField:
         return None
 
     def is_singular(self, x: np.ndarray) -> bool:
+        """Whether the field has no point value at x.  The operators also
+        refuse the boundary of an indicator's ``region``, its jump set."""
         pt = as_points(x, self.dim)[0]
         return any(np.array_equal(pt, np.asarray(s)) for s in self.singular_points)
 
@@ -571,12 +580,7 @@ class CubeIndicator(ScalarField):
         return np.where(inside, 1.0, 0.0)
 
     def is_singular(self, x) -> bool:
-        # the boundary of the cube is the jump set
-        pt = as_points(x, self.dim)[0]
-        lo, hi = self.support_box
-        on_face = np.any((pt == lo) | (pt == hi))
-        inside_closed = np.all((pt >= lo) & (pt <= hi))
-        return bool(on_face and inside_closed)
+        return self.region.on_boundary(as_points(x, self.dim)[0])
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         pt = as_points(x, self.dim)[0]
@@ -626,8 +630,7 @@ class HalfSpaceIndicator(ScalarField):
         return np.where(self.halfspace.signed_distance(X) > 0.0, 1.0, 0.0)
 
     def is_singular(self, x) -> bool:
-        pt = as_points(x, self.dim)
-        return bool(self.halfspace.signed_distance(pt)[0] == 0.0)
+        return self.halfspace.on_boundary(as_points(x, self.dim)[0])
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         # volume fraction of the ball on the positive side (spherical cap)

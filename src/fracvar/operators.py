@@ -7,22 +7,27 @@ The fractional gradient of f at x is
 with the divergence, non-local two-function gradient, Riesz potential, and
 fractional Laplacian sharing the same singular-kernel machinery:
 
-* smooth fields: the gradient of a tensor-product field (``heat_factors``,
-  such as ``SmoothBump`` and ``Gaussian``) in n >= 2 is I_(1-alpha) grad f
-  by Gaussian subordination, an integral over t of products of 1-d heat
-  convolutions G_t g(x_i), summed by the trapezoid rule in log t
-  (``_grad_heat``).  Every other smooth field, and every smooth field in
-  n = 1, takes the Taylor-corrected annulus: the ball B_delta(x) is removed
-  and replaced by the Taylor correction omega_n delta^(1-alpha)/(1-alpha)
-  grad f(x) (resp. the Laplacian correction for the fractional Laplacian);
-  delta is then halved, adding back annular shells, until the value
-  stabilizes within tolerance,
+* smooth fields: the gradient (I_(1-alpha) grad f), the Riesz potential
+  and the fractional Laplacian of a tensor-product field (``heat_factors``,
+  such as ``SmoothBump`` and ``Gaussian``) in n >= 2 go by Gaussian
+  subordination, |z|^(-2b) = Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t|z|^2) dt,
+  to integrals over t of products of 1-d heat convolutions G_t g(x_i)
+  (``_heat_products``, one loop over the factors for all three), summed by
+  the trapezoid rule in log t.  The Laplacian's f(x) (pi/t)^(n/2) term is
+  summed exactly below the grid.  Every other smooth field, and every
+  smooth field in n = 1, takes the Taylor-corrected annulus: the ball
+  B_delta(x) is removed and replaced by the Taylor correction
+  omega_n delta^(1-alpha)/(1-alpha) grad f(x) (resp. the Laplacian
+  correction for the fractional Laplacian); delta is then halved, adding
+  back annular shells, until the value stabilizes within tolerance (the
+  Riesz potential in n >= 2 is one radial integral of angular profiles),
 * indicator fields, which declare their ``region``: the kernel integral over
   the region is decomposed geometrically, since generic cubature cannot see
   the jump: interval pieces and spherical wedges with exact angular moments
   reduce to declared-singularity radial integrals, and a cube's kernel
   integral (``cube_kernel_integral``, the Laplacian and the Riesz potential
-  in n >= 2) becomes a sum of smooth face fluxes by the divergence theorem,
+  in n >= 2) becomes a sum of smooth face fluxes by the divergence theorem;
+  no operator is evaluated on the region's boundary, the jump set,
 * the f(x) kernel term is cancelled exactly by odd symmetry over every sphere
   centered at x, so only f(y) itself is ever integrated for the gradient.
 
@@ -30,7 +35,8 @@ Every evaluation path returns a :class:`~fracvar.quadrature.QuadResult`,
 with the convergence flags of its angular profiles AND-ed in; an angular
 profile's tolerance is relative to the field's ``sup_norm_bound``.  The public
 operators return the value if it converged and raise QuadratureBudgetError
-otherwise; ``frac_gradient(detail=True)`` returns the result itself.
+otherwise; ``frac_gradient``, ``riesz_potential`` and ``frac_laplacian``
+with ``detail=True`` return the result itself.
 
 Quadrature operators accept alpha in [0.05, 0.95] and dimensions 1..3.
 """
@@ -117,8 +123,12 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
 
 
 def _check_point(field: ScalarField, x) -> np.ndarray:
+    """The point x, refused where the field is singular or on the boundary of
+    its ``region``, an indicator's jump set: the gradient and Laplacian
+    integrals diverge there, and the cube kernel's flux form has no value."""
     pt = as_points(x, field.dim)[0]
-    if field.is_singular(pt):
+    region = field.region
+    if field.is_singular(pt) or (region is not None and region.on_boundary(pt)):
         raise SingularPointError(f"{field.kind} is singular at {pt.tolist()}")
     return pt
 
@@ -335,21 +345,21 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
                       counter.used, core.converged and all(flags))
 
 
-def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, counter: _Counter):
-    """Fractional gradient at the targets X of a field with ``heat_factors``,
-    by Gaussian subordination of grad_a f = I_(1-a) grad f (CS19):
+def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
+    """Products of the 1-d heat convolutions of a field with ``heat_factors``
+    at the targets X (m, n), one column per entry of ``columns``: column k
+    takes the derivative g_j' of the factor on axis j = columns[k] (on no
+    axis for None) and g_i on every other axis.
 
-        d_j^a f(x) = k(n, 1-a)/Gamma(b) int_0^inf t^(b-1) prod_i G_t g_ij(x_i) dt,
-
-    b = (n - 1 + a)/2, g_jj = g_j' and g_ij = g_i otherwise, summed by
-    ``log_trapezoid``.  Each factor's G_t is evaluated once per distinct
-    coordinate of its axis, and each target takes a row-wise product.  As
-    t -> inf, G_t g(x) ~ sqrt(pi/t) g(x); as t -> 0, G_t g_j' = O(t).
-    The result's value and err_estimate have shape (m, n).
+    Returns ``F(t, check)`` for ``log_trapezoid``, prod_i G_t g_i(x_i) of
+    shape (t.size, m, len(columns)), and pi^(n/2) prod_i g_i(x_i) of shape
+    (m, len(columns)), the limit of t^(n/2) F(t) as t -> inf, since
+    G_t g(x) ~ sqrt(pi/t) g(x).  Each factor's G_t is evaluated once per
+    distinct coordinate of its axis, and each target takes a row-wise
+    product.
     """
     n = f.dim
     factors = f.heat_factors
-    b = (n - 1.0 + alpha) / 2.0
     axes = [np.unique(X[:, i], return_inverse=True) for i in range(n)]
 
     def F(t: np.ndarray, check: bool) -> np.ndarray:
@@ -358,25 +368,47 @@ def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, coun
             G, dG, samples = g.heat(u, t, check)
             counter.add(samples)
             heat.append((G[inv], dG[inv]))
-        out = np.empty((t.size, X.shape[0], n))
-        for j in range(n):
+        out = np.empty((t.size, X.shape[0], len(columns)))
+        for k, j in enumerate(columns):
             prod = heat[0][j == 0]
             for i in range(1, n):
                 prod = prod * heat[i][i == j]
-            out[:, :, j] = prod.T
+            out[:, :, k] = prod.T
         return out
 
-    tail = np.empty((X.shape[0], n))
-    for j in range(n):
-        tail[:, j] = math.pi ** (n / 2.0)
+    limit = np.empty((X.shape[0], len(columns)))
+    for k, j in enumerate(columns):
+        limit[:, k] = math.pi ** (n / 2.0)
         for i, g in enumerate(factors):
-            tail[:, j] *= g.deriv(X[:, i]) if i == j else g(X[:, i])
+            limit[:, k] *= g.deriv(X[:, i]) if i == j else g(X[:, i])
+    return F, limit
+
+
+def _subordinate(f: ScalarField, X: np.ndarray, F, b: float, tail, decay: float,
+                 small_t_power: float, spec: QuadSpec, counter: _Counter, power=None):
+    """``log_trapezoid`` of t^(b-1) F(t) over the heat products of f at the
+    targets X, with the grid's ends set by the field's box and scale."""
     lo, hi = f.quad_box
     far_corner = np.linalg.norm(np.maximum(np.abs(lo - X), np.abs(hi - X)), axis=1)
     reach = max(field_scale(f), float(np.max(far_corner)))
-    res = log_trapezoid(
-        F, b, tail, (1.0 - alpha) / 2.0, b + 1.0, reach, field_scale(f), spec, counter
-    )
+    return log_trapezoid(F, b, tail, decay, small_t_power, reach, field_scale(f), spec, counter,
+                         power)
+
+
+def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, counter: _Counter):
+    """Fractional gradient at the targets X of a field with ``heat_factors``,
+    by Gaussian subordination of grad_a f = I_(1-a) grad f (CS19):
+
+        d_j^a f(x) = k(n, 1-a)/Gamma(b) int_0^inf t^(b-1) prod_i G_t g_ij(x_i) dt,
+
+    b = (n - 1 + a)/2, g_jj = g_j' and g_ij = g_i otherwise, summed by
+    ``log_trapezoid``.  As t -> inf, G_t g(x) ~ sqrt(pi/t) g(x); as t -> 0,
+    G_t g_j' = O(t).  The result's value and err_estimate have shape (m, n).
+    """
+    n = f.dim
+    b = (n - 1.0 + alpha) / 2.0
+    F, limit = _heat_products(f, X, range(n), counter)
+    res = _subordinate(f, X, F, b, limit, (1.0 - alpha) / 2.0, b + 1.0, spec, counter)
     k = riesz_constant(n, 1.0 - alpha) / gamma(b)
     return QuadResult(k * res.value, abs(k) * res.err_estimate, res.evals_used, res.converged)
 
@@ -527,9 +559,26 @@ def riesz_constant(n: int, s: float) -> float:
     return 2.0 ** (-s) * math.pi ** (-n / 2.0) * gamma((n - s) / 2.0) / gamma(s / 2.0)
 
 
-def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -> float:
-    """Riesz potential I_s f(x) for 0 < s < n, requiring decay_exponent > s;
-    in n >= 2 that of a cube indicator is k(n, s) ``cube_kernel_integral``."""
+def _scaled(res: QuadResult, k: float) -> QuadResult:
+    """k times a one-entry result, with a float value and error."""
+    return QuadResult(k * float(np.ravel(res.value)[0]), abs(k) * float(np.max(res.err_estimate)),
+                      res.evals_used, res.converged)
+
+
+def riesz_potential(
+    f: ScalarField, s: float, x, spec: QuadSpec | None = None, detail: bool = False
+):
+    """Riesz potential I_s f(x) for 0 < s < n, requiring decay_exponent > s.
+
+    With ``detail`` the result is the :class:`~fracvar.quadrature.QuadResult`
+    of the evaluation (a float value); without it the value is returned if
+    it converged, and QuadratureBudgetError is raised otherwise.  In n >= 2
+    the path follows the field's traits: a cube indicator's ``region`` (k(n, s)
+    ``cube_kernel_integral``), then ``heat_factors`` (Gaussian subordination,
+    I_s f(x) = k(n, s)/Gamma(b) int_0^inf t^(b-1) prod_i G_t g_i(x_i) dt with
+    b = (n - s)/2, whose large-t form is pi^(n/2) f(x) t^(-s/2)), then the
+    radial integral of angular profiles about x.
+    """
     n = f.dim
     s = float(s)
     if not 0.0 < s < n:
@@ -555,26 +604,29 @@ def riesz_potential(f: ScalarField, s: float, x, spec: QuadSpec | None = None) -
             a, b = -math.inf, math.inf
             tau = f.decay_exponent + 1.0 - s
             sings += [(math.inf, tau), (-math.inf, tau)]
-        res = integrate_core(g, a, b, sings, spec, counter)
-        return k * float(res.require("Riesz potential")[0])
-
-    if isinstance(f.region, AxisBox):
+        res = _scaled(integrate_core(g, a, b, sings, spec, counter), k)
+    elif isinstance(f.region, AxisBox):
         c, h = np.asarray(f.region.center), f.region.half_width
-        return k * cube_kernel_integral(pt - c, n - s, h, spec=spec)
-    # n >= 2: radial profile around x with declared r^(s-1) behavior at 0
-    if box is None:
+        res = _scaled(cube_kernel_integral(pt - c, n - s, h, spec=spec, detail=True), k)
+    elif f.heat_factors is not None:
+        b = (n - s) / 2.0
+        X = pt[None, :]
+        F, limit = _heat_products(f, X, (None,), counter)
+        res = _scaled(_subordinate(f, X, F, b, limit, s / 2.0, b, spec, counter), k / gamma(b))
+    elif box is None:
         raise UnsupportedFieldError("Riesz potential for n >= 2 needs a finite evaluation box")
-    reach = _reach(box, pt)
-    profile, flags = _profiles(f.values, pt, n, spec.abs_tol, spec.rel_tol, f.sup_norm_bound,
-                               counter)
+    else:  # a radial profile around x with declared r^(s-1) behavior at 0
+        profile, flags = _profiles(f.values, pt, n, spec.abs_tol, spec.rel_tol, f.sup_norm_bound,
+                                   counter)
 
-    def radial(r: np.ndarray) -> np.ndarray:
-        return r ** (s - 1.0) * profile(r)
+        def radial(r: np.ndarray) -> np.ndarray:
+            return r ** (s - 1.0) * profile(r)
 
-    rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    res = _segment(radial, 0.0, reach, s - 1.0 if s < 1.0 else None, None, rel, absr, counter)
-    res = replace(res, converged=res.converged and all(flags))
-    return k * float(res.require("Riesz potential")[0])
+        rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
+        res = _segment(radial, 0.0, _reach(box, pt), s - 1.0 if s < 1.0 else None, None, rel,
+                       absr, counter)
+        res = _scaled(replace(res, converged=res.converged and all(flags)), k)
+    return res if detail else res.require("Riesz potential")
 
 
 def riesz_potential_hyperplane(
@@ -620,8 +672,19 @@ def riesz_potential_hyperplane(
 # ---------------------------------------------------------------------------
 
 
-def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None) -> float:
-    """Fractional Laplacian nu(n, beta) int (f(x+y) - f(x)) / |y|^(n+beta) dy."""
+def frac_laplacian(
+    f: ScalarField, beta: float, x, spec: QuadSpec | None = None, detail: bool = False
+):
+    """Fractional Laplacian nu(n, beta) int (f(x+y) - f(x)) / |y|^(n+beta) dy.
+
+    ``detail`` is as for ``riesz_potential``.  The path follows the field's
+    traits: an indicator's ``region`` (``cube_kernel_integral`` in n >= 2,
+    interval pieces in n = 1), then ``heat_factors`` in n >= 2 (Gaussian
+    subordination, nu(n, beta)/Gamma(b) int_0^inf t^(b-1) [prod_i G_t g_i(x_i)
+    - f(x) (pi/t)^(n/2)] dt with b = (n + beta)/2, whose large-t form is
+    pi^(n/2) Laplacian f(x)/4 t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2)
+    is summed exactly below the grid), then the Taylor-corrected annulus.
+    """
     beta = _check_alpha(beta, "beta")
     pt = _check_point(f, x)
     n = f.dim
@@ -633,23 +696,40 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
     if isinstance(region, AxisBox) and n >= 2:
         c, h = np.asarray(region.center), region.half_width
         inside = fx == 1.0
-        val = cube_kernel_integral(pt - c, n + beta, h, over_complement=inside, spec=spec)
-        return -const * val if inside else const * val
-    if region is not None and n == 1:
+        res = cube_kernel_integral(pt - c, n + beta, h, over_complement=inside, spec=spec,
+                                   detail=True)
+        res = _scaled(res, -const if inside else const)
+    elif region is not None and n == 1:
         # 1-d indicators: difference is +/-1 on interval pieces
         pieces, sign = _jump_pieces(region, fx == 1.0)
         x0 = float(pt[0])
-        total, counter = 0.0, _Counter(spec.max_evals)
+        counter = _Counter(spec.max_evals)
+        parts = []
         for a, b in pieces:
             g = lambda y: np.abs(y - x0) ** (-1.0 - beta)
             tails = [(e, 1.0 + beta) for e in (a, b) if math.isinf(e)]
-            res = integrate_core(g, a, b, tails, spec, counter)
-            total += float(res.require("fractional Laplacian")[0])
-        return const * sign * total
-
-    if not f.is_smooth:
+            parts.append(integrate_core(g, a, b, tails, spec, counter))
+        res = _scaled(sum(parts[1:], parts[0]), const * sign)
+    elif not f.is_smooth:
         raise UnsupportedFieldError(f"no Laplacian evaluation path for {f.kind}")
+    elif n >= 2 and f.heat_factors is not None:
+        b = (n + beta) / 2.0
+        X = pt[None, :]
+        counter = _Counter(spec.max_evals)
+        F, limit = _heat_products(f, X, (None,), counter)
+        tail = math.pi ** (n / 2.0) * f.laplacian_values(X)[:, None] / 4.0
+        res = _subordinate(f, X, F, b, tail, 1.0 - beta / 2.0, b, spec, counter,
+                           power=(-limit, n / 2.0))
+        res = _scaled(res, const / gamma(b))
+    else:
+        res = _scaled(_laplacian_annulus(f, beta, pt, fx, spec), const)
+    return res if detail else res.require("fractional Laplacian")
 
+
+def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, spec: QuadSpec):
+    """The Taylor-corrected annulus limit of int (f(x+y) - f(x)) / |y|^(n+beta) dy
+    for a smooth field with a finite evaluation box, far term included."""
+    n = f.dim
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Laplacian of non-compact smooth fields not supported")
@@ -690,8 +770,7 @@ def frac_laplacian(f: ScalarField, beta: float, x, spec: QuadSpec | None = None)
 
     delta = min(field_scale(f) / 2.0, reach / 4.0)
     res = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
-    res = replace(res, converged=res.converged and all(flags))
-    return const * (float(res.require("fractional Laplacian")[0]) + far)
+    return replace(res, value=res.value + far, converged=res.converged and all(flags))
 
 
 def field_scale(f: ScalarField) -> float:

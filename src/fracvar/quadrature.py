@@ -628,8 +628,10 @@ def log_trapezoid(
     scale: float,
     spec: QuadSpec,
     counter: _Counter,
+    power: tuple[np.ndarray, float] | None = None,
 ) -> QuadResult:
-    """int_0^inf t^(b-1) F(t) dt by the trapezoid rule in u = log t.
+    """int_0^inf t^(b-1) (F(t) + c t^-p) dt by the trapezoid rule in u = log t,
+    with ``power`` = (c, p), p < b, or without the power term if it is None.
 
     ``F(t, check)`` returns the integrand factor at the nodes ``t`` as an
     array of shape (t.size, ..., k); it charges ``counter`` itself.  With
@@ -649,13 +651,21 @@ def log_trapezoid(
       integral's own scale, so the grid stops where that is below
       1e-3 rel_tol, and the nodes beyond it are summed as a geometric series
       from the value at the last node; that sum is charged to the error.
+    * The power term: c t^(b-p) is added to t^b F(t) at every node, and its
+      nodes below the grid are summed exactly as a geometric series, not
+      charged to the error; eps times the sum of its magnitudes on the
+      grid, the rounding floor of a value that cancels it, is charged.  It
+      may decay at t -> 0 far more slowly than t^b F(t) (the fractional
+      Laplacian's f(x) (pi/t)^(n/2), whose t^(beta/2) would put the grid's
+      end below t = 1e-300), so only F sets the end.
     * Error: the nodes of step 2h are every other node of step h, so
       |S_h - S_2h| comes free, plus the check difference at the 2h nodes and
       the large-t mismatch.  h starts at 0.25 and halves until every entry
       meets max(abs_tol, rel_tol * |value|), |value| the max-norm over the
       last axis, or the budget runs out.
 
-    Returns the result with value and err_estimate of F's per-node shape.
+    Returns the result with value and err_estimate of F's per-node shape;
+    c has that shape too.
     """
     h = _LOG_T_STEP
     u_hi = math.log(_HEAT_T_MAX / scale**2)
@@ -667,6 +677,14 @@ def log_trapezoid(
         vals = np.asarray(F(t, check), dtype=float)
         return vals * (t**b).reshape((-1,) + (1,) * (vals.ndim - 1))
 
+    def pure(u: np.ndarray) -> np.ndarray:  # the power term c t^(b-p) at the nodes u
+        c, p = power
+        return c * np.exp((b - p) * u).reshape((-1,) + (1,) * np.ndim(c))
+
+    def nodes(u: np.ndarray) -> np.ndarray:  # the whole integrand
+        vals = weighted(u, False)
+        return vals if power is None else vals + pure(u)
+
     def geometric(step: float, rate: float) -> float:
         q = math.exp(-rate * step)
         return step * q / (1.0 - q)
@@ -674,18 +692,29 @@ def log_trapezoid(
     u = u_hi - h * np.arange(m + 1)
     g = weighted(u, False)
     panel = 2.0 * h * np.abs(g[::2] - weighted(u[::2], True)).sum(axis=0)
+    small_t = g[-1]  # t^b F(t) at the smallest t, without the power term
+    rounding = 0.0
+    if power is not None:
+        terms = pure(u)
+        # F cancels the power term where it is large, and each node rounds
+        # at about eps times its magnitude
+        rounding = _EPS * h * np.abs(terms).sum(axis=0)
+        g = g + terms
     large_t = tail * math.exp(-decay * u_hi)  # the asymptotic form at the last node
     mismatch = np.abs(g[0] - large_t)
 
     def ends(step: float) -> np.ndarray:
-        return large_t * geometric(step, decay) + g[-1] * geometric(step, small_t_power)
+        out = large_t * geometric(step, decay) + small_t * geometric(step, small_t_power)
+        if power is not None:
+            out = out + pure(u[-1:])[0] * geometric(step, b - power[1])
+        return out
 
     coarse = 2.0 * h * g[::2].sum(axis=0) + ends(2.0 * h)
     inner = h * g.sum(axis=0)
     for level in range(_LOG_T_LEVELS + 1):
         value = inner + ends(h)
         err = (np.abs(value - coarse) + panel + mismatch * geometric(h, decay + 1.0)
-               + np.abs(g[-1]) * geometric(h, small_t_power))
+               + np.abs(small_t) * geometric(h, small_t_power) + rounding)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.max(np.abs(value), axis=-1, keepdims=True))
         within_budget = counter.used <= counter.budget
         if bool(np.all(err <= tol)) or not within_budget or level == _LOG_T_LEVELS:
@@ -693,7 +722,7 @@ def log_trapezoid(
         # halve the step: the new nodes sit midway between the current ones
         coarse = value
         h /= 2.0
-        inner = 0.5 * inner + h * weighted(u_hi - h - 2.0 * h * np.arange(m), False).sum(axis=0)
+        inner = 0.5 * inner + h * nodes(u_hi - h - 2.0 * h * np.arange(m)).sum(axis=0)
         m *= 2
 
 
@@ -910,7 +939,8 @@ def cube_kernel_integral(
     half_width: float = 1.0,
     over_complement: bool = False,
     spec: QuadSpec | None = None,
-) -> float:
+    detail: bool = False,
+) -> float | QuadResult:
     """int |y - p|^(-exponent) dy over the cube Q = (-h, h)^n or its complement.
 
     Flux form: div_y[(y - p) |y - p|^(-E)] = (n - E) |y - p|^(-E), so the
@@ -933,10 +963,12 @@ def cube_kernel_integral(
 
     All pieces are mapped to [0, 1] and integrated as one sum, so the
     tolerance applies to the boundary sum itself; the budget counts one
-    evaluation per piece and node.  Raises QuadratureBudgetError when the sum
-    does not converge, SingularPointError for p on the boundary of Q,
-    NonIntegrableSingularityError when the kernel is not integrable at p, and
-    ValueError for a complement with E <= n or for E == n.
+    evaluation per piece and node.  With ``detail`` the result is the
+    QuadResult of the sum (a float value); without it QuadratureBudgetError
+    is raised when the sum does not converge.  Raises SingularPointError for
+    p on the boundary of Q, NonIntegrableSingularityError when the kernel is
+    not integrable at p, and ValueError for a complement with E <= n or for
+    E == n.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     n = p.size
@@ -958,7 +990,8 @@ def cube_kernel_integral(
 
     faces = [(h - s * p[i], np.delete(p, i)) for i in range(n) for s in (1.0, -1.0)]
     if n == 1:
-        return factor * float(sum(d * abs(d) ** (-E) for d, _ in faces))
+        res = QuadResult(factor * float(sum(d * abs(d) ** (-E) for d, _ in faces)), 0.0, 0, True)
+        return res if detail else res.value
 
     rows = []  # one (sign, |dist|, tau_lo, tau_hi, d, S) per piece
     for d, c in faces:
@@ -992,4 +1025,4 @@ def cube_kernel_integral(
     )
     res = QuadResult(factor * float(flux.value[0]), abs(factor) * flux.err_estimate,
                      flux.evals_used * len(rows), flux.converged)
-    return res.require("cube kernel integral")
+    return res if detail else res.require("cube kernel integral")

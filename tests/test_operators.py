@@ -22,6 +22,7 @@ from fracvar.fields import (
     ProductField,
     ScalarField,
     ScaledField,
+    SingularPointError,
     SmoothBump,
     UnsupportedFieldError,
     VectorField,
@@ -264,13 +265,17 @@ class _DifferencedFAlpha(FAlpha):
 @dataclass(frozen=True)
 class _PlainField(ScalarField):
     """Delegates evaluation to ``base`` but has no ``heat_factors``, so its
-    gradients take the generic and annulus paths."""
+    operators take the generic, annulus and angular paths."""
 
     base: ScalarField
 
     @property
     def kind(self) -> str:
         return self.base.kind
+
+    @property
+    def sup_norm_bound(self) -> float:
+        return self.base.sup_norm_bound
 
     @property
     def dim(self) -> int:
@@ -297,6 +302,9 @@ class _PlainField(ScalarField):
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         return self.base.grad_values(X)
+
+    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
+        return self.base.laplacian_values(X)
 
 
 def _gaussian_grad_mp(n, alpha, width, d):
@@ -405,6 +413,95 @@ class TestSubordination:
             assert res.returncode == 0, res.stderr[-2000:]
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
+
+
+def _gaussian_riesz_mp(n, s, width, d):
+    """I_s of exp(-pi |y|^2 / w^2) at offset d, a confluent hypergeometric
+    function of |d|^2: Gamma(b)/Gamma(n/2) (4a)^(-s/2) 1F1(b; n/2; -a |d|^2),
+    b = (n - s)/2, a = pi/w^2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, s, h = mp.pi / mp.mpf(width) ** 2, mp.mpf(s), mp.mpf(n) / 2
+        r2 = mp.fsum(mp.mpf(v) ** 2 for v in d)
+        b = h - s / 2
+        return float(mp.gamma(b) / mp.gamma(h) * (4 * a) ** (-s / 2) * mp.hyp1f1(b, h, -a * r2))
+
+
+def _gaussian_laplacian_mp(n, beta, width, d):
+    """(-Delta)^(beta/2) of exp(-pi |y|^2 / w^2) at offset d:
+    Gamma(b)/Gamma(n/2) (4a)^(beta/2) 1F1(b; n/2; -a |d|^2), b = (n + beta)/2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, beta, h = mp.pi / mp.mpf(width) ** 2, mp.mpf(beta), mp.mpf(n) / 2
+        r2 = mp.fsum(mp.mpf(v) ** 2 for v in d)
+        b = h + beta / 2
+        return float(mp.gamma(b) / mp.gamma(h) * (4 * a) ** (beta / 2) * mp.hyp1f1(b, h, -a * r2))
+
+
+class TestSubordinationPotentials:
+    """The Riesz potential and the fractional Laplacian of fields with
+    ``heat_factors`` in n >= 2 by Gaussian subordination."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("op, ref_fn", [
+        (ops.riesz_potential, _gaussian_riesz_mp),
+        (ops.frac_laplacian, _gaussian_laplacian_mp),
+    ])
+    def test_gaussian_against_mpmath(self, n, order, op, ref_fn):
+        center = (0.1, -0.2, 0.15)[:n]
+        g = Gaussian(center=center, width=1.0)
+        for x in ((0.5, 0.3, -0.4), (-1.3, 0.9, 0.4), (2.5, -1.5, 1.0), center):
+            x = np.array(x[:n])
+            res = op(g, order, x, detail=True)
+            ref = ref_fn(n, order, 1.0, x - np.array(center))
+            # 100 times tighter than the default rel_tol 1e-6 (n = 2), 1e-5 (n = 3)
+            assert res.converged
+            assert abs(res.value - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
+    def test_bump_2d_matches_angular(self, order, op):
+        # the wrapper has no heat_factors, so it takes the angular path
+        f = SmoothBump(center=(0.1, -0.2), width=(1.0, 1.3))
+        rel_tol = default_spec(2).rel_tol
+        for x in ((0.3, 0.1), (0.8, -0.4), (0.0, 1.1), (1.5, 0.2)):
+            heat = op(f, order, x, detail=True)
+            angular = op(_PlainField(f), order, x, detail=True)
+            assert heat.converged and angular.converged
+            assert abs(heat.value - angular.value) <= rel_tol * abs(angular.value)
+
+    @pytest.mark.parametrize("order", [0.05, 0.95])
+    @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
+    def test_bump_3d_converges_within_budget(self, order, op):
+        # the angular path exhausts the budget on these; the route keeps at
+        # least a factor 2 of it in reserve
+        f = SmoothBump(center=(0.0, 0.0, 0.0), width=1.0)
+        spec = default_spec(3)
+        for x in ((0.4180263564558081, -0.478936392837862, 0.7971352080118591),
+                  (-1.224608825273144, 0.9288437249608741, 0.3489427130445786),
+                  (0.0, 0.0, 0.0)):
+            res = op(f, order, x, detail=True)
+            assert res.converged
+            assert res.err_estimate <= spec.rel_tol * abs(res.value)
+            assert 2 * res.evals_used <= spec.max_evals
+
+    @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
+    def test_budget_exhaustion(self, op):
+        f = SmoothBump(center=(0.0, 0.0), width=1.0)
+        spec = QuadSpec(max_evals=100)
+        res = op(f, 0.5, (0.3, 0.2), spec, detail=True)
+        assert not res.converged and res.evals_used > 100
+        with pytest.raises(QuadratureBudgetError):
+            op(f, 0.5, (0.3, 0.2), spec)
+
+    def test_laplacian_power_term_at_small_order(self):
+        # at beta = 0.05 the f(x) (pi/t)^(n/2) term would need the grid to
+        # reach t ~ e^-800; it is summed below the grid instead
+        g = Gaussian(center=(0.1, -0.2, 0.15), width=1.0)
+        res = ops.frac_laplacian(g, 0.05, (0.3, 0.2, 0.1), detail=True)
+        assert res.converged and math.isfinite(res.value)
+        assert res.evals_used < 2000
 
 
 class TestFracDivergence:
@@ -681,7 +778,8 @@ class TestAngularProfileFlag:
 
     @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
     def test_short_profile_raises(self, op, monkeypatch):
-        f = Gaussian(center=(0.1, -0.2), width=1.0)
+        # without heat_factors the Gaussian takes the angular path
+        f = _PlainField(Gaussian(center=(0.1, -0.2), width=1.0))
         x = (0.3, 0.2)
         used = []
         profile = ops.angular_profile
@@ -808,7 +906,9 @@ class TestNlGradient:
 
 class TestAngularToleranceRelativeToField:
     """Angular profiles meet a tolerance relative to the field's sup-norm
-    bound, so scaling the field scales the value and nothing else."""
+    bound, so scaling the field scales the value and nothing else.  The
+    Riesz potential and the Laplacian of a Gaussian take the heat route, so
+    their angular cases use a Gaussian without ``heat_factors``."""
 
     big = Gaussian(center=(0.1, -0.2), amplitude=1e8)
     unit = Gaussian(center=(0.1, -0.2))
@@ -816,12 +916,19 @@ class TestAngularToleranceRelativeToField:
     x = (0.3, 0.2)
 
     def test_riesz_potential(self):
-        v = ops.riesz_potential(self.big, 0.5, self.x)
-        assert v == pytest.approx(1e8 * ops.riesz_potential(self.unit, 0.5, self.x), rel=1e-12)
+        v = ops.riesz_potential(_PlainField(self.big), 0.5, self.x)
+        ref = ops.riesz_potential(_PlainField(self.unit), 0.5, self.x)
+        assert v == pytest.approx(1e8 * ref, rel=1e-12)
 
     def test_frac_laplacian(self):
-        v = ops.frac_laplacian(self.big, 0.5, self.x)
-        assert v == pytest.approx(1e8 * ops.frac_laplacian(self.unit, 0.5, self.x), rel=1e-12)
+        v = ops.frac_laplacian(_PlainField(self.big), 0.5, self.x)
+        ref = ops.frac_laplacian(_PlainField(self.unit), 0.5, self.x)
+        assert v == pytest.approx(1e8 * ref, rel=1e-12)
+
+    @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
+    def test_heat_route(self, op):
+        v = op(self.big, 0.5, self.x)
+        assert v == pytest.approx(1e8 * op(self.unit, 0.5, self.x), rel=1e-12)
 
     def test_nl_gradient(self):
         v = ops.nl_gradient(self.big, self.other, 0.5, self.x)
@@ -873,6 +980,16 @@ class TestRegionTrait:
     ])
     def test_laplacian_takes_the_indicator_path(self, base, x):
         assert ops.frac_laplacian(_RegionOnly(base), 0.5, x) == ops.frac_laplacian(base, 0.5, x)
+
+    @pytest.mark.parametrize("base", [IntervalIndicator(), CubeIndicator()])
+    @pytest.mark.parametrize("x", [-1.0, 1.0])
+    def test_jump_set_is_singular(self, base, x):
+        # the gradient and the Laplacian kernels are not integrable at the jump
+        for f in (base, _RegionOnly(base)):
+            with pytest.raises(SingularPointError):
+                ops.frac_gradient(f, 0.5, x, detail=True)
+            with pytest.raises(SingularPointError):
+                ops.frac_laplacian(f, 0.5, x)
 
 
 class TestSpectralOracle:

@@ -142,6 +142,20 @@ def test_eval_budget_exhaustion_exit_code(capsys):
     assert err.startswith("quadrature budget exceeded:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("op, field, point", [
+    ("riesz", '{"kind":"gaussian","center":[0.1,-0.2],"dim":2}', "0.3,0.2"),
+    ("riesz", '{"kind":"cube_indicator","dim":2,"half_width":1}', "0.3,0.2"),
+    ("laplacian", '{"kind":"smooth_bump","center":[0,0],"width":1}', "0.3,0.2"),
+    ("laplacian", '{"kind":"interval_indicator","a":-1,"b":1}', "0.3"),
+])
+def test_eval_reports_err_and_evals(op, field, point, capsys):
+    # the Riesz potential and the Laplacian print their own err and evals
+    code = cli.main(["eval", "--op", op, "--alpha", "0.5", "--field", field, "--points", point])
+    assert code == 0
+    *_, err, evals = capsys.readouterr().out.strip().split(",")
+    assert 0.0 <= float(err) < 1e-6 and int(evals) > 0
+
+
 def test_unknown_quad_field_is_usage_error(tmp_path, capsys):
     # an unknown QuadSpec field, on the command line or in a config, exits 2
     code = cli.main([
