@@ -210,8 +210,9 @@ class ScalarField:
         return None
 
     def is_singular(self, x: np.ndarray) -> bool:
-        """Whether the field has no point value at x.  The operators also
-        refuse the boundary of an indicator's ``region``, its jump set."""
+        """Whether the field has no point value at x.  The gradient and the
+        Laplacian also refuse the boundary of an indicator's ``region``, its
+        jump set, where their kernels are not integrable."""
         pt = as_points(x, self.dim)[0]
         return any(np.array_equal(pt, np.asarray(s)) for s in self.singular_points)
 

@@ -14,8 +14,9 @@ fractional Laplacian sharing the same singular-kernel machinery:
   to integrals over t of products of 1-d heat convolutions G_t g(x_i)
   (``_heat_products``, one loop over the factors for all three), summed by
   the trapezoid rule in log t.  The Laplacian's f(x) (pi/t)^(n/2) term is
-  summed exactly below the grid.  Every other smooth field, and every
-  smooth field in n = 1, takes the Taylor-corrected annulus: the ball
+  summed exactly below the grid; the Riesz potential takes the route for
+  s <= n - 1, larger orders the angular path.  Every other smooth field,
+  and every smooth field in n = 1, takes the Taylor-corrected annulus: the ball
   B_delta(x) is removed and replaced by the Taylor correction
   omega_n delta^(1-alpha)/(1-alpha) grad f(x) (resp. the Laplacian
   correction for the fractional Laplacian); delta is then halved, adding
@@ -27,7 +28,9 @@ fractional Laplacian sharing the same singular-kernel machinery:
   reduce to declared-singularity radial integrals, and a cube's kernel
   integral (``cube_kernel_integral``, the Laplacian and the Riesz potential
   in n >= 2) becomes a sum of smooth face fluxes by the divergence theorem;
-  no operator is evaluated on the region's boundary, the jump set,
+  the gradient and the Laplacian refuse the region's boundary, the jump
+  set, where their kernels are not integrable (the Riesz potential stays
+  finite there, and only the cube's flux form refuses it),
 * the f(x) kernel term is cancelled exactly by odd symmetry over every sphere
   centered at x, so only f(y) itself is ever integrated for the gradient.
 
@@ -123,13 +126,26 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
 
 
 def _check_point(field: ScalarField, x) -> np.ndarray:
-    """The point x, refused where the field is singular or on the boundary of
-    its ``region``, an indicator's jump set: the gradient and Laplacian
-    integrals diverge there, and the cube kernel's flux form has no value."""
     pt = as_points(x, field.dim)[0]
-    region = field.region
-    if field.is_singular(pt) or (region is not None and region.on_boundary(pt)):
+    if field.is_singular(pt):
         raise SingularPointError(f"{field.kind} is singular at {pt.tolist()}")
+    return pt
+
+
+def _on_jump(field: ScalarField, pt: np.ndarray) -> bool:
+    """Whether pt lies on the boundary of the field's ``region``, an indicator's jump set."""
+    region = field.region
+    return region is not None and region.on_boundary(pt)
+
+
+def _check_off_jump(field: ScalarField, x) -> np.ndarray:
+    """The point x, refused also on the field's jump set: there f(y) - f(x)
+    is of order 1 on a half-ball about x, against which neither the gradient
+    kernel |y - x|^-(n + alpha) nor the Laplacian's |y - x|^-(n + beta) is
+    integrable.  The Riesz potential stays finite there."""
+    pt = _check_point(field, x)
+    if _on_jump(field, pt):
+        raise SingularPointError(f"{pt.tolist()} lies on the jump set of {field.kind}")
     return pt
 
 
@@ -517,7 +533,7 @@ def frac_gradient(
     ``_grad_heat``), then ``has_gradient`` (the Taylor-corrected annulus).
     """
     alpha = _check_alpha(alpha)
-    pt = _check_point(f, x)
+    pt = _check_off_jump(f, x)
     n = f.dim
     if n not in (1, 2, 3):
         raise ValueError("operators support n in {1, 2, 3}")
@@ -574,10 +590,11 @@ def riesz_potential(
     of the evaluation (a float value); without it the value is returned if
     it converged, and QuadratureBudgetError is raised otherwise.  In n >= 2
     the path follows the field's traits: a cube indicator's ``region`` (k(n, s)
-    ``cube_kernel_integral``), then ``heat_factors`` (Gaussian subordination,
-    I_s f(x) = k(n, s)/Gamma(b) int_0^inf t^(b-1) prod_i G_t g_i(x_i) dt with
-    b = (n - s)/2, whose large-t form is pi^(n/2) f(x) t^(-s/2)), then the
-    radial integral of angular profiles about x.
+    ``cube_kernel_integral``), then ``heat_factors`` for s <= n - 1 (Gaussian
+    subordination, I_s f(x) = k(n, s)/Gamma(b) int_0^inf t^(b-1) prod_i
+    G_t g_i(x_i) dt with b = (n - s)/2, whose large-t form is
+    pi^(n/2) f(x) t^(-s/2)), then the radial integral of angular profiles
+    about x.
     """
     n = f.dim
     s = float(s)
@@ -608,7 +625,9 @@ def riesz_potential(
     elif isinstance(f.region, AxisBox):
         c, h = np.asarray(f.region.center), f.region.half_width
         res = _scaled(cube_kernel_integral(pt - c, n - s, h, spec=spec, detail=True), k)
-    elif f.heat_factors is not None:
+    elif f.heat_factors is not None and s <= n - 1.0:
+        # b >= 1/2: as s -> n the grid's small-t end, log(1e-3 rel_tol)/b,
+        # runs off to t = e^-700 and the node count grows like 1/b
         b = (n - s) / 2.0
         X = pt[None, :]
         F, limit = _heat_products(f, X, (None,), counter)
@@ -686,7 +705,7 @@ def frac_laplacian(
     is summed exactly below the grid), then the Taylor-corrected annulus.
     """
     beta = _check_alpha(beta, "beta")
-    pt = _check_point(f, x)
+    pt = _check_off_jump(f, x)
     n = f.dim
     spec = spec or default_spec(n)
     const = nu(n, beta)
@@ -797,6 +816,11 @@ def nl_gradient(
         raise ValueError("fields must share the ambient dimension")
     ptf = _check_point(f, x)
     _check_point(g, x)
+    if _on_jump(f, ptf) and _on_jump(g, ptf):
+        # (f(y) - f(x))(g(y) - g(x)) can be of order 1 on a half-ball (it is
+        # for f = g), against a kernel of order |y - x|^-(n + alpha); one
+        # jump alone is integrable
+        raise SingularPointError(f"{ptf.tolist()} lies on the jump sets of both fields")
     n = f.dim
     spec = spec or default_spec(n)
     box_f, box_g = _field_box(f), _field_box(g)

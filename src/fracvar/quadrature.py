@@ -616,6 +616,7 @@ def integrate_1d(
 _LOG_T_STEP = 0.25  # finest step of the first pass; its estimate compares with 2h = 0.5
 _LOG_T_LEVELS = 4  # step halvings after the first pass
 _HEAT_T_MAX = 1e13  # t beyond which F(t) is replaced by its asymptotic form, at unit scale
+_LOG_T_MIN = -700.0  # smallest u = log t on the grid: exp(u) and t^b stay normal floats
 
 
 def log_trapezoid(
@@ -649,8 +650,9 @@ def log_trapezoid(
       t^-(decay + 1) beyond it, is charged to the error.
     * Small t: t^b F(t) = O((t reach^2)^small_t_power) relative to the
       integral's own scale, so the grid stops where that is below
-      1e-3 rel_tol, and the nodes beyond it are summed as a geometric series
-      from the value at the last node; that sum is charged to the error.
+      1e-3 rel_tol, but not below t = e^-700, where t^b would underflow
+      for small b; the nodes beyond it are summed as a geometric series
+      from the value at the last node, and that sum is charged to the error.
     * The power term: c t^(b-p) is added to t^b F(t) at every node, and its
       nodes below the grid are summed exactly as a geometric series, not
       charged to the error; eps times the sum of its magnitudes on the
@@ -669,7 +671,8 @@ def log_trapezoid(
     """
     h = _LOG_T_STEP
     u_hi = math.log(_HEAT_T_MAX / scale**2)
-    u_lo = min(math.log(1e-3 * spec.rel_tol) / small_t_power - 2.0 * math.log(reach), u_hi - 1.0)
+    u_lo = math.log(1e-3 * spec.rel_tol) / small_t_power - 2.0 * math.log(reach)
+    u_lo = min(max(u_lo, _LOG_T_MIN), u_hi - 1.0)
     m = 2 * math.ceil((u_hi - u_lo) / (2.0 * h))
 
     def weighted(u: np.ndarray, check: bool) -> np.ndarray:

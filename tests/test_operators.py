@@ -459,6 +459,31 @@ class TestSubordinationPotentials:
             assert res.converged
             assert abs(res.value - ref) <= 1e-8 * abs(ref)
 
+    @pytest.mark.parametrize("n, s", [(2, 1.0), (3, 2.0)])
+    def test_gaussian_potential_at_largest_routed_order(self, n, s):
+        center = (0.1, -0.2, 0.15)[:n]
+        g = Gaussian(center=center, width=1.0)
+        for x in ((0.5, 0.3, -0.4), center):
+            x = np.array(x[:n])
+            res = ops.riesz_potential(g, s, x, detail=True)
+            ref = _gaussian_riesz_mp(n, s, 1.0, x - np.array(center))
+            assert res.converged
+            assert abs(res.value - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("n, s", [(2, 1.5), (2, 1.99), (3, 2.5), (3, 2.99)])
+    def test_gaussian_potential_near_order_n(self, n, s):
+        # b = (n - s)/2 < 1/2 would put the grid's small-t end below
+        # t = e^-700, where t^b underflows; these orders take the angular path
+        center = (0.1, -0.2, 0.15)[:n]
+        g = Gaussian(center=center, width=1.0)
+        rel_tol = default_spec(n).rel_tol
+        for x in ((0.5, 0.3, -0.4), center):
+            x = np.array(x[:n])
+            res = ops.riesz_potential(g, s, x, detail=True)
+            ref = _gaussian_riesz_mp(n, s, 1.0, x - np.array(center))
+            assert res.converged
+            assert abs(res.value - ref) <= rel_tol * abs(ref)
+
     @pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
     @pytest.mark.parametrize("op", [ops.riesz_potential, ops.frac_laplacian])
     def test_bump_2d_matches_angular(self, order, op):
@@ -990,6 +1015,23 @@ class TestRegionTrait:
                 ops.frac_gradient(f, 0.5, x, detail=True)
             with pytest.raises(SingularPointError):
                 ops.frac_laplacian(f, 0.5, x)
+
+    @pytest.mark.parametrize("x", [-1.0, 1.0])
+    def test_interval_potential_at_endpoint(self, x):
+        # I_s of the interval's indicator is finite and continuous at its
+        # endpoints: k(1, s) int_0^2 r^(s-1) dr = k(1, s) 2^s / s
+        s = 0.5
+        for f in (IntervalIndicator(), _RegionOnly(IntervalIndicator())):
+            v = ops.riesz_potential(f, s, x)
+            assert v == pytest.approx(ops.riesz_constant(1, s) * 2.0**s / s, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [-1.0, 1.0])
+    def test_nl_gradient_at_endpoint(self, x):
+        # one jump against a smooth field is integrable; two jumps are not
+        chi, g = IntervalIndicator(), Gaussian(center=(0.0,), width=1.0)
+        assert np.all(np.isfinite(ops.nl_gradient(chi, g, 0.5, x)))
+        with pytest.raises(SingularPointError):
+            ops.nl_gradient(chi, chi, 0.5, x)
 
 
 class TestSpectralOracle:

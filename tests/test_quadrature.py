@@ -22,6 +22,7 @@ from fracvar.quadrature import (
     integrate_1d,
     integrate_ball,
     integrate_complement,
+    log_trapezoid,
 )
 
 
@@ -242,6 +243,21 @@ class TestAngularProfile:
         assert res.value.shape == (15, n)
         assert 0 < counter.used <= counter.budget
         assert res.evals_used == counter.used
+
+
+class TestLogTrapezoid:
+    @pytest.mark.parametrize("b", [0.5, 0.05, 0.005])
+    def test_estimate_covers_small_t_mass(self, b):
+        # int_0^inf t^(b-1) e^-t dt = Gamma(b); at b = 0.005 the mass sits
+        # at t < e^-700, below the grid, and must show in the estimate
+        spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
+
+        def F(t, check):
+            return np.exp(-t)[:, None]
+
+        res = log_trapezoid(F, b, np.zeros(1), 1.0, b, 1.0, 1.0, spec, _Counter(spec.max_evals))
+        assert abs(res.value[0] - gamma(b)) <= res.err_estimate[0]
+        assert res.converged == (b >= 0.05)
 
 
 class TestQuadSpec:
