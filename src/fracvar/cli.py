@@ -76,8 +76,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             phi = VectorField(components=(field,) * field.dim) if field.dim == 1 else None
             if field.dim != 1:
                 raise ValueError("div via the CLI takes a 1-d field (single component)")
-            value = (ops.frac_divergence(phi, args.alpha, p, spec),)
-            err, evals = float("nan"), 0
+            res = ops.frac_divergence(phi, args.alpha, p, spec, detail=True)
+            value, err, evals = ((res.require("fractional divergence"),), res.err_estimate,
+                                 res.evals_used)
         elif args.op == "riesz":
             res = ops.riesz_potential(field, args.alpha, p, spec, detail=True)
             value, err, evals = (res.require("Riesz potential"),), res.err_estimate, res.evals_used
@@ -86,9 +87,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             value, err, evals = ((res.require("fractional Laplacian"),), res.err_estimate,
                                  res.evals_used)
         elif args.op == "nlgrad":
+            if args.field2 is None:
+                raise ValueError("nlgrad needs a second field (--field2)")
             other = _load_field_arg(args.field2)
-            value = tuple(ops.nl_gradient(field, other, args.alpha, p, spec).tolist())
-            err, evals = float("nan"), 0
+            res = ops.nl_gradient(field, other, args.alpha, p, spec, detail=True)
+            value, err, evals = (tuple(res.require("non-local gradient").tolist()),
+                                 res.err_estimate, res.evals_used)
         else:
             raise ValueError(f"unknown op {args.op}")
         rows.append(

@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .constants import ball_volume, mu, nu
-from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_legendre,
-                         integrate_1d, integrate_ball)
+from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_hermite,
+                         gauss_legendre, integrate_1d, integrate_ball)
 
 __all__ = [
     "ScalarField",
@@ -202,11 +202,21 @@ class ScalarField:
     def heat_factors(self) -> tuple | None:
         """Per-axis factors g_i, f(x) = g_1(x_1) ... g_n(x_n) up to rounding,
         each callable on coordinates and with ``deriv(y)`` = g_i'(y) and
-        ``heat(x, t, check)``, which returns G_t g_i(x), G_t g_i'(x) (arrays of
-        shape (x.size, t.size), G_t g(x) = int g(y) exp(-t (x - y)^2) dy) and
-        the number of samples drawn; ``check`` asks for a cheaper, less
-        accurate evaluation that bounds the error of the full one.  None
-        unless the field is such a product."""
+        ``heat(x, t, check, deriv)``, which returns G_t g_i(x), G_t g_i'(x)
+        (arrays of shape (x.size, t.size), G_t g(x) = int g(y) exp(-t (x - y)^2)
+        dy; the second is None unless ``deriv``, and G_t g_i does not depend
+        on it) and the number of samples drawn, which is what the quadrature
+        budget is charged; ``check`` asks for a cheaper evaluation by a
+        different rule that bounds the error of the full one.  A Gaussian's
+        factors are closed form, one sample per (x, t) pair; a bump's sort
+        the pairs by where the window x +- 12/sqrt(t) falls against the
+        support (see ``_BumpAxis``): no samples when it misses the support,
+        24 Gauss-Hermite samples (16 for the check) when it lies inside,
+        12 panels of 24 Gauss-Legendre nodes (8 panels for the check) on
+        the window clipped to the support otherwise, where every t whose
+        window covers the whole support shares one set of samples of g but
+        is charged its kernel terms.  None unless the field is such a
+        product."""
         return None
 
     def is_singular(self, x: np.ndarray) -> bool:
@@ -362,6 +372,7 @@ def _bump_1d_d2(t: np.ndarray) -> np.ndarray:
 _HEAT_WINDOW = 12.0  # exp(-t (x - y)^2) < e^-144 beyond |x - y| = 12 / sqrt(t)
 _HEAT_ORDER = 24  # Gauss-Legendre nodes per panel
 _HEAT_PANELS = (12, 8)  # panels per window, of the full and of the check evaluation
+_HEAT_HERMITE = (24, 16)  # Gauss-Hermite nodes, of the full and of the check evaluation
 _HEAT_CHUNK = 1 << 20  # samples per block of targets
 
 
@@ -380,22 +391,60 @@ class _GaussianAxis:
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return (-2.0 * math.pi / self.width**2) * (y - self.center) * self(y)
 
-    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False):
+    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
         a = math.pi / self.width**2
         dx = (np.asarray(x, dtype=float) - self.center)[:, None]
         t = np.asarray(t, dtype=float)[None, :]
         G = self.amplitude * np.sqrt(math.pi / (a + t)) * np.exp(-a * t * dx**2 / (a + t))
-        return G, (-2.0 * a * t * dx / (a + t)) * G, G.size
+        return G, (-2.0 * a * t * dx / (a + t)) * G if deriv else None, G.size
+
+
+def _bump_samples(u: np.ndarray, deriv: bool) -> np.ndarray:
+    """exp(1 - 1/(1 - u^2)), 0 off (-1, 1), and, if ``deriv``, its derivative
+    in u, stacked along a new first axis: ``_bump_1d`` and ``_bump_1d_d1``
+    from one exponential."""
+    om = 1.0 - u * u
+    inside = om > 0.0
+    om = np.where(inside, om, 1.0)
+    val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
+    return np.stack([val, val * (-2.0 * u / om**2)]) if deriv else val[None]
+
+
+@lru_cache(maxsize=None)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of ``panels`` equal panels of half width 1 on
+    [0, 2 panels] and their weights, computed once and returned read-only."""
+    z, wz = gauss_legendre(_HEAT_ORDER)
+    nodes = (np.arange(1, 2 * panels, 2)[:, None] + z).ravel()
+    weights = np.tile(wz, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
 class _BumpAxis:
     """Factor exp(1 - 1/(1 - s^2)), s = (y - center) / width, of a SmoothBump.
 
-    Its heat convolutions are Gauss-Legendre sums over equal panels of the
-    window [x - 12/sqrt(t), x + 12/sqrt(t)] clipped to the support.  The
-    nodes are placed as offsets d = y - x, so the kernel exp(-t d^2) keeps
-    full precision however narrow the window.
+    Its heat convolutions go by where the window [x - 12/sqrt(t), x + 12/sqrt(t)],
+    beyond which the kernel is below e^-144, falls against the support
+    [center - width, center + width], pair by pair of target x and node t:
+
+    * the window misses the support: G = G' = 0 exactly, and no samples;
+    * the window lies inside the support: G_t g(x) = t^(-1/2) sum_k w_k
+      g(x + z_k/sqrt(t)) with 24 Gauss-Hermite nodes (16 for the check),
+      24 (16) samples per pair;
+    * the window covers the support: Gauss-Legendre sums over 12 (8) equal
+      panels of 24 nodes on the support, whose offsets d = y - x do not
+      depend on t, so g and g' are sampled once per target and every such
+      t takes exp(-t d^2) against those samples; each pair is charged its
+      288 (192) kernel terms;
+    * one end of the window clipped: the same panels on the window clipped
+      to the support, 288 (192) samples per pair.
+
+    The three rules of the check differ from the full ones, so the
+    difference of the two bounds the error of each.  The panel nodes are
+    placed as offsets d = y - x, so the kernel exp(-t d^2) keeps full
+    precision however narrow the window.
     """
 
     center: float
@@ -407,30 +456,53 @@ class _BumpAxis:
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return _bump_1d_d1((y - self.center) / self.width) / self.width
 
-    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False):
-        z, wz = gauss_legendre(_HEAT_ORDER)
+    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
         panels = _HEAT_PANELS[check]
+        nodes, weights = _panel_rule(panels)
+        zh, wh = gauss_hermite(_HEAT_HERMITE[check])
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
+        c, w = self.center, self.width
         reach = _HEAT_WINDOW / np.sqrt(t)
-        G, dG = np.empty((x.size, t.size)), np.empty((x.size, t.size))
-        rows = max(1, _HEAT_CHUNK // (t.size * panels * z.size))
+        out = np.zeros((1 + deriv, x.size, t.size))  # G and, with deriv, G' times width
+        samples = 0
+        rows = max(1, _HEAT_CHUNK // (t.size * nodes.size))
         for s in range(0, x.size, rows):
-            xs = x[s : s + rows, None]
-            lo = np.maximum(-reach, self.center - self.width - xs)
-            hi = np.maximum(np.minimum(reach, self.center + self.width - xs), lo)
-            half = (hi - lo) / (2 * panels)  # (rows, t.size)
-            mids = lo[..., None] + half[..., None] * np.arange(1, 2 * panels, 2)
-            d = mids[..., None] + half[..., None, None] * z  # (rows, t.size, panels, order)
-            kern = np.exp(-t[:, None, None] * d * d) * wz
-            u = (xs[..., None, None] + d - self.center) / self.width
-            om = 1.0 - u * u
-            inside = om > 0.0
-            om = np.where(inside, om, 1.0)
-            val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0) * kern
-            G[s : s + rows] = half * val.sum(axis=(-1, -2))
-            dG[s : s + rows] = half * (val * (-2.0 * u / om**2)).sum(axis=(-1, -2)) / self.width
-        return G, dG, x.size * t.size * panels * z.size
+            xs = x[s : s + rows]
+            lo = (c - w - xs)[:, None]  # the support's ends as offsets from x
+            hi = (c + w - xs)[:, None]
+            inside = (lo < -reach) & (reach < hi)
+            covers = (-reach <= lo) & (hi <= reach)
+            clipped = (-reach < hi) & (lo < reach) & ~inside & ~covers
+
+            i, j = np.nonzero(inside)
+            if i.size:
+                rt = np.sqrt(t[j])
+                vals = _bump_samples((xs[i, None] + zh / rt[:, None] - c) / w, deriv)
+                out[:, s + i, j] = (vals @ wh) / rt
+                samples += i.size * zh.size
+
+            i, j = np.nonzero(covers)
+            if i.size:
+                k = np.flatnonzero(covers.any(axis=1))
+                row = np.searchsorted(k, i)
+                half = (hi[k, 0] - lo[k, 0]) / (2 * panels)
+                d = lo[k] + half[:, None] * nodes
+                vals = _bump_samples((xs[k, None] + d - c) / w, deriv) * weights
+                kern = np.exp(-t[j, None] * (d * d)[row])
+                out[:, s + i, j] = half[row] * np.einsum("pk,qpk->qp", kern, vals[:, row])
+                samples += kern.size
+
+            i, j = np.nonzero(clipped)
+            if i.size:
+                a = np.maximum(-reach[j], lo[i, 0])
+                half = (np.minimum(reach[j], hi[i, 0]) - a) / (2 * panels)
+                d = a[:, None] + half[:, None] * nodes
+                vals = _bump_samples((xs[i, None] + d - c) / w, deriv)
+                kern = np.exp(-t[j, None] * d * d) * weights
+                out[:, s + i, j] = half * (vals * kern).sum(axis=-1)
+                samples += kern.size
+        return out[0], out[1] / w if deriv else None, samples
 
 
 @dataclass(frozen=True)

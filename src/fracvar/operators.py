@@ -38,8 +38,8 @@ Every evaluation path returns a :class:`~fracvar.quadrature.QuadResult`,
 with the convergence flags of its angular profiles AND-ed in; an angular
 profile's tolerance is relative to the field's ``sup_norm_bound``.  The public
 operators return the value if it converged and raise QuadratureBudgetError
-otherwise; ``frac_gradient``, ``riesz_potential`` and ``frac_laplacian``
-with ``detail=True`` return the result itself.
+otherwise; with ``detail=True`` every one of them returns the result
+itself (``frac_divergence`` the sum of its components' results).
 
 Quadrature operators accept alpha in [0.05, 0.95] and dimensions 1..3.
 """
@@ -372,7 +372,7 @@ def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
     (m, len(columns)), the limit of t^(n/2) F(t) as t -> inf, since
     G_t g(x) ~ sqrt(pi/t) g(x).  Each factor's G_t is evaluated once per
     distinct coordinate of its axis, and each target takes a row-wise
-    product.
+    product; G_t g' only on the axes that a column differentiates.
     """
     n = f.dim
     factors = f.heat_factors
@@ -380,10 +380,10 @@ def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
 
     def F(t: np.ndarray, check: bool) -> np.ndarray:
         heat = []
-        for g, (u, inv) in zip(factors, axes):
-            G, dG, samples = g.heat(u, t, check)
+        for i, (g, (u, inv)) in enumerate(zip(factors, axes)):
+            G, dG, samples = g.heat(u, t, check, deriv=i in columns)
             counter.add(samples)
-            heat.append((G[inv], dG[inv]))
+            heat.append((G[inv], None if dG is None else dG[inv]))
         out = np.empty((t.size, X.shape[0], len(columns)))
         for k, j in enumerate(columns):
             prod = heat[0][j == 0]
@@ -555,14 +555,24 @@ def frac_gradient(
     return res if detail else res.require("fractional gradient")
 
 
-def frac_divergence(phi: VectorField, alpha: float, x, spec: QuadSpec | None = None) -> float:
-    """Fractional divergence of a vector field: sum_i [grad_alpha phi_i]_i."""
+def frac_divergence(
+    phi: VectorField, alpha: float, x, spec: QuadSpec | None = None, detail: bool = False
+):
+    """Fractional divergence of a vector field: sum_i [grad_alpha phi_i]_i.
+
+    With ``detail`` the result is the :class:`~fracvar.quadrature.QuadResult`
+    of the sum (a float value): the components' values and error estimates
+    add, their evaluation counts add (each gradient has its own budget), and
+    it converged if every gradient did.  Without it the value is returned if
+    it converged, and QuadratureBudgetError is raised otherwise.
+    """
     if len(phi.components) != phi.dim:
         raise ValueError("divergence needs as many components as dimensions")
-    total = 0.0
-    for i, comp in enumerate(phi.components):
-        total += float(frac_gradient(comp, alpha, x, spec)[i])
-    return total
+    parts = [frac_gradient(comp, alpha, x, spec, detail=True) for comp in phi.components]
+    res = QuadResult(sum(float(r.value[i]) for i, r in enumerate(parts)),
+                     sum(float(np.max(r.err_estimate)) for r in parts),
+                     sum(r.evals_used for r in parts), all(r.converged for r in parts))
+    return res if detail else res.require("fractional divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -802,14 +812,17 @@ def field_scale(f: ScalarField) -> float:
 
 
 def nl_gradient(
-    f: ScalarField, g: ScalarField, alpha: float, x, spec: QuadSpec | None = None
-) -> np.ndarray:
+    f: ScalarField, g: ScalarField, alpha: float, x, spec: QuadSpec | None = None,
+    detail: bool = False,
+):
     """mu(n,a) int (y-x)(f(y)-f(x))(g(y)-g(x)) / |y-x|^(n+a+1) dy.
 
     The integrand vanishes like |y-x|^(2-n-a) at the center and the constant
     far-field product cancels by odd symmetry over |y - x| > reach, so a
-    symmetric truncation at the joint support reach is exact.  Raises
-    QuadratureBudgetError when the integral does not converge.
+    symmetric truncation at the joint support reach is exact.  With
+    ``detail`` the result is the :class:`~fracvar.quadrature.QuadResult` of
+    the evaluation, the vector as its value; without it the vector is
+    returned if it converged, and QuadratureBudgetError is raised otherwise.
     """
     alpha = _check_alpha(alpha)
     if f.dim != g.dim:
@@ -843,20 +856,22 @@ def nl_gradient(
 
         res = (_segment(kern, x0, x0 + reach, 1.0 - alpha, None, rel, absr, counter)
                + _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter))
-        return mu(1, alpha) * res.require("non-local gradient")
+    else:
 
-    def h(Y: np.ndarray) -> np.ndarray:
-        return (f.values(Y) - fx) * (g.values(Y) - gx)
+        def h(Y: np.ndarray) -> np.ndarray:
+            return (f.values(Y) - fx) * (g.values(Y) - gx)
 
-    bound = f.sup_norm_bound * g.sup_norm_bound
-    profile, flags = _profiles(h, ptf, n, absr, rel, bound, counter, moments=True)
+        bound = f.sup_norm_bound * g.sup_norm_bound
+        profile, flags = _profiles(h, ptf, n, absr, rel, bound, counter, moments=True)
 
-    def moment(r: np.ndarray) -> np.ndarray:
-        return r[:, None] ** (-1.0 - alpha) * profile(r)
+        def moment(r: np.ndarray) -> np.ndarray:
+            return r[:, None] ** (-1.0 - alpha) * profile(r)
 
-    res = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
-    res = replace(res, converged=res.converged and all(flags))
-    return mu(n, alpha) * res.require("non-local gradient")
+        res = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
+        res = replace(res, converged=res.converged and all(flags))
+    k = mu(n, alpha)
+    res = QuadResult(k * res.value, abs(k) * res.err_estimate, res.evals_used, res.converged)
+    return res if detail else res.require("non-local gradient")
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ __all__ = [
     "integrate_ball",
     "integrate_complement",
     "default_spec",
+    "gauss_hermite",
     "gauss_legendre",
     "log_trapezoid",
 ]
@@ -221,6 +222,15 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
     and returned read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for int h(z) exp(-z^2) dz over the
+    real line, computed once per order and returned read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

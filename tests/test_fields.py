@@ -103,6 +103,21 @@ class TestCompactSupport:
                                        spec=spec).value if lo < hi else 0.0
                     assert h[i, j] == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("field", [
+        SmoothBump(center=(0.1, -0.3), width=(1.2, 0.7)),
+        Gaussian(center=(0.2, -0.1), width=0.8, amplitude=1.5),
+    ])
+    def test_heat_without_derivative(self, field):
+        # G_t g does not depend on whether G_t g' is asked for, in any regime
+        x, t = np.linspace(-2.0, 2.0, 41), np.geomspace(1e-4, 1e10, 30)
+        for g in field.heat_factors:
+            for check in (False, True):
+                G, dG, samples = g.heat(x, t, check)
+                G0, dG0, samples0 = g.heat(x, t, check, deriv=False)
+                assert dG0 is None and dG is not None and samples0 == samples
+                assert np.array_equal(G0, G)
+
+
     def test_indicator_open_interval(self):
         chi = IntervalIndicator(a=-1.0, b=1.0)
         assert feval(chi, 0.0) == 1.0
@@ -129,6 +144,61 @@ class TestCompactSupport:
     def test_halfspace_unit_normal_validation(self):
         with pytest.raises(ValueError):
             HalfSpace(nu=(1.0, 1.0), x0=(0.0, 0.0))
+
+
+def _panel_heat(g, x: float, t: float, lo: float, hi: float, panels: int = 12):
+    """G_t g(x), G_t g'(x) and sum |k g'| over the nodes, by Gauss-Legendre
+    over ``panels`` equal panels of [lo, hi] with 24 nodes each, one (x, t)
+    pair at a time.  The nodes are offsets d = y - x, so that the kernel
+    exp(-t d^2) keeps full precision in a narrow window."""
+    z, wz = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(lo - x, hi - x, panels + 1)
+    G = dG = mag = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        d = 0.5 * (a + b) + 0.5 * (b - a) * z
+        k = 0.5 * (b - a) * wz * np.exp(-t * d * d)
+        G, dG, mag = G + k @ g(x + d), dG + k @ g.deriv(x + d), mag + k @ np.abs(g.deriv(x + d))
+    return G, dG, mag
+
+
+class TestBumpHeatRegimes:
+    """Where the window x +- 12/sqrt(t) falls against a bump factor's
+    support [-0.6, 0.8] sets the rule for G_t and what it charges."""
+
+    g = SmoothBump(center=(0.1,), width=0.7).heat_factors[0]
+
+    def _check_against_panels(self, G, dG, x, t, window, rel):
+        # G is positive; G' may cancel to far below its terms, whose summed
+        # magnitude sets its rounding floor
+        ref = np.array([[_panel_heat(self.g, xi, tj, *window(xi, tj)) for tj in t] for xi in x])
+        assert np.all(np.abs(G - ref[..., 0]) <= rel * ref[..., 0])
+        assert np.all(np.abs(dG - ref[..., 1]) <= rel * ref[..., 2])
+
+    def test_empty_window(self):
+        x, t = np.array([2.1, -2.5, 1.3]), np.array([1e3, 1e4, 1e8])
+        for check in (False, True):
+            G, dG, samples = self.g.heat(x, t, check)
+            assert samples == 0 and not np.any(G) and not np.any(dG)
+
+    def test_inside_support_gauss_hermite(self):
+        # every window lies inside the support: 24 Gauss-Hermite samples a
+        # pair (16 for the check) agree with the 12-panel sum on the window
+        x, t = np.linspace(-0.45, 0.65, 12), np.geomspace(1e4, 1e12, 20)
+        G, dG, samples = self.g.heat(x, t)
+        Gc, dGc, samples_c = self.g.heat(x, t, check=True)
+        assert samples == 24 * G.size and samples_c == 16 * G.size
+        self._check_against_panels(G, dG, x, t, lambda xi, tj: (xi - 12.0 / math.sqrt(tj),
+                                                                xi + 12.0 / math.sqrt(tj)), 1e-13)
+        # the check is a different rule, so |full - check| is not identically 0
+        assert np.any(G != Gc) and np.all(np.abs(G - Gc) <= 1e-10 * G)
+
+    def test_window_covers_support(self):
+        # every window covers the support: the panels on the support are
+        # shared by every t, and each pair is charged its 288 kernel terms
+        x, t = np.array([-1.2, -0.3, 0.1, 0.5, 1.0]), np.geomspace(1e-6, 30.0, 15)
+        G, dG, samples = self.g.heat(x, t)
+        assert samples == 288 * G.size
+        self._check_against_panels(G, dG, x, t, lambda xi, tj: (-0.6, 0.8), 1e-13)
 
 
 class TestMollify:

@@ -143,12 +143,17 @@ class TestFracGradient:
             ops.frac_gradient_batch(f, 0.5, np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]))
 
     def test_batch_n3_matches_pointwise(self):
-        # a tensor grid (shared coordinates) plus scattered and far targets
+        # a tensor grid (shared coordinates) plus scattered and far targets;
+        # the 50 scattered ones give every axis many distinct coordinates,
+        # inside and outside the support, so one heat call per factor mixes
+        # all of its window regimes across targets
         f = SmoothBump(center=(0.1, -0.2, 0.0), width=(1.0, 1.3, 0.8))
         axes = (np.linspace(-1.0, 1.2, 3), np.linspace(-1.4, 1.0, 3), np.array([-0.5, 0.3]))
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        P = np.concatenate([grid, np.random.default_rng(3).uniform(-2.0, 2.0, (5, 3)),
+        P = np.concatenate([grid, np.random.default_rng(3).uniform(-2.0, 2.0, (50, 3)),
                             [[4.0, -3.0, 2.5]]])
+        lo, hi = f.support_box
+        assert 10 <= np.sum(np.any((P <= lo) | (P >= hi), axis=1)) < P.shape[0] - 10
         batch = ops.frac_gradient_batch(f, 0.5, P)
         point = np.array([ops.frac_gradient(f, 0.5, p) for p in P])
         assert np.max(np.abs(batch - point)) <= 1e-12 * np.max(np.abs(point))
@@ -323,6 +328,20 @@ def _gaussian_grad_mp(n, alpha, width, d):
 
 class TestSubordination:
     """The Gaussian-subordination route of the n >= 2 gradient."""
+
+    @pytest.mark.parametrize("x, ref", [
+        ((0.3, 0.2, -0.4), (-0.3285242147919623, -0.2014266850783018, 0.4955066962482402)),
+        ((1.5, 0.2, -0.3), (-0.03657486310448021, -0.004262248866242479, 0.006429006894199167)),
+    ])
+    def test_bump_3d_evaluation_count(self, x, ref):
+        # a deterministic guard on the heat factors' cost, not a timing: the
+        # window regimes (no samples for an empty window, 24 Gauss-Hermite
+        # samples inside the support) keep a 3-d bump gradient under 110,000
+        # samples, against about 186,000 for 288 panel samples at every
+        # (x, t) pair, whose values ref holds
+        res = ops.frac_gradient(SmoothBump(center=(0.0, 0.0, 0.0)), 0.5, x, detail=True)
+        assert res.converged and res.evals_used <= 110_000
+        np.testing.assert_allclose(res.value, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
@@ -556,6 +575,25 @@ class TestFracDivergence:
         im2 = ops.riesz_potential(g2, 1.0 - a, x - np.array([2 * h, 0.0]), spec)
         fd = (8.0 * (ip - im) - (ip2 - im2)) / (12.0 * h)
         assert direct == pytest.approx(fd, rel=1e-5)
+
+    def test_detail_sums_component_results(self):
+        # each component's gradient has its own budget, so the counts add
+        phi = VectorField(components=(Gaussian(center=(0.0, 0.1), width=1.0),
+                                      SmoothBump(center=(0.2, 0.0), width=(1.0, 0.7))))
+        x = np.array([0.4, -0.3])
+        res = ops.frac_divergence(phi, 0.5, x, detail=True)
+        parts = [ops.frac_gradient(c, 0.5, x, detail=True) for c in phi.components]
+        assert res.converged and res.value == ops.frac_divergence(phi, 0.5, x)
+        assert res.value == float(parts[0].value[0]) + float(parts[1].value[1])
+        assert res.evals_used == sum(p.evals_used for p in parts) > 0
+        assert res.err_estimate == sum(float(np.max(p.err_estimate)) for p in parts)
+
+    def test_budget_exhaustion(self):
+        phi = VectorField(components=(Gaussian(center=(0.0,), width=1.0),))
+        starved = QuadSpec(max_evals=100)
+        assert not ops.frac_divergence(phi, 0.5, 0.3, starved, detail=True).converged
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_divergence(phi, 0.5, 0.3, starved)
 
 
 class TestRieszPotential:
@@ -925,8 +963,17 @@ class TestNlGradient:
     def test_budget_exhaustion_raises(self, n, x):
         f = Gaussian(center=(0.0,) * n, width=1.0)
         g = Gaussian(center=(0.5,) * n, width=1.2)
+        assert not ops.nl_gradient(f, g, 0.5, x, QuadSpec(max_evals=100), detail=True).converged
         with pytest.raises(QuadratureBudgetError):
             ops.nl_gradient(f, g, 0.5, x, QuadSpec(max_evals=100))
+
+    @pytest.mark.parametrize("n, x", [(1, 0.3), (2, (0.3, -0.2))])
+    def test_detail_matches_bare_call(self, n, x):
+        f = Gaussian(center=(0.0,) * n, width=1.0)
+        g = Gaussian(center=(0.5,) * n, width=1.2)
+        res = ops.nl_gradient(f, g, 0.5, x, detail=True)
+        assert res.converged and np.array_equal(res.value, ops.nl_gradient(f, g, 0.5, x))
+        assert 0.0 <= float(np.max(res.err_estimate)) < 1e-6 and res.evals_used > 0
 
 
 class TestAngularToleranceRelativeToField:

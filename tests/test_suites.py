@@ -156,6 +156,29 @@ def test_eval_reports_err_and_evals(op, field, point, capsys):
     assert 0.0 <= float(err) < 1e-6 and int(evals) > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--op", "div", "--field", '{"kind":"smooth_bump","center":[0],"width":1}',
+     "--points", "0.3"],
+    ["--op", "nlgrad", "--field", '{"kind":"gaussian","center":[0]}',
+     "--field2", '{"kind":"gaussian","center":[0.5],"width":0.7}', "--points", "0.3"],
+    ["--op", "nlgrad", "--field", '{"kind":"gaussian","center":[0,0]}',
+     "--field2", '{"kind":"gaussian","center":[0.5,0],"width":0.7}', "--points", "0.3,0.1"],
+])
+def test_eval_div_and_nlgrad_report_err_and_evals(args, capsys):
+    # the divergence and the non-local gradient print their own err and
+    # evals, not nan,0
+    assert cli.main(["eval", "--alpha", "0.5", *args]) == 0
+    *_, err, evals = capsys.readouterr().out.strip().split(",")
+    assert 0.0 <= float(err) < 1e-6 and int(evals) > 0
+
+
+def test_nlgrad_without_second_field_is_usage_error(capsys):
+    code = cli.main(["eval", "--op", "nlgrad", "--alpha", "0.5",
+                     "--field", '{"kind":"gaussian","center":[0]}', "--points", "0.3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: nlgrad needs a second field")
+
+
 def test_unknown_quad_field_is_usage_error(tmp_path, capsys):
     # an unknown QuadSpec field, on the command line or in a config, exits 2
     code = cli.main([
