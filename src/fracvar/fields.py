@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +62,11 @@ class NonConvergentAverageError(RuntimeError):
 
 
 def as_points(x, dim: int) -> np.ndarray:
-    """Coerce scalars, points, and point batches to an (m, dim) array."""
+    """Coerce scalars, points, and point batches to an (m, dim) array;
+    NaN or infinite coordinates raise ValueError."""
     a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("points must have finite coordinates")
     if a.ndim == 0:
         if dim != 1:
             raise ValueError(f"scalar point given for dim {dim}")
@@ -200,23 +203,21 @@ class ScalarField:
 
     @property
     def heat_factors(self) -> tuple | None:
-        """Per-axis factors g_i, f(x) = g_1(x_1) ... g_n(x_n) up to rounding,
-        each callable on coordinates and with ``deriv(y)`` = g_i'(y) and
-        ``heat(x, t, check, deriv)``, which returns G_t g_i(x), G_t g_i'(x)
-        (arrays of shape (x.size, t.size), G_t g(x) = int g(y) exp(-t (x - y)^2)
-        dy; the second is None unless ``deriv``, and G_t g_i does not depend
-        on it) and the number of samples drawn, which is what the quadrature
-        budget is charged; ``check`` asks for a cheaper evaluation by a
-        different rule that bounds the error of the full one.  A Gaussian's
-        factors are closed form, one sample per (x, t) pair; a bump's sort
-        the pairs by where the window x +- 12/sqrt(t) falls against the
-        support (see ``_BumpAxis``): no samples when it misses the support,
-        24 Gauss-Hermite samples (16 for the check) when it lies inside,
-        12 panels of 24 Gauss-Legendre nodes (8 panels for the check) on
-        the window clipped to the support otherwise, where every t whose
-        window covers the whole support shares one set of samples of g but
-        is charged its kernel terms.  None unless the field is such a
-        product."""
+        """Per-axis factors g_i, f(x) = g_1(x_1) ... g_n(x_n) up to rounding;
+        None unless the field is such a product (a ``ProductField`` unless
+        both of its fields are).  Each factor is callable on coordinates and
+        has ``deriv(y)`` = g_i'(y), ``support``, the ends of the interval
+        outside which g_i vanishes (a Gaussian's at center +- 6 width, as in
+        its ``quad_box``), and ``heat(x, t, check, deriv)``, which returns
+        G_t g_i(x), G_t g_i'(x) (arrays of shape (x.size, t.size), G_t g(x) =
+        int g(y) exp(-t (x - y)^2) dy; the second is None unless ``deriv``,
+        and G_t g_i does not depend on it) and the number of samples drawn,
+        which is what the quadrature budget is charged; ``check`` asks for a
+        cheaper evaluation by a different rule that bounds the error of the
+        full one.  A Gaussian's convolutions are closed form, one sample per
+        (x, t) pair; a bump's and a ``ProductField``'s (factor l_i r_i) go by
+        window regime (``_WindowedAxis``); a ``ScaledField``'s factor, and a
+        Gaussian's amplitude, scales the first factor (``_ScaledAxis``)."""
         return None
 
     def is_singular(self, x: np.ndarray) -> bool:
@@ -273,6 +274,18 @@ class ScalarField:
         return res.require() / (ball_volume(self.dim) * r**self.dim)
 
 
+def _intersection(a, b):
+    """The intersection of two boxes, or intervals, (lo, hi); an empty one has hi = lo."""
+    lo = np.maximum(a[0], b[0])
+    return lo, np.maximum(np.minimum(a[1], b[1]), lo)
+
+
+def _factor_box(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The box spanned by the supports of a tensor product's factors."""
+    lo, hi = zip(*(g.support for g in f.heat_factors))
+    return np.array(lo), np.array(hi)
+
+
 def _norm2(X: np.ndarray, center: np.ndarray) -> np.ndarray:
     d = X - center
     return np.einsum("ij,ij->i", d, d)
@@ -296,9 +309,7 @@ class Gaussian(ScalarField):
 
     @property
     def quad_box(self):
-        c = np.asarray(self.center)
-        pad = 6.0 * self.width
-        return c - pad, c + pad
+        return _factor_box(self)
 
     @property
     def is_smooth(self) -> bool:
@@ -318,11 +329,8 @@ class Gaussian(ScalarField):
 
     @cached_property
     def heat_factors(self) -> tuple:
-        # the amplitude rides on the first factor
-        return tuple(
-            _GaussianAxis(c, self.width, self.amplitude if i == 0 else 1.0)
-            for i, c in enumerate(self.center)
-        )
+        axes = tuple(_GaussianAxis(c, self.width) for c in self.center)
+        return (_ScaledAxis(self.amplitude, axes[0]),) + axes[1:]
 
     def values(self, X: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center)
@@ -378,15 +386,19 @@ _HEAT_CHUNK = 1 << 20  # samples per block of targets
 
 @dataclass(frozen=True)
 class _GaussianAxis:
-    """Factor amplitude exp(-pi (y - center)^2 / width^2) of a Gaussian; its
-    heat convolutions are closed form."""
+    """Factor exp(-pi (y - center)^2 / width^2) of a Gaussian; its heat
+    convolutions are closed form."""
 
     center: float
     width: float
-    amplitude: float = 1.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        pad = 6.0 * self.width
+        return self.center - pad, self.center + pad
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-math.pi * ((y - self.center) / self.width) ** 2)
+        return np.exp(-math.pi * ((y - self.center) / self.width) ** 2)
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return (-2.0 * math.pi / self.width**2) * (y - self.center) * self(y)
@@ -395,19 +407,8 @@ class _GaussianAxis:
         a = math.pi / self.width**2
         dx = (np.asarray(x, dtype=float) - self.center)[:, None]
         t = np.asarray(t, dtype=float)[None, :]
-        G = self.amplitude * np.sqrt(math.pi / (a + t)) * np.exp(-a * t * dx**2 / (a + t))
+        G = np.sqrt(math.pi / (a + t)) * np.exp(-a * t * dx**2 / (a + t))
         return G, (-2.0 * a * t * dx / (a + t)) * G if deriv else None, G.size
-
-
-def _bump_samples(u: np.ndarray, deriv: bool) -> np.ndarray:
-    """exp(1 - 1/(1 - u^2)), 0 off (-1, 1), and, if ``deriv``, its derivative
-    in u, stacked along a new first axis: ``_bump_1d`` and ``_bump_1d_d1``
-    from one exponential."""
-    om = 1.0 - u * u
-    inside = om > 0.0
-    om = np.where(inside, om, 1.0)
-    val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
-    return np.stack([val, val * (-2.0 * u / om**2)]) if deriv else val[None]
 
 
 @lru_cache(maxsize=None)
@@ -421,13 +422,16 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class _BumpAxis:
-    """Factor exp(1 - 1/(1 - s^2)), s = (y - center) / width, of a SmoothBump.
+class _WindowedAxis:
+    """Heat convolutions of a factor g that vanishes outside ``support`` = (lo, hi).
 
-    Its heat convolutions go by where the window [x - 12/sqrt(t), x + 12/sqrt(t)],
-    beyond which the kernel is below e^-144, falls against the support
-    [center - width, center + width], pair by pair of target x and node t:
+    A subclass gives ``support`` and ``samples(y, deriv)``: g at the points
+    y and, if ``deriv``, g' times ``deriv_unit``, stacked along a new first
+    axis (by default from ``__call__`` and ``deriv``, with unit 1); G_t g'
+    is divided by ``deriv_unit`` after the sums.  The convolutions go by
+    where the window [x - 12/sqrt(t), x + 12/sqrt(t)], beyond which the
+    kernel is below e^-144, falls against the support, pair by pair of
+    target x and node t:
 
     * the window misses the support: G = G' = 0 exactly, and no samples;
     * the window lies inside the support: G_t g(x) = t^(-1/2) sum_k w_k
@@ -447,14 +451,10 @@ class _BumpAxis:
     precision however narrow the window.
     """
 
-    center: float
-    width: float
+    deriv_unit = 1.0
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return _bump_1d((y - self.center) / self.width)
-
-    def deriv(self, y: np.ndarray) -> np.ndarray:
-        return _bump_1d_d1((y - self.center) / self.width) / self.width
+    def samples(self, y: np.ndarray, deriv: bool) -> np.ndarray:
+        return np.stack([self(y), self.deriv(y)]) if deriv else self(y)[None]
 
     def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
         panels = _HEAT_PANELS[check]
@@ -462,15 +462,15 @@ class _BumpAxis:
         zh, wh = gauss_hermite(_HEAT_HERMITE[check])
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        c, w = self.center, self.width
+        y_lo, y_hi = self.support
         reach = _HEAT_WINDOW / np.sqrt(t)
-        out = np.zeros((1 + deriv, x.size, t.size))  # G and, with deriv, G' times width
+        out = np.zeros((1 + deriv, x.size, t.size))  # G and, with deriv, G' times deriv_unit
         samples = 0
         rows = max(1, _HEAT_CHUNK // (t.size * nodes.size))
         for s in range(0, x.size, rows):
             xs = x[s : s + rows]
-            lo = (c - w - xs)[:, None]  # the support's ends as offsets from x
-            hi = (c + w - xs)[:, None]
+            lo = (y_lo - xs)[:, None]  # the support's ends as offsets from x
+            hi = (y_hi - xs)[:, None]
             inside = (lo < -reach) & (reach < hi)
             covers = (-reach <= lo) & (hi <= reach)
             clipped = (-reach < hi) & (lo < reach) & ~inside & ~covers
@@ -478,7 +478,7 @@ class _BumpAxis:
             i, j = np.nonzero(inside)
             if i.size:
                 rt = np.sqrt(t[j])
-                vals = _bump_samples((xs[i, None] + zh / rt[:, None] - c) / w, deriv)
+                vals = self.samples(xs[i, None] + zh / rt[:, None], deriv)
                 out[:, s + i, j] = (vals @ wh) / rt
                 samples += i.size * zh.size
 
@@ -488,7 +488,7 @@ class _BumpAxis:
                 row = np.searchsorted(k, i)
                 half = (hi[k, 0] - lo[k, 0]) / (2 * panels)
                 d = lo[k] + half[:, None] * nodes
-                vals = _bump_samples((xs[k, None] + d - c) / w, deriv) * weights
+                vals = self.samples(xs[k, None] + d, deriv) * weights
                 kern = np.exp(-t[j, None] * (d * d)[row])
                 out[:, s + i, j] = half[row] * np.einsum("pk,qpk->qp", kern, vals[:, row])
                 samples += kern.size
@@ -498,11 +498,86 @@ class _BumpAxis:
                 a = np.maximum(-reach[j], lo[i, 0])
                 half = (np.minimum(reach[j], hi[i, 0]) - a) / (2 * panels)
                 d = a[:, None] + half[:, None] * nodes
-                vals = _bump_samples((xs[i, None] + d - c) / w, deriv)
+                vals = self.samples(xs[i, None] + d, deriv)
                 kern = np.exp(-t[j, None] * d * d) * weights
                 out[:, s + i, j] = half * (vals * kern).sum(axis=-1)
                 samples += kern.size
-        return out[0], out[1] / w if deriv else None, samples
+        return out[0], out[1] / self.deriv_unit if deriv else None, samples
+
+
+@dataclass(frozen=True)
+class _BumpAxis(_WindowedAxis):
+    """Factor exp(1 - 1/(1 - u^2)), u = (y - center) / width, of a SmoothBump,
+    on the support [center - width, center + width].  Its samples are
+    ``_bump_1d`` and ``_bump_1d_d1`` from one exponential, g' in u
+    (``deriv_unit`` = width)."""
+
+    center: float
+    width: float
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.center - self.width, self.center + self.width
+
+    @property
+    def deriv_unit(self) -> float:
+        return self.width
+
+    def samples(self, y: np.ndarray, deriv: bool) -> np.ndarray:
+        u = (y - self.center) / self.width
+        om = 1.0 - u * u
+        inside = om > 0.0
+        om = np.where(inside, om, 1.0)
+        val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
+        return np.stack([val, val * (-2.0 * u / om**2)]) if deriv else val[None]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return _bump_1d((y - self.center) / self.width)
+
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        return _bump_1d_d1((y - self.center) / self.width) / self.width
+
+
+@dataclass(frozen=True)
+class _ProductAxis(_WindowedAxis):
+    """Factor l(y) r(y) of a ProductField, on the intersection of the two
+    factors' supports (empty supports give G = G' = 0 exactly)."""
+
+    left: object
+    right: object
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return _intersection(self.left.support, self.right.support)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.left(y) * self.right(y)
+
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        return self.left.deriv(y) * self.right(y) + self.left(y) * self.right.deriv(y)
+
+
+@dataclass(frozen=True)
+class _ScaledAxis:
+    """Factor k g(y) on the first axis of a ScaledField, or of a Gaussian with
+    amplitude k, with k times g's heat convolutions."""
+
+    factor: float
+    base: object
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.base.support
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.factor * self.base(y)
+
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        return self.factor * self.base.deriv(y)
+
+    def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
+        G, dG, samples = self.base.heat(x, t, check, deriv)
+        return self.factor * G, None if dG is None else self.factor * dG, samples
 
 
 @dataclass(frozen=True)
@@ -528,9 +603,7 @@ class SmoothBump(ScalarField):
 
     @property
     def support_box(self):
-        c = np.asarray(self.center)
-        w = np.asarray(self.width)
-        return c - w, c + w
+        return _factor_box(self)
 
     @property
     def is_smooth(self) -> bool:
@@ -1017,19 +1090,11 @@ class ProductField(ScalarField):
     @property
     def support_box(self):
         boxes = [b for b in (self.left.support_box, self.right.support_box) if b is not None]
-        if not boxes:
-            return None
-        lo = np.max([b[0] for b in boxes], axis=0)
-        hi = np.min([b[1] for b in boxes], axis=0)
-        return lo, np.maximum(hi, lo)
+        return reduce(_intersection, boxes) if boxes else None
 
     @property
     def quad_box(self):
-        lo1, hi1 = self.left.quad_box
-        lo2, hi2 = self.right.quad_box
-        lo = np.maximum(lo1, lo2)
-        hi = np.minimum(hi1, hi2)
-        return lo, np.maximum(hi, lo)
+        return _intersection(self.left.quad_box, self.right.quad_box)
 
     @property
     def is_smooth(self) -> bool:
@@ -1046,6 +1111,11 @@ class ProductField(ScalarField):
     @property
     def sup_norm_bound(self) -> float:
         return self.left.sup_norm_bound * self.right.sup_norm_bound
+
+    @cached_property
+    def heat_factors(self) -> tuple | None:
+        left, right = self.left.heat_factors, self.right.heat_factors
+        return None if None in (left, right) else tuple(map(_ProductAxis, left, right))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return self.left.values(X) * self.right.values(X)
@@ -1114,6 +1184,11 @@ class ScaledField(ScalarField):
     @property
     def sup_norm_bound(self) -> float:
         return abs(self.factor) * self.base.sup_norm_bound
+
+    @cached_property
+    def heat_factors(self) -> tuple | None:
+        base = self.base.heat_factors
+        return None if base is None else (_ScaledAxis(self.factor, base[0]),) + base[1:]
 
     def is_singular(self, x) -> bool:
         return self.base.is_singular(x)

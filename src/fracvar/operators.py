@@ -7,21 +7,20 @@ The fractional gradient of f at x is
 with the divergence, non-local two-function gradient, Riesz potential, and
 fractional Laplacian sharing the same singular-kernel machinery:
 
-* smooth fields: the gradient (I_(1-alpha) grad f), the Riesz potential
-  and the fractional Laplacian of a tensor-product field (``heat_factors``,
-  such as ``SmoothBump`` and ``Gaussian``) in n >= 2 go by Gaussian
-  subordination, |z|^(-2b) = Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t|z|^2) dt,
-  to integrals over t of products of 1-d heat convolutions G_t g(x_i)
-  (``_heat_products``, one loop over the factors for all three), summed by
-  the trapezoid rule in log t.  The Laplacian's f(x) (pi/t)^(n/2) term is
-  summed exactly below the grid; the Riesz potential takes the route for
-  s <= n - 1, larger orders the angular path.  Every other smooth field,
-  and every smooth field in n = 1, takes the Taylor-corrected annulus: the ball
-  B_delta(x) is removed and replaced by the Taylor correction
-  omega_n delta^(1-alpha)/(1-alpha) grad f(x) (resp. the Laplacian
-  correction for the fractional Laplacian); delta is then halved, adding
-  back annular shells, until the value stabilizes within tolerance (the
-  Riesz potential in n >= 2 is one radial integral of angular profiles),
+* smooth fields in n >= 2 have ``heat_factors`` (tensor products such as
+  ``SmoothBump``, ``Gaussian`` and their products and scalings): the
+  gradient (I_(1-alpha) grad f), the Riesz potential (s <= n - 1) and the
+  fractional Laplacian go by Gaussian subordination, |z|^(-2b) =
+  Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t|z|^2) dt, to integrals over t of
+  products of 1-d heat convolutions G_t g(x_i) (``_heat_products``, one
+  loop over the factors for all three), summed by the trapezoid rule in
+  log t; the Laplacian's f(x) (pi/t)^(n/2) term is summed exactly below the
+  grid.  Larger orders and other fields take the Riesz potential as one
+  radial integral of angular profiles,
+* smooth fields in n = 1 take the Taylor-corrected annulus: the Taylor
+  correction 2 delta^(1-alpha)/(1-alpha) f'(x) (resp. the Laplacian's)
+  replaces (x - delta, x + delta), and delta is halved, adding back
+  shells, until the value stabilizes within tolerance,
 * indicator fields, which declare their ``region``: the kernel integral over
   the region is decomposed geometrically, since generic cubature cannot see
   the jump: interval pieces and spherical wedges with exact angular moments
@@ -161,13 +160,6 @@ def _reach(box, x: np.ndarray) -> float:
     return float(np.linalg.norm(np.maximum(np.abs(lo - x), np.abs(hi - x))))
 
 
-def _box_radial_range(box, x: np.ndarray) -> tuple[float, float]:
-    """Distance range from x to points of the box (0 if x lies inside)."""
-    lo, hi = box
-    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    return float(np.linalg.norm(gap)), _reach(box, x)
-
-
 def _profiles(values, center, n, abs_tol, rel_tol, bound, counter, moments=False):
     """``profile(r)``, the ``angular_profile`` of ``values`` about center to a
     tolerance relative to the sup-norm ``bound``, and the list of its flags."""
@@ -244,9 +236,10 @@ _STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus l
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    """Taylor-corrected annulus evaluation for fields with a closed-form gradient.
+    """Taylor-corrected annulus evaluation, in n = 1, for fields with a
+    closed-form gradient.
 
-    In n = 1 each shell folds the two sides of x into one integral over r,
+    Each shell folds the two sides of x into one integral over r,
     of (f(x + r) - f(x - r)) r^(-1-a) on [r_in, r_out], so the mirror
     cancellation happens at every node (``fold_from_offsets``).  A declared
     singular point p of the field sits at r = |x - p|, where the side that
@@ -255,17 +248,15 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     integral below the rounding noise of a difference of two field values.
     A field without a support box adds its two tails as before, and the
     annulus loop's tolerance is relative to the whole integral, tails
-    included.  In n >= 2 the shells are radial integrals of angular moments.
-    The loop stops at the rounding floor of its shells (``_shrink_annulus``).
+    included.  The loop stops at the rounding floor of its shells
+    (``_shrink_annulus``).
     """
-    n = field.dim
     box = _field_box(field)
     counter = _Counter(spec.max_evals)
     rel = spec.rel_tol / 4.0
     absr = spec.abs_tol / 4.0
     grad_x = field.grad_values(x[None, :])[0]
-    omega_n = ball_volume(n)
-    # the n = 1 kernel reads x - p from the field's declared singular points exactly
+    # the kernel reads x - p from the field's declared singular points exactly
     sings = [(s[0], field.singular_exponent) for s in field.singular_points]
 
     def kernel(y: np.ndarray, dy) -> np.ndarray:
@@ -273,20 +264,12 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         return field.values_from_offsets(dy) * np.sign(d) * np.abs(d) ** (-1.0 - alpha)
 
     kernel = OffsetIntegrand(kernel)
-    profile, flags = _profiles(field.values, x, n, absr, rel, field.sup_norm_bound, counter,
-                               moments=True)
 
     if box is not None:
-        d_min, d_max = _box_radial_range(box, x)
-        reach = max(d_max, 2.0 * field.smooth_scale)
-        tail = QuadResult(np.zeros(n), 0.0, 0, True)
+        reach = max(_reach(box, x), 2.0 * field.smooth_scale)
+        tail = QuadResult(np.zeros(1), 0.0, 0, True)
     else:
-        d_min = 0.0
-        # algebraic tail: rays handled by declared tail exponents (n = 1 only)
-        if n != 1:
-            raise UnsupportedFieldError(
-                f"gradient of non-compact {field.kind} implemented for n = 1 only"
-            )
+        # algebraic tail: rays handled by declared tail exponents
         reach = 4.0 + float(np.max(np.abs(x))) + max(
             (abs(s[0]) for s in field.singular_points), default=0.0
         )
@@ -299,66 +282,57 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         if not tail.converged:
             return tail
 
-    if n == 1:
-        x0 = float(x[0])
-        # a side leaves the field's support (or the tails' reach) at these radii;
-        # cutting the shells there keeps a vanishing side out of a featureless panel
-        if box is not None:
-            y_lo, y_hi = float(box[0][0]), float(box[1][0])
-        else:
-            y_lo, y_hi = x0 - reach, x0 + reach
-        right = (y_lo - x0, y_hi - x0)  # r with x + r in the support
-        left = (x0 - y_hi, x0 - y_lo)  # r with x - r in the support
-        # a singular point p lies at r = |x - p| on the side that reaches it
-        ahead = {p: p - x0 for p, _ in sings if p > x0}
-        behind = {p: x0 - p for p, _ in sings if p < x0}
-        r_sings = [(r, field.singular_exponent) for r in {**ahead, **behind}.values()]
-
-        def folded(r: np.ndarray, dr) -> np.ndarray:
-            def plus(c: float) -> np.ndarray:  # offsets of x + r
-                return dr(ahead[c]) if c in ahead else (x0 - c) + r
-
-            def minus(c: float) -> np.ndarray:  # offsets of x - r
-                return -dr(behind[c]) if c in behind else (x0 - c) - r
-
-            return field.fold_from_offsets(x0, r, plus, minus) * r ** (-1.0 - alpha)
-
-        folded = OffsetIntegrand(folded)
-        # f(x + r) - f(x - r) computed as a difference carries rounding noise of
-        # about eps (2 |f(x)| + |x f'(x)|) that does not shrink with r; no shell
-        # is asked for more than that noise integrated against r^(-1-a)
-        noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0 * grad_x[0]))
-
-        def annulus(r_in: float, r_out: float) -> QuadResult:
-            cuts = sorted({r for r in right + left if r_in < r < r_out} | {r_in, r_out})
-            shells = []
-            for a_, b_ in zip(cuts[:-1], cuts[1:]):
-                m_ = 0.5 * (a_ + b_)
-                if right[0] < m_ < right[1] or left[0] < m_ < left[1]:
-                    floor = noise * (a_**-alpha - b_**-alpha) / alpha
-                    shells.append(_segment_with_sings(
-                        folded, a_, b_, r_sings, rel, max(absr, floor), counter
-                    ))
-            return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
+    x0 = float(x[0])
+    # a side leaves the field's support (or the tails' reach) at these radii;
+    # cutting the shells there keeps a vanishing side out of a featureless panel
+    if box is not None:
+        y_lo, y_hi = float(box[0][0]), float(box[1][0])
     else:
+        y_lo, y_hi = x0 - reach, x0 + reach
+    right = (y_lo - x0, y_hi - x0)  # r with x + r in the support
+    left = (x0 - y_hi, x0 - y_lo)  # r with x - r in the support
+    # a singular point p lies at r = |x - p| on the side that reaches it
+    ahead = {p: p - x0 for p, _ in sings if p > x0}
+    behind = {p: x0 - p for p, _ in sings if p < x0}
+    r_sings = [(r, field.singular_exponent) for r in {**ahead, **behind}.values()]
 
-        def moment(r: np.ndarray) -> np.ndarray:
-            return r[:, None] ** (-1.0 - alpha) * profile(r)
+    def folded(r: np.ndarray, dr) -> np.ndarray:
+        def plus(c: float) -> np.ndarray:  # offsets of x + r
+            return dr(ahead[c]) if c in ahead else (x0 - c) + r
 
-        def annulus(r_in: float, r_out: float) -> QuadResult:
-            r_in = max(r_in, d_min)
-            if not r_in < r_out:
-                return QuadResult(np.zeros(n), 0.0, 0, True)
-            return _segment(moment, r_in, r_out, None, None, rel, absr, counter)
+        def minus(c: float) -> np.ndarray:  # offsets of x - r
+            return -dr(behind[c]) if c in behind else (x0 - c) - r
+
+        return field.fold_from_offsets(x0, r, plus, minus) * r ** (-1.0 - alpha)
+
+    folded = OffsetIntegrand(folded)
+    # f(x + r) - f(x - r) computed as a difference carries rounding noise of
+    # about eps (2 |f(x)| + |x f'(x)|) that does not shrink with r; no shell
+    # is asked for more than that noise integrated against r^(-1-a)
+    noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0 * grad_x[0]))
+
+    def annulus(r_in: float, r_out: float) -> QuadResult:
+        cuts = sorted({r for r in right + left if r_in < r < r_out} | {r_in, r_out})
+        shells = []
+        for a_, b_ in zip(cuts[:-1], cuts[1:]):
+            m_ = 0.5 * (a_ + b_)
+            if right[0] < m_ < right[1] or left[0] < m_ < left[1]:
+                floor = noise * (a_**-alpha - b_**-alpha) / alpha
+                shells.append(_segment_with_sings(
+                    folded, a_, b_, r_sings, rel, max(absr, floor), counter
+                ))
+        return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
+
+    omega_1 = ball_volume(1)
 
     def corr(d: float) -> np.ndarray:
-        return omega_n * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
+        return omega_1 * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
 
     delta = min(field.smooth_scale / 2.0, reach / 4.0)
     core = _shrink_annulus(annulus, corr, delta, reach, tail.value, spec, counter)
-    return QuadResult(mu(n, alpha) * (core.value + tail.value),
-                      abs(mu(n, alpha)) * (core.err_estimate + tail.err_estimate),
-                      counter.used, core.converged and all(flags))
+    return QuadResult(mu(1, alpha) * (core.value + tail.value),
+                      abs(mu(1, alpha)) * (core.err_estimate + tail.err_estimate),
+                      counter.used, core.converged)
 
 
 def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
@@ -372,10 +346,14 @@ def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
     (m, len(columns)), the limit of t^(n/2) F(t) as t -> inf, since
     G_t g(x) ~ sqrt(pi/t) g(x).  Each factor's G_t is evaluated once per
     distinct coordinate of its axis, and each target takes a row-wise
-    product; G_t g' only on the axes that a column differentiates.
+    product; G_t g' only on the axes that a column differentiates.  A field
+    without ``heat_factors`` raises UnsupportedFieldError: in n >= 2 its
+    gradient and Laplacian have no other path.
     """
     n = f.dim
     factors = f.heat_factors
+    if factors is None:
+        raise UnsupportedFieldError(f"{f.kind} has no heat_factors for the route in n = {n}")
     axes = [np.unique(X[:, i], return_inverse=True) for i in range(n)]
 
     def F(t: np.ndarray, check: bool) -> np.ndarray:
@@ -528,9 +506,10 @@ def frac_gradient(
     the evaluation count and the convergence flag.  Without it the vector is
     returned only if it converged, and QuadratureBudgetError is raised
     otherwise.  The path follows the field's traits: an indicator's
-    ``region`` (interval pieces in n = 1, the half-space wedge in n >= 2),
-    then ``heat_factors`` in n >= 2 (the Gaussian subordination route,
-    ``_grad_heat``), then ``has_gradient`` (the Taylor-corrected annulus).
+    ``region`` (interval pieces in n = 1, the half-space wedge in n >= 2);
+    in n >= 2 every other field needs ``heat_factors`` (the Gaussian
+    subordination route, ``_grad_heat``; UnsupportedFieldError otherwise);
+    in n = 1 ``has_gradient`` (the Taylor-corrected annulus).
     """
     alpha = _check_alpha(alpha)
     pt = _check_off_jump(f, x)
@@ -545,7 +524,7 @@ def frac_gradient(
         res = _grad_halfspace(region, alpha, pt, spec)
     elif region is not None:
         raise UnsupportedFieldError("gradient of box indicators implemented for n = 1")
-    elif n >= 2 and f.heat_factors is not None:
+    elif n >= 2:
         res = _grad_heat(f, alpha, pt[None, :], spec, _Counter(spec.max_evals))
         res = replace(res, value=res.value[0], err_estimate=float(np.max(res.err_estimate)))
     elif f.has_gradient:
@@ -708,11 +687,13 @@ def frac_laplacian(
 
     ``detail`` is as for ``riesz_potential``.  The path follows the field's
     traits: an indicator's ``region`` (``cube_kernel_integral`` in n >= 2,
-    interval pieces in n = 1), then ``heat_factors`` in n >= 2 (Gaussian
+    interval pieces in n = 1).  In n >= 2 a smooth field needs
+    ``heat_factors`` (UnsupportedFieldError otherwise): Gaussian
     subordination, nu(n, beta)/Gamma(b) int_0^inf t^(b-1) [prod_i G_t g_i(x_i)
     - f(x) (pi/t)^(n/2)] dt with b = (n + beta)/2, whose large-t form is
     pi^(n/2) Laplacian f(x)/4 t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2)
-    is summed exactly below the grid), then the Taylor-corrected annulus.
+    is summed exactly below the grid.  In n = 1 a smooth field takes the
+    Taylor-corrected annulus.
     """
     beta = _check_alpha(beta, "beta")
     pt = _check_off_jump(f, x)
@@ -741,7 +722,7 @@ def frac_laplacian(
         res = _scaled(sum(parts[1:], parts[0]), const * sign)
     elif not f.is_smooth:
         raise UnsupportedFieldError(f"no Laplacian evaluation path for {f.kind}")
-    elif n >= 2 and f.heat_factors is not None:
+    elif n >= 2:
         b = (n + beta) / 2.0
         X = pt[None, :]
         counter = _Counter(spec.max_evals)
@@ -756,9 +737,8 @@ def frac_laplacian(
 
 
 def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, spec: QuadSpec):
-    """The Taylor-corrected annulus limit of int (f(x+y) - f(x)) / |y|^(n+beta) dy
-    for a smooth field with a finite evaluation box, far term included."""
-    n = f.dim
+    """The Taylor-corrected annulus limit of int (f(x+y) - f(x)) / |y|^(1+beta) dy
+    for a smooth field on the line with a finite evaluation box, far term included."""
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Laplacian of non-compact smooth fields not supported")
@@ -770,36 +750,26 @@ def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, s
     except UnsupportedFieldError:
         lap_x = None
 
-    profile, flags = _profiles(f.values, pt, n, absr, rel, f.sup_norm_bound, counter)
+    x0 = float(pt[0])
 
-    if n == 1:
-        x0 = float(pt[0])
+    def kernel(y: np.ndarray) -> np.ndarray:
+        return (f.values(y[:, None]) - fx) * np.abs(y - x0) ** (-1.0 - beta)
 
-        def kernel(y: np.ndarray) -> np.ndarray:
-            return (f.values(y[:, None]) - fx) * np.abs(y - x0) ** (-1.0 - beta)
+    def annulus(r_in: float, r_out: float) -> QuadResult:
+        return (_segment(kernel, x0 + r_in, x0 + r_out, None, None, rel, absr, counter)
+                + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
 
-        def annulus(r_in: float, r_out: float) -> QuadResult:
-            return (_segment(kernel, x0 + r_in, x0 + r_out, None, None, rel, absr, counter)
-                    + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
-    else:
-
-        def shells(r: np.ndarray) -> np.ndarray:
-            return r ** (-1.0 - beta) * (profile(r) - sphere_area(n) * fx)
-
-        def annulus(r_in: float, r_out: float) -> QuadResult:
-            return _segment(shells, r_in, r_out, None, None, rel, absr, counter)
-
-    far = -fx * sphere_area(n) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
-    omega_n = ball_volume(n)
+    far = -fx * sphere_area(1) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
+    omega_1 = ball_volume(1)
 
     def corr(dlt: float) -> float:
         if lap_x is None:
             return 0.0
-        return lap_x * omega_n * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
+        return lap_x * omega_1 * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
 
     delta = min(field_scale(f) / 2.0, reach / 4.0)
     res = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
-    return replace(res, value=res.value + far, converged=res.converged and all(flags))
+    return replace(res, value=res.value + far)
 
 
 def field_scale(f: ScalarField) -> float:
@@ -1140,7 +1110,6 @@ def default_test_family() -> tuple[VectorField, ...]:
 # ---------------------------------------------------------------------------
 
 
-_BATCH_CHUNK = 4e6  # polar values per block of targets in the generic n = 2 path
 _VALUE_BLOCK = 1 << 17  # values per block in _blocked_rows
 
 
@@ -1193,43 +1162,36 @@ def frac_gradient_batch(
     radial_order: int = 24,
     panel_cap: float = 0.4,
 ) -> np.ndarray:
-    """Fractional gradient of a smooth field at many points on shared grids.
+    """Fractional gradient of a smooth field at many points on shared grids,
+    an (m, n) array ((0, n) for no targets).
 
-    In n = 3 the field needs ``heat_factors`` (UnsupportedFieldError
-    otherwise): the targets take the Gaussian subordination route of
-    ``frac_gradient``, with each factor's heat convolutions evaluated once
-    per distinct coordinate, at the default n = 3 tolerance per target, and
-    QuadratureBudgetError is raised if any target does not converge; the
-    grid arguments do not apply.  In n = 1 and 2, points whose distance from
-    the box center exceeds the box diagonal plus the field's structure scale
-    see a smooth integrand and use a cached support grid with the kernel
-    applied directly.  Nearer points use a Taylor-corrected annulus on fixed
-    geometric radial panels (Gauss-Legendre
-    nodes, trapezoid angles in n = 2); in n = 2 the polar sums are one matmul
-    of the values against the (nodes, 2) weight matrix.  When a field has
-    ``heat_factors`` and the near targets have at most four times as many
-    pairs of distinct coordinates as targets (a tensor grid has exactly as
-    many), each factor is evaluated once per distinct coordinate and the sums
-    of all pairs are one ``np.einsum`` product per component; it sums in
-    another order than the matmul, so the two agree to rounding.  Accuracy
-    is ~1e-8 relative for the catalog's smooth fields; the test suite
-    cross-checks against the adaptive pointwise path.
+    In n >= 2 the field needs ``heat_factors`` (UnsupportedFieldError
+    otherwise).  Points whose distance from the box center exceeds the box
+    diagonal plus the field's structure scale are far; the others near.  In
+    n = 3, and in n = 2 when the near points have more than four times as
+    many pairs of distinct coordinates as points (a tensor grid has exactly
+    as many), every point takes the Gaussian subordination route of
+    ``frac_gradient``, each factor's heat convolutions evaluated once per
+    distinct coordinate, at the default tolerance of n per point
+    (QuadratureBudgetError if any does not converge); the grid arguments do
+    not apply.  Otherwise far points see a smooth integrand, summed on a
+    cached support grid, and near points a Taylor-corrected annulus on fixed
+    geometric radial panels (Gauss-Legendre nodes, trapezoid angles in
+    n = 2, where each factor is evaluated once per distinct coordinate and
+    the polar sums of all pairs are one ``np.einsum`` product per
+    component), ~1e-8 relative for the catalog's smooth fields.
     """
     alpha = _check_alpha(alpha)
     if not (f.is_smooth and f.has_gradient):
         raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
-    X = as_points(X, f.dim)
     n = f.dim
-    if n == 3:
-        if f.heat_factors is None:
-            raise UnsupportedFieldError(
-                f"batch gradient in n = 3 needs a field with heat_factors, not {f.kind}"
-            )
-        spec = default_spec(3)
-        counter = _Counter(spec.max_evals * X.shape[0])
-        return _grad_heat(f, alpha, X, spec, counter).require("batch gradient")
     if n > 3:
         raise UnsupportedFieldError(f"batch gradient implemented for n <= 3, not n = {n}")
+    X = as_points(X, n)
+    if X.shape[0] == 0:
+        return np.empty((0, n))
+    if n >= 2 and f.heat_factors is None:
+        raise UnsupportedFieldError(f"batch gradient in n = {n} needs heat_factors, not {f.kind}")
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("batch gradient needs a finite evaluation box")
@@ -1238,6 +1200,13 @@ def frac_gradient_batch(
     halfdiag = float(np.linalg.norm(hi_b - lo_b)) / 2.0
     dist = np.linalg.norm(X - center, axis=1)
     far = dist > 2.0 * halfdiag + field_scale(f)
+    Xn = X[~far]
+    if n == 2:
+        (u0, inv0), (u1, inv1) = (np.unique(Xn[:, i], return_inverse=True) for i in (0, 1))
+    if n == 3 or (n == 2 and u0.size * u1.size > 4 * Xn.shape[0]):
+        spec = default_spec(n)
+        counter = _Counter(spec.max_evals * X.shape[0])
+        return _grad_heat(f, alpha, X, spec, counter).require("batch gradient")
     out = np.empty_like(X, dtype=float)
 
     if far.any():
@@ -1250,10 +1219,9 @@ def frac_gradient_batch(
             out[np.flatnonzero(far)[sl : sl + 512]] = mu(n, alpha) * np.einsum(
                 "mki,k->mi", kern, wf
             )
-    if not (~far).any():
+    if not Xn.size:
         return out
 
-    Xn = X[~far]
     # the farthest box corner over all targets; candidates are picked by a
     # row-wise square norm and the winner is taken with _reach itself, whose
     # rounding the radial panels (and so the values) depend on
@@ -1296,33 +1264,18 @@ def frac_gradient_batch(
     Zf = (r[:, None, None] * omega[None, :, :]).reshape(-1, 2)
     wk = np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta)  # (K*T,)
     w_omega = wk[:, None] * np.tile(omega, (r.size, 1))  # (K*T, 2)
-    near_idx = np.flatnonzero(~far)
     factors = f.heat_factors
-    if factors is not None:
-        u0, inv0 = np.unique(Xn[:, 0], return_inverse=True)
-        u1, inv1 = np.unique(Xn[:, 1], return_inverse=True)
-        if u0.size * u1.size <= 4 * Xn.shape[0]:
-            # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
-            # distinct coordinates are one matrix product per component, summed
-            # by einsum's own loop: a threaded BLAS GEMM rounds differently at
-            # different thread counts
-            A = _blocked_rows(lambda s, e: factors[0](u0[s:e, None] + Zf[None, :, 0]),
-                              u0.size, Zf.shape[0])  # (U0, K*T)
-            B = _blocked_rows(lambda s, e: factors[1](u1[s:e, None] + Zf[None, :, 1]),
-                              u1.size, Zf.shape[0])  # (U1, K*T)
-            core = np.stack(
-                [np.einsum("uk,vk->uv", A * w_omega[:, i], B)[inv0, inv1] for i in range(2)],
-                axis=1,
-            )
-            out[near_idx] = mu(2, alpha) * (core + corr * grad_x)
-            return out
-
-    chunk = max(1, int(_BATCH_CHUNK // max(Zf.shape[0], 1)))
-    for s in range(0, Xn.shape[0], chunk):
-        blk = Xn[s : s + chunk]
-        pts = blk[:, None, :] + Zf[None, :, :]
-        core = f.values(pts.reshape(-1, 2)).reshape(blk.shape[0], -1) @ w_omega
-        out[near_idx[s : s + chunk]] = mu(2, alpha) * (
-            core + corr * grad_x[s : s + chunk]
-        )
+    # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
+    # distinct coordinates are one matrix product per component, summed by
+    # einsum's own loop: a threaded BLAS GEMM rounds differently at
+    # different thread counts
+    A = _blocked_rows(lambda s, e: factors[0](u0[s:e, None] + Zf[None, :, 0]),
+                      u0.size, Zf.shape[0])  # (U0, K*T)
+    B = _blocked_rows(lambda s, e: factors[1](u1[s:e, None] + Zf[None, :, 1]),
+                      u1.size, Zf.shape[0])  # (U1, K*T)
+    core = np.stack(
+        [np.einsum("uk,vk->uv", A * w_omega[:, i], B)[inv0, inv1] for i in range(2)],
+        axis=1,
+    )
+    out[~far] = mu(2, alpha) * (core + corr * grad_x)
     return out

@@ -19,11 +19,14 @@ from fracvar.fields import (
     NonConvergentAverageError,
     OddBumpPair,
     OddPlateau,
+    ProductField,
+    ScaledField,
     SignedMeasure,
     SingularPointError,
     SmoothBump,
     UnsupportedFieldError,
     VectorField,
+    as_points,
     d_alpha_measure,
     eval as feval,
     field_from_json,
@@ -199,6 +202,74 @@ class TestBumpHeatRegimes:
         G, dG, samples = self.g.heat(x, t)
         assert samples == 288 * G.size
         self._check_against_panels(G, dG, x, t, lambda xi, tj: (-0.6, 0.8), 1e-13)
+
+
+class TestProductAndScaledFactors:
+    """A product's factor l_i r_i and a scaled field's first factor k g_1."""
+
+    def test_product_factors_need_both_fields(self):
+        smooth = mollify(IntervalIndicator(), 0.3)  # smooth, but no factors
+        assert ProductField(left=SmoothBump(), right=smooth).heat_factors is None
+        assert ProductField(left=smooth, right=Gaussian()).heat_factors is None
+        assert ScaledField(base=smooth, factor=2.0).heat_factors is None
+        assert len(ProductField(left=SmoothBump(center=(0.0, 0.0)),
+                                right=Gaussian(center=(0.0, 0.0))).heat_factors) == 2
+
+    def test_product_support_is_the_intersection(self):
+        # a Gaussian factor counts as supported on center +- 6 width
+        g = ProductField(left=Gaussian(center=(0.5,), width=0.1),
+                         right=SmoothBump(center=(0.1,), width=0.7)).heat_factors[0]
+        assert g.support == pytest.approx((-0.1, 0.8), abs=1e-15)
+        g = ProductField(left=SmoothBump(center=(-1.0,), width=0.5),
+                         right=SmoothBump(center=(1.0,), width=0.5)).heat_factors[0]
+        assert g.support == (0.5, 0.5)
+        G, dG, _ = g.heat(np.array([0.0, 0.5, 2.0]), np.geomspace(1e-3, 1e9, 13))
+        assert not np.any(G) and not np.any(dG)
+
+    def test_gaussian_product_factor_against_closed_form(self):
+        # exp(-pi (y - c1)^2/w1^2) exp(-pi (y - c2)^2/w2^2) is a Gaussian of
+        # width w, center c and amplitude A, whose convolutions are closed
+        # form; the product's go by the window regimes, at every t of a grid
+        c1, w1, c2, w2 = 0.0, 1.0, 0.6, 1.2
+        g = ProductField(left=Gaussian(center=(c1,), width=w1),
+                         right=Gaussian(center=(c2,), width=w2)).heat_factors[0]
+        w = (w1**-2 + w2**-2) ** -0.5
+        c = (c1 / w1**2 + c2 / w2**2) * w**2
+        merged = Gaussian(center=(c,), width=w,
+                          amplitude=math.exp(-math.pi * (c1 - c2) ** 2 / (w1**2 + w2**2)))
+        x, t = np.linspace(-3.0, 3.5, 14), np.geomspace(1e-6, 1e12, 40)
+        G, dG, _ = g.heat(x, t)
+        ref, dref, _ = merged.heat_factors[0].heat(x, t)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(dG - dref)) <= 1e-13 * np.max(np.abs(dref))
+        y = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_allclose(g(y), merged.heat_factors[0](y), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(g.deriv(y), merged.heat_factors[0].deriv(y),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_scaled_factor_scales_the_convolutions(self):
+        base = SmoothBump(center=(0.1, -0.2), width=(0.7, 1.3))
+        g, h = ScaledField(base=base, factor=-2.5).heat_factors
+        assert h is base.heat_factors[1]
+        x, t = np.array([-0.5, 0.1, 0.9]), np.geomspace(1e-3, 1e9, 13)
+        for check in (False, True):
+            G, dG, samples = g.heat(x, t, check)
+            ref, dref, ref_samples = base.heat_factors[0].heat(x, t, check)
+            assert np.array_equal(G, -2.5 * ref) and np.array_equal(dG, -2.5 * dref)
+            assert samples == ref_samples
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("x, dim", [
+        (math.nan, 1), ((0.0, math.inf), 2), (np.array([[0.0, 0.0, -math.inf]]), 3),
+    ])
+    def test_non_finite_raises(self, x, dim):
+        with pytest.raises(ValueError, match="finite"):
+            as_points(x, dim)
+
+    def test_no_points(self):
+        assert as_points(np.empty((0, 3)), 3).shape == (0, 3)
+        assert as_points([], 1).shape == (0, 1)
 
 
 class TestMollify:
