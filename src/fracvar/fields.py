@@ -215,9 +215,11 @@ class ScalarField:
         which is what the quadrature budget is charged; ``check`` asks for a
         cheaper evaluation by a different rule that bounds the error of the
         full one.  A Gaussian's convolutions are closed form, one sample per
-        (x, t) pair; a bump's and a ``ProductField``'s (factor l_i r_i) go by
-        window regime (``_WindowedAxis``); a ``ScaledField``'s factor, and a
-        Gaussian's amplitude, scales the first factor (``_ScaledAxis``)."""
+        (x, t) pair, and so are those of a ``ProductField``'s factor l_i r_i
+        when both are Gaussian (one scaled Gaussian, ``_gaussian_product``);
+        a bump's and any other product's go by window regime
+        (``_WindowedAxis``); a ``ScaledField``'s factor, and a Gaussian's
+        amplitude, scales the first factor (``_ScaledAxis``)."""
         return None
 
     def is_singular(self, x: np.ndarray) -> bool:
@@ -555,6 +557,31 @@ class _ProductAxis(_WindowedAxis):
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return self.left.deriv(y) * self.right(y) + self.left(y) * self.right.deriv(y)
+
+    def samples(self, y: np.ndarray, deriv: bool) -> np.ndarray:
+        # each factor and derivative once per sample, by the arithmetic above
+        l, r = self.left(y), self.right(y)
+        if not deriv:
+            return (l * r)[None]
+        return np.stack([l * r, self.left.deriv(y) * r + l * self.right.deriv(y)])
+
+
+def _gaussian_product(left, right) -> _ScaledAxis | None:
+    """The factor k exp(-pi (y - c)^2 / w^2) equal to the product of two
+    Gaussian factors (each a ``_GaussianAxis``, bare or scaled), whose heat
+    convolutions stay closed form; None unless both factors are Gaussian."""
+    parts = []
+    for g in (left, right):
+        k = 1.0
+        while isinstance(g, _ScaledAxis):
+            k, g = k * g.factor, g.base
+        if not isinstance(g, _GaussianAxis):
+            return None
+        parts.append((k, g.center, g.width**2))
+    (k1, c1, v1), (k2, c2, v2) = parts
+    v = v1 * v2 / (v1 + v2)
+    amp = k1 * k2 * math.exp(-math.pi * (c1 - c2) ** 2 / (v1 + v2))
+    return _ScaledAxis(amp, _GaussianAxis((c1 * v2 + c2 * v1) / (v1 + v2), math.sqrt(v)))
 
 
 @dataclass(frozen=True)
@@ -1115,7 +1142,9 @@ class ProductField(ScalarField):
     @cached_property
     def heat_factors(self) -> tuple | None:
         left, right = self.left.heat_factors, self.right.heat_factors
-        return None if None in (left, right) else tuple(map(_ProductAxis, left, right))
+        if None in (left, right):
+            return None
+        return tuple(_gaussian_product(l, r) or _ProductAxis(l, r) for l, r in zip(left, right))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return self.left.values(X) * self.right.values(X)

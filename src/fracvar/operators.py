@@ -7,20 +7,21 @@ The fractional gradient of f at x is
 with the divergence, non-local two-function gradient, Riesz potential, and
 fractional Laplacian sharing the same singular-kernel machinery:
 
-* smooth fields in n >= 2 have ``heat_factors`` (tensor products such as
-  ``SmoothBump``, ``Gaussian`` and their products and scalings): the
-  gradient (I_(1-alpha) grad f), the Riesz potential (s <= n - 1) and the
-  fractional Laplacian go by Gaussian subordination, |z|^(-2b) =
-  Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t|z|^2) dt, to integrals over t of
-  products of 1-d heat convolutions G_t g(x_i) (``_heat_products``, one
-  loop over the factors for all three), summed by the trapezoid rule in
-  log t; the Laplacian's f(x) (pi/t)^(n/2) term is summed exactly below the
-  grid.  Larger orders and other fields take the Riesz potential as one
-  radial integral of angular profiles,
-* smooth fields in n = 1 take the Taylor-corrected annulus: the Taylor
-  correction 2 delta^(1-alpha)/(1-alpha) f'(x) (resp. the Laplacian's)
-  replaces (x - delta, x + delta), and delta is halved, adding back
-  shells, until the value stabilizes within tolerance,
+* smooth fields with ``heat_factors`` (tensor products such as
+  ``SmoothBump``, ``Gaussian`` and their products and scalings): in every
+  n the gradient (I_(1-alpha) grad f) and the fractional Laplacian, and in
+  n >= 2 the Riesz potential (s <= n - 1), go by Gaussian subordination,
+  |z|^(-2b) = Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t|z|^2) dt, to integrals
+  over t of products of 1-d heat convolutions G_t g(x_i)
+  (``_heat_products``, one loop over the factors for all three), summed by
+  the trapezoid rule in log t; the Laplacian's f(x) (pi/t)^(n/2) term is
+  summed exactly below the grid.  Larger orders and other fields take the
+  Riesz potential in n >= 2 as one radial integral of angular profiles,
+* smooth fields in n = 1 without ``heat_factors`` (``FAlpha``,
+  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the Taylor-corrected
+  annulus: the Taylor correction 2 delta^(1-alpha)/(1-alpha) f'(x) (resp.
+  the Laplacian's) replaces (x - delta, x + delta), and delta is halved,
+  adding back shells, until the value stabilizes within tolerance,
 * indicator fields, which declare their ``region``: the kernel integral over
   the region is decomposed geometrically, since generic cubature cannot see
   the jump: interval pieces and spherical wedges with exact angular moments
@@ -237,7 +238,7 @@ _STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus l
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
     """Taylor-corrected annulus evaluation, in n = 1, for fields with a
-    closed-form gradient.
+    closed-form gradient and without ``heat_factors``.
 
     Each shell folds the two sides of x into one integral over r,
     of (f(x + r) - f(x - r)) r^(-1-a) on [r_in, r_out], so the mirror
@@ -507,9 +508,18 @@ def frac_gradient(
     returned only if it converged, and QuadratureBudgetError is raised
     otherwise.  The path follows the field's traits: an indicator's
     ``region`` (interval pieces in n = 1, the half-space wedge in n >= 2);
-    in n >= 2 every other field needs ``heat_factors`` (the Gaussian
-    subordination route, ``_grad_heat``; UnsupportedFieldError otherwise);
-    in n = 1 ``has_gradient`` (the Taylor-corrected annulus).
+    then ``heat_factors``, in every n (the Gaussian subordination route,
+    ``_grad_heat``), which in n >= 2 every other field needs
+    (UnsupportedFieldError otherwise); in n = 1 ``has_gradient`` (the
+    Taylor-corrected annulus, ``_grad_smooth``).
+
+    The heat route's accuracy floors where a factor's heat convolutions are
+    panel sums (a bump, or a product other than of two Gaussians): their
+    check evaluation differs from the full one by about 1e-10 relative, so
+    a 1-d ``SmoothBump`` converges at rel_tol 1e-9, at about half its
+    points at 1e-10 and nowhere at 1e-11, where it reports
+    converged=False (the annulus reached 1e-12).  A Gaussian's factors are
+    closed form and reach about 1e-15.
     """
     alpha = _check_alpha(alpha)
     pt = _check_off_jump(f, x)
@@ -524,7 +534,7 @@ def frac_gradient(
         res = _grad_halfspace(region, alpha, pt, spec)
     elif region is not None:
         raise UnsupportedFieldError("gradient of box indicators implemented for n = 1")
-    elif n >= 2:
+    elif n >= 2 or f.heat_factors is not None:
         res = _grad_heat(f, alpha, pt[None, :], spec, _Counter(spec.max_evals))
         res = replace(res, value=res.value[0], err_estimate=float(np.max(res.err_estimate)))
     elif f.has_gradient:
@@ -687,13 +697,14 @@ def frac_laplacian(
 
     ``detail`` is as for ``riesz_potential``.  The path follows the field's
     traits: an indicator's ``region`` (``cube_kernel_integral`` in n >= 2,
-    interval pieces in n = 1).  In n >= 2 a smooth field needs
-    ``heat_factors`` (UnsupportedFieldError otherwise): Gaussian
-    subordination, nu(n, beta)/Gamma(b) int_0^inf t^(b-1) [prod_i G_t g_i(x_i)
-    - f(x) (pi/t)^(n/2)] dt with b = (n + beta)/2, whose large-t form is
-    pi^(n/2) Laplacian f(x)/4 t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2)
-    is summed exactly below the grid.  In n = 1 a smooth field takes the
-    Taylor-corrected annulus.
+    interval pieces in n = 1).  A smooth field with ``heat_factors`` takes,
+    in every n, Gaussian subordination, nu(n, beta)/Gamma(b) int_0^inf
+    t^(b-1) [prod_i G_t g_i(x_i) - f(x) (pi/t)^(n/2)] dt with
+    b = (n + beta)/2, whose large-t form is pi^(n/2) Laplacian f(x)/4
+    t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2) is summed exactly
+    below the grid.  In n >= 2 a smooth field needs ``heat_factors``
+    (UnsupportedFieldError otherwise); in n = 1 one without them takes the
+    Taylor-corrected annulus (``_laplacian_annulus``).
     """
     beta = _check_alpha(beta, "beta")
     pt = _check_off_jump(f, x)
@@ -722,7 +733,7 @@ def frac_laplacian(
         res = _scaled(sum(parts[1:], parts[0]), const * sign)
     elif not f.is_smooth:
         raise UnsupportedFieldError(f"no Laplacian evaluation path for {f.kind}")
-    elif n >= 2:
+    elif n >= 2 or f.heat_factors is not None:
         b = (n + beta) / 2.0
         X = pt[None, :]
         counter = _Counter(spec.max_evals)

@@ -5,6 +5,10 @@ Design notes
 * Core rule: 15-point Gauss--Kronrod on finite intervals, adaptive bisection
   ordered by the per-interval error estimate (largest first, ties broken by
   the left endpoint), so results are deterministic for identical inputs.
+  Both halves of a bisection are one integrand call on their 30 nodes; an
+  integrand that is elementwise in its nodes gets the bits of one call per
+  panel, while one that decides on the whole batch (an angular profile, a
+  batch gradient) may round differently.
 * Declared endpoint singularities |x - p|^g with g > -1 are removed by the
   power substitution x = p + (q - p) t^m, m ~ 3/(1+g); the Kronrod nodes are
   interior, so singular endpoints are never evaluated.
@@ -247,52 +251,67 @@ class _Counter:
         return self.used <= self.budget
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, counter: _Counter):
-    """One Gauss-Kronrod panel. Returns (value_vec, err, ok)."""
+def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, counter: _Counter):
+    """The Gauss-Kronrod panels between consecutive ``edges`` (the whole
+    interval, or the two halves of a bisection) from one call of f on all
+    their nodes.  Returns (values[p], errs[p], ok), one value vector and one
+    error per panel.  The sums are stacked (p, k) products ``_W_K @ V``,
+    bit for bit the per-panel ``_W_K @ vals``, so an elementwise f gets the
+    values and errors of one call per panel; the counter is charged 15 per
+    panel."""
+    a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _NODES
+    x = (mid[:, None] + half[:, None] * _NODES).ravel()
     ok = counter.add(x.size)
     with np.errstate(all="ignore"):
         fx = np.atleast_2d(np.asarray(f(x), dtype=float))
-    if fx.shape[0] == x.size:
-        vals = fx if fx.ndim == 2 else fx[:, None]
-    else:  # (k, m) layout from atleast_2d of a 1-d result
-        vals = fx.T
-    # Non-finite values can only come from evaluating within one ulp of a
-    # declared singularity (measure zero); drop them rather than poison sums,
-    # charging the panel error with a neighbor-scale bound for each drop.
-    finite = np.isfinite(vals)
-    drop_charge = 0.0
-    if not finite.all():
-        col_finite = finite.all(axis=1)
-        if col_finite.any():
-            scale = float(np.max(np.abs(vals[col_finite])))
-            drop_charge = abs(half) * float(_W_K[~col_finite].sum()) * scale
-        vals = np.where(finite, vals, 0.0)
-    resk = half * (_W_K @ vals)
-    resg = half * (_W_G @ vals)
-    resabs = half * (_W_K @ np.abs(vals))
-    mean = resk / (b - a)
-    resasc = half * (_W_K @ np.abs(vals - mean))
-    err = _panel_error(resk, resg, resabs, resasc)
-    return resk, float(np.max(err)) + drop_charge, ok
+        # (k, m) layout from atleast_2d of a 1-d result
+        V = (fx if fx.shape[0] == x.size else fx.T).reshape(a.size, _NODES.size, -1)
+        # Non-finite values can only come from evaluating within one ulp of a
+        # declared singularity (measure zero); drop them rather than poison
+        # sums, charging the panel error with a neighbor-scale bound for each
+        # drop.
+        finite = np.isfinite(V)
+        drop_charge = None
+        if not finite.all():
+            drop_charge = np.zeros(a.size)
+            for i in range(a.size):
+                col_finite = finite[i].all(axis=1)
+                if col_finite.any():
+                    scale = float(np.max(np.abs(V[i][col_finite])))
+                    drop_charge[i] = abs(half[i]) * float(_W_K[~col_finite].sum()) * scale
+            V = np.where(finite, V, 0.0)
+        h = half[:, None]
+        resk = h * (_W_K @ V)
+        resg = h * (_W_G @ V)
+        resabs = h * (_W_K @ np.abs(V))
+        mean = resk / (b - a)[:, None]
+        resasc = h * (_W_K @ np.abs(V - mean[:, None, :]))
+        err = _panel_error(resk, resg, resabs, resasc).max(axis=1)
+    return resk, (err if drop_charge is None else err + drop_charge).tolist(), ok
 
 
 def _panel_error(resk, resg, resabs, resasc) -> np.ndarray:
     """QUADPACK error estimate of GK15 panels, elementwise (Piessens et al. 1983):
-    |K - G| scaled by the panel's mean deviation, floored at rounding level."""
+    |K - G| scaled by the panel's mean deviation, floored at rounding level.
+    Call it with overflow and invalid warnings off: a large |K - G| over a
+    small deviation overflows the power, and its minimum with 1 is 1."""
     err = np.abs(resk - resg)
-    scale = np.where(resasc > 0.0, resasc, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
-    err = np.where(resasc > 0.0, scaled, err)
-    return np.maximum(err, 50.0 * _EPS * resabs)
+    pos = resasc > 0.0
+    scale = np.where(pos, resasc, 1.0)
+    scaled = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
+    return np.maximum(np.where(pos, scaled, err), 50.0 * _EPS * resabs)
 
 
 def _magnitude(v) -> float:
-    """max |v_i| of a value vector, or |v| of a scalar."""
-    return abs(v) if isinstance(v, float) else float(np.max(np.abs(v)))
+    """max |v_i| of a value vector, or |v| of a scalar (a one-entry vector read
+    as one)."""
+    if isinstance(v, float):
+        return abs(v)
+    if isinstance(v, np.ndarray) and v.size == 1:
+        return abs(float(v.item()))
+    return float(np.max(np.abs(v)))
 
 
 class _AdaptiveState:
@@ -364,13 +383,13 @@ def _adaptive(
     counter: _Counter,
 ) -> tuple[np.ndarray, float, bool]:
     """Adaptive Gauss-Kronrod on [a, b] for a vectorized (possibly vector-valued) f."""
-    state = _AdaptiveState(a, b, *_gk15(f, a, b, counter))
+    val, err, ok = _gk15(f, np.array((a, b)), counter)
+    state = _AdaptiveState(a, b, val[0], err[0], ok)
     while (item := state.next_split(rel_tol, abs_tol)) is not None:
         mid = 0.5 * (item[1] + item[2])
-        vl, el, ok1 = _gk15(f, item[1], mid, counter)
-        vr, er, ok2 = _gk15(f, mid, item[2], counter)
+        (vl, vr), (el, er), ok = _gk15(f, np.array((item[1], mid, item[2])), counter)
         state.split(item, mid, vl, el, vr, er)
-        if not (ok1 and ok2):
+        if not ok:
             state.converged = False
             break
     return state.result(rel_tol, abs_tol)
@@ -401,7 +420,9 @@ def _gk15_rows(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counter: _C
     resabs = half * np.vecdot(np.abs(vals), _W_K)
     mean = resk / (hi - lo)
     resasc = half * np.vecdot(np.abs(vals - mean[:, None]), _W_K)
-    return resk, _panel_error(resk, resg, resabs, resasc) + drop_charge, ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _panel_error(resk, resg, resabs, resasc)
+    return resk, err + drop_charge, ok
 
 
 def _adaptive_batch(
@@ -744,13 +765,20 @@ def log_trapezoid(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _circle_nodes(m: int) -> np.ndarray:
+    """The m trapezoid nodes on S^1, (m, 2), computed once per m and returned
+    read-only."""
     theta = 2.0 * math.pi * np.arange(m) / m
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (m, 2)
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    omega.flags.writeable = False
+    return omega
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_nodes(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule on S^2: Gauss-Legendre in cos(polar) x trapezoid in azimuth."""
+    """Product rule on S^2: Gauss-Legendre in cos(polar) x trapezoid in
+    azimuth, computed once per (q, m) and returned read-only."""
     z, wz = gauss_legendre(q)
     theta = 2.0 * math.pi * np.arange(m) / m
     st = np.sqrt(1.0 - z**2)
@@ -759,7 +787,9 @@ def _sphere_nodes(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     omega[..., 1] = st[:, None] * np.sin(theta)[None, :]
     omega[..., 2] = z[:, None] * np.ones_like(theta)[None, :]
     w = (wz[:, None] * (2.0 * math.pi / m)) * np.ones((q, m))
-    return omega.reshape(-1, 3), w.reshape(-1)
+    omega, w = omega.reshape(-1, 3), w.reshape(-1)
+    omega.flags.writeable = w.flags.writeable = False
+    return omega, w
 
 
 def angular_profile(

@@ -354,7 +354,7 @@ class TestSubordination:
         assert res.converged and res.evals_used <= 110_000
         np.testing.assert_allclose(res.value, ref, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
     def test_gaussian_against_mpmath(self, n, a):
         center = (0.1, -0.2, 0.15)[:n]
@@ -368,17 +368,34 @@ class TestSubordination:
 
     @pytest.mark.parametrize("a", [0.25, 0.75])
     def test_bump_1d_matches_adaptive(self, a):
+        # the reference is the n = 1 Taylor-corrected annulus, which fields
+        # without heat_factors still take
         f = SmoothBump(center=(0.1,), width=1.3)
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
         X = np.array([[0.3], [-0.9], [1.35], [2.5]])
         res = ops._grad_heat(f, a, X, spec, _Counter(spec.max_evals))
         ref_spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-15)
-        ref = np.array([ops.frac_gradient(f, a, x, ref_spec)[0] for x in X[:, 0]])
+        ref = np.array([ops._grad_smooth(f, a, x, ref_spec).require()[0] for x in X])
         assert res.converged
         assert np.max(np.abs(res.value[:, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
         # the estimate covers the error of the panel sums for G_t, which
         # dominates once the trapezoid sums in log t have converged
         assert np.all(np.abs(res.value[:, 0] - ref) <= res.err_estimate[:, 0])
+
+    def test_bump_1d_floor(self):
+        # the panel sums of a bump factor's heat convolutions floor the route
+        # near 1e-10 relative: rel_tol 1e-9 converges at eight points across
+        # the support [-1.2, 1.4] and beyond it, and 1e-11 at none, without
+        # ever reporting a value as converged
+        f = SmoothBump(center=(0.1,), width=1.3)
+        for x in np.linspace(-1.6, 1.9, 8):
+            assert ops.frac_gradient(f, 0.5, x, QuadSpec(rel_tol=1e-9, abs_tol=1e-15),
+                                     detail=True).converged
+            res = ops.frac_gradient(f, 0.5, x, QuadSpec(rel_tol=1e-11, abs_tol=1e-15),
+                                    detail=True)
+            assert not res.converged
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(f, 0.5, 0.3, QuadSpec(rel_tol=1e-11, abs_tol=1e-15))
 
     @pytest.mark.parametrize("x, annulus", [
         # the n = 2 Taylor-corrected annulus (angular moments of shells), the
@@ -474,14 +491,18 @@ def _gaussian_laplacian_mp(n, beta, width, d):
 
 
 class TestSubordinationPotentials:
-    """The Riesz potential and the fractional Laplacian of fields with
-    ``heat_factors`` in n >= 2 by Gaussian subordination."""
+    """The Riesz potential (in n >= 2) and the fractional Laplacian (in every
+    n) of fields with ``heat_factors`` by Gaussian subordination."""
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("op, ref_fn", [
-        (ops.riesz_potential, _gaussian_riesz_mp),
-        (ops.frac_laplacian, _gaussian_laplacian_mp),
+    # the Riesz potential takes the heat route in n >= 2 only
+    _MPMATH_CASES = [(op, ref_fn, order, n)
+                     for op, ref_fn in ((ops.riesz_potential, _gaussian_riesz_mp),
+                                        (ops.frac_laplacian, _gaussian_laplacian_mp))
+                     for order in (0.05, 0.5, 0.95)
+                     for n in (1, 2, 3) if n >= 2 or op is ops.frac_laplacian]
+
+    @pytest.mark.parametrize("op, ref_fn, order, n", _MPMATH_CASES, ids=[
+        f"{op.__name__}-{ref_fn.__name__}-{order}-{n}" for op, ref_fn, order, n in _MPMATH_CASES
     ])
     def test_gaussian_against_mpmath(self, n, order, op, ref_fn):
         center = (0.1, -0.2, 0.15)[:n]
@@ -490,9 +511,10 @@ class TestSubordinationPotentials:
             x = np.array(x[:n])
             res = op(g, order, x, detail=True)
             ref = ref_fn(n, order, 1.0, x - np.array(center))
-            # 100 times tighter than the default rel_tol 1e-6 (n = 2), 1e-5 (n = 3)
+            # 100 times tighter than the default rel_tol 1e-8 (n = 1), 1e-6
+            # (n = 2), and tighter still than 1e-5 (n = 3)
             assert res.converged
-            assert abs(res.value - ref) <= 1e-8 * abs(ref)
+            assert abs(res.value - ref) <= (1e-10 if n == 1 else 1e-8) * abs(ref)
 
     @pytest.mark.parametrize("n, s", [(2, 1.0), (3, 2.0)])
     def test_gaussian_potential_at_largest_routed_order(self, n, s):
@@ -602,7 +624,7 @@ class TestProductAndScaledFields:
     @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
     def test_gaussian_product_against_mpmath(self, n, a):
         # the product of two Gaussians is a Gaussian of width w, center c and
-        # amplitude A; its factors are summed by panels, not in closed form
+        # amplitude A; its factors merge into closed-form ones of that Gaussian
         c1, w1 = np.array((0.0, 0.0, 0.1)[:n]), 1.0
         c2, w2 = np.array((0.6, -0.3, 0.2)[:n]), 1.2
         f = ProductField(left=Gaussian(center=tuple(c1), width=w1),
@@ -620,6 +642,24 @@ class TestProductAndScaledFields:
             ref = amp * _gaussian_laplacian_mp(n, a, w, d)
             assert lap.converged
             assert abs(lap.value - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gaussian_product_at_tight_tolerance(self, n):
+        # summed by panels, the factor l_i r_i switched to Gauss-Hermite nodes
+        # inside c +/- 6 w, where at t ~ 4.6 the kernel is as wide as the
+        # Gaussian; the n = 2 case returned converged=False, err 6.9e-8, after
+        # 861,616 evaluations
+        c1, c2, w2 = np.zeros(n), np.array((0.6, -0.3)[:n]), 1.2
+        f = ProductField(left=Gaussian(center=tuple(c1)),
+                         right=Gaussian(center=tuple(c2), width=w2))
+        w = (1.0 + w2**-2) ** -0.5
+        c = (c1 + c2 / w2**2) * w**2
+        amp = math.exp(-math.pi * np.sum((c1 - c2) ** 2) / (1.0 + w2**2))
+        x = (0.13, 0.2)[:n]
+        res = ops.frac_gradient(f, 0.5, x, QuadSpec(rel_tol=1e-8), detail=True)
+        ref = amp * _gaussian_grad_mp(n, 0.5, w, np.array(x) - c)
+        assert res.converged
+        assert np.max(np.abs(res.value - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("field, x, annulus", [
         # the n = 2 Taylor-corrected annulus over angular moments, the path

@@ -14,8 +14,13 @@ from fracvar.quadrature import (
     QuadratureBudgetError,
     QuadResult,
     QuadSpec,
+    _NODES,
+    _W_G,
+    _W_K,
     _adaptive,
     _adaptive_batch,
+    _gk15,
+    _panel_error,
     _Counter,
     _segment,
     angular_profile,
@@ -176,6 +181,42 @@ class TestAdaptiveBatch:
                 assert not conv[j]
         assert 0 < one_panel < a.size
 
+    def test_one_call_per_bisection(self):
+        # both halves of a bisection are one integrand call on 30 nodes, and
+        # the counter is charged 15 per panel
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.abs(x - 0.3) ** -0.4 * np.cos(5.0 * x)
+
+        counter = _Counter(10**6)
+        _adaptive(f, -1.0, 2.0, 1e-10, 1e-14, counter)
+        bisections = (counter.used // 15 - 1) // 2
+        assert bisections > 10
+        assert sizes == [15] + [30] * bisections
+        assert counter.used == sum(sizes)
+
+    def test_bisection_bit_identical_to_single_panels(self):
+        # the stacked sums of both halves are bit for bit those of one call
+        # per panel, for an elementwise integrand with vector values
+        def f(x):
+            return np.stack([np.exp(np.sin(7.0 * x)), x**3 - 1.0 / (1.0 + x * x)], axis=1)
+
+        def one_panel(a, b):  # one call on the panel's 15 nodes
+            half = 0.5 * (b - a)
+            vals = f(0.5 * (a + b) + half * _NODES)
+            resk = half * (_W_K @ vals)
+            resasc = half * (_W_K @ np.abs(vals - resk / (b - a)))
+            err = _panel_error(resk, half * (_W_G @ vals), half * (_W_K @ np.abs(vals)), resasc)
+            return resk, float(np.max(err))
+
+        for lo, hi in ((-1.3, 0.7), (2.0, 2.0 + 1e-9), (-40.0, 125.0)):
+            mid = 0.5 * (lo + hi)
+            (vl, vr), (el, er), _ = _gk15(f, np.array((lo, mid, hi)), _Counter(10**6))
+            for (a, b), v, e in (((lo, mid), vl, el), ((mid, hi), vr, er)):
+                ref, ref_err = one_panel(a, b)
+                assert np.array_equal(v, ref) and e == ref_err
 
     def test_retired_error_stops_the_loop(self):
         # x0 sits 6.3e-13 left of the interval, so the panels next to it are
