@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import replace
 from typing import Sequence
 
@@ -1137,6 +1138,33 @@ def _blocked_rows(values, m: int, k: int) -> np.ndarray:
     return out
 
 
+def _radial_panels(delta: float, reach: float, step_cap: float, order: int):
+    """Gauss-Legendre nodes and weights, each (P * order,), on the panels
+    [lo, min(lo + min(lo, step_cap), reach)] from lo = delta out to reach:
+    geometric near the kernel singularity, at most ``step_cap`` wide farther
+    out so the rule resolves every feature of the field.  The edges are
+    Python floats; the nodes are built in one step."""
+    edges = [delta]
+    while edges[-1] < reach:
+        lo = edges[-1]
+        edges.append(min(lo + min(lo, step_cap), reach))
+    e = np.array(edges)
+    lo, hi = e[:-1, None], e[1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    gl_t, gl_w = gauss_legendre(order)
+    return (mid + half * gl_t).ravel(), (half * gl_w).ravel()
+
+
+def _check_batch_grid(n_theta, radial_order, panel_cap) -> None:
+    """The batch gradient's grid arguments, checked in every n."""
+    if not (isinstance(n_theta, numbers.Integral) and n_theta > 0 and n_theta % 2 == 0):
+        raise ValueError(f"n_theta must be a positive even integer, not {n_theta!r}")
+    if not (isinstance(radial_order, numbers.Integral) and radial_order >= 1):
+        raise ValueError(f"radial_order must be an integer >= 1, not {radial_order!r}")
+    if not (isinstance(panel_cap, numbers.Real) and math.isfinite(panel_cap) and panel_cap > 0):
+        raise ValueError(f"panel_cap must be finite and > 0, not {panel_cap!r}")
+
+
 @functools.lru_cache(maxsize=16)
 def _support_grid(f: ScalarField, per_axis: int = 8, order: int = 24):
     """Composite Gauss-Legendre grid over the field's evaluation box with
@@ -1187,12 +1215,19 @@ def frac_gradient_batch(
     (QuadratureBudgetError if any does not converge); the grid arguments do
     not apply.  Otherwise far points see a smooth integrand, summed on a
     cached support grid, and near points a Taylor-corrected annulus on fixed
-    geometric radial panels (Gauss-Legendre nodes, trapezoid angles in
-    n = 2, where each factor is evaluated once per distinct coordinate and
-    the polar sums of all pairs are one ``np.einsum`` product per
-    component), ~1e-8 relative for the catalog's smooth fields.
+    geometric radial panels (Gauss-Legendre nodes, ``_radial_panels``), with
+    ``n_theta`` trapezoid angles in n = 2, ~1e-8 relative for the catalog's
+    smooth fields.  The n = 2 sum folds each orbit {(+-c, +-s)} of the
+    circle's symmetries z1 -> -z1, z2 -> -z2 into one term, so it runs over
+    the n_theta/4 + 1 angles in [0, pi/2]; each factor is evaluated once
+    per distinct coordinate at +-r c (or +-r s), and the sums of all pairs
+    are one ``np.einsum`` product per component.  ``n_theta`` must be a
+    positive even integer (so that theta + pi is on the grid),
+    ``radial_order`` an integer >= 1 and ``panel_cap`` finite and > 0, in
+    every n (ValueError otherwise).
     """
     alpha = _check_alpha(alpha)
+    _check_batch_grid(n_theta, radial_order, panel_cap)
     if not (f.is_smooth and f.has_gradient):
         raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
     n = f.dim
@@ -1240,21 +1275,8 @@ def frac_gradient_batch(
     reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
     scale = field_scale(f)
     delta = 2e-4 * scale
-    gl_t, gl_w = gauss_legendre(radial_order)
-
-    # geometric panels near the kernel singularity, capped at the field's
-    # structure scale farther out so Gauss-Legendre resolves every feature
-    r_nodes = []
-    r_weights = []
-    lo = delta
-    while lo < reach:
-        hi = min(lo + min(lo, panel_cap * scale), reach)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes.append(mid + half * gl_t)
-        r_weights.append(half * gl_w)
-        lo = hi
-    r = np.concatenate(r_nodes)
-    wr = np.concatenate(r_weights) * r ** (-1.0 - alpha)
+    r, wr = _radial_panels(delta, reach, panel_cap * scale, radial_order)
+    wr = wr * r ** (-1.0 - alpha)
 
     grad_x = f.grad_values(Xn)
     corr = ball_volume(n) * delta ** (1.0 - alpha) / (1.0 - alpha)
@@ -1270,22 +1292,35 @@ def frac_gradient_batch(
         out[~far] = mu(1, alpha) * (core + corr * grad_x[:, 0])[:, None]
         return out
 
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (T, 2)
-    Zf = (r[:, None, None] * omega[None, :, :]).reshape(-1, 2)
-    wk = np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta)  # (K*T,)
-    w_omega = wk[:, None] * np.tile(omega, (r.size, 1))  # (K*T, 2)
+    # the trapezoid circle is closed under z1 -> -z1 and z2 -> -z2, so each
+    # orbit {(+-c, +-s)} of an angle in [0, pi/2] is summed once; the
+    # two-member orbits at 0 and pi/2 take half weight
+    j = np.arange(n_theta // 4 + 1)
+    theta = 2.0 * math.pi * j / n_theta
+    c, s = np.cos(theta), np.sin(theta)
+    wk = wr[:, None] * (np.where((j == 0) | (4 * j == n_theta), 0.5, 1.0)
+                        * (2.0 * math.pi / n_theta))  # (K, J)
     factors = f.heat_factors
-    # f(x + z) = f1(x1 + z1) f2(x2 + z2): the polar sums of every pair of
-    # distinct coordinates are one matrix product per component, summed by
-    # einsum's own loop: a threaded BLAS GEMM rounds differently at
-    # different thread counts
-    A = _blocked_rows(lambda s, e: factors[0](u0[s:e, None] + Zf[None, :, 0]),
-                      u0.size, Zf.shape[0])  # (U0, K*T)
-    B = _blocked_rows(lambda s, e: factors[1](u1[s:e, None] + Zf[None, :, 1]),
-                      u1.size, Zf.shape[0])  # (U1, K*T)
+
+    def folded(g, u, z):
+        # the odd and even parts g(u + z) -+ g(u - z), for every distinct
+        # coordinate u and offset z = r c (or r s)
+        offs = np.concatenate([z, -z])
+        vals = _blocked_rows(lambda a, b: g(u[a:b, None] + offs[None, :]), u.size, offs.size)
+        plus, minus = vals[:, : z.size], vals[:, z.size :]
+        return plus - minus, plus + minus
+
+    # f(x + z) = f1(x1 + z1) f2(x2 + z2): component 1 of an orbit's sum is
+    # w c (f1(x1 + rc) - f1(x1 - rc)) (f2(x2 + rs) + f2(x2 - rs)), component
+    # 2 the mirror product, and the sums of every pair of distinct
+    # coordinates are one product per component, summed by einsum's own
+    # loop: a threaded BLAS GEMM rounds differently at different thread
+    # counts
+    odd1, even1 = folded(factors[0], u0, (r[:, None] * c).ravel())  # (U0, K*J)
+    odd2, even2 = folded(factors[1], u1, (r[:, None] * s).ravel())  # (U1, K*J)
     core = np.stack(
-        [np.einsum("uk,vk->uv", A * w_omega[:, i], B)[inv0, inv1] for i in range(2)],
+        [np.einsum("uk,vk->uv", odd1 * (wk * c).ravel(), even2)[inv0, inv1],
+         np.einsum("uk,vk->uv", even1 * (wk * s).ravel(), odd2)[inv0, inv1]],
         axis=1,
     )
     out[~far] = mu(2, alpha) * (core + corr * grad_x)

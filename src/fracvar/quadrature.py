@@ -7,8 +7,8 @@ Design notes
   the left endpoint), so results are deterministic for identical inputs.
   Both halves of a bisection are one integrand call on their 30 nodes; an
   integrand that is elementwise in its nodes gets the bits of one call per
-  panel, while one that decides on the whole batch (an angular profile, a
-  batch gradient) may round differently.
+  panel, while one that decides on the whole batch (a batch gradient, or
+  an angular profile whose budget runs out) may round differently.
 * Declared endpoint singularities |x - p|^g with g > -1 are removed by the
   power substitution x = p + (q - p) t^m, m ~ 3/(1+g); the Kronrod nodes are
   interior, so singular endpoints are never evaluated.
@@ -40,8 +40,9 @@ Design notes
 Balls and complements in n = 2, 3 factor into a radial integral of angular
 averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
 Gauss-Legendre x trapezoid product (n = 3), both with fixed node layouts.
-``angular_profile`` evaluates a level only if it fits into the budget, and
-its convergence flag is AND-ed into the result of the radial integral.
+``angular_profile`` refines each radius on its own, evaluates a level only
+if its open radii fit into the budget, and its convergence flag is AND-ed
+into the result of the radial integral.
 Cube kernel integrals (``cube_kernel_integral``) are sums of face fluxes.
 """
 
@@ -803,14 +804,17 @@ def angular_profile(
 ) -> QuadResult:
     """Sphere integrals S0(r) = int f(c + r w) dw, or the moments M_i(r) = int w_i f dw.
 
-    Vectorized over the radius batch ``r``; node counts double until the whole
-    batch is below ``tol`` (absolute, on the max-norm of the increment of S0
-    and, with ``moments``, of M).  The value is M with ``moments``, else S0,
-    and the error estimate is the last increment.  A level is evaluated only
-    if its nodes fit into what is left of the counter's budget (the first
-    level always is); a call that would overrun the budget, or that reaches
-    the finest level (8192 circle nodes, 256 x 512 sphere nodes) without
-    meeting ``tol``, returns the last level it evaluated, unconverged.
+    Vectorized over the radius batch ``r``; node counts double, for each
+    radius on its own, until its increment (the max-norm of the increment of
+    S0 and, with ``moments``, of M) is below ``tol`` (absolute); later levels
+    are evaluated only on the radii still open.  The value is M with
+    ``moments``, else S0, at each radius's last level, and the error estimate
+    is the largest last increment.  A level is evaluated only if its nodes
+    for the open radii fit into what is left of the counter's budget (the
+    first level always is); a call that would overrun the budget, or that
+    reaches the finest level (8192 circle nodes, 256 x 512 sphere nodes)
+    with a radius above ``tol``, returns the last levels it evaluated,
+    unconverged.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if n == 2:
@@ -819,32 +823,40 @@ def angular_profile(
         levels = [(8 << k, 16 << k) for k in range(6)]
     else:
         raise ValueError(f"angular_profile supports n in {{2, 3}}, got {n}")
-    prev, delta = None, math.inf
+    live = np.arange(r.size)  # the radii still open
+    s0 = mom = None
+    inc = np.full(r.size, math.inf)
     for q, m in levels:
-        size = r.size * q * m
-        if prev is not None and counter.used + size > counter.budget:
+        size = live.size * q * m
+        if s0 is not None and counter.used + size > counter.budget:
             break
         counter.add(size)
+        rl = r[live]
         if n == 2:
             omega = _circle_nodes(m)
-            vals = np.asarray(f((center + r[:, None, None] * omega).reshape(-1, 2)),
-                              dtype=float).reshape(r.size, m)
-            s0 = vals.mean(axis=1) * 2.0 * math.pi
-            mom = (vals[:, :, None] * omega).mean(axis=1) * 2.0 * math.pi if moments else None
+            vals = np.asarray(f((center + rl[:, None, None] * omega).reshape(-1, 2)),
+                              dtype=float).reshape(rl.size, m)
+            s0_l = vals.mean(axis=1) * 2.0 * math.pi
+            mom_l = (vals[:, :, None] * omega).mean(axis=1) * 2.0 * math.pi if moments else None
         else:
             omega, w = _sphere_nodes(q, m)
-            vals = np.asarray(f((center + r[:, None, None] * omega).reshape(-1, 3)),
-                              dtype=float).reshape(r.size, -1)
-            s0 = vals @ w
-            mom = np.einsum("rk,k,ki->ri", vals, w, omega) if moments else None
-        if prev is not None:
-            delta = float(np.max(np.abs(s0 - prev[0])))
-            if moments:
-                delta = max(delta, float(np.max(np.abs(mom - prev[1]))))
-            if delta <= tol:
-                return QuadResult(mom if moments else s0, delta, counter.used, True)
-        prev = (s0, mom)
-    return QuadResult(prev[1] if moments else prev[0], delta, counter.used, False)
+            vals = np.asarray(f((center + rl[:, None, None] * omega).reshape(-1, 3)),
+                              dtype=float).reshape(rl.size, -1)
+            s0_l = vals @ w
+            mom_l = np.einsum("rk,k,ki->ri", vals, w, omega) if moments else None
+        if s0 is None:
+            s0, mom = s0_l, mom_l
+            continue
+        step = np.abs(s0_l - s0[live])
+        if moments:
+            step = np.maximum(step, np.max(np.abs(mom_l - mom[live]), axis=1))
+            mom[live] = mom_l
+        s0[live] = s0_l
+        inc[live] = step
+        live = live[~(step <= tol)]  # a NaN increment stays open
+        if not live.size:
+            return QuadResult(mom if moments else s0, float(inc.max()), counter.used, True)
+    return QuadResult(mom if moments else s0, float(inc.max()), counter.used, False)
 
 
 def _as_point_fn(f: Callable[[np.ndarray], np.ndarray], n: int):

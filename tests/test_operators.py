@@ -194,6 +194,89 @@ class TestFracGradient:
         assert abs(res.value[0]) <= 1e-12
 
 
+def _full_circle_batch(f, alpha, X, n_theta=256, radial_order=24, panel_cap=0.4):
+    """The tensor-grid batch gradient at targets near the field's box, its
+    polar sums taken over every angle of the trapezoid circle."""
+    scale = ops.field_scale(f)
+    reach = max(ops._reach(f.quad_box, x) for x in X)
+    delta = 2e-4 * scale
+    r, wr = ops._radial_panels(delta, reach, panel_cap * scale, radial_order)
+    wr = wr * r ** (-1.0 - alpha)
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    Z = (r[:, None, None] * omega).reshape(-1, 2)
+    w = (np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta))[:, None] * np.tile(omega, (r.size, 1))
+    f1, f2 = f.heat_factors
+    core = np.array([(w * (f1(x[0] + Z[:, 0]) * f2(x[1] + Z[:, 1]))[:, None]).sum(axis=0)
+                     for x in X])
+    corr = math.pi * delta ** (1.0 - alpha) / (1.0 - alpha)
+    return mu(2, alpha) * (core + corr * f.grad_values(X))
+
+
+def _panel_loop(delta, reach, step_cap, order):
+    """Gauss-Legendre nodes and weights built panel by panel."""
+    gl_t, gl_w = np.polynomial.legendre.leggauss(order)
+    nodes, weights, lo = [], [], delta
+    while lo < reach:
+        hi = min(lo + min(lo, step_cap), reach)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        nodes.append(mid + half * gl_t)
+        weights.append(half * gl_w)
+        lo = hi
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestBatchTensorGrid:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("grid", [{}, {"n_theta": 96, "radial_order": 10, "panel_cap": 1.2},
+                                      {"n_theta": 6}], ids=["default", "ibp_2d", "n_theta_6"])
+    @pytest.mark.parametrize("f", [
+        SmoothBump(center=(-0.2, 0.15), width=(1.0, 1.4)),
+        Gaussian(center=(0.1, -0.2)),
+        ProductField(left=SmoothBump(center=(0.1, 0.0), width=(1.2, 1.0)),
+                     right=Gaussian(center=(0.0, 0.2), width=1.5)),
+    ], ids=["bump", "gaussian", "product"])
+    def test_orbit_fold_matches_full_circle(self, f, grid, alpha):
+        # each orbit {(+-c, +-s)} summed once equals the sum over the circle
+        u0, u1 = np.linspace(-0.9, 0.7, 5), np.linspace(-0.6, 0.9, 4)
+        P = np.stack(np.meshgrid(u0, u1, indexing="ij"), axis=-1).reshape(-1, 2)
+        batch = ops.frac_gradient_batch(f, alpha, P, **grid)
+        full = _full_circle_batch(f, alpha, P, **grid)
+        assert np.max(np.abs(batch - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("delta, reach, step_cap, order", [
+        (2e-4, 2.9, 0.4, 24),
+        (2e-4, 12.3, 1.2, 10),
+        (2e-4 * 0.7, 3.1, 0.28, 1),
+        (2e-4, 3e-4, 0.4, 24),  # reach < 2 delta: one panel
+        (2e-4, 4e-4, 0.4, 5),  # reach = 2 delta
+    ])
+    def test_radial_panels_bit_identical_to_panel_loop(self, delta, reach, step_cap, order):
+        r, w = ops._radial_panels(delta, reach, step_cap, order)
+        r_ref, w_ref = _panel_loop(delta, reach, step_cap, order)
+        assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [
+        {"panel_cap": 0.0}, {"panel_cap": -0.4}, {"panel_cap": math.nan}, {"panel_cap": math.inf},
+        {"radial_order": 0}, {"radial_order": -3}, {"radial_order": 10.0},
+        {"n_theta": 0}, {"n_theta": -8}, {"n_theta": 7}, {"n_theta": 96.0},
+    ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+    def test_bad_grid_arguments_raise(self, n, bad):
+        # panel_cap = 0 used to stall the panel loop, n_theta = 0 divided by
+        # zero, and radial_order = 0 failed in numpy
+        f = SmoothBump(center=(0.0,) * n, width=1.0)
+        with pytest.raises(ValueError):
+            ops.frac_gradient_batch(f, 0.5, [[0.3] * n], **bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_numpy_integer_grid_arguments(self, n):
+        f = SmoothBump(center=(0.0,) * n, width=1.0)
+        kw = {"n_theta": np.int64(6), "radial_order": np.int64(8), "panel_cap": np.float64(0.4)}
+        out = ops.frac_gradient_batch(f, 0.5, [[0.3] * n], **kw)
+        assert out.shape == (1, n) and np.all(np.isfinite(out))
+
+
 class TestFoldedAnnulus:
     """The n = 1 annulus integrates f(x + r) - f(x - r) over each shell in r,
     and stops at the rounding floor of its shells."""

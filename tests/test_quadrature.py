@@ -276,14 +276,36 @@ class TestAngularProfile:
     @pytest.mark.parametrize("n", [2, 3])
     def test_stops_before_a_level_past_the_budget(self, n):
         # a narrow peak off the center needs the finest levels; the budget
-        # admits only a few, and no level is evaluated past it
+        # admits only a few, and no level is evaluated past it (the open
+        # radii of the circle meet 1e-10 within 8,480 evaluations)
         r = np.linspace(0.5, 0.8, 15)
-        counter = _Counter(20_000)
+        counter = _Counter(5_000 if n == 2 else 20_000)
         res = angular_profile(self._narrow, np.zeros(n), r, n, 1e-10, counter, moments=True)
         assert not res.converged
         assert res.value.shape == (15, n)
         assert 0 < counter.used <= counter.budget
         assert res.evals_used == counter.used
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_radius_refines_on_its_own(self, n):
+        # radii through a peak need finer levels than the others: the batch
+        # gives each radius its own profile and spends the sum of their
+        # evaluations
+        def peak(p):
+            return np.exp(-300.0 * np.sum((p - 0.4) ** 2, axis=1))
+
+        r = np.array([0.1, 0.4 * math.sqrt(n), 0.4 * math.sqrt(n) + 0.1, 1.5])
+        res = angular_profile(peak, np.zeros(n), r, n, 1e-8, _Counter(10**7), moments=True)
+        alone = [angular_profile(peak, np.zeros(n), [ri], n, 1e-8, _Counter(10**7), moments=True)
+                 for ri in r]
+        assert res.converged and all(a.converged for a in alone)
+        # the sphere sums are matrix products, which may round differently
+        # with the number of rows
+        np.testing.assert_allclose(res.value, np.concatenate([a.value for a in alone]),
+                                   rtol=1e-14, atol=1e-16)
+        assert res.err_estimate == pytest.approx(max(a.err_estimate for a in alone), abs=1e-16)
+        assert res.evals_used == sum(a.evals_used for a in alone)
+        assert len({a.evals_used for a in alone}) > 1
 
 
 class TestLogTrapezoid:
