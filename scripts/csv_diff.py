@@ -3,10 +3,12 @@
 
     python scripts/csv_diff.py OLD NEW
 
-Prints, per suite, how many lines moved and the largest relative move of
-``lhs`` and of ``rhs`` (|new - old| / max(|old|, |new|), 0 where both are
-0).  Exits 1 if the case ids (suite, case_id) or any pass flag differ, else
-0.
+Rows are keyed by (suite, case_id, alpha), since a run over several orders
+(``--alpha 0.3 --alpha 0.6``) repeats the case ids of the single-order
+suites.  Prints, per suite, how many lines moved and the largest relative
+move of ``lhs`` and of ``rhs`` (|new - old| / max(|old|, |new|), 0 where both
+are 0).  Exits 1 if a key repeats within a file, if the keys or any pass
+flag differ, else 0.
 """
 
 from __future__ import annotations
@@ -16,8 +18,19 @@ import io
 import sys
 
 
-def _rows(text: str) -> dict[tuple[str, str], dict[str, str]]:
-    return {(row["suite"], row["case_id"]): row for row in csv.DictReader(io.StringIO(text))}
+Key = tuple[str, str, str]
+
+
+def _rows(text: str) -> tuple[dict[Key, dict[str, str]], list[Key]]:
+    """The rows by (suite, case_id, alpha), and the keys that repeat."""
+    rows: dict[Key, dict[str, str]] = {}
+    repeated = []
+    for row in csv.DictReader(io.StringIO(text)):
+        key = (row["suite"], row["case_id"], row["alpha"])
+        if key in rows:
+            repeated.append(key)
+        rows[key] = row
+    return rows, repeated
 
 
 def _rel_move(old: str, new: str) -> float:
@@ -27,15 +40,16 @@ def _rel_move(old: str, new: str) -> float:
 
 
 def diff(old_text: str, new_text: str) -> tuple[list[str], bool]:
-    """The report lines, and whether the case ids and pass flags agree."""
-    old, new = _rows(old_text), _rows(new_text)
-    lines, same = [], True
+    """The report lines, and whether the keys and pass flags agree and no key
+    repeats."""
+    (old, old_rep), (new, new_rep) = _rows(old_text), _rows(new_text)
+    lines = [f"repeated in {name}: {','.join(key)}"
+             for name, rep in (("OLD", old_rep), ("NEW", new_rep)) for key in rep]
+    same = not lines
     if list(old) != list(new):
         same = False
-        for key in old.keys() - new.keys():
-            lines.append(f"only in OLD: {','.join(key)}")
-        for key in new.keys() - old.keys():
-            lines.append(f"only in NEW: {','.join(key)}")
+        lines += [f"only in OLD: {','.join(key)}" for key in old if key not in new]
+        lines += [f"only in NEW: {','.join(key)}" for key in new if key not in old]
         if old.keys() == new.keys():
             lines.append("case order differs")
     suites: dict[str, list[int | float]] = {}

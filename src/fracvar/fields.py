@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import ball_volume, mu, nu
-from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_hermite,
-                         gauss_legendre, integrate_1d, integrate_ball)
+from .quadrature import (OffsetIntegrand, QuadSpec, SingularPointError, cube_kernel_integral,
+                         gauss_hermite, gauss_legendre, integrate_1d, integrate_ball)
 
 __all__ = [
     "ScalarField",
@@ -1057,9 +1057,9 @@ class Mollified(ScalarField):
         if self.dim == 1:
             x0 = p[0]
 
-            def g(y: np.ndarray) -> np.ndarray:
-                t = (x0 - y) / self.eps
-                return _bump_1d(t) * self.base.values(y[:, None])
+            def g(y: np.ndarray, dy) -> np.ndarray:
+                # the base reads its singular points through exact offsets
+                return _bump_1d(-dy(x0) / self.eps) * self.base.values_from_offsets(dy)
 
             sing = [
                 (s[0], self.base.singular_exponent)
@@ -1067,7 +1067,7 @@ class Mollified(ScalarField):
                 if x0 - self.eps < s[0] < x0 + self.eps
             ]
             res = integrate_1d(
-                g, x0 - self.eps, x0 + self.eps, singularities=sing,
+                OffsetIntegrand(g), x0 - self.eps, x0 + self.eps, singularities=sing,
                 spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
             )
             return rho * res.require()

@@ -950,15 +950,8 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     delta = 2e-4 * field_scale(f)
 
     # cached far-field: G(x) = int |f(y)| |x - y|^(-1-alpha) dy for x beyond the support
-    gl_t, gl_w = gauss_legendre(48)
-    panels = np.linspace(lo, hi, 9)
-    ys, ws = [], []
-    for p, q in zip(panels[:-1], panels[1:]):
-        mid, half = 0.5 * (p + q), 0.5 * (q - p)
-        ys.append(mid + half * gl_t)
-        ws.append(half * gl_w)
-    ys = np.concatenate(ys)
-    wabs = np.concatenate(ws) * np.abs(f.values(ys[:, None]))
+    ys, wf = _support_grid(f, 48)
+    ys, wabs = ys[:, 0], np.abs(wf)
 
     def inner(x0: np.ndarray) -> np.ndarray:
         """Inner integrals at the nodes x0, all inside (lo, hi)."""
@@ -1061,28 +1054,14 @@ def variation_lower_bound_detail(
     alpha = _check_alpha(alpha)
     if f.dim != 1:
         raise ValueError("variation_lower_bound is implemented for n = 1")
-    spec = spec or default_spec(1)
-    box = _field_box(f)
-    if box is None:
+    if _field_box(f) is None:
         raise UnsupportedFieldError("variation pairing needs a finite evaluation box")
-    lo, hi = float(box[0][0]), float(box[1][0])
-    weight = None if f.region is not None else f  # an indicator weighs 1 on its box
-    gl_t, gl_w = gauss_legendre(16)
-    edges = np.linspace(lo, hi, 9)
-    xs, ws = [], []
-    for p, q in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (p + q), 0.5 * (q - p)
-        xs.append(mid + half * gl_t)
-        ws.append(half * gl_w)
-    xs = np.concatenate(xs)
-    ws = np.concatenate(ws)
-    if weight is not None:
-        ws = ws * weight.values(xs[:, None])
+    xs, ws = _support_grid(f, 16)
     out = []
     for phi in test_family:
         _check_test_field(phi)
         comp = phi.components[0]
-        div_vals = frac_gradient_batch(comp, alpha, xs[:, None])[:, 0]
+        div_vals = frac_gradient_batch(comp, alpha, xs)[:, 0]
         out.append(float(ws @ div_vals))
     return out
 
@@ -1165,15 +1144,20 @@ def _check_batch_grid(n_theta, radial_order, panel_cap) -> None:
         raise ValueError(f"panel_cap must be finite and > 0, not {panel_cap!r}")
 
 
+_GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid
+
+
 @functools.lru_cache(maxsize=16)
-def _support_grid(f: ScalarField, per_axis: int = 8, order: int = 24):
-    """Composite Gauss-Legendre grid over the field's evaluation box with
-    f-weighted quadrature weights, cached for the most recent fields."""
+def _support_grid(f: ScalarField, order: int = 24):
+    """Composite Gauss-Legendre grid of order ``order`` on ``_GRID_PANELS``
+    equal panels per axis of the field's evaluation box: the nodes (m, n)
+    and the weights times f, read-only and cached for the most recent
+    fields."""
     lo, hi = f.quad_box
     gl_t, gl_w = gauss_legendre(order)
     axes_nodes, axes_weights = [], []
     for i in range(f.dim):
-        edges = np.linspace(lo[i], hi[i], per_axis + 1)
+        edges = np.linspace(lo[i], hi[i], _GRID_PANELS + 1)
         nd, wd = [], []
         for p, q in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (p + q), 0.5 * (q - p)
@@ -1190,6 +1174,7 @@ def _support_grid(f: ScalarField, per_axis: int = 8, order: int = 24):
         wmesh = np.meshgrid(*axes_weights, indexing="ij")
         ws = np.prod(np.stack([w.ravel() for w in wmesh], axis=1), axis=1)
     wf = ws * f.values(ys)
+    ys.flags.writeable = wf.flags.writeable = False
     return ys, wf
 
 

@@ -24,6 +24,12 @@ def _run(tmp_path, old, new):
     return csv_diff.main([str(tmp_path / "old.csv"), str(tmp_path / "new.csv")])
 
 
+TWO_ORDERS = HEADER + (
+    "gauss-green,gg_zero,0.3,1,0,0,0,0,0.0001,1\n"
+    "gauss-green,gg_zero,0.6,1,0,0,0,0,0.0001,1\n"
+)
+
+
 def test_identical_files(tmp_path, capsys):
     assert _run(tmp_path, OLD, OLD) == 0
     out = capsys.readouterr().out
@@ -48,3 +54,18 @@ def test_moved_values_report_the_largest_relative_move(tmp_path, capsys):
 def test_differing_cases_or_flags_exit_1(tmp_path, capsys, new):
     assert _run(tmp_path, OLD, new) == 1
     assert capsys.readouterr().out
+
+
+def test_repeated_case_ids_are_keyed_by_order(tmp_path, capsys):
+    # the row of the first order is compared too, and its flag checked
+    assert _run(tmp_path, TWO_ORDERS, TWO_ORDERS) == 0
+    assert "gauss-green: 0/2 lines moved" in capsys.readouterr().out
+    new = TWO_ORDERS.replace("gg_zero,0.3,1,0,0,0,0,0.0001,1", "gg_zero,0.3,1,0,0,0,0,0.0001,0")
+    assert _run(tmp_path, TWO_ORDERS, new) == 1
+    assert "pass flag 1 -> 0: gauss-green,gg_zero,0.3" in capsys.readouterr().out
+
+
+def test_repeated_key_exits_1(tmp_path, capsys):
+    new = OLD + "chain,c0,0.5,1,0,0,0,0,1e-06,1\n"
+    assert _run(tmp_path, OLD, new) == 1
+    assert "repeated in NEW: chain,c0,0.5" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from fracvar.fields import (
     HalfSpaceIndicator,
     IntervalIndicator,
     MagicCube,
+    Mollified,
     NonConvergentAverageError,
     OddBumpPair,
     OddPlateau,
@@ -300,6 +301,28 @@ class TestMollify:
         mass = integrate_1d(lambda x: m.values(x[:, None]), -1.2, 1.2,
                             spec=QuadSpec(rel_tol=1e-8)).value
         assert mass == pytest.approx(2.0, rel=1e-6)
+
+
+    @pytest.mark.parametrize("x", [1.03, 0.97])
+    def test_falpha_base_next_to_singular_point(self, x):
+        # the window [x - eps, x + eps] holds the singular point 1 of f_a,
+        # which the base reads through exact offsets; reference by mpmath
+        mp = pytest.importorskip("mpmath")
+        m, a, eps = Mollified(FAlpha(0.5), 0.1), 0.5, 0.1
+        with mp.workdps(30):
+            c = mp.mpf(mu(1, -a))
+
+            def fa(y):
+                return c * (abs(y) ** (a - 1) * mp.sign(y) - abs(y - 1) ** (a - 1) * mp.sign(y - 1))
+
+            def bump(t):
+                return mp.e ** (1 - 1 / (1 - t * t)) if abs(t) < 1 else mp.mpf(0)
+
+            x0, e = mp.mpf(x), mp.mpf(eps)
+            norm = mp.quad(bump, [-1, 0, 1])
+            ref = float(mp.quad(lambda y: bump((x0 - y) / e) * fa(y), [x0 - e, 1, x0 + e])
+                        / (norm * e))
+        assert feval(m, x) == pytest.approx(ref, rel=1e-10)
 
 
 class TestPreciseRepresentative:

@@ -19,6 +19,7 @@ from fracvar.fields import (
     HalfSpace,
     HalfSpaceIndicator,
     IntervalIndicator,
+    OddBumpPair,
     ProductField,
     ScalarField,
     ScaledField,
@@ -978,7 +979,19 @@ class TestFracLaplacian:
             ).value
             assert ker == pytest.approx(freq, abs=1e-10)
 
-    @pytest.mark.parametrize("field", [Gaussian(center=(0.0,), width=1.0), IntervalIndicator()])
+    @pytest.mark.parametrize("x", [0.4, 1.7, -0.9])
+    def test_annulus_matches_difference_of_bumps(self, x):
+        # OddBumpPair has no heat_factors, so it takes the n = 1 annulus; its
+        # two lobes are SmoothBumps, which take the heat route
+        res = ops.frac_laplacian(OddBumpPair(), 0.5, x, detail=True)
+        ref = (ops.frac_laplacian(SmoothBump(center=(1.0,), width=1.0), 0.5, x)
+               - ops.frac_laplacian(SmoothBump(center=(-1.0,), width=1.0), 0.5, x))
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.value == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("field", [Gaussian(center=(0.0,), width=1.0), IntervalIndicator(),
+                                       OddBumpPair()])
     def test_budget_exhaustion_raises(self, field):
         from fracvar.quadrature import QuadratureBudgetError
 

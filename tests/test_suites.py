@@ -1,5 +1,6 @@
 """Suite machinery: reports, pass rules, determinism, CLI plumbing."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -197,15 +198,41 @@ def test_unknown_quad_field_is_usage_error(tmp_path, capsys):
 
 
 def test_runners_take_spec_exactly_when_forwarded(monkeypatch):
-    import inspect
-
     spec = QuadSpec(rel_tol=1e-7)
     for name, runner in suites._SUITE_RUNNERS.items():
         seen = []
-        monkeypatch.setitem(suites._SUITE_RUNNERS, name, lambda **kw: seen.append(kw))
+
+        def stub(**kw):
+            seen.append(kw)
+            return SuiteReport(name, tolerance=0.0)
+
+        monkeypatch.setitem(suites._SUITE_RUNNERS, name, stub)
         run_suite(name, None, spec)
         takes_spec = "spec" in inspect.signature(runner).parameters
         assert takes_spec == ("spec" in seen[0]), name
+
+
+def test_every_runner_takes_only_its_order_grid():
+    for name, runner in suites._SUITE_RUNNERS.items():
+        expected = ["alpha", "spec"] if name in ("halfspace", "leibniz") else ["alpha"]
+        assert list(inspect.signature(runner).parameters) == expected, name
+
+
+@pytest.mark.parametrize("name", ["gauss-green", "hardy-half", "rigidity", "leibniz"])
+def test_single_order_suite_runs_each_order_in_turn(name):
+    both = run_suite(name, (0.3, 0.6))
+    parts = [run_suite(name, (a,)) for a in (0.3, 0.6)]
+    assert both.cases == parts[0].cases + parts[1].cases
+    assert {c.alpha for c in suites._SUITE_RUNNERS[name]().cases} == {0.5}
+
+
+def test_hardy_follows_the_order_override():
+    rep = run_suite("hardy", (0.3,))
+    assert [c.case_id for c in rep.cases] == [
+        "identity_a0.3", "hardy_integral_a0.3",
+        "row_hardy_integral_0.5", "row_variation_0.5", "row_constant_0.5",
+    ]
+    assert rep.passed and rep.wall_time > 0.0
 
 
 def _cli(*args, timeout=600):
