@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import replace
 from typing import Sequence
 
@@ -1043,13 +1042,13 @@ def variation_lower_bound_detail(
     f: ScalarField,
     alpha: float,
     test_family: Sequence[VectorField],
-    spec: QuadSpec | None = None,
 ) -> list[float]:
     """Pairings int f div_alpha phi dx for each test field (n = 1).
 
     The outer integrand div_alpha phi is C-infinity, so a composite
     Gauss-Legendre grid with the batch gradient evaluator is spectrally
-    accurate and much cheaper than pointwise adaptive calls.
+    accurate and much cheaper than pointwise adaptive calls; the grid and
+    the batch gradient's rules are fixed, so there is no tolerance to set.
     """
     alpha = _check_alpha(alpha)
     if f.dim != 1:
@@ -1070,13 +1069,12 @@ def variation_lower_bound(
     f: ScalarField,
     alpha: float,
     test_family: Sequence[VectorField],
-    spec: QuadSpec | None = None,
 ) -> float:
     """Certified lower bound for the total fractional variation: the best
     pairing against a finite family of admissible test fields (0 if empty)."""
     if not test_family:
         return 0.0
-    return max(variation_lower_bound_detail(f, alpha, test_family, spec))
+    return max(variation_lower_bound_detail(f, alpha, test_family))
 
 
 def default_test_family() -> tuple[VectorField, ...]:
@@ -1134,17 +1132,14 @@ def _radial_panels(delta: float, reach: float, step_cap: float, order: int):
     return (mid + half * gl_t).ravel(), (half * gl_w).ravel()
 
 
-def _check_batch_grid(n_theta, radial_order, panel_cap) -> None:
-    """The batch gradient's grid arguments, checked in every n."""
-    if not (isinstance(n_theta, numbers.Integral) and n_theta > 0 and n_theta % 2 == 0):
-        raise ValueError(f"n_theta must be a positive even integer, not {n_theta!r}")
-    if not (isinstance(radial_order, numbers.Integral) and radial_order >= 1):
-        raise ValueError(f"radial_order must be an integer >= 1, not {radial_order!r}")
-    if not (isinstance(panel_cap, numbers.Real) and math.isfinite(panel_cap) and panel_cap > 0):
-        raise ValueError(f"panel_cap must be finite and > 0, not {panel_cap!r}")
-
-
 _GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid
+
+# the batch gradient's fixed rules: per dimension, the Gauss-Legendre order
+# and the panel cap (in units of the field's scale) of its radial panels,
+# and the trapezoid angles of the n = 2 fold (a multiple of 4, so that each
+# orbit {(+-c, +-s)} lies on the circle)
+_BATCH_RADIAL = {1: (24, 0.4), 2: (10, 1.2)}
+_FOLD_ANGLES = 96
 
 
 @functools.lru_cache(maxsize=16)
@@ -1178,41 +1173,33 @@ def _support_grid(f: ScalarField, order: int = 24):
     return ys, wf
 
 
-def frac_gradient_batch(
-    f: ScalarField,
-    alpha: float,
-    X,
-    n_theta: int = 256,
-    radial_order: int = 24,
-    panel_cap: float = 0.4,
-) -> np.ndarray:
-    """Fractional gradient of a smooth field at many points on shared grids,
+def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
+    """Fractional gradient of a smooth field at many points on fixed rules,
     an (m, n) array ((0, n) for no targets).
 
     In n >= 2 the field needs ``heat_factors`` (UnsupportedFieldError
     otherwise).  Points whose distance from the box center exceeds the box
-    diagonal plus the field's structure scale are far; the others near.  In
-    n = 3, and in n = 2 when the near points have more than four times as
-    many pairs of distinct coordinates as points (a tensor grid has exactly
-    as many), every point takes the Gaussian subordination route of
-    ``frac_gradient``, each factor's heat convolutions evaluated once per
-    distinct coordinate, at the default tolerance of n per point
-    (QuadratureBudgetError if any does not converge); the grid arguments do
-    not apply.  Otherwise far points see a smooth integrand, summed on a
-    cached support grid, and near points a Taylor-corrected annulus on fixed
-    geometric radial panels (Gauss-Legendre nodes, ``_radial_panels``), with
-    ``n_theta`` trapezoid angles in n = 2, ~1e-8 relative for the catalog's
-    smooth fields.  The n = 2 sum folds each orbit {(+-c, +-s)} of the
-    circle's symmetries z1 -> -z1, z2 -> -z2 into one term, so it runs over
-    the n_theta/4 + 1 angles in [0, pi/2]; each factor is evaluated once
-    per distinct coordinate at +-r c (or +-r s), and the sums of all pairs
-    are one ``np.einsum`` product per component.  ``n_theta`` must be a
-    positive even integer (so that theta + pi is on the grid),
-    ``radial_order`` an integer >= 1 and ``panel_cap`` finite and > 0, in
-    every n (ValueError otherwise).
+    diagonal plus the field's structure scale are far; the others near.
+    Far points in n = 2, every point in n = 3, and every point in n = 2 when
+    the near points have more than four times as many pairs of distinct
+    coordinates as points (a tensor grid has exactly as many) take the
+    Gaussian subordination route of ``frac_gradient``, each factor's heat
+    convolutions evaluated once per distinct coordinate, at the default
+    tolerance of n per point (QuadratureBudgetError if any does not
+    converge).  In n = 1 far points see a smooth integrand, summed on a
+    cached support grid.  Near points in n = 1 and near tensor-grid points
+    in n = 2 take a Taylor-corrected annulus on fixed geometric radial
+    panels (Gauss-Legendre nodes, ``_radial_panels``, order and cap from
+    ``_BATCH_RADIAL``): ~1e-8 relative in n = 1, and in n = 2, with
+    ``_FOLD_ANGLES`` trapezoid angles, ~1e-5 relative for the catalog's
+    smooth fields (no error estimate; ``frac_gradient`` gives one).  The
+    n = 2 sum folds each orbit {(+-c, +-s)} of the circle's symmetries
+    z1 -> -z1, z2 -> -z2 into one term, so it runs over the
+    ``_FOLD_ANGLES``/4 + 1 angles in [0, pi/2]; each factor is evaluated
+    once per distinct coordinate at +-r c (or +-r s), and the sums of all
+    pairs are one ``np.einsum`` product per component.
     """
     alpha = _check_alpha(alpha)
-    _check_batch_grid(n_theta, radial_order, panel_cap)
     if not (f.is_smooth and f.has_gradient):
         raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
     n = f.dim
@@ -1226,6 +1213,12 @@ def frac_gradient_batch(
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("batch gradient needs a finite evaluation box")
+
+    def heat(P: np.ndarray) -> np.ndarray:
+        spec = default_spec(n)
+        counter = _Counter(spec.max_evals * P.shape[0])
+        return _grad_heat(f, alpha, P, spec, counter).require("batch gradient")
+
     lo_b, hi_b = box
     center = 0.5 * (lo_b + hi_b)
     halfdiag = float(np.linalg.norm(hi_b - lo_b)) / 2.0
@@ -1235,16 +1228,17 @@ def frac_gradient_batch(
     if n == 2:
         (u0, inv0), (u1, inv1) = (np.unique(Xn[:, i], return_inverse=True) for i in (0, 1))
     if n == 3 or (n == 2 and u0.size * u1.size > 4 * Xn.shape[0]):
-        spec = default_spec(n)
-        counter = _Counter(spec.max_evals * X.shape[0])
-        return _grad_heat(f, alpha, X, spec, counter).require("batch gradient")
+        return heat(X)
     out = np.empty_like(X, dtype=float)
 
-    if far.any():
+    if n == 2 and far.any():
+        out[far] = heat(X[far])
+    elif far.any():
+        # n = 1: the far integrand is smooth, summed on the support grid
         ys, wf = _support_grid(f)
         for sl in range(0, int(far.sum()), 512):
             blk = X[far][sl : sl + 512]
-            d = blk[:, None, :] - ys[None, :, :]  # (m, K, n)
+            d = blk[:, None, :] - ys[None, :, :]  # (m, K, 1)
             rr = np.linalg.norm(d, axis=2)
             kern = -d * (rr ** (-(n + alpha + 1.0)))[:, :, None]
             out[np.flatnonzero(far)[sl : sl + 512]] = mu(n, alpha) * np.einsum(
@@ -1260,7 +1254,8 @@ def frac_gradient_batch(
     reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
     scale = field_scale(f)
     delta = 2e-4 * scale
-    r, wr = _radial_panels(delta, reach, panel_cap * scale, radial_order)
+    order, cap = _BATCH_RADIAL[n]
+    r, wr = _radial_panels(delta, reach, cap * scale, order)
     wr = wr * r ** (-1.0 - alpha)
 
     grad_x = f.grad_values(Xn)
@@ -1280,11 +1275,11 @@ def frac_gradient_batch(
     # the trapezoid circle is closed under z1 -> -z1 and z2 -> -z2, so each
     # orbit {(+-c, +-s)} of an angle in [0, pi/2] is summed once; the
     # two-member orbits at 0 and pi/2 take half weight
-    j = np.arange(n_theta // 4 + 1)
-    theta = 2.0 * math.pi * j / n_theta
+    j = np.arange(_FOLD_ANGLES // 4 + 1)
+    theta = 2.0 * math.pi * j / _FOLD_ANGLES
     c, s = np.cos(theta), np.sin(theta)
-    wk = wr[:, None] * (np.where((j == 0) | (4 * j == n_theta), 0.5, 1.0)
-                        * (2.0 * math.pi / n_theta))  # (K, J)
+    wk = wr[:, None] * (np.where((j == 0) | (4 * j == _FOLD_ANGLES), 0.5, 1.0)
+                        * (2.0 * math.pi / _FOLD_ANGLES))  # (K, J)
     factors = f.heat_factors
 
     def folded(g, u, z):

@@ -184,16 +184,15 @@ def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
         W = np.outer(wx, wy).ravel()
         return P, W
 
-    batch_kw = dict(n_theta=96, radial_order=10, panel_cap=1.2)
     P_f, W_f = grid_2d(f2.quad_box)
     div = np.zeros(P_f.shape[0])
     for i, phi_i in enumerate(phi2.components):
-        div += ops.frac_gradient_batch(phi_i, a, P_f, **batch_kw)[:, i]
+        div += ops.frac_gradient_batch(phi_i, a, P_f)[:, i]
     lhs2 = float(W_f @ (f2.values(P_f) * div))
     lo = np.minimum(phi2.components[0].quad_box[0], phi2.components[1].quad_box[0])
     hi = np.maximum(phi2.components[0].quad_box[1], phi2.components[1].quad_box[1])
     P_p, W_p = grid_2d((lo, hi))
-    grad_f = ops.frac_gradient_batch(f2, a, P_p, **batch_kw)
+    grad_f = ops.frac_gradient_batch(f2, a, P_p)
     rhs2 = -float(W_p @ np.einsum("mi,mi->m", phi2.values(P_p), grad_f))
     report.add_compare("ibp_2d_a0.5", a, 2, lhs2, rhs2, tol=1e-4, inputs="tensor bumps")
     return report

@@ -1,10 +1,12 @@
 """Operator quadratures against closed forms, oracles, and structural identities."""
 
+import inspect
 import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +95,10 @@ class TestFracGradient:
 
     def test_batch_scattered_2d_matches_pointwise(self):
         # scattered targets are no tensor grid, so they take the heat route
-        # of frac_gradient, and the grid arguments do not apply
+        # of frac_gradient
         f = SmoothBump(center=(0.1, 0.2), width=(1.0, 1.3))
         P = np.random.default_rng(7).uniform(-2.5, 2.5, (40, 2))
-        batch = ops.frac_gradient_batch(f, 0.5, P, n_theta=96, radial_order=10, panel_cap=1.2)
+        batch = ops.frac_gradient_batch(f, 0.5, P)
         point = np.array([ops.frac_gradient(f, 0.5, p) for p in P])
         assert np.max(np.abs(batch - point)) <= 1e-12 * np.max(np.abs(point))
 
@@ -110,7 +112,7 @@ class TestFracGradient:
             "f = SmoothBump(center=(-0.2, 0.15), width=(1.0, 1.4))\n"
             "u = np.linspace(-1.5, 1.7, 70)\n"
             "P = np.stack(np.meshgrid(u, u - 0.2, indexing='ij'), axis=-1).reshape(-1, 2)\n"
-            "g = ops.frac_gradient_batch(f, 0.5, P, n_theta=96, radial_order=10, panel_cap=1.2)\n"
+            "g = ops.frac_gradient_batch(f, 0.5, P)\n"
             "print(g.tobytes().hex())\n"
         )
         outputs = []
@@ -195,13 +197,15 @@ class TestFracGradient:
         assert abs(res.value[0]) <= 1e-12
 
 
-def _full_circle_batch(f, alpha, X, n_theta=256, radial_order=24, panel_cap=0.4):
+def _full_circle_batch(f, alpha, X):
     """The tensor-grid batch gradient at targets near the field's box, its
     polar sums taken over every angle of the trapezoid circle."""
     scale = ops.field_scale(f)
     reach = max(ops._reach(f.quad_box, x) for x in X)
     delta = 2e-4 * scale
-    r, wr = ops._radial_panels(delta, reach, panel_cap * scale, radial_order)
+    order, cap = ops._BATCH_RADIAL[2]
+    n_theta = ops._FOLD_ANGLES
+    r, wr = ops._radial_panels(delta, reach, cap * scale, order)
     wr = wr * r ** (-1.0 - alpha)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -227,23 +231,77 @@ def _panel_loop(delta, reach, step_cap, order):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+_TENSOR_FIELDS = pytest.mark.parametrize("f", [
+    SmoothBump(center=(-0.2, 0.15), width=(1.0, 1.4)),
+    Gaussian(center=(0.1, -0.2)),
+    ProductField(left=SmoothBump(center=(0.1, 0.0), width=(1.2, 1.0)),
+                 right=Gaussian(center=(0.0, 0.2), width=1.5)),
+], ids=["bump", "gaussian", "product"])
+
+
+def _tensor_grid():
+    """A 5 x 4 tensor grid of targets near the fields of _TENSOR_FIELDS."""
+    u0, u1 = np.linspace(-0.9, 0.7, 5), np.linspace(-0.6, 0.9, 4)
+    return np.stack(np.meshgrid(u0, u1, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _far_ring(m, seed):
+    """m targets at distances 40 to 200 from the origin, in every direction."""
+    rng = np.random.default_rng(seed)
+    d, th = rng.uniform(40.0, 200.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+    return np.stack([d * np.cos(th), d * np.sin(th)], axis=1)
+
+
 class TestBatchTensorGrid:
+    def test_signature_has_no_grid_arguments(self):
+        # the rules are fixed per dimension; frac_gradient takes a tolerance
+        assert list(inspect.signature(ops.frac_gradient_batch).parameters) == ["f", "alpha", "X"]
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("grid", [{}, {"n_theta": 96, "radial_order": 10, "panel_cap": 1.2},
-                                      {"n_theta": 6}], ids=["default", "ibp_2d", "n_theta_6"])
-    @pytest.mark.parametrize("f", [
-        SmoothBump(center=(-0.2, 0.15), width=(1.0, 1.4)),
-        Gaussian(center=(0.1, -0.2)),
-        ProductField(left=SmoothBump(center=(0.1, 0.0), width=(1.2, 1.0)),
-                     right=Gaussian(center=(0.0, 0.2), width=1.5)),
-    ], ids=["bump", "gaussian", "product"])
-    def test_orbit_fold_matches_full_circle(self, f, grid, alpha):
+    @_TENSOR_FIELDS
+    def test_orbit_fold_matches_full_circle(self, f, alpha):
         # each orbit {(+-c, +-s)} summed once equals the sum over the circle
-        u0, u1 = np.linspace(-0.9, 0.7, 5), np.linspace(-0.6, 0.9, 4)
-        P = np.stack(np.meshgrid(u0, u1, indexing="ij"), axis=-1).reshape(-1, 2)
-        batch = ops.frac_gradient_batch(f, alpha, P, **grid)
-        full = _full_circle_batch(f, alpha, P, **grid)
+        P = _tensor_grid()
+        batch = ops.frac_gradient_batch(f, alpha, P)
+        full = _full_circle_batch(f, alpha, P)
         assert np.max(np.abs(batch - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @_TENSOR_FIELDS
+    def test_fold_accuracy_against_heat_route(self, f, alpha):
+        # the fold's fixed rule is ~1e-5 relative (7.4e-6 at worst here);
+        # the heat route at a tight tolerance is the reference, its own
+        # error estimate far below that (it stops at its floor, ~1e-10)
+        P = _tensor_grid()
+        fold = ops.frac_gradient_batch(f, alpha, P)
+        spec = QuadSpec(rel_tol=1e-11)
+        ref = ops._grad_heat(f, alpha, P, spec, _Counter(spec.max_evals * P.shape[0]))
+        scale = np.max(np.abs(ref.value))
+        assert np.max(ref.err_estimate) <= 1e-8 * scale
+        assert np.max(np.abs(fold - ref.value)) <= 1e-5 * scale
+
+    def test_far_targets_take_the_heat_route(self):
+        # the support-grid sum took 1.9 s for these 400 targets
+        f = Gaussian(center=(0.1, -0.2))
+        P = _far_ring(400, 11)
+        ops.frac_gradient_batch(f, 0.5, P[:2])  # warm the caches
+        t0 = time.perf_counter()
+        batch = ops.frac_gradient_batch(f, 0.5, P)
+        elapsed = time.perf_counter() - t0
+        point = np.array([ops.frac_gradient(f, 0.5, p) for p in P])
+        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-12
+        assert elapsed < 0.5
+
+    @_TENSOR_FIELDS
+    def test_tensor_grid_with_far_targets(self, f):
+        # the grid keeps the fold, bit for bit; the far targets take the
+        # heat route, as in a call with the far targets alone
+        grid, far = _tensor_grid(), _far_ring(6, 3)
+        both = ops.frac_gradient_batch(f, 0.5, np.concatenate([grid, far]))
+        assert both[:20].tobytes() == ops.frac_gradient_batch(f, 0.5, grid).tobytes()
+        assert both[20:].tobytes() == ops.frac_gradient_batch(f, 0.5, far).tobytes()
+        point = np.array([ops.frac_gradient(f, 0.5, p) for p in far])
+        assert np.max(np.abs(both[20:] - point)) <= 1e-12 * np.max(np.abs(point))
 
     @pytest.mark.parametrize("delta, reach, step_cap, order", [
         (2e-4, 2.9, 0.4, 24),
@@ -256,26 +314,6 @@ class TestBatchTensorGrid:
         r, w = ops._radial_panels(delta, reach, step_cap, order)
         r_ref, w_ref = _panel_loop(delta, reach, step_cap, order)
         assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("bad", [
-        {"panel_cap": 0.0}, {"panel_cap": -0.4}, {"panel_cap": math.nan}, {"panel_cap": math.inf},
-        {"radial_order": 0}, {"radial_order": -3}, {"radial_order": 10.0},
-        {"n_theta": 0}, {"n_theta": -8}, {"n_theta": 7}, {"n_theta": 96.0},
-    ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
-    def test_bad_grid_arguments_raise(self, n, bad):
-        # panel_cap = 0 used to stall the panel loop, n_theta = 0 divided by
-        # zero, and radial_order = 0 failed in numpy
-        f = SmoothBump(center=(0.0,) * n, width=1.0)
-        with pytest.raises(ValueError):
-            ops.frac_gradient_batch(f, 0.5, [[0.3] * n], **bad)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_numpy_integer_grid_arguments(self, n):
-        f = SmoothBump(center=(0.0,) * n, width=1.0)
-        kw = {"n_theta": np.int64(6), "radial_order": np.int64(8), "panel_cap": np.float64(0.4)}
-        out = ops.frac_gradient_batch(f, 0.5, [[0.3] * n], **kw)
-        assert out.shape == (1, n) and np.all(np.isfinite(out))
 
 
 class TestFoldedAnnulus:
