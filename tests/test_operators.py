@@ -258,9 +258,16 @@ class TestBatchTensorGrid:
         assert list(inspect.signature(ops.frac_gradient_batch).parameters) == ["f", "alpha", "X"]
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("rule", [None, (256, 24, 0.4), (6, 10, 1.2)],
+                             ids=["fixed", "fine", "n_theta_6"])
     @_TENSOR_FIELDS
-    def test_orbit_fold_matches_full_circle(self, f, alpha):
-        # each orbit {(+-c, +-s)} summed once equals the sum over the circle
+    def test_orbit_fold_matches_full_circle(self, f, rule, alpha, monkeypatch):
+        # each orbit {(+-c, +-s)} summed once equals the sum over the circle,
+        # for the fixed rule and for any other the constants could be set to:
+        # a finer one, and 6 angles, whose circle has no orbit at pi/2
+        if rule is not None:
+            monkeypatch.setattr(ops, "_FOLD_ANGLES", rule[0])
+            monkeypatch.setitem(ops._BATCH_RADIAL, 2, rule[1:])
         P = _tensor_grid()
         batch = ops.frac_gradient_batch(f, alpha, P)
         full = _full_circle_batch(f, alpha, P)
@@ -314,6 +321,62 @@ class TestBatchTensorGrid:
         r, w = ops._radial_panels(delta, reach, step_cap, order)
         r_ref, w_ref = _panel_loop(delta, reach, step_cap, order)
         assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+class TestBatchRoutes:
+    """Which targets of frac_gradient_batch take which route, and the
+    values of the routes that the tensor-grid tests do not reach."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.04, 0.96, math.nan])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_alpha_outside_quadrature_range_raises(self, n, alpha):
+        f = SmoothBump(center=(0.0,) * n, width=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            ops.frac_gradient_batch(f, alpha, [[0.3] * n])
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @_TENSOR_FIELDS
+    def test_far_targets_match_pointwise_2d(self, f, alpha):
+        # n = 2 far targets take the heat route of frac_gradient
+        P = _far_ring(8, 5)
+        batch = ops.frac_gradient_batch(f, alpha, P)
+        point = np.array([ops.frac_gradient(f, alpha, p) for p in P])
+        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-12
+
+    @pytest.mark.parametrize("targets", ["grid", "far", "grid_and_far", "scattered"])
+    @_TENSOR_FIELDS
+    def test_no_2d_target_reaches_the_support_grid_sum(self, f, targets, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n = 2 target reached the support-grid sum")
+
+        monkeypatch.setattr(ops, "_support_grid", refuse)
+        P = {
+            "grid": _tensor_grid(),
+            "far": _far_ring(6, 3),
+            "grid_and_far": np.concatenate([_tensor_grid(), _far_ring(6, 3)]),
+            "scattered": np.random.default_rng(2).uniform(-2.0, 2.0, (12, 2)),
+        }[targets]
+        out = ops.frac_gradient_batch(f, 0.5, P)
+        assert out.shape == P.shape and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("f", [SmoothBump(center=(0.1,), width=1.0), Gaussian(center=(-0.2,))],
+                             ids=["bump", "gaussian"])
+    def test_far_targets_match_pointwise_1d(self, f, alpha):
+        # n = 1 far targets are summed on the cached support grid
+        xs = np.array([-80.0, -40.0, -25.0, 25.0, 40.0, 80.0])
+        lo, hi = ops._field_box(f)
+        assert np.all(np.abs(xs - 0.5 * (lo[0] + hi[0])) > (hi[0] - lo[0]) + ops.field_scale(f))
+        batch = ops.frac_gradient_batch(f, alpha, xs[:, None])[:, 0]
+        point = np.array([ops.frac_gradient(f, alpha, float(x))[0] for x in xs])
+        assert np.max(np.abs(batch - point) / np.abs(point)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["variation_lower_bound", "variation_lower_bound_detail"])
+    def test_variation_bounds_take_no_tolerance(self, name):
+        # their grid and the batch gradient's rules are fixed; a spec
+        # argument would be read by nothing
+        params = list(inspect.signature(getattr(ops, name)).parameters)
+        assert params == ["f", "alpha", "test_family"]
 
 
 class TestFoldedAnnulus:
