@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,18 @@ class TestSuiteRuns:
             "quad": {"rel_tol": 1e-7, "abs_tol": 1e-11},
         })
         assert code == 0 and reports[0].passed
+
+
+GOLDEN_CSV = Path(__file__).resolve().parent / "data" / "verify-all.csv"
+
+
+def test_verify_all_matches_the_golden_csv(tmp_path):
+    # the default run of every suite, byte for byte; a change that moves a
+    # line on purpose regenerates the file and states the move
+    out = tmp_path / "verify-all.csv"
+    out.write_text(reports_to_csv(run_all()[0]), encoding="utf-8", newline="")
+    assert out.read_bytes() == GOLDEN_CSV.read_bytes(), (
+        f"the verify CSV moved; see python scripts/csv_diff.py {GOLDEN_CSV} {out}")
 
 
 def test_weighted_lhs_against_mpmath():
