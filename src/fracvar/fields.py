@@ -21,7 +21,8 @@ import numpy as np
 
 from .constants import ball_volume, mu, nu
 from .quadrature import (OffsetIntegrand, QuadSpec, SingularPointError, cube_kernel_integral,
-                         gauss_hermite, gauss_legendre, integrate_1d, integrate_ball)
+                         gauss_hermite, gauss_legendre_panels, integrate_1d,
+                         integrate_ball)
 
 __all__ = [
     "ScalarField",
@@ -170,14 +171,11 @@ class ScalarField:
         return math.inf  # compact support counts as infinitely fast decay
 
     @property
-    def singular_points(self) -> tuple[tuple[float, ...], ...]:
+    def singularities(self) -> tuple[tuple[float, float], ...]:
+        """The field's algebraic singular points on the line (n = 1), as the
+        pairs (p, e) that ``integrate_1d`` takes: the field behaves like
+        |x - p|^e near p.  Empty for a field without them."""
         return ()
-
-    @property
-    def singular_exponent(self) -> float | None:
-        """e such that the field behaves like |x - p|^e at each of its
-        ``singular_points`` p; None for a field without algebraic singular points."""
-        return None
 
     @property
     def is_smooth(self) -> bool:
@@ -227,7 +225,7 @@ class ScalarField:
         Laplacian also refuse the boundary of an indicator's ``region``, its
         jump set, where their kernels are not integrable."""
         pt = as_points(x, self.dim)[0]
-        return any(np.array_equal(pt, np.asarray(s)) for s in self.singular_points)
+        return any(np.array_equal(pt, (p,)) for p, _ in self.singularities)
 
     # -- evaluation ---------------------------------------------------------
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -417,9 +415,7 @@ class _GaussianAxis:
 def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes of ``panels`` equal panels of half width 1 on
     [0, 2 panels] and their weights, computed once and returned read-only."""
-    z, wz = gauss_legendre(_HEAT_ORDER)
-    nodes = (np.arange(1, 2 * panels, 2)[:, None] + z).ravel()
-    weights = np.tile(wz, panels)
+    nodes, weights = gauss_legendre_panels(np.arange(0.0, 2 * panels + 1, 2.0), _HEAT_ORDER)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -841,12 +837,8 @@ class FAlpha(ScalarField):
         return 2.0 - self.alpha  # from the differenced |x|^(alpha-1) tails
 
     @property
-    def singular_points(self):
-        return ((0.0,), (1.0,))
-
-    @property
-    def singular_exponent(self) -> float:
-        return self.alpha - 1.0
+    def singularities(self):
+        return ((0.0, self.alpha - 1.0), (1.0, self.alpha - 1.0))
 
     @property
     def has_gradient(self) -> bool:
@@ -901,8 +893,7 @@ class FAlpha(ScalarField):
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         x0 = as_points(x, 1)[0, 0]
-        e = self.singular_exponent
-        sing = [(p[0], e) for p in self.singular_points if x0 - r < p[0] < x0 + r]
+        sing = [(p, e) for p, e in self.singularities if x0 - r < p < x0 + r]
         res = integrate_1d(
             lambda y: self.values(y[:, None]), x0 - r, x0 + r, singularities=sing,
             spec=spec or QuadSpec(rel_tol=1e-9),
@@ -949,14 +940,10 @@ class MagicCube(ScalarField):
         return self.ndim + 1.0 - self.alpha
 
     @property
-    def singular_points(self):
+    def singularities(self):
         if self.ndim == 1:
-            return ((-1.0,), (1.0,))
+            return ((-1.0, self.alpha - 1.0), (1.0, self.alpha - 1.0))
         return ()
-
-    @property
-    def singular_exponent(self) -> float:
-        return self.alpha - 1.0
 
     def is_singular(self, x) -> bool:
         pt = as_points(x, self.dim)[0]
@@ -1061,11 +1048,7 @@ class Mollified(ScalarField):
                 # the base reads its singular points through exact offsets
                 return _bump_1d(-dy(x0) / self.eps) * self.base.values_from_offsets(dy)
 
-            sing = [
-                (s[0], self.base.singular_exponent)
-                for s in self.base.singular_points
-                if x0 - self.eps < s[0] < x0 + self.eps
-            ]
+            sing = [(s, e) for s, e in self.base.singularities if x0 - self.eps < s < x0 + self.eps]
             res = integrate_1d(
                 OffsetIntegrand(g), x0 - self.eps, x0 + self.eps, singularities=sing,
                 spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
@@ -1191,12 +1174,8 @@ class ScaledField(ScalarField):
         return self.base.decay_exponent
 
     @property
-    def singular_points(self):
-        return self.base.singular_points
-
-    @property
-    def singular_exponent(self) -> float | None:
-        return self.base.singular_exponent
+    def singularities(self):
+        return self.base.singularities
 
     @property
     def is_smooth(self) -> bool:

@@ -79,7 +79,7 @@ from .quadrature import (
     angular_profile,
     cube_kernel_integral,
     default_spec,
-    gauss_legendre,
+    gauss_legendre_panels,
     integrate_1d,
     integrate_core,
     log_trapezoid,
@@ -258,7 +258,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     absr = spec.abs_tol / 4.0
     grad_x = field.grad_values(x[None, :])[0]
     # the kernel reads x - p from the field's declared singular points exactly
-    sings = [(s[0], field.singular_exponent) for s in field.singular_points]
+    sings = list(field.singularities)
 
     def kernel(y: np.ndarray, dy) -> np.ndarray:
         d = dy(x[0])
@@ -271,9 +271,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         tail = QuadResult(np.zeros(1), 0.0, 0, True)
     else:
         # algebraic tail: rays handled by declared tail exponents
-        reach = 4.0 + float(np.max(np.abs(x))) + max(
-            (abs(s[0]) for s in field.singular_points), default=0.0
-        )
+        reach = 4.0 + float(np.max(np.abs(x))) + max((abs(p) for p, _ in sings), default=0.0)
         tau = 1.0 + alpha + field.decay_exponent
         tail_spec = QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals)
         tail = (integrate_core(kernel, x[0] + reach, math.inf, sings + [(math.inf, tau)],
@@ -295,7 +293,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     # a singular point p lies at r = |x - p| on the side that reaches it
     ahead = {p: p - x0 for p, _ in sings if p > x0}
     behind = {p: x0 - p for p, _ in sings if p < x0}
-    r_sings = [(r, field.singular_exponent) for r in {**ahead, **behind}.values()]
+    r_sings = [(abs(p - x0), e) for p, e in sings if p != x0]
 
     def folded(r: np.ndarray, dr) -> np.ndarray:
         def plus(c: float) -> np.ndarray:  # offsets of x + r
@@ -612,7 +610,7 @@ def riesz_potential(
         x0 = float(pt[0])
         # the field and the kernel read x - p from their singular points exactly
         g = OffsetIntegrand(lambda y, dy: f.values_from_offsets(dy) * np.abs(dy(x0)) ** (s - 1.0))
-        sings = [(x0, s - 1.0)] + [(sp[0], f.singular_exponent) for sp in f.singular_points]
+        sings = [(x0, s - 1.0), *f.singularities]
         if box is not None:
             lo, hi = float(box[0][0]), float(box[1][0])
             a, b = min(lo, x0 - 1.0), max(hi, x0 + 1.0)
@@ -1120,16 +1118,12 @@ def _radial_panels(delta: float, reach: float, step_cap: float, order: int):
     [lo, min(lo + min(lo, step_cap), reach)] from lo = delta out to reach:
     geometric near the kernel singularity, at most ``step_cap`` wide farther
     out so the rule resolves every feature of the field.  The edges are
-    Python floats; the nodes are built in one step."""
+    Python floats."""
     edges = [delta]
     while edges[-1] < reach:
         lo = edges[-1]
         edges.append(min(lo + min(lo, step_cap), reach))
-    e = np.array(edges)
-    lo, hi = e[:-1, None], e[1:, None]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    gl_t, gl_w = gauss_legendre(order)
-    return (mid + half * gl_t).ravel(), (half * gl_w).ravel()
+    return gauss_legendre_panels(edges, order)
 
 
 _GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid
@@ -1149,17 +1143,9 @@ def _support_grid(f: ScalarField, order: int = 24):
     and the weights times f, read-only and cached for the most recent
     fields."""
     lo, hi = f.quad_box
-    gl_t, gl_w = gauss_legendre(order)
-    axes_nodes, axes_weights = [], []
-    for i in range(f.dim):
-        edges = np.linspace(lo[i], hi[i], _GRID_PANELS + 1)
-        nd, wd = [], []
-        for p, q in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (p + q), 0.5 * (q - p)
-            nd.append(mid + half * gl_t)
-            wd.append(half * gl_w)
-        axes_nodes.append(np.concatenate(nd))
-        axes_weights.append(np.concatenate(wd))
+    rules = [gauss_legendre_panels(np.linspace(lo[i], hi[i], _GRID_PANELS + 1), order)
+             for i in range(f.dim)]
+    axes_nodes, axes_weights = zip(*rules)
     if f.dim == 1:
         ys = axes_nodes[0][:, None]
         ws = axes_weights[0]

@@ -5,10 +5,12 @@ Design notes
 * Core rule: 15-point Gauss--Kronrod on finite intervals, adaptive bisection
   ordered by the per-interval error estimate (largest first, ties broken by
   the left endpoint), so results are deterministic for identical inputs.
-  Both halves of a bisection are one integrand call on their 30 nodes; an
-  integrand that is elementwise in its nodes gets the bits of one call per
-  panel, while one that decides on the whole batch (a batch gradient, or
-  an angular profile whose budget runs out) may round differently.
+  One panel kernel, ``_gk15``, evaluates any set of panels (lo[j], hi[j])
+  in one integrand call: both halves of a bisection are one call on their
+  30 nodes; an integrand that is elementwise in its nodes gets the bits of
+  one call per panel, while one that decides on the whole batch (a batch
+  gradient, or an angular profile whose budget runs out) may round
+  differently.
 * Declared endpoint singularities |x - p|^g with g > -1 are removed by the
   power substitution x = p + (q - p) t^m, m ~ 3/(1+g); the Kronrod nodes are
   interior, so singular endpoints are never evaluated.
@@ -25,8 +27,11 @@ Design notes
 * Integrands are evaluated in vectorized batches (callables take and return
   numpy arrays); evaluation counts are tracked against ``max_evals``.
 * Many independent scalar integrals can run in lockstep
-  (``_adaptive_batch``): one integrand call per round for the panels of all
-  of them, each making the scalar routine's decisions bit for bit.
+  (``_adaptive_batch``): each round is one ``_gk15`` call on the panels of
+  all of them, each integral making the scalar routine's decisions bit for
+  bit.
+* Fixed composite Gauss--Legendre rules, on the panels between given
+  edges, all come from ``gauss_legendre_panels``.
 * Integrals over t in (0, inf) of t^(b-1) F(t), where F is a product of
   1-d heat convolutions (Gaussian subordination), use the trapezoid rule in
   u = log t (``log_trapezoid``), which converges exponentially for such
@@ -71,6 +76,7 @@ __all__ = [
     "default_spec",
     "gauss_hermite",
     "gauss_legendre",
+    "gauss_legendre_panels",
     "log_trapezoid",
 ]
 
@@ -231,6 +237,17 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def gauss_legendre_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with ``order`` nodes on each panel
+    between consecutive ``edges``: the nodes mid + half t and the weights
+    half w of every panel, flat and panel by panel."""
+    e = np.asarray(edges, dtype=float)
+    lo, hi = e[:-1, None], e[1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t, w = gauss_legendre(order)
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights for int h(z) exp(-z^2) dz over the
@@ -252,32 +269,32 @@ class _Counter:
         return self.used <= self.budget
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, counter: _Counter):
-    """The Gauss-Kronrod panels between consecutive ``edges`` (the whole
-    interval, or the two halves of a bisection) from one call of f on all
-    their nodes.  Returns (values[p], errs[p], ok), one value vector and one
-    error per panel.  The sums are stacked (p, k) products ``_W_K @ V``,
-    bit for bit the per-panel ``_W_K @ vals``, so an elementwise f gets the
-    values and errors of one call per panel; the counter is charged 15 per
-    panel."""
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+          counter: _Counter):
+    """The Gauss-Kronrod panels [lo[j], hi[j]] (the whole interval, the two
+    halves of a bisection, or the panels of many integrals in lockstep) from
+    one call of f on all their nodes, panel by panel.  Returns (values[p],
+    errs[p], ok), one value vector and one error per panel.  The sums are
+    stacked (p, k) products ``_W_K @ V``, bit for bit the per-panel
+    ``_W_K @ vals``, so an elementwise f gets the values and errors of one
+    call per panel; the counter is charged 15 per panel."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
     x = (mid[:, None] + half[:, None] * _NODES).ravel()
     ok = counter.add(x.size)
     with np.errstate(all="ignore"):
         fx = np.atleast_2d(np.asarray(f(x), dtype=float))
         # (k, m) layout from atleast_2d of a 1-d result
-        V = (fx if fx.shape[0] == x.size else fx.T).reshape(a.size, _NODES.size, -1)
+        V = (fx if fx.shape[0] == x.size else fx.T).reshape(lo.size, _NODES.size, -1)
         # Non-finite values can only come from evaluating within one ulp of a
         # declared singularity (measure zero); drop them rather than poison
         # sums, charging the panel error with a neighbor-scale bound for each
         # drop.
         finite = np.isfinite(V)
-        drop_charge = None
+        drop_charge = 0.0
         if not finite.all():
-            drop_charge = np.zeros(a.size)
-            for i in range(a.size):
+            drop_charge = np.zeros(lo.size)
+            for i in range(lo.size):
                 col_finite = finite[i].all(axis=1)
                 if col_finite.any():
                     scale = float(np.max(np.abs(V[i][col_finite])))
@@ -287,10 +304,10 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, counter: _Co
         resk = h * (_W_K @ V)
         resg = h * (_W_G @ V)
         resabs = h * (_W_K @ np.abs(V))
-        mean = resk / (b - a)[:, None]
+        mean = resk / (hi - lo)[:, None]
         resasc = h * (_W_K @ np.abs(V - mean[:, None, :]))
         err = _panel_error(resk, resg, resabs, resasc).max(axis=1)
-    return resk, (err if drop_charge is None else err + drop_charge).tolist(), ok
+    return resk, err + drop_charge, ok
 
 
 def _panel_error(resk, resg, resabs, resasc) -> np.ndarray:
@@ -384,46 +401,17 @@ def _adaptive(
     counter: _Counter,
 ) -> tuple[np.ndarray, float, bool]:
     """Adaptive Gauss-Kronrod on [a, b] for a vectorized (possibly vector-valued) f."""
-    val, err, ok = _gk15(f, np.array((a, b)), counter)
-    state = _AdaptiveState(a, b, val[0], err[0], ok)
+    val, err, ok = _gk15(f, np.array([a]), np.array([b]), counter)
+    state = _AdaptiveState(a, b, val[0], float(err[0]), ok)
     while (item := state.next_split(rel_tol, abs_tol)) is not None:
         mid = 0.5 * (item[1] + item[2])
-        (vl, vr), (el, er), ok = _gk15(f, np.array((item[1], mid, item[2])), counter)
-        state.split(item, mid, vl, el, vr, er)
+        (vl, vr), (el, er), ok = _gk15(f, np.array([item[1], mid]), np.array([mid, item[2]]),
+                                       counter)
+        state.split(item, mid, vl, float(el), vr, float(er))
         if not ok:
             state.converged = False
             break
     return state.result(rel_tol, abs_tol)
-
-
-def _gk15_rows(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counter: _Counter):
-    """GK15 panels [lo[j], hi[j]] of scalar integrals from one call
-    ``g(x[j, 15], owner[j])``.  Row j is ``_gk15`` of the scalar integrand on
-    its panel, bit for bit:
-    ``np.vecdot`` reduces each row with the BLAS dot that ``_W_K @ column``
-    uses.  Returns (value[j], err[j], ok)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    x = mid[:, None] + half[:, None] * _NODES
-    ok = counter.add(x.size)
-    with np.errstate(all="ignore"):
-        vals = np.ascontiguousarray(g(x, owner), dtype=float)
-    drop_charge = np.zeros(lo.size)
-    finite = np.isfinite(vals)
-    if not finite.all():  # the per-panel rule of _gk15, row by row
-        for j in np.flatnonzero(~finite.all(axis=1)):
-            if finite[j].any():
-                scale = float(np.max(np.abs(vals[j, finite[j]])))
-                drop_charge[j] = abs(half[j]) * float(_W_K[~finite[j]].sum()) * scale
-        vals = np.where(finite, vals, 0.0)
-    resk = half * np.vecdot(vals, _W_K)
-    resg = half * np.vecdot(vals, _W_G)
-    resabs = half * np.vecdot(np.abs(vals), _W_K)
-    mean = resk / (hi - lo)
-    resasc = half * np.vecdot(np.abs(vals - mean[:, None]), _W_K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = _panel_error(resk, resg, resabs, resasc)
-    return resk, err + drop_charge, ok
 
 
 def _adaptive_batch(
@@ -448,7 +436,13 @@ def _adaptive_batch(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    val, err, ok = _gk15_rows(g, a, b, np.arange(a.size), counter)
+
+    def panels(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+        val, err, ok = _gk15(lambda x: g(x.reshape(-1, _NODES.size), owner).ravel(), lo, hi,
+                             counter)
+        return val[:, 0], err, ok
+
+    val, err, ok = panels(a, b, np.arange(a.size))
     settled = err <= np.fmax(abs_tol, rel_tol * np.abs(val))
     # an integral settled by its first panel is that one piece, summed from 0.0
     value, err_tot, converged = 0.0 + val, 0.0 + err, ok & settled
@@ -468,10 +462,8 @@ def _adaptive_batch(
         lo = np.array([item[1] for _, item in todo])
         hi = np.array([item[2] for _, item in todo])
         mid = 0.5 * (lo + hi)
-        v, e, ok = _gk15_rows(
-            g, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-            np.concatenate([owner, owner]), counter,
-        )
+        v, e, ok = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                          np.concatenate([owner, owner]))
         r = len(todo)
         v, e, mid = v.tolist(), e.tolist(), mid.tolist()
         for i, (j, item) in enumerate(todo):

@@ -38,7 +38,8 @@ from .fields import (
     SmoothBump,
     VectorField,
 )
-from .quadrature import OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre, integrate_1d
+from .quadrature import (OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre_panels,
+                         integrate_1d)
 
 __all__ = [
     "CaseResult",
@@ -118,24 +119,19 @@ class SuiteReport:
         )
 
 
-def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float], order: int = 16,
-                     max_width: float = 0.8):
-    """Composite Gauss-Legendre grid with panel edges at the given cut points.
+def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float]):
+    """Composite Gauss-Legendre grid of order 14 with panel edges at the
+    given cut points, and panels at most 0.9 wide between them.
 
     Bump-type fields are non-analytic at their support edges; aligning panel
     boundaries there keeps the composite rule spectrally accurate.
     """
-    gl_t, gl_w = gauss_legendre(order)
-    edges = sorted({lo, hi, *[c for c in cuts if lo < c < hi]})
-    xs, ws = [], []
-    for p, q in zip(edges[:-1], edges[1:]):
-        parts = max(1, int(math.ceil((q - p) / max_width)))
-        sub = np.linspace(p, q, parts + 1)
-        for pp, qq in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (pp + qq), 0.5 * (qq - pp)
-            xs.append(mid + half * gl_t)
-            ws.append(half * gl_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    cuts = sorted({lo, hi, *[c for c in cuts if lo < c < hi]})
+    edges = [lo]
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        parts = max(1, math.ceil((q - p) / 0.9))
+        edges += np.linspace(p, q, parts + 1)[1:].tolist()
+    return gauss_legendre_panels(edges, 14)
 
 
 def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
@@ -178,8 +174,8 @@ def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
 
     def grid_2d(box):
         (lox, loy), (hix, hiy) = box[0], box[1]
-        xs, wx = _gl_grid_aligned(lox, hix, cuts_x, order=14, max_width=0.9)
-        ys, wy = _gl_grid_aligned(loy, hiy, cuts_y, order=14, max_width=0.9)
+        xs, wx = _gl_grid_aligned(lox, hix, cuts_x)
+        ys, wy = _gl_grid_aligned(loy, hiy, cuts_y)
         P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         W = np.outer(wx, wy).ravel()
         return P, W

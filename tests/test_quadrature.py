@@ -213,7 +213,8 @@ class TestAdaptiveBatch:
 
         for lo, hi in ((-1.3, 0.7), (2.0, 2.0 + 1e-9), (-40.0, 125.0)):
             mid = 0.5 * (lo + hi)
-            (vl, vr), (el, er), _ = _gk15(f, np.array((lo, mid, hi)), _Counter(10**6))
+            (vl, vr), (el, er), _ = _gk15(f, np.array((lo, mid)), np.array((mid, hi)),
+                                          _Counter(10**6))
             for (a, b), v, e in (((lo, mid), vl, el), ((mid, hi), vr, er)):
                 ref, ref_err = one_panel(a, b)
                 assert np.array_equal(v, ref) and e == ref_err
