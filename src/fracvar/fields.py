@@ -83,6 +83,15 @@ def as_points(x, dim: int) -> np.ndarray:
     raise ValueError(f"cannot interpret array of shape {a.shape} as points in dim {dim}")
 
 
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+def _positive(*values: float) -> bool:
+    """Whether every value is finite and > 0."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """Open half-space {(y - x0) . nu > 0} with its boundary hyperplane."""
@@ -91,10 +100,11 @@ class HalfSpace:
     x0: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.nu, dtype=float)
         if len(self.nu) != len(self.x0):
             raise ValueError("nu and x0 must have the same dimension")
-        if abs(float(np.linalg.norm(n)) - 1.0) > 1e-14:
+        if not _finite(*self.nu, *self.x0):
+            raise ValueError("nu and x0 must be finite")
+        if not abs(float(np.linalg.norm(self.nu)) - 1.0) <= 1e-14:
             raise ValueError("nu must be a unit vector to 1e-14")
 
     @property
@@ -112,7 +122,10 @@ class HalfSpace:
     @staticmethod
     def make(nu: Sequence[float], x0: Sequence[float] | None = None) -> "HalfSpace":
         n = np.asarray(nu, dtype=float)
-        n = n / np.linalg.norm(n)
+        norm = float(np.linalg.norm(n))
+        if not (_finite(*n) and norm > 0.0):
+            raise ValueError("nu must be a finite nonzero vector")
+        n = n / norm
         if x0 is None:
             x0 = (0.0,) * n.size
         return HalfSpace(nu=tuple(float(v) for v in n), x0=tuple(float(v) for v in x0))
@@ -298,6 +311,12 @@ class Gaussian(ScalarField):
     center: tuple[float, ...] = (0.0,)
     width: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not _finite(*self.center, self.amplitude):
+            raise ValueError("gaussian center and amplitude must be finite")
+        if not _positive(self.width):
+            raise ValueError("gaussian width must be finite and positive")
 
     @property
     def kind(self) -> str:
@@ -615,6 +634,10 @@ class SmoothBump(ScalarField):
             object.__setattr__(self, "width", (float(self.width),) * len(self.center))
         if len(self.width) != len(self.center):
             raise ValueError("width and center dimensions differ")
+        if not _finite(*self.center):
+            raise ValueError("smooth_bump center must be finite")
+        if not _positive(*self.width):
+            raise ValueError("smooth_bump widths must be finite and positive")
 
     @property
     def kind(self) -> str:
@@ -728,6 +751,10 @@ class CubeIndicator(ScalarField):
             object.__setattr__(self, "center", (0.0,) * self.ndim)
         if len(self.center) != self.ndim:
             raise ValueError("center dimension mismatch")
+        if not _finite(*self.center):
+            raise ValueError("cube_indicator center must be finite")
+        if not _positive(self.half_width):
+            raise ValueError("cube_indicator half_width must be finite and positive")
 
     @property
     def kind(self) -> str:

@@ -38,9 +38,10 @@ Design notes
   integrands, with both ends summed as geometric series on the same grid.
 * Every routine above the Gauss--Kronrod loop returns a :class:`QuadResult`
   (value, error estimate, evaluations, convergence flag), and results of
-  the pieces of one integral add with ``+``.  The panel routines
-  (``_gk15``, ``_adaptive``, ``_adaptive_batch``) keep raw tuples, which
-  ``_segment`` turns into a result.
+  the pieces of one integral add with ``+``.  The panel routines keep raw
+  tuples: ``_gk15`` (values and errors per panel), ``_adaptive`` and
+  ``_adaptive_batch``, whose tuples ``_segment`` and the batch's callers
+  turn into results.
 
 Balls and complements in n = 2, 3 factor into a radial integral of angular
 averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
@@ -102,10 +103,10 @@ class QuadSpec:
     max_evals: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("rel_tol and abs_tol must be positive")
-        if self.max_evals < 100:
-            raise ValueError("max_evals must be at least 100")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("rel_tol and abs_tol must be positive and finite")
+        if not 100 <= self.max_evals < math.inf:
+            raise ValueError("max_evals must be finite and at least 100")
 
     @classmethod
     def from_overrides(cls, overrides) -> QuadSpec:
@@ -874,8 +875,8 @@ def integrate_ball(
     if n not in (1, 2, 3):
         raise ValueError(f"integrate_ball supports n in {{1,2,3}}, got n = {n}")
     spec = spec or default_spec(n)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if n == 1:
         g = _as_point_fn(f, 1)
         return integrate_1d(g, center[0] - radius, center[0] + radius, spec=spec)
@@ -912,6 +913,8 @@ def integrate_complement(
     if n not in (1, 2, 3):
         raise ValueError(f"integrate_complement supports n in {{1,2,3}}, got n = {n}")
     spec = spec or default_spec(n)
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if not tail_exponent > n:
         raise ValueError(f"tail_exponent must exceed n = {n} for convergence")
     counter = _Counter(spec.max_evals)

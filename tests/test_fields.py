@@ -149,6 +149,39 @@ class TestCompactSupport:
         with pytest.raises(ValueError):
             HalfSpace(nu=(1.0, 1.0), x0=(0.0, 0.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: HalfSpace(nu=(math.nan, 1.0), x0=(0.0, 0.0)),
+        lambda: HalfSpace(nu=(1.0, 0.0), x0=(math.inf, 0.0)),
+        lambda: HalfSpace.make((0.0, 0.0)),
+        lambda: HalfSpace.make((math.nan, 1.0)),
+        lambda: HalfSpace.make((1.0, math.inf)),
+        lambda: HalfSpace.make((0.6, 0.8), (0.0, math.nan)),
+    ])
+    def test_halfspace_zero_or_non_finite_input(self, make):
+        # a NaN normal passed the unit-norm check, and a zero one was
+        # divided by its norm
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Gaussian(width=0.0),
+    lambda: Gaussian(width=-1.0),
+    lambda: Gaussian(width=math.inf),
+    lambda: Gaussian(center=(0.0, math.nan)),
+    lambda: Gaussian(amplitude=math.inf),
+    lambda: SmoothBump(width=-1.0),
+    lambda: SmoothBump(center=(0.0, 0.0), width=(1.0, 0.0)),
+    lambda: SmoothBump(center=(math.inf,)),
+    lambda: CubeIndicator(ndim=2, half_width=-1.0),
+    lambda: CubeIndicator(half_width=math.nan),
+    lambda: CubeIndicator(center=(math.inf,)),
+])
+def test_catalog_parameters_are_checked(make):
+    # centers and amplitudes finite, widths and half-widths finite and > 0
+    with pytest.raises(ValueError):
+        make()
+
 
 def _panel_heat(g, x: float, t: float, lo: float, hi: float, panels: int = 12):
     """G_t g(x), G_t g'(x) and sum |k g'| over the nodes, by Gauss-Legendre

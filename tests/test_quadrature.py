@@ -331,6 +331,15 @@ class TestQuadSpec:
         with pytest.raises(ValueError):
             QuadSpec(max_evals=10)
 
+    @pytest.mark.parametrize("kw", [
+        {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"abs_tol": math.nan},
+        {"max_evals": math.nan}, {"max_evals": math.inf},
+    ])
+    def test_non_finite_values_rejected(self, kw):
+        # rel_tol = inf let any first estimate count as converged
+        with pytest.raises(ValueError):
+            QuadSpec(**kw)
+
     def test_converged_implies_within_tolerance(self):
         spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-9)
         res = integrate_1d(lambda x: np.exp(-x * x), -3.0, 3.0, spec=spec)
@@ -374,6 +383,18 @@ class TestBallAndComplement:
         res = integrate_1d(lambda z: np.abs(z) ** 2 * np.abs(z) ** -2.5, -1.0, 1.0,
                            singularities=[(0.0, -0.5)])
         assert res.value == pytest.approx(4.0, rel=1e-10)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # radius 0 returned 0 and radius -1 returned pi/2 for this integral
+        # of pi over the plane, both with converged=True
+        def f(X):
+            return (1.0 + (X * X).sum(axis=1)) ** -2
+
+        with pytest.raises(ValueError):
+            integrate_complement(f, (0.0, 0.0), radius, 4.0)
+        with pytest.raises(ValueError):
+            integrate_ball(f, (0.0, 0.0), radius)
 
     def test_complement_requires_decay(self):
         with pytest.raises(ValueError):

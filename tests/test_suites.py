@@ -193,6 +193,27 @@ def test_nlgrad_without_second_field_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: nlgrad needs a second field")
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--op", "grad", "--field", '{"kind":"half_space_indicator","nu":[0,0]}',
+     "--points", "1,1"],
+    ["eval", "--op", "grad", "--field", '{"kind":"half_space_indicator","nu":[NaN,1]}',
+     "--points", "1,1"],
+    ["oracle", "--name", "halfspace", "--nu", "0,0", "--point", "1,1"],
+    ["oracle", "--name", "hyperplane", "--nu", "1,0", "--x0", "inf,0", "--point", "1,1"],
+    ["eval", "--op", "grad", "--field", '{"kind":"gaussian","width":0}', "--points", "1"],
+    ["eval", "--op", "grad", "--field", '{"kind":"smooth_bump","width":-1}', "--points", "0.5"],
+    ["eval", "--op", "laplacian", "--field", '{"kind":"cube_indicator","dim":2,"half_width":-1}',
+     "--points", "3,0"],
+    ["eval", "--op", "grad", "--field", '{"kind":"gaussian"}', "--points", "1",
+     "--quad", '{"max_evals": NaN}'],
+])
+def test_invalid_parameters_are_usage_errors(args, capsys):
+    # a zero or non-finite normal, a catalog parameter out of range and a
+    # non-finite budget exit 2 with a message, not 0, 1 or 3
+    assert cli.main([args[0], "--alpha", "0.5", *args[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_quad_field_is_usage_error(tmp_path, capsys):
     # an unknown QuadSpec field, on the command line or in a config, exits 2
     code = cli.main([
