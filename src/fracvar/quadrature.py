@@ -292,7 +292,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
         # sums, charging the panel error with a neighbor-scale bound for each
         # drop.
         finite = np.isfinite(V)
-        drop_charge = 0.0
+        drop_charge = None
         if not finite.all():
             drop_charge = np.zeros(lo.size)
             for i in range(lo.size):
@@ -308,7 +308,9 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
         mean = resk / (hi - lo)[:, None]
         resasc = h * (_W_K @ np.abs(V - mean[:, None, :]))
         err = _panel_error(resk, resg, resabs, resasc).max(axis=1)
-    return resk, err + drop_charge, ok
+    if drop_charge is not None:
+        err += drop_charge
+    return resk, err, ok
 
 
 def _panel_error(resk, resg, resabs, resasc) -> np.ndarray:
@@ -403,12 +405,13 @@ def _adaptive(
 ) -> tuple[np.ndarray, float, bool]:
     """Adaptive Gauss-Kronrod on [a, b] for a vectorized (possibly vector-valued) f."""
     val, err, ok = _gk15(f, np.array([a]), np.array([b]), counter)
-    state = _AdaptiveState(a, b, val[0], float(err[0]), ok)
+    state = _AdaptiveState(a, b, val[0], err.item(), ok)
     while (item := state.next_split(rel_tol, abs_tol)) is not None:
         mid = 0.5 * (item[1] + item[2])
-        (vl, vr), (el, er), ok = _gk15(f, np.array([item[1], mid]), np.array([mid, item[2]]),
-                                       counter)
-        state.split(item, mid, vl, float(el), vr, float(er))
+        edges = np.array((item[1], mid, item[2]))
+        (vl, vr), err, ok = _gk15(f, edges[:-1], edges[1:], counter)
+        el, er = err.tolist()
+        state.split(item, mid, vl, el, vr, er)
         if not ok:
             state.converged = False
             break
