@@ -1180,6 +1180,10 @@ class ScaledField(ScalarField):
     base: ScalarField = dc_field(default_factory=Gaussian)
     factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not _finite(self.factor):
+            raise ValueError("scaled field factor must be finite")
+
     @property
     def kind(self) -> str:
         return "scaled"

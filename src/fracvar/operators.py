@@ -921,6 +921,9 @@ def _abs_taylor_window(c1: float, c2: float, delta: float, alpha: float) -> floa
     return one_side(c1, c2) + one_side(-c1, c2)
 
 
+_KINK_HALVINGS = 24  # bisections that place a Gagliardo inner panel's cut, to 2^-24 of its width
+
+
 def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = None) -> float:
     """Double integral of |f(x) - f(y)| / |x - y|^(1 + alpha) over the line.
 
@@ -929,8 +932,13 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     geometric panels grading away from it, and the exact power tail
     |f(x)| ((x - lo)^-a + (hi - x)^-a) / a outside the support.  The panels
     of all outer nodes of a Gauss-Kronrod panel run as one lockstep batch of
-    adaptive integrals.  Raises QuadratureBudgetError when an inner or the
-    outer integral does not converge.
+    adaptive integrals.  The integrand has a kink where f(y) = f(x): a panel
+    whose ends differ in the sign of f(y) - f(x) is cut there, the crossing
+    placed by ``_KINK_HALVINGS`` bisections, and its two pieces join the
+    batch, so the adaptive rule does not spend its rounds bisecting toward
+    the kink (it still resolves any kink the cut misses).  Raises
+    QuadratureBudgetError when an inner or the outer integral does not
+    converge.
     """
     alpha = _check_alpha(alpha)
     if f.dim != 1:
@@ -965,32 +973,53 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
             for u, v, d in zip(c1.tolist(), c2.tolist(), d_eff.tolist())
         ])
 
-        # geometric panels [r, min(2r, width)] away from the window, r = d_eff 2^k,
-        # one column per k and side, summed into out in that order
-        node, a, b, col = [], [], [], []
+        # geometric panels [r, min(2r, width)] away from the window, r = d_eff 2^k
+        # (exact) while r < width; one column per k and side, summed into out
+        # in that order
+        node, a, b, col, n_cols = [], [], [], [], 0
         for sgn, end in ((+1.0, hi), (-1.0, lo)):
             width = np.abs(end - x0)
-            r = d_eff.copy()
-            while (live := np.flatnonzero(r < width)).size:
-                r_next = np.minimum(2.0 * r[live], width[live])
-                near, far = x0[live] + sgn * r[live], x0[live] + sgn * r_next
-                a.append(np.minimum(near, far))
-                b.append(np.maximum(near, far))
-                node.append(live)
-                col.append(np.full(live.size, len(col)))
-                r[live] = r_next
+            r = d_eff[:, None] * 2.0 ** np.arange(int(np.log2((width / d_eff).max())) + 3)
+            k, live = np.nonzero((r < width[:, None]).T)
+            r, r_next = r[live, k], np.minimum(2.0 * r[live, k], width[live])
+            near, far = x0[live] + sgn * r, x0[live] + sgn * r_next
+            a.append(np.minimum(near, far))
+            b.append(np.maximum(near, far))
+            node.append(live)
+            col.append(n_cols + k)
+            n_cols += int(k.max()) + 1
         node, col = np.concatenate(node), np.concatenate(col)
+        a, b = np.concatenate(a), np.concatenate(b)
+
+        # the kink of |f(x0) - f(y)|: a panel whose ends differ in the sign
+        # of f(y) - f(x0) is cut where the sign changes, found by bisection,
+        # and integrated as two pieces [a, m] and [m, b] of the same batch
+        level = fx[node]
+        s_a = np.sign(f.values(a[:, None]) - level)
+        cut = np.flatnonzero(s_a * np.sign(f.values(b[:, None]) - level) < 0.0)
+        lo_c, hi_c, s_c, level_c = a[cut], b[cut], s_a[cut], level[cut]
+        for _ in range(_KINK_HALVINGS):
+            m = 0.5 * (lo_c + hi_c)
+            keep_lo = np.sign(f.values(m[:, None]) - level_c) != s_c
+            lo_c, hi_c = np.where(keep_lo, lo_c, m), np.where(keep_lo, m, hi_c)
+        m = 0.5 * (lo_c + hi_c)
+        owner_of = np.concatenate([node, node[cut]])
 
         def g(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            j = node[owner][:, None]
+            j = owner_of[owner][:, None]
             fy = f.values(y.reshape(-1, 1)).reshape(y.shape)
             return np.abs(fx[j] - fy) * np.abs(y - x0[j]) ** (-1.0 - alpha)
 
-        v, e, c = _adaptive_batch(g, np.concatenate(a), np.concatenate(b), rel_in, abs_in, counter)
+        b_left = b.copy()
+        b_left[cut] = m
+        v, e, c = _adaptive_batch(g, np.concatenate([a, m]), np.concatenate([b_left, b[cut]]),
+                                  rel_in, abs_in, counter)
         QuadResult(v, float(e.max()), counter.used, bool(c.all())).require(
             "Gagliardo inner integral"
         )
-        sums = np.zeros((int(col.max()) + 1, x0.size))
+        v, v_right = v[: a.size], v[a.size :]
+        v[cut] = v[cut] + v_right
+        sums = np.zeros((n_cols, x0.size))
         sums[col, node] = v
         for row in sums:
             out = out + row
@@ -1036,31 +1065,46 @@ def _check_test_field(phi: VectorField) -> None:
         raise TestFieldNormError("sampled test field exceeds sup-norm 1")
 
 
-def variation_lower_bound_detail(
+def _variation_pairings(
     f: ScalarField,
-    alpha: float,
+    alphas: Sequence[float],
     test_family: Sequence[VectorField],
-) -> list[float]:
-    """Pairings int f div_alpha phi dx for each test field (n = 1).
+) -> np.ndarray:
+    """Pairings int f div_alpha phi dx (n = 1), an (A, F) array: one row per
+    order of ``alphas``, one column per test field.
 
     The outer integrand div_alpha phi is C-infinity, so a composite
     Gauss-Legendre grid with the batch gradient evaluator is spectrally
     accurate and much cheaper than pointwise adaptive calls; the grid and
     the batch gradient's rules are fixed, so there is no tolerance to set.
+    Each test field is sampled once for all orders (``_grad_batch_1d``), so
+    row i is bit for bit the pairing at ``alphas[i]`` alone.
     """
-    alpha = _check_alpha(alpha)
+    alphas = [_check_alpha(a) for a in alphas]
     if f.dim != 1:
         raise ValueError("variation_lower_bound is implemented for n = 1")
     if _field_box(f) is None:
         raise UnsupportedFieldError("variation pairing needs a finite evaluation box")
     xs, ws = _support_grid(f, 16)
-    out = []
-    for phi in test_family:
+    out = np.empty((len(alphas), len(test_family)))
+    for k, phi in enumerate(test_family):
         _check_test_field(phi)
         comp = phi.components[0]
-        div_vals = frac_gradient_batch(comp, alpha, xs)[:, 0]
-        out.append(float(ws @ div_vals))
+        _check_batch_field(comp)
+        div_vals = _grad_batch_1d(comp, alphas, xs, _batch_box(comp))
+        for i in range(len(alphas)):
+            out[i, k] = ws @ div_vals[i]
     return out
+
+
+def variation_lower_bound_detail(
+    f: ScalarField,
+    alpha: float,
+    test_family: Sequence[VectorField],
+) -> list[float]:
+    """Pairings int f div_alpha phi dx for each test field (n = 1), on the
+    fixed grid of ``_variation_pairings``."""
+    return _variation_pairings(f, (alpha,), test_family)[0].tolist()
 
 
 def variation_lower_bound(
@@ -1159,6 +1203,85 @@ def _support_grid(f: ScalarField, order: int = 24):
     return ys, wf
 
 
+def _check_batch_field(f: ScalarField) -> None:
+    if not (f.is_smooth and f.has_gradient):
+        raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
+
+
+def _batch_box(f: ScalarField):
+    box = _field_box(f)
+    if box is None:
+        raise UnsupportedFieldError("batch gradient needs a finite evaluation box")
+    return box
+
+
+def _far_targets(f: ScalarField, box, X: np.ndarray) -> np.ndarray:
+    """Whether each target's distance from the box center exceeds the box
+    diagonal plus the field's structure scale."""
+    lo_b, hi_b = box
+    center = 0.5 * (lo_b + hi_b)
+    halfdiag = float(np.linalg.norm(hi_b - lo_b)) / 2.0
+    dist = np.linalg.norm(X - center, axis=1)
+    return dist > 2.0 * halfdiag + field_scale(f)
+
+
+def _radial_rule(f: ScalarField, box, Xn: np.ndarray):
+    """(delta, r, w): the Taylor window's radius and the radial panels of
+    the near annulus, out to the farthest box corner over the targets Xn,
+    with plain Gauss-Legendre weights (the kernel power r^(-1-alpha) is
+    the caller's)."""
+    # candidates are picked by a row-wise square norm and the winner is taken
+    # with _reach itself, whose rounding the radial panels (and so the
+    # values) depend on
+    lo_b, hi_b = box
+    far_sq = np.square(np.maximum(np.abs(lo_b - Xn), np.abs(hi_b - Xn))).sum(axis=1)
+    reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
+    scale = field_scale(f)
+    delta = 2e-4 * scale
+    order, cap = _BATCH_RADIAL[f.dim]
+    r, w = _radial_panels(delta, reach, cap * scale, order)
+    return delta, r, w
+
+
+def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) -> np.ndarray:
+    """The n = 1 batch gradient of ``frac_gradient_batch`` at each order of
+    ``alphas`` (checked by the caller): an (A, m) array for the targets X
+    (m, 1).  The field is sampled once for all orders, at x +- r on the
+    radial panels for near targets and on the cached support grid for far
+    ones; only the kernel weights and the contractions depend on the order,
+    so each row is bit for bit the one-order call."""
+    out = np.empty((len(alphas), X.shape[0]))
+    far = _far_targets(f, box, X)
+    if far.any():
+        # the far integrand is smooth, summed on the support grid
+        ys, wf = _support_grid(f)
+        idx = np.flatnonzero(far)
+        for sl in range(0, idx.size, 512):
+            blk = idx[sl : sl + 512]
+            d = X[blk][:, None, :] - ys[None, :, :]  # (m, K, 1)
+            rr = np.linalg.norm(d, axis=2)
+            for i, a in enumerate(alphas):
+                kern = -d * (rr ** (-(1 + a + 1.0)))[:, :, None]
+                out[i, blk] = mu(1, a) * np.einsum("mki,k->mi", kern, wf)[:, 0]
+    near = ~far
+    if not near.any():
+        return out
+    Xn = X[near]
+    delta, r, wr = _radial_rule(f, box, Xn)
+    offs = np.concatenate([r, -r])  # (2K,)
+    vals = _blocked_rows(
+        lambda s, e: f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)),
+        Xn.shape[0], offs.size,
+    )
+    grad_x = f.grad_values(Xn)[:, 0]
+    for i, a in enumerate(alphas):
+        wa = wr * r ** (-1.0 - a)
+        core = vals @ np.concatenate([wa, -wa])
+        corr = ball_volume(1) * delta ** (1.0 - a) / (1.0 - a)
+        out[i, near] = mu(1, a) * (core + corr * grad_x)
+    return out
+
+
 def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     """Fractional gradient of a smooth field at many points on fixed rules,
     an (m, n) array ((0, n) for no targets).
@@ -1173,7 +1296,9 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     convolutions evaluated once per distinct coordinate, at the default
     tolerance of n per point (QuadratureBudgetError if any does not
     converge).  In n = 1 far points see a smooth integrand, summed on a
-    cached support grid.  Near points in n = 1 and near tensor-grid points
+    cached support grid (n = 1 is ``_grad_batch_1d`` at the one order,
+    which serves many orders from one sample of the field).  Near points
+    in n = 1 and near tensor-grid points
     in n = 2 take a Taylor-corrected annulus on fixed geometric radial
     panels (Gauss-Legendre nodes, ``_radial_panels``, order and cap from
     ``_BATCH_RADIAL``): ~1e-8 relative in n = 1, and in n = 2, with
@@ -1186,8 +1311,7 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     pairs are one ``np.einsum`` product per component.
     """
     alpha = _check_alpha(alpha)
-    if not (f.is_smooth and f.has_gradient):
-        raise UnsupportedFieldError("batch gradient needs a smooth field with gradient")
+    _check_batch_field(f)
     n = f.dim
     if n > 3:
         raise UnsupportedFieldError(f"batch gradient implemented for n <= 3, not n = {n}")
@@ -1196,67 +1320,32 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
         return np.empty((0, n))
     if n >= 2 and f.heat_factors is None:
         raise UnsupportedFieldError(f"batch gradient in n = {n} needs heat_factors, not {f.kind}")
-    box = _field_box(f)
-    if box is None:
-        raise UnsupportedFieldError("batch gradient needs a finite evaluation box")
+    box = _batch_box(f)
+    if n == 1:
+        return _grad_batch_1d(f, (alpha,), X, box)[0][:, None]
 
     def heat(P: np.ndarray) -> np.ndarray:
         spec = default_spec(n)
         counter = _Counter(spec.max_evals * P.shape[0])
         return _grad_heat(f, alpha, P, spec, counter).require("batch gradient")
 
-    lo_b, hi_b = box
-    center = 0.5 * (lo_b + hi_b)
-    halfdiag = float(np.linalg.norm(hi_b - lo_b)) / 2.0
-    dist = np.linalg.norm(X - center, axis=1)
-    far = dist > 2.0 * halfdiag + field_scale(f)
+    if n == 3:
+        return heat(X)
+    far = _far_targets(f, box, X)
     Xn = X[~far]
-    if n == 2:
-        (u0, inv0), (u1, inv1) = (np.unique(Xn[:, i], return_inverse=True) for i in (0, 1))
-    if n == 3 or (n == 2 and u0.size * u1.size > 4 * Xn.shape[0]):
+    (u0, inv0), (u1, inv1) = (np.unique(Xn[:, i], return_inverse=True) for i in (0, 1))
+    if u0.size * u1.size > 4 * Xn.shape[0]:
         return heat(X)
     out = np.empty_like(X, dtype=float)
-
-    if n == 2 and far.any():
+    if far.any():
         out[far] = heat(X[far])
-    elif far.any():
-        # n = 1: the far integrand is smooth, summed on the support grid
-        ys, wf = _support_grid(f)
-        for sl in range(0, int(far.sum()), 512):
-            blk = X[far][sl : sl + 512]
-            d = blk[:, None, :] - ys[None, :, :]  # (m, K, 1)
-            rr = np.linalg.norm(d, axis=2)
-            kern = -d * (rr ** (-(n + alpha + 1.0)))[:, :, None]
-            out[np.flatnonzero(far)[sl : sl + 512]] = mu(n, alpha) * np.einsum(
-                "mki,k->mi", kern, wf
-            )
     if not Xn.size:
         return out
 
-    # the farthest box corner over all targets; candidates are picked by a
-    # row-wise square norm and the winner is taken with _reach itself, whose
-    # rounding the radial panels (and so the values) depend on
-    far_sq = np.square(np.maximum(np.abs(lo_b - Xn), np.abs(hi_b - Xn))).sum(axis=1)
-    reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
-    scale = field_scale(f)
-    delta = 2e-4 * scale
-    order, cap = _BATCH_RADIAL[n]
-    r, wr = _radial_panels(delta, reach, cap * scale, order)
+    delta, r, wr = _radial_rule(f, box, Xn)
     wr = wr * r ** (-1.0 - alpha)
-
     grad_x = f.grad_values(Xn)
     corr = ball_volume(n) * delta ** (1.0 - alpha) / (1.0 - alpha)
-
-    if n == 1:
-        offs = np.concatenate([r, -r])  # (2K,)
-        w_eff = np.concatenate([wr, -wr])
-        vals = _blocked_rows(
-            lambda s, e: f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)),
-            Xn.shape[0], offs.size,
-        )
-        core = vals @ w_eff
-        out[~far] = mu(1, alpha) * (core + corr * grad_x[:, 0])[:, None]
-        return out
 
     # the trapezoid circle is closed under z1 -> -z1 and z2 -> -z2, so each
     # orbit {(+-c, +-s)} of an angle in [0, pi/2] is summed once; the

@@ -176,9 +176,12 @@ class TestCompactSupport:
     lambda: CubeIndicator(ndim=2, half_width=-1.0),
     lambda: CubeIndicator(half_width=math.nan),
     lambda: CubeIndicator(center=(math.inf,)),
+    lambda: ScaledField(factor=math.nan),
+    lambda: ScaledField(factor=-math.inf),
 ])
 def test_catalog_parameters_are_checked(make):
-    # centers and amplitudes finite, widths and half-widths finite and > 0
+    # centers, amplitudes and scale factors finite, widths and half-widths
+    # finite and > 0; a NaN factor used to exhaust a quadrature budget
     with pytest.raises(ValueError):
         make()
 

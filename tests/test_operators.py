@@ -2,12 +2,14 @@
 
 import inspect
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from fracvar.fields import (
     VectorField,
 )
 from fracvar.quadrature import QuadratureBudgetError, QuadSpec, _Counter, default_spec, integrate_1d
+from fracvar.suites import run_suite
 
 
 class TestFracGradient:
@@ -1483,8 +1486,82 @@ class TestGagliardo:
         ).value
         assert l1 <= mu(1, a) * seminorm + 1e-8
 
+    # seminorms at alpha = 0.25, 0.5, 0.75 before the inner panels were cut
+    # at their kinks; the cut moves them by about 1e-9 relative
+    UNCUT = {
+        "bump": (SmoothBump(center=(0.0,), width=1.0),
+                 (24.26095446189221, 17.269575404978294, 22.04504876428737)),
+        "offset_product": (ProductField(left=SmoothBump(center=(-0.3,), width=1.0),
+                                        right=SmoothBump(center=(0.2,), width=0.8)),
+                           (13.4140961150642, 10.983569420234877, 16.163436039621608)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNCUT))
+    def test_kink_cut_keeps_the_seminorm(self, name):
+        f, pinned = self.UNCUT[name]
+        for a, ref in zip((0.25, 0.5, 0.75), pinned):
+            assert ops.gagliardo_seminorm(f, a) == pytest.approx(ref, rel=1e-8)
+
+    def test_kink_cut_lockstep_rounds(self, monkeypatch):
+        # each call of a batch integrand is one lockstep round; bisecting
+        # toward the kinks took 908 rounds for these three seminorms
+        rounds = 0
+        batch = ops._adaptive_batch
+
+        def counted_batch(g, *args):
+            def counted(x, owner):
+                nonlocal rounds
+                rounds += 1
+                return g(x, owner)
+
+            return batch(counted, *args)
+
+        monkeypatch.setattr(ops, "_adaptive_batch", counted_batch)
+        f = SmoothBump(center=(0.0,), width=1.0)
+        for a in (0.25, 0.5, 0.75):
+            ops.gagliardo_seminorm(f, a)
+        assert rounds < 400
+
 
 class TestVariationLowerBound:
+    PAIRINGS = Path(__file__).resolve().parent / "data" / "varbound-pairings.json"
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_pairings_are_pinned(self, a):
+        # written by the per-order route before the order axis replaced it;
+        # the pairings must not move by a bit
+        chi = IntervalIndicator(a=-1.0, b=1.0)
+        pinned = json.loads(self.PAIRINGS.read_text(encoding="utf-8"))[repr(a)]
+        assert ops.variation_lower_bound_detail(chi, a, ops.default_test_family()) == pinned
+
+    def test_order_axis_matches_one_order_calls(self):
+        chi = IntervalIndicator(a=-1.0, b=1.0)
+        xs, _ = ops._support_grid(chi, 16)
+        alphas = (0.25, 0.5, 0.75)
+        far_targets = []
+        for phi in ops.default_test_family():
+            comp = phi.components[0]
+            box = ops._field_box(comp)
+            rows = ops._grad_batch_1d(comp, alphas, xs, box)
+            far_targets.append(int(ops._far_targets(comp, box, xs).sum()))
+            for a, row in zip(alphas, rows):
+                assert row.tobytes() == ops.frac_gradient_batch(comp, a, xs)[:, 0].tobytes()
+        # field 18, SmoothBump(center=(-1,), width=0.5), takes the far sum
+        assert far_targets[18] == 32
+
+    def test_suite_pairs_each_field_once(self, monkeypatch):
+        calls = []
+        kernel = ops._grad_batch_1d
+
+        def counted(f, alphas, *args):
+            calls.append(len(alphas))
+            return kernel(f, alphas, *args)
+
+        monkeypatch.setattr(ops, "_grad_batch_1d", counted)
+        report = run_suite("varbound")
+        assert report.passed
+        assert calls == [3] * 20
+
     def test_empty_family(self):
         chi = IntervalIndicator(a=-1.0, b=1.0)
         assert ops.variation_lower_bound(chi, 0.5, ()) == 0.0

@@ -60,6 +60,16 @@ class TestIntegrate1d:
         assert res.converged
         assert res.value == pytest.approx(math.pi, abs=5e-8)
 
+    @pytest.mark.parametrize("f", [
+        lambda x: np.full_like(x, np.nan),
+        lambda x: np.where(x < 0.5, np.nan, 1.0),
+    ], ids=["all-nan", "half-nan"])
+    def test_panel_without_a_finite_value_never_converges(self, f):
+        # a panel of NaNs used to be read as 0 with error 0
+        res = integrate_1d(f, 0.0, 1.0)
+        assert not res.converged
+        assert res.err_estimate == math.inf
+
     def test_interior_singularity(self):
         for a in (0.1, 0.5, 0.9):
             res = integrate_1d(
