@@ -7,9 +7,13 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
 each checkout, from that checkout's root and with its own ``perfbench/``,
 where T is the ``run_seconds`` that the change's ``BENCHMARK.json`` declares;
 the side that runs first alternates from pair to pair.  Before every run the
-checkout's ``.perfbench/`` directory is deleted, so each run starts fresh
-(a stale ``.perfbench/verify-all.first.csv`` makes verify-all report every
-case failed).  Nothing under ``perfbench/`` is touched.
+checkout's ``.perfbench/`` directory and every ``__pycache__`` directory under
+it are deleted, so each run starts fresh: a stale
+``.perfbench/verify-all.first.csv`` makes verify-all report every case
+failed, and with ``PYTHONDONTWRITEBYTECODE`` set, bytecode left by another
+revision is never rewritten, so the changed modules are compiled again at
+every import and the set-up time of that side reads high.  Apart from its
+``__pycache__``, nothing under ``perfbench/`` is touched.
 
 Prints, per end-to-end metric, the median and quartiles of each side, the
 relative move of the medians, and in how many pairs the change read lower;
@@ -31,6 +35,8 @@ from pathlib import Path
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result object (last stdout line) of one fresh benchmark run in ``root``."""
     shutil.rmtree(root / ".perfbench", ignore_errors=True)
+    for cache in list(root.rglob("__pycache__")):
+        shutil.rmtree(cache, ignore_errors=True)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)

@@ -111,7 +111,8 @@ class DivergentPotentialError(ValueError):
 
 
 class TestFieldNormError(ValueError):
-    """A dual test field violates the sup-norm <= 1 constraint."""
+    """A dual test field is not admissible: not 1-d, not smooth with compact
+    support, or above sup-norm 1."""
 
 
 ALPHA_QUAD_RANGE = (0.05, 0.95)
@@ -1054,6 +1055,8 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
 
 def _check_test_field(phi: VectorField) -> None:
     for comp in phi.components:
+        if comp.dim != 1:
+            raise TestFieldNormError(f"test fields must be 1-d, not {comp.dim}-d")
         if not comp.is_smooth or comp.support_box is None:
             raise TestFieldNormError("test fields must be smooth with compact support")
     if phi.sup_norm_bound > 1.0 + 1e-12:
@@ -1141,20 +1144,23 @@ def default_test_family() -> tuple[VectorField, ...]:
 # ---------------------------------------------------------------------------
 
 
-_VALUE_BLOCK = 1 << 17  # values per block in _blocked_rows
+_VALUE_BLOCK = 1 << 15  # sampled values per block of rows in _row_blocks
 
 
-def _blocked_rows(values, m: int, k: int) -> np.ndarray:
-    """The (m, k) array whose rows s..e-1 are ``values(s, e)``, filled a few
-    rows at a time so that the temporaries of an elementwise ``values`` stay
-    small; the result does not depend on the blocks.  The sums over the rows
-    stay single matrix products, whose rounding would depend on the blocks."""
-    out = np.empty((m, k))
-    step = max(1, _VALUE_BLOCK // max(k, 1))
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        out[s:e] = np.reshape(values(s, e), (e - s, k))
-    return out
+def _row_blocks(m: int, k: int):
+    """The bounds (s, e) of consecutive blocks of the m rows of an (m, k)
+    sample, about ``_VALUE_BLOCK`` values each, so that a sample is taken
+    and contracted one block at a time.  A BLAS matrix-vector product then
+    rounds each row as one product over all m rows does on one thread:
+    every block but the last has a multiple of 8 rows, and a lone last row
+    joins the block before it (numpy takes a one-row product as a dot
+    product, which rounds differently)."""
+    step = max(8, _VALUE_BLOCK // max(k, 1) // 8 * 8)
+    s = 0
+    while s < m:
+        e = s + step if m - s > step + 1 else m
+        yield s, e
+        s = e
 
 
 def _radial_panels(delta: float, reach: float, step_cap: float, order: int):
@@ -1248,16 +1254,18 @@ def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) 
     ``alphas`` (checked by the caller): an (A, m) array for the targets X
     (m, 1).  The field is sampled once for all orders, at x +- r on the
     radial panels for near targets and on the cached support grid for far
-    ones; only the kernel weights and the contractions depend on the order,
-    so each row is bit for bit the one-order call."""
+    ones, a block of targets at a time (``_row_blocks``); each block's
+    samples are contracted with every order's kernel weights before the
+    next block is sampled.  Only the weights and the contractions depend on
+    the order, so each row is bit for bit the one-order call."""
     out = np.empty((len(alphas), X.shape[0]))
     far = _far_targets(f, box, X)
     if far.any():
         # the far integrand is smooth, summed on the support grid
         ys, wf = _support_grid(f)
         idx = np.flatnonzero(far)
-        for sl in range(0, idx.size, 512):
-            blk = idx[sl : sl + 512]
+        for s, e in _row_blocks(idx.size, ys.shape[0]):
+            blk = idx[s:e]
             d = X[blk][:, None, :] - ys[None, :, :]  # (m, K, 1)
             rr = np.linalg.norm(d, axis=2)
             for i, a in enumerate(alphas):
@@ -1269,16 +1277,16 @@ def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) 
     Xn = X[near]
     delta, r, wr = _radial_rule(f, box, Xn)
     offs = np.concatenate([r, -r])  # (2K,)
-    vals = _blocked_rows(
-        lambda s, e: f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)),
-        Xn.shape[0], offs.size,
-    )
+    weights = [np.concatenate([wa, -wa]) for wa in (wr * r ** (-1.0 - a) for a in alphas)]
+    core = np.empty((len(alphas), Xn.shape[0]))
+    for s, e in _row_blocks(Xn.shape[0], offs.size):
+        vals = f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)).reshape(e - s, -1)
+        for i, w in enumerate(weights):
+            core[i, s:e] = vals @ w
     grad_x = f.grad_values(Xn)[:, 0]
     for i, a in enumerate(alphas):
-        wa = wr * r ** (-1.0 - a)
-        core = vals @ np.concatenate([wa, -wa])
         corr = ball_volume(1) * delta ** (1.0 - a) / (1.0 - a)
-        out[i, near] = mu(1, a) * (core + corr * grad_x)
+        out[i, near] = mu(1, a) * (core[i] + corr * grad_x)
     return out
 
 
@@ -1308,7 +1316,11 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     z1 -> -z1, z2 -> -z2 into one term, so it runs over the
     ``_FOLD_ANGLES``/4 + 1 angles in [0, pi/2]; each factor is evaluated
     once per distinct coordinate at +-r c (or +-r s), and the sums of all
-    pairs are one ``np.einsum`` product per component.
+    pairs are ``np.einsum`` products per component.  Near samples are
+    contracted block by block (``_row_blocks``): in n = 1 a block of targets
+    at a time, in n = 2 a block of factor 1's coordinates at a time against
+    all of factor 2's, so the working set stays small; the values do not
+    depend on the blocks.
     """
     alpha = _check_alpha(alpha)
     _check_batch_field(f)
@@ -1356,27 +1368,32 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     wk = wr[:, None] * (np.where((j == 0) | (4 * j == _FOLD_ANGLES), 0.5, 1.0)
                         * (2.0 * math.pi / _FOLD_ANGLES))  # (K, J)
     factors = f.heat_factors
+    z1, z2 = (r[:, None] * c).ravel(), (r[:, None] * s).ravel()  # (K*J,)
+    w1, w2 = (wk * c).ravel(), (wk * s).ravel()
 
     def folded(g, u, z):
-        # the odd and even parts g(u + z) -+ g(u - z), for every distinct
-        # coordinate u and offset z = r c (or r s)
-        offs = np.concatenate([z, -z])
-        vals = _blocked_rows(lambda a, b: g(u[a:b, None] + offs[None, :]), u.size, offs.size)
-        plus, minus = vals[:, : z.size], vals[:, z.size :]
+        # the odd and even parts g(u + z) -+ g(u - z), for the distinct
+        # coordinates u and every offset z = r c (or r s)
+        plus, minus = g(u[:, None] + z[None, :]), g(u[:, None] - z[None, :])
         return plus - minus, plus + minus
 
     # f(x + z) = f1(x1 + z1) f2(x2 + z2): component 1 of an orbit's sum is
     # w c (f1(x1 + rc) - f1(x1 - rc)) (f2(x2 + rs) + f2(x2 - rs)), component
     # 2 the mirror product, and the sums of every pair of distinct
-    # coordinates are one product per component, summed by einsum's own
-    # loop: a threaded BLAS GEMM rounds differently at different thread
-    # counts
-    odd1, even1 = folded(factors[0], u0, (r[:, None] * c).ravel())  # (U0, K*J)
-    odd2, even2 = folded(factors[1], u1, (r[:, None] * s).ravel())  # (U1, K*J)
-    core = np.stack(
-        [np.einsum("uk,vk->uv", odd1 * (wk * c).ravel(), even2)[inv0, inv1],
-         np.einsum("uk,vk->uv", even1 * (wk * s).ravel(), odd2)[inv0, inv1]],
-        axis=1,
-    )
+    # coordinates are summed per component by einsum's own loop: a threaded
+    # BLAS GEMM rounds differently at different thread counts.  Factor 2's
+    # parts are kept whole; factor 1's are taken and contracted a block of
+    # coordinates at a time
+    odd2, even2 = np.empty((2, u1.size, z2.size))
+    for a, b in _row_blocks(u1.size, 2 * z2.size):
+        odd2[a:b], even2[a:b] = folded(factors[1], u1[a:b], z2)
+    sums = np.empty((2, u0.size, u1.size))
+    for a, b in _row_blocks(u0.size, 2 * z1.size):
+        odd1, even1 = folded(factors[0], u0[a:b], z1)
+        odd1 *= w1
+        even1 *= w2
+        np.einsum("uk,vk->uv", odd1, even2, out=sums[0, a:b])
+        np.einsum("uk,vk->uv", even1, odd2, out=sums[1, a:b])
+    core = sums[:, inv0, inv1].T
     out[~far] = mu(2, alpha) * (core + corr * grad_x)
     return out

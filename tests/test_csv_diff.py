@@ -69,3 +69,16 @@ def test_repeated_key_exits_1(tmp_path, capsys):
     new = OLD + "chain,c0,0.5,1,0,0,0,0,1e-06,1\n"
     assert _run(tmp_path, OLD, new) == 1
     assert "repeated in NEW: chain,c0,0.5" in capsys.readouterr().out
+
+
+def test_case_ids_with_commas(tmp_path, capsys):
+    # the chain pairing ids hold a comma; their pass flag is the last column
+    golden = (Path(__file__).resolve().parent / "data" / "verify-all.csv").read_text()
+    row = next(line for line in golden.splitlines()
+               if line.startswith("chain,pairing_a0.5_phi(0)=1, phi(1)=0,"))
+    assert row.endswith(",1")
+    old = HEADER + row + "\n"
+    assert _run(tmp_path, old, old) == 0
+    assert "chain: 0/1 lines moved" in capsys.readouterr().out
+    assert _run(tmp_path, old, old.replace(row, row[:-1] + "0")) == 1
+    assert "pass flag 1 -> 0: chain,pairing_a0.5_phi(0)=1, phi(1)=0,0.5" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from fracvar.fields import (
     VectorField,
 )
 from fracvar.quadrature import QuadratureBudgetError, QuadSpec, _Counter, default_spec, integrate_1d
-from fracvar.suites import run_suite
+from fracvar.suites import DEFAULT_ALPHAS, run_suite
 
 
 class TestFracGradient:
@@ -324,6 +325,118 @@ class TestBatchTensorGrid:
         r, w = ops._radial_panels(delta, reach, step_cap, order)
         r_ref, w_ref = _panel_loop(delta, reach, step_cap, order)
         assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def _ibp_2d_fold_call():
+    """(field, alpha, targets) of the largest n = 2 batch call of the ibp
+    suite: the 8,232-point grid of the ibp_2d case."""
+    calls = []
+    batch = ops.frac_gradient_batch
+
+    def recorded(f, alpha, X):
+        calls.append((f, alpha, np.array(X)))
+        return batch(f, alpha, X)
+
+    ops.frac_gradient_batch = recorded
+    try:
+        run_suite("ibp")
+    finally:
+        ops.frac_gradient_batch = batch
+    f, alpha, X = max((c for c in calls if c[0].dim == 2), key=lambda c: c[2].shape[0])
+    assert X.shape == (8232, 2)
+    return f, alpha, X
+
+
+def _traced_peak_mib(fn) -> float:
+    """The tracemalloc peak of a second call of fn, in MiB (the first warms
+    the caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchBlocks:
+    """The batch gradient samples and contracts a block of rows at a time;
+    its values do not depend on the blocks, and its working set is bounded."""
+
+    @pytest.fixture(scope="class")
+    def fold_call(self):
+        return _ibp_2d_fold_call()
+
+    # 180 targets: 161 near ones, a lone row past a whole number of blocks at
+    # the default and at the smallest block size, and 19 far ones
+    TARGETS_1D = np.linspace(-5.0, 5.0, 180)[:, None]
+
+    @pytest.mark.parametrize("block", [1 << 10, 1 << 24])
+    def test_fold_values_do_not_depend_on_blocks(self, fold_call, block, monkeypatch):
+        f, alpha, X = fold_call
+        default = ops.frac_gradient_batch(f, alpha, X)
+        monkeypatch.setattr(ops, "_VALUE_BLOCK", block)
+        assert ops.frac_gradient_batch(f, alpha, X).tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("block", [1 << 10, 1 << 24])
+    def test_1d_values_do_not_depend_on_blocks(self, block, monkeypatch):
+        f = SmoothBump(center=(-0.2,), width=1.5)
+        X = self.TARGETS_1D
+        assert int(ops._far_targets(f, ops._batch_box(f), X).sum()) == 19
+        default = [ops.frac_gradient_batch(f, a, X) for a in (0.25, 0.5, 0.75)]
+        monkeypatch.setattr(ops, "_VALUE_BLOCK", block)
+        for a, ref in zip((0.25, 0.5, 0.75), default):
+            assert ops.frac_gradient_batch(f, a, X).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block", [1 << 10, 1 << 24])
+    def test_pairings_do_not_depend_on_blocks(self, block, monkeypatch):
+        chi = IntervalIndicator(a=-1.0, b=1.0)
+        family = ops.default_test_family()
+        default = ops._variation_pairings(chi, DEFAULT_ALPHAS, family)
+        monkeypatch.setattr(ops, "_VALUE_BLOCK", block)
+        assert ops._variation_pairings(chi, DEFAULT_ALPHAS, family).tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 9, 161, 200])
+    @pytest.mark.parametrize("k", [192, 8000])
+    def test_row_blocks_cover_the_rows(self, m, k):
+        blocks = list(ops._row_blocks(m, k))
+        assert [i for s, e in blocks for i in range(s, e)] == list(range(m))
+        assert all((e - s) % 8 == 0 for s, e in blocks[:-1])
+        assert all(e - s > 1 for s, e in blocks) or m == 1
+
+    def test_1d_bit_identical_across_blas_threads(self):
+        # 750 near targets x 960 radial nodes: one matrix-vector product over
+        # them all was split between two BLAS threads at row 375, and rows
+        # 372-374 rounded differently than on one thread
+        code = (
+            "import numpy as np\n"
+            "from fracvar import operators as ops\n"
+            "from fracvar.fields import SmoothBump\n"
+            "f = SmoothBump(center=(-0.2,), width=1.5)\n"
+            "X = np.linspace(-6.0, 6.0, 1001)[:, None]\n"
+            "print(ops.frac_gradient_batch(f, 0.25, X).tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert res.returncode == 0, res.stderr[-2000:]
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_fold_working_set(self, fold_call):
+        # factor 2's odd and even parts (4.1 MiB here) and a block of factor
+        # 1; the whole sample of both factors peaked at 15.9 MiB
+        f, alpha, X = fold_call
+        assert _traced_peak_mib(lambda: ops.frac_gradient_batch(f, alpha, X)) <= 8.0
+
+    def test_pairings_working_set(self):
+        # the whole targets x radial-nodes sample peaked at 13.2 MiB
+        chi = IntervalIndicator(a=-1.0, b=1.0)
+        family = ops.default_test_family()
+        assert _traced_peak_mib(
+            lambda: ops._variation_pairings(chi, DEFAULT_ALPHAS, family)) <= 5.0
 
 
 class TestBatchRoutes:
@@ -1590,6 +1703,14 @@ class TestVariationLowerBound:
         )
         with pytest.raises(ops.TestFieldNormError):
             ops.variation_lower_bound(chi, 0.5, (bad,))
+
+    @pytest.mark.parametrize("centers", [((0.0, 0.0),), ((0.0, 0.0), (0.5, 0.0))],
+                             ids=["one_component", "two_components"])
+    def test_test_field_in_2d_rejected(self, centers):
+        chi = IntervalIndicator(a=-1.0, b=1.0)
+        phi = VectorField(components=tuple(SmoothBump(center=c, width=1.0) for c in centers))
+        with pytest.raises(ops.TestFieldNormError, match="1-d"):
+            ops.variation_lower_bound(chi, 0.5, (phi,))
 
     def test_zero_field_pairs_to_zero(self):
         zero = ScaledField(base=SmoothBump(center=(0.0,), width=1.0), factor=0.0)
