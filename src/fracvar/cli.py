@@ -73,9 +73,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             res = ops.frac_gradient(field, args.alpha, p, spec, detail=True)
             value, err, evals = res.require("fractional gradient"), res.err_estimate, res.evals_used
         elif args.op == "div":
-            phi = VectorField(components=(field,) * field.dim) if field.dim == 1 else None
             if field.dim != 1:
                 raise ValueError("div via the CLI takes a 1-d field (single component)")
+            phi = VectorField(components=(field,))
             res = ops.frac_divergence(phi, args.alpha, p, spec, detail=True)
             value, err, evals = ((res.require("fractional divergence"),), res.err_estimate,
                                  res.evals_used)

@@ -45,7 +45,6 @@ __all__ = [
     "ScaledField",
     "OddPlateau",
     "OddBumpPair",
-    "FracGradientComponent",
     "eval",
     "mollify",
     "precise_representative",
@@ -260,14 +259,11 @@ class ScalarField:
         return self.values_from_offsets(plus) - self.values_from_offsets(minus)
 
     def variation_measure(self, alpha: float) -> "SignedMeasure":
-        """D^alpha f where it is known; by default the absolutely continuous
-        density, the fractional gradient, of a smooth field."""
+        """D^alpha f where it is known; by default the density, the fractional
+        gradient of a smooth field (ValueError for an order outside (0, 1))."""
         if not (self.is_smooth and self.has_gradient):
             raise UnsupportedFieldError(f"variation measure of {self.kind} is not identified")
-        comps = tuple(
-            FracGradientComponent(base=self, alpha=alpha, component=i) for i in range(self.dim)
-        )
-        return SignedMeasure(atoms=(), density=VectorField(components=comps))
+        return SignedMeasure(density=(self, alpha))
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         raise UnsupportedFieldError(f"{self.kind} has no closed-form gradient")
@@ -929,7 +925,7 @@ class FAlpha(ScalarField):
 
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """The atom pair +delta_0 - delta_1, at the field's own order only."""
-        if abs(alpha - self.alpha) > 1e-12:
+        if not abs(alpha - self.alpha) <= 1e-12:  # a NaN order fails too
             raise UnsupportedFieldError(
                 "the variation measure of f_alpha is identified only at its own order"
             )
@@ -1005,7 +1001,7 @@ class MagicCube(ScalarField):
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """In dimension 1 the atoms of the derivative of the cube indicator, at
         the field's own order only."""
-        if abs(alpha - self.alpha) > 1e-12:
+        if not abs(alpha - self.alpha) <= 1e-12:  # a NaN order fails too
             raise UnsupportedFieldError(
                 "the variation measure of magic_cube is identified only at its own order"
             )
@@ -1379,35 +1375,6 @@ class OddBumpPair(ScalarField):
         return g[:, None]
 
 
-@dataclass(frozen=True)
-class FracGradientComponent(ScalarField):
-    """Component of the fractional gradient of a smooth base field, as a field.
-
-    Used as the density of the variation measure of smooth catalog entries.
-    """
-
-    base: ScalarField = dc_field(default_factory=Gaussian)
-    alpha: float = 0.5
-    component: int = 0
-
-    @property
-    def kind(self) -> str:
-        return "frac_gradient_component"
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def decay_exponent(self) -> float:
-        return self.dim + self.alpha
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        from .operators import frac_gradient
-
-        return np.array([frac_gradient(self.base, self.alpha, p)[self.component] for p in X])
-
-
 # ---------------------------------------------------------------------------
 # Vector fields and measures
 # ---------------------------------------------------------------------------
@@ -1436,19 +1403,57 @@ class VectorField:
 
 @dataclass(frozen=True)
 class SignedMeasure:
-    """Atoms (point, vector weight) plus an optional absolutely continuous part."""
+    """A vector measure on R^n, checked when built (ValueError): atoms (point,
+    vector weight) at distinct points, each point and weight of length n with
+    finite entries, plus an optional density, grad_a f of a smooth f on R^n
+    with a in (0, 1), held as (f, a)."""
 
     atoms: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] = ()
-    density: VectorField | None = None
+    density: tuple[ScalarField, float] | None = None
+    _PAIR_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-12)  # the rule of the density pairing
 
     def __post_init__(self) -> None:
-        pts = [a[0] for a in self.atoms]
-        if len(set(pts)) != len(pts):
+        dims = {len(v) for atom in self.atoms for v in atom}
+        if self.density is not None:
+            if not 0.0 < self.density[1] < 1.0:
+                raise ValueError(f"the density's order must lie in (0, 1), not {self.density[1]}")
+            dims.add(self.density[0].dim)
+        if len(dims) > 1 or not all(math.isfinite(c) for a in self.atoms for v in a for c in v):
+            raise ValueError("atom points and weights need finite entries and one common dimension")
+        if len({tuple(p) for p, _ in self.atoms}) != len(self.atoms):
             raise ValueError("atoms must sit at distinct points")
 
     @property
     def total_atomic_variation(self) -> float:
         return float(sum(np.linalg.norm(w) for _, w in self.atoms))
+
+    def pair(self, phi: VectorField) -> float:
+        """<phi, mu>: the sum of w . phi(p) over the atoms, plus the density's
+        int phi grad_a f over phi's support box, by ``frac_gradient_batch`` at
+        ``_PAIR_SPEC`` (n = 1 only, else UnsupportedFieldError).  phi needs n
+        smooth components of compact support on R^n (else ValueError for the
+        count or dimension, UnsupportedFieldError for the rest)."""
+        n = len(self.atoms[0][0]) if self.atoms else self.density and self.density[0].dim
+        if (not isinstance(phi, VectorField) or len(phi.components) != phi.dim
+                or n not in (None, phi.dim)):
+            raise ValueError(f"pair takes a VectorField of n components on R^n, n = {n}")
+        boxes = [c.support_box for c in phi.components]
+        if None in boxes or not all(c.is_smooth for c in phi.components):
+            raise UnsupportedFieldError("a test field needs smooth components of compact support")
+        total = sum((float(np.dot(w, phi.values(np.array([p], dtype=float))[0]))
+                     for p, w in self.atoms), 0.0)
+        if self.density is not None:
+            if n != 1:
+                raise UnsupportedFieldError(f"density pairing implemented for n = 1, not n = {n}")
+            from .operators import frac_gradient_batch
+
+            def integrand(xs: np.ndarray) -> np.ndarray:
+                grad = frac_gradient_batch(*self.density, xs[:, None])[:, 0]
+                return phi.values(xs[:, None])[:, 0] * grad
+
+            (lo,), (hi,) = boxes[0]
+            total += integrate_1d(integrand, float(lo), float(hi), spec=self._PAIR_SPEC).require()
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -1497,12 +1502,12 @@ def precise_representative(
 
 
 def d_alpha_measure(field: ScalarField, alpha: float) -> SignedMeasure:
-    """The fractional variation measure for the entries where it is known.
+    """D^alpha f, with int f div_alpha phi dx = -<phi, D^alpha f> (``pair``).
 
-    f_alpha at its own order gives the atom pair +delta_0 - delta_1; smooth
-    fields give the absolutely continuous density (the fractional gradient);
-    magic_cube in dimension 1 gives the atoms of the derivative of the cube
-    indicator.  Everything else is refused.
+    f_alpha and 1-d magic_cube at their own order (not NaN) give the atom
+    pairs +delta_0 - delta_1 and +delta_-1 - delta_1; smooth fields give the
+    density grad_alpha f, held as (f, alpha).  Everything else raises
+    UnsupportedFieldError.
     """
     return field.variation_measure(alpha)
 

@@ -37,6 +37,7 @@ from .fields import (
     ScalarField,
     SmoothBump,
     VectorField,
+    d_alpha_measure,
 )
 from .quadrature import (OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre_panels,
                          integrate_1d)
@@ -135,7 +136,7 @@ def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float]):
 
 
 def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
-    """int f div_a phi dx = -int phi . grad_a f dx for smooth pairs, n = 1, 2."""
+    """int f div_a phi dx = -<phi, D^a f> for smooth pairs, n = 1 (by ``pair``) and 2."""
     report = SuiteReport("ibp", tolerance=1e-6)
     f1 = Gaussian(center=(0.3,), width=1.0)
     comp = SmoothBump(center=(-0.2,), width=1.5)
@@ -150,13 +151,7 @@ def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
 
         lhs = integrate_1d(lhs_fn, min(lo_f, lo_p), max(hi_f, hi_p),
                            spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
-
-        def rhs_fn(xs: np.ndarray) -> np.ndarray:
-            grad = ops.frac_gradient_batch(f1, a, xs[:, None])[:, 0]
-            return comp.values(xs[:, None]) * grad
-
-        rhs = -integrate_1d(rhs_fn, lo_p, hi_p,
-                            spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
+        rhs = -d_alpha_measure(f1, a).pair(VectorField(components=(comp,)))
         report.add_compare(f"ibp_1d_a{a}", a, 1, lhs, rhs, tol=1e-6,
                            inputs="gaussian(0.3,1) vs bump(-0.2,1.5)")
     # zero case: f identically 0 pairs to 0 = 0
@@ -277,8 +272,8 @@ _CHAIN_EPS = (1e-7, 1e-8, 1e-9, 1e-10)
 def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     """Atom-pair pairing of the counterexample function and its log divergence.
 
-    (a) int f_a div_a phi dx = phi(1) - phi(0) for smooth bumps (the variation
-        measure is +delta_0 - delta_1);
+    (a) int f_a div_a phi dx = -<phi, D^a f_a> = phi(1) - phi(0) for smooth
+        bumps, from ``d_alpha_measure`` (the atoms +delta_0 - delta_1);
     (b) P(eps) = int_eps^(1/2) |f_a| / x^a dx grows like |mu(1,-a)| ln(1/eps);
         the fit runs over small eps because the remainder carries a genuine
         eps^(1-a) term that would bias the slope on coarser grids.
@@ -294,9 +289,8 @@ def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
         a = float(a)
         fa = FAlpha(alpha=a)
         for bump, label in bumps:
-            expected = float(bump.values(np.array([[1.0]]))[0]) - float(
-                bump.values(np.array([[0.0]]))[0]
-            )
+            # 0.0 - x, not -x: phi(1) - phi(0) is +0.0 for a phi vanishing at both atoms
+            expected = 0.0 - d_alpha_measure(fa, a).pair(VectorField(components=(bump,)))
             val = _atom_pairing(fa, bump, a)
             report.add_compare(f"pairing_a{a}_{label}", a, 1, val, expected, tol=1e-4,
                                inputs=label)

@@ -428,6 +428,12 @@ class TestMagicCube:
             feval(f, 1.0)
 
 
+_BUMP1 = SmoothBump(center=(0.0,), width=1.0)
+_BUMP2 = SmoothBump(center=(0.0, 0.0), width=1.0)
+_GAUSS1 = Gaussian(center=(0.0,), width=1.0)
+_ATOMS = SignedMeasure(atoms=(((0.0,), (1.0,)), ((1.0,), (-1.0,))))
+
+
 class TestDAlphaMeasure:
     def test_f_alpha_atom_pair(self):
         m = d_alpha_measure(FAlpha(alpha=0.5), 0.5)
@@ -435,16 +441,32 @@ class TestDAlphaMeasure:
         assert m.atoms == (((0.0,), (1.0,)), ((1.0,), (-1.0,)))
         assert m.total_atomic_variation == pytest.approx(2.0)
 
-    def test_smooth_field_density(self):
-        m = d_alpha_measure(Gaussian(center=(0.0,), width=1.0), 0.5)
-        assert m.atoms == ()
-        assert m.density is not None
-        # the density component is the fractional gradient
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_smooth_field_density_pairing(self, alpha):
+        """The density pairing int phi grad_a f against phi times the pointwise
+        adaptive gradient."""
         from fracvar.operators import frac_gradient
 
-        val = m.density.values(np.array([[0.7]]))[0, 0]
-        ref = frac_gradient(Gaussian(center=(0.0,), width=1.0), 0.5, 0.7)[0]
-        assert val == pytest.approx(ref, rel=1e-10)
+        f = Gaussian(center=(0.3,), width=1.0)
+        phi = SmoothBump(center=(-0.2,), width=1.5)
+        m = d_alpha_measure(f, alpha)
+        assert m.atoms == () and m.density == (f, alpha)
+        (lo,), (hi,) = phi.support_box
+
+        def pointwise(xs):
+            return phi.values(xs[:, None]) * np.array([frac_gradient(f, alpha, x)[0] for x in xs])
+
+        ref = integrate_1d(pointwise, float(lo), float(hi),
+                           spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13)).require()
+        assert m.pair(VectorField(components=(phi,))) == pytest.approx(ref, rel=1e-8)
+
+    # at 5.0 phi vanishes at both atoms, and phi(1) - phi(0) is +0.0
+    @pytest.mark.parametrize("center", [0.0, 1.0, 5.0])
+    def test_atom_pairing_is_phi1_minus_phi0_bit_for_bit(self, center):
+        phi = SmoothBump(center=(center,), width=0.8)
+        got = 0.0 - d_alpha_measure(FAlpha(alpha=0.5), 0.5).pair(VectorField(components=(phi,)))
+        want = feval(phi, 1.0) - feval(phi, 0.0)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_magic_cube_1d_atoms(self):
         m = d_alpha_measure(MagicCube(alpha=0.5, ndim=1), 0.5)
@@ -454,15 +476,55 @@ class TestDAlphaMeasure:
         with pytest.raises(UnsupportedFieldError):
             d_alpha_measure(MagicCube(alpha=0.5, ndim=2), 0.5)
 
-    def test_order_mismatch_and_unknown_fields(self):
-        with pytest.raises(UnsupportedFieldError):
-            d_alpha_measure(FAlpha(alpha=0.5), 0.25)
-        with pytest.raises(UnsupportedFieldError):
-            d_alpha_measure(IntervalIndicator(), 0.5)
+    @pytest.mark.parametrize("field, alpha, error", [
+        (FAlpha(alpha=0.5), 0.25, UnsupportedFieldError),
+        (IntervalIndicator(), 0.5, UnsupportedFieldError),
+        (FAlpha(alpha=0.5), math.nan, UnsupportedFieldError),
+        (MagicCube(alpha=0.5, ndim=1), math.nan, UnsupportedFieldError),
+        (_GAUSS1, math.nan, ValueError),
+        (_GAUSS1, math.inf, ValueError),
+        (_GAUSS1, 0.0, ValueError),
+        (_GAUSS1, 1.0, ValueError),
+        (_BUMP1, -0.5, ValueError),
+    ], ids=["f_alpha_other_order", "indicator", "f_alpha_nan", "magic_cube_nan", "density_nan",
+            "density_inf", "density_0", "density_1", "density_negative"])
+    def test_order_mismatch_and_unknown_fields(self, field, alpha, error):
+        with pytest.raises(error, match="order|not identified"):
+            d_alpha_measure(field, alpha)
 
-    def test_signed_measure_validation(self):
-        with pytest.raises(ValueError):
-            SignedMeasure(atoms=(((0.0,), (1.0,)), ((0.0,), (2.0,))))
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: SignedMeasure(atoms=(((0.0,), (1.0,)), ((0.0,), (2.0,)))), ValueError,
+         "distinct"),
+        (lambda: SignedMeasure(atoms=(((0.0,), (1.0, 2.0)),)), ValueError, "dimension"),
+        (lambda: SignedMeasure(atoms=(((0.0,), (math.nan,)),)), ValueError, "finite"),
+        (lambda: SignedMeasure(atoms=(((math.inf,), (1.0,)),)), ValueError, "finite"),
+        (lambda: SignedMeasure(atoms=(((0.0,), (1.0,)), ((0.0, 1.0), (1.0, 0.0)))), ValueError,
+         "dimension"),
+        (lambda: SignedMeasure(atoms=(((0.0, 1.0), (1.0, 0.0)),), density=(_BUMP1, 0.5)),
+         ValueError, "dimension"),
+        # a test field of another dimension, with too few components, or no VectorField
+        (lambda: _ATOMS.pair(VectorField(components=(_BUMP2, _BUMP2))), ValueError,
+         "VectorField of n components"),
+        (lambda: d_alpha_measure(_BUMP2, 0.5).pair(VectorField(components=(_BUMP2,))),
+         ValueError, "VectorField of n components"),
+        (lambda: _ATOMS.pair(_BUMP1), ValueError, "VectorField of n components"),
+        # a test field without compact support
+        (lambda: _ATOMS.pair(VectorField(components=(_GAUSS1,))), UnsupportedFieldError,
+         "compact support"),
+        (lambda: d_alpha_measure(_GAUSS1, 0.5).pair(VectorField(components=(_GAUSS1,))),
+         UnsupportedFieldError, "compact support"),
+        # a test field that jumps at the atoms
+        (lambda: _ATOMS.pair(VectorField(components=(IntervalIndicator(a=0.0, b=1.0),))),
+         UnsupportedFieldError, "smooth"),
+        # the density pairing is implemented in n = 1 only
+        (lambda: d_alpha_measure(_BUMP2, 0.5).pair(VectorField(components=(_BUMP2, _BUMP2))),
+         UnsupportedFieldError, "n = 1"),
+    ], ids=["duplicate_point", "weight_length", "nan_weight", "inf_point", "mixed_dims",
+            "density_dim", "phi_dim", "phi_components", "phi_scalar", "phi_unbounded_atoms",
+            "phi_unbounded_density", "phi_jump", "density_2d"])
+    def test_signed_measure_validation(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
 
 
 class TestTestFamilyFields:

@@ -10,7 +10,7 @@ import pytest
 
 from fracvar import cli, suites
 from fracvar.constants import mu
-from fracvar.fields import SmoothBump
+from fracvar.fields import SignedMeasure, SmoothBump
 from fracvar.quadrature import QuadSpec
 from fracvar.suites import (
     SUITE_NAMES,
@@ -114,6 +114,16 @@ def test_verify_all_matches_the_golden_csv(tmp_path):
     out.write_text(reports_to_csv(run_all()[0]), encoding="utf-8", newline="")
     assert out.read_bytes() == GOLDEN_CSV.read_bytes(), (
         f"the verify CSV moved; see python scripts/csv_diff.py {GOLDEN_CSV} {out}")
+
+
+@pytest.mark.parametrize("runner", [suites.suite_chain_failure, suites.suite_ibp])
+def test_negated_measure_pairing_fails_a_case(monkeypatch, runner):
+    """The right sides of chain and ibp come from ``SignedMeasure.pair``: a
+    pairing of the wrong sign must fail a case, so neither side restates the
+    other."""
+    pair = SignedMeasure.pair
+    monkeypatch.setattr(SignedMeasure, "pair", lambda self, phi: -pair(self, phi))
+    assert not all(c.passed for c in runner().cases)
 
 
 def test_weighted_lhs_against_mpmath():
