@@ -365,11 +365,16 @@ class Gaussian(ScalarField):
 
 
 def _bump_1d(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti**2))
-    return out
+    """exp(1 - 1/(1 - t^2)) inside (-1, 1) and 0 outside, in one temporary:
+    1 - t^2 is clamped at 0, where 1/0 = inf gives exp(-inf) = 0 exactly.
+    A NaN stays NaN."""
+    u = np.multiply(t, t, out=np.empty(np.shape(t)))
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, u, out=u)
+    np.subtract(1.0, u, out=u)
+    return np.exp(u, out=u)
 
 
 def _bump_1d_d1(t: np.ndarray) -> np.ndarray:
@@ -538,11 +543,12 @@ class _BumpAxis(_WindowedAxis):
 
     def samples(self, y: np.ndarray, deriv: bool) -> np.ndarray:
         u = (y - self.center) / self.width
+        val = _bump_1d(u)
+        if not deriv:
+            return val[None]
         om = 1.0 - u * u
-        inside = om > 0.0
-        om = np.where(inside, om, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
-        return np.stack([val, val * (-2.0 * u / om**2)]) if deriv else val[None]
+        om[val == 0.0] = 1.0  # 0 * (-2u / om^2) = 0, also where om = 0
+        return np.stack([val, val * (-2.0 * u / om**2)])
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return _bump_1d((y - self.center) / self.width)

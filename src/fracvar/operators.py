@@ -79,6 +79,7 @@ from .quadrature import (
     angular_profile,
     cube_kernel_integral,
     default_spec,
+    gauss_legendre,
     gauss_legendre_panels,
     integrate_1d,
     integrate_core,
@@ -1163,17 +1164,44 @@ def _row_blocks(m: int, k: int):
         s = e
 
 
-def _radial_panels(delta: float, reach: float, step_cap: float, order: int):
+def _radial_panels(start: float, reach: float, step_cap: float, order: int):
     """Gauss-Legendre nodes and weights, each (P * order,), on the panels
-    [lo, min(lo + min(lo, step_cap), reach)] from lo = delta out to reach:
+    [lo, min(lo + min(lo, step_cap), reach)] from lo = start out to reach:
     geometric near the kernel singularity, at most ``step_cap`` wide farther
     out so the rule resolves every feature of the field.  The edges are
     Python floats."""
-    edges = [delta]
+    edges = [start]
     while edges[-1] < reach:
         lo = edges[-1]
         edges.append(min(lo + min(lo, step_cap), reach))
     return gauss_legendre_panels(edges, order)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_weights(order: int, alpha: float) -> np.ndarray:
+    """Product-integration weights W_j / x_j at the ``order`` Gauss-Legendre
+    nodes x_j of [0, 1], computed once per (order, alpha) and returned
+    read-only.  sum_j W_j g(x_j) is the integral of x^(-alpha) p(x) over
+    [0, 1] for the polynomial p of degree < order through the samples
+    g(x_j), so a sample difference f(x + r) - f(x - r) = r g(r), odd in r,
+    is weighed by W_j / x_j.  The W_j solve sum_j W_j P_k(2 x_j - 1) = M_k
+    for k < order, with the modified moments M_k = int_0^1 x^(s-1)
+    P_k(2x - 1) dx = prod_(i=1..k) (s - i) / prod_(i=0..k) (s + i),
+    s = 1 - alpha (QUADPACK's QAWS, Piessens et al. 1983).  At exact Gauss
+    nodes the solution is (w_j / 2) sum_k (2k + 1) M_k P_k(2 x_j - 1); the
+    solve keeps the rounding of the nodes from being amplified by the
+    moments, which grow with k as alpha nears 1 (to 2.5e-13 relative on
+    1/(k + s) at order 24 and alpha = 0.95 by the sum, 3.6e-14 solved)."""
+    t, _ = gauss_legendre(order)
+    s = 1.0 - alpha
+    moments = np.empty(order)
+    moments[0] = 1.0 / s
+    for k in range(1, order):
+        moments[k] = moments[k - 1] * (s - k) / (s + k)
+    vander = np.polynomial.legendre.legvander(t, order - 1)  # P_k(t_j)
+    out = np.linalg.solve(vander.T, moments) / (0.5 * (t + 1.0))
+    out.flags.writeable = False
+    return out
 
 
 _GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid
@@ -1184,6 +1212,9 @@ _GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid
 # orbit {(+-c, +-s)} lies on the circle)
 _BATCH_RADIAL = {1: (24, 0.4), 2: (10, 1.2)}
 _FOLD_ANGLES = 96
+_PRODUCT_EDGE = 256  # the product panel [0, 256 delta] at the kernel singularity
+_NEAR_COLUMNS = 2048  # offsets per chunk of an n = 1 near sample
+_FOLD_COLUMNS = 256  # (radius, angle) columns per chunk of the n = 2 fold
 
 
 @functools.lru_cache(maxsize=16)
@@ -1232,10 +1263,14 @@ def _far_targets(f: ScalarField, box, X: np.ndarray) -> np.ndarray:
 
 
 def _radial_rule(f: ScalarField, box, Xn: np.ndarray):
-    """(delta, r, w): the Taylor window's radius and the radial panels of
-    the near annulus, out to the farthest box corner over the targets Xn,
-    with plain Gauss-Legendre weights (the kernel power r^(-1-alpha) is
-    the caller's)."""
+    """(r, weights): the radial nodes of the near annulus, out to the
+    farthest box corner over the targets Xn, and ``weights(alpha)``, their
+    weights with the kernel power r^(-1-alpha) in.  The first panel is
+    [0, c0], c0 = 256 delta with delta = 2e-4 field scales (or the reach if
+    that is shorter): its samples, odd in r, are weighed by product
+    integration against r^(-alpha) (``_product_weights`` times c0^(-alpha)).
+    The panels beyond are ``_radial_panels`` from c0, with Gauss-Legendre
+    weights times r^(-1-alpha)."""
     # candidates are picked by a row-wise square norm and the winner is taken
     # with _reach itself, whose rounding the radial panels (and so the
     # values) depend on
@@ -1243,21 +1278,28 @@ def _radial_rule(f: ScalarField, box, Xn: np.ndarray):
     far_sq = np.square(np.maximum(np.abs(lo_b - Xn), np.abs(hi_b - Xn))).sum(axis=1)
     reach = max(_reach(box, xx) for xx in Xn[far_sq >= far_sq.max() * (1.0 - 1e-12)])
     scale = field_scale(f)
-    delta = 2e-4 * scale
+    c0 = min(_PRODUCT_EDGE * (2e-4 * scale), reach)
     order, cap = _BATCH_RADIAL[f.dim]
-    r, w = _radial_panels(delta, reach, cap * scale, order)
-    return delta, r, w
+    r0, _ = gauss_legendre_panels((0.0, c0), order)
+    r, w = _radial_panels(c0, reach, cap * scale, order)
+
+    def weights(a: float) -> np.ndarray:
+        return np.concatenate([c0 ** -a * _product_weights(order, a), w * r ** (-1.0 - a)])
+
+    return np.concatenate([r0, r]), weights
 
 
 def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) -> np.ndarray:
     """The n = 1 batch gradient of ``frac_gradient_batch`` at each order of
     ``alphas`` (checked by the caller): an (A, m) array for the targets X
     (m, 1).  The field is sampled once for all orders, at x +- r on the
-    radial panels for near targets and on the cached support grid for far
-    ones, a block of targets at a time (``_row_blocks``); each block's
-    samples are contracted with every order's kernel weights before the
-    next block is sampled.  Only the weights and the contractions depend on
-    the order, so each row is bit for bit the one-order call."""
+    radial rule (``_radial_rule``, whose nodes do not depend on the order)
+    for near targets and on the cached support grid for far ones, a block
+    of targets at a time (``_row_blocks``) and, for near targets,
+    ``_NEAR_COLUMNS`` offsets at a time; each sample is contracted with
+    every order's kernel weights before the next is taken.  Only the
+    weights and the contractions depend on the order, so each row is bit
+    for bit the one-order call."""
     out = np.empty((len(alphas), X.shape[0]))
     far = _far_targets(f, box, X)
     if far.any():
@@ -1275,18 +1317,18 @@ def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) 
     if not near.any():
         return out
     Xn = X[near]
-    delta, r, wr = _radial_rule(f, box, Xn)
+    r, kernel = _radial_rule(f, box, Xn)
     offs = np.concatenate([r, -r])  # (2K,)
-    weights = [np.concatenate([wa, -wa]) for wa in (wr * r ** (-1.0 - a) for a in alphas)]
-    core = np.empty((len(alphas), Xn.shape[0]))
+    weights = [np.concatenate([wa, -wa]) for wa in map(kernel, alphas)]
+    core = np.zeros((len(alphas), Xn.shape[0]))
     for s, e in _row_blocks(Xn.shape[0], offs.size):
-        vals = f.values((Xn[s:e, None, 0] + offs[None, :]).reshape(-1, 1)).reshape(e - s, -1)
-        for i, w in enumerate(weights):
-            core[i, s:e] = vals @ w
-    grad_x = f.grad_values(Xn)[:, 0]
+        for c in range(0, offs.size, _NEAR_COLUMNS):
+            cols = slice(c, c + _NEAR_COLUMNS)
+            vals = f.values((Xn[s:e, None, 0] + offs[None, cols]).reshape(-1, 1)).reshape(e - s, -1)
+            for i, w in enumerate(weights):
+                core[i, s:e] += vals @ w[cols]
     for i, a in enumerate(alphas):
-        corr = ball_volume(1) * delta ** (1.0 - a) / (1.0 - a)
-        out[i, near] = mu(1, a) * (core[i] + corr * grad_x)
+        out[i, near] = mu(1, a) * core[i]
     return out
 
 
@@ -1306,21 +1348,27 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     converge).  In n = 1 far points see a smooth integrand, summed on a
     cached support grid (n = 1 is ``_grad_batch_1d`` at the one order,
     which serves many orders from one sample of the field).  Near points
-    in n = 1 and near tensor-grid points
-    in n = 2 take a Taylor-corrected annulus on fixed geometric radial
-    panels (Gauss-Legendre nodes, ``_radial_panels``, order and cap from
-    ``_BATCH_RADIAL``): ~1e-8 relative in n = 1, and in n = 2, with
-    ``_FOLD_ANGLES`` trapezoid angles, ~1e-5 relative for the catalog's
-    smooth fields (no error estimate; ``frac_gradient`` gives one).  The
-    n = 2 sum folds each orbit {(+-c, +-s)} of the circle's symmetries
-    z1 -> -z1, z2 -> -z2 into one term, so it runs over the
-    ``_FOLD_ANGLES``/4 + 1 angles in [0, pi/2]; each factor is evaluated
-    once per distinct coordinate at +-r c (or +-r s), and the sums of all
-    pairs are ``np.einsum`` products per component.  Near samples are
-    contracted block by block (``_row_blocks``): in n = 1 a block of targets
-    at a time, in n = 2 a block of factor 1's coordinates at a time against
-    all of factor 2's, so the working set stays small; the values do not
-    depend on the blocks.
+    in n = 1 and near tensor-grid points in n = 2 take fixed radial rules
+    (``_radial_rule``, order and cap from ``_BATCH_RADIAL``): one
+    product-integration panel [0, 256 delta], delta = 2e-4 field scales,
+    that integrates the smooth odd part over r against r^(-alpha) exactly
+    for polynomials below the order (``_product_weights``), then
+    Gauss-Legendre panels (``_radial_panels``) whose widths double up to a
+    cap of 0.4 (n = 1) or 1.2 (n = 2) field scales.  That is ~1e-8
+    relative in n = 1 (at alpha in [0.1, 0.9], 5.7e-9 on bumps against
+    a tight ``frac_gradient``, 9.1e-13 on a Gaussian against
+    ``spectral_gradient_1d``), and in n = 2, with ``_FOLD_ANGLES`` trapezoid
+    angles, ~1e-5 relative for the catalog's smooth fields (no error
+    estimate; ``frac_gradient`` gives one).  The n = 2 sum folds each orbit
+    {(+-c, +-s)} of the circle's symmetries z1 -> -z1, z2 -> -z2 into one
+    term, so it runs over the ``_FOLD_ANGLES``/4 + 1 angles in [0, pi/2];
+    each factor is evaluated once per distinct coordinate at +-r c (or
+    +-r s), and the sums of all pairs are ``np.einsum`` products per
+    component.  Near samples are taken and contracted a piece at a time, so
+    the working set is bounded in every dimension: in n = 1 a block of
+    targets (``_row_blocks``) and ``_NEAR_COLUMNS`` offsets, in n = 2
+    ``_FOLD_COLUMNS`` (radius, angle) columns of a block of each factor's
+    coordinates.  The values do not depend on the row blocks.
     """
     alpha = _check_alpha(alpha)
     _check_batch_field(f)
@@ -1354,10 +1402,7 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     if not Xn.size:
         return out
 
-    delta, r, wr = _radial_rule(f, box, Xn)
-    wr = wr * r ** (-1.0 - alpha)
-    grad_x = f.grad_values(Xn)
-    corr = ball_volume(n) * delta ** (1.0 - alpha) / (1.0 - alpha)
+    r, kernel = _radial_rule(f, box, Xn)
 
     # the trapezoid circle is closed under z1 -> -z1 and z2 -> -z2, so each
     # orbit {(+-c, +-s)} of an angle in [0, pi/2] is summed once; the
@@ -1365,15 +1410,15 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     j = np.arange(_FOLD_ANGLES // 4 + 1)
     theta = 2.0 * math.pi * j / _FOLD_ANGLES
     c, s = np.cos(theta), np.sin(theta)
-    wk = wr[:, None] * (np.where((j == 0) | (4 * j == _FOLD_ANGLES), 0.5, 1.0)
-                        * (2.0 * math.pi / _FOLD_ANGLES))  # (K, J)
+    wk = kernel(alpha)[:, None] * (np.where((j == 0) | (4 * j == _FOLD_ANGLES), 0.5, 1.0)
+                                   * (2.0 * math.pi / _FOLD_ANGLES))  # (K, J)
     factors = f.heat_factors
     z1, z2 = (r[:, None] * c).ravel(), (r[:, None] * s).ravel()  # (K*J,)
     w1, w2 = (wk * c).ravel(), (wk * s).ravel()
 
     def folded(g, u, z):
-        # the odd and even parts g(u + z) -+ g(u - z), for the distinct
-        # coordinates u and every offset z = r c (or r s)
+        # the odd and even parts g(u + z) -+ g(u - z), for the coordinates u
+        # and the offsets z = r c (or r s)
         plus, minus = g(u[:, None] + z[None, :]), g(u[:, None] - z[None, :])
         return plus - minus, plus + minus
 
@@ -1381,19 +1426,20 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     # w c (f1(x1 + rc) - f1(x1 - rc)) (f2(x2 + rs) + f2(x2 - rs)), component
     # 2 the mirror product, and the sums of every pair of distinct
     # coordinates are summed per component by einsum's own loop: a threaded
-    # BLAS GEMM rounds differently at different thread counts.  Factor 2's
-    # parts are kept whole; factor 1's are taken and contracted a block of
-    # coordinates at a time
-    odd2, even2 = np.empty((2, u1.size, z2.size))
-    for a, b in _row_blocks(u1.size, 2 * z2.size):
-        odd2[a:b], even2[a:b] = folded(factors[1], u1[a:b], z2)
-    sums = np.empty((2, u0.size, u1.size))
-    for a, b in _row_blocks(u0.size, 2 * z1.size):
-        odd1, even1 = folded(factors[0], u0[a:b], z1)
-        odd1 *= w1
-        even1 *= w2
-        np.einsum("uk,vk->uv", odd1, even2, out=sums[0, a:b])
-        np.einsum("uk,vk->uv", even1, odd2, out=sums[1, a:b])
-    core = sums[:, inv0, inv1].T
-    out[~far] = mu(2, alpha) * (core + corr * grad_x)
+    # BLAS GEMM rounds differently at different thread counts.  Both
+    # factors' parts are taken _FOLD_COLUMNS (radius, angle) columns at a
+    # time, and within those a block of each factor's coordinates at a
+    # time; the partial sums are added column chunk by column chunk
+    sums = np.zeros((2, u0.size, u1.size))
+    for k in range(0, z1.size, _FOLD_COLUMNS):
+        cols = slice(k, k + _FOLD_COLUMNS)
+        for a, b in _row_blocks(u1.size, _FOLD_COLUMNS):
+            odd2, even2 = folded(factors[1], u1[a:b], z2[cols])
+            for p, q in _row_blocks(u0.size, _FOLD_COLUMNS):
+                odd1, even1 = folded(factors[0], u0[p:q], z1[cols])
+                odd1 *= w1[cols]
+                even1 *= w2[cols]
+                sums[0, p:q, a:b] += np.einsum("uk,vk->uv", odd1, even2)
+                sums[1, p:q, a:b] += np.einsum("uk,vk->uv", even1, odd2)
+    out[~far] = mu(2, alpha) * sums[:, inv0, inv1].T
     return out

@@ -27,6 +27,7 @@ from fracvar.fields import (
     SmoothBump,
     UnsupportedFieldError,
     VectorField,
+    _bump_1d,
     as_points,
     d_alpha_measure,
     eval as feval,
@@ -239,6 +240,43 @@ class TestBumpHeatRegimes:
         G, dG, samples = self.g.heat(x, t)
         assert samples == 288 * G.size
         self._check_against_panels(G, dG, x, t, lambda xi, tj: (-0.6, 0.8), 1e-13)
+
+
+class TestBumpKernel:
+    """The bump's kernel exp(1 - 1/(1 - t^2)), computed in place, and the heat
+    factor's samples, which call it."""
+
+    T = np.concatenate([np.linspace(-1.5, 1.5, 3001), [-1.0, 1.0, np.nextafter(1.0, 0.0),
+                                                       np.nextafter(-1.0, 0.0), 0.0, -0.0]])
+
+    def test_bit_identical_to_the_masked_formula(self):
+        # the masked kernel it replaces; outside the support exactly 0
+        inside = np.abs(self.T) < 1.0
+        ref = np.zeros_like(self.T)
+        ref[inside] = np.exp(1.0 - 1.0 / (1.0 - self.T[inside] ** 2))
+        got = _bump_1d(self.T)
+        assert got.tobytes() == ref.tobytes()
+        assert np.all(got[~inside] == 0.0)
+
+    def test_samples_bit_identical_to_the_masked_formula(self):
+        g = SmoothBump(center=(0.1,), width=0.7).heat_factors[0]
+        y = 0.1 + 0.7 * self.T
+        u = (y - 0.1) / 0.7
+        om = 1.0 - u * u
+        inside = om > 0.0
+        om = np.where(inside, om, 1.0)
+        val = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
+        ref = np.stack([val, val * (-2.0 * u / om**2)])
+        assert g.samples(y, True).tobytes() == ref.tobytes()
+        assert g.samples(y, False).tobytes() == val[None].tobytes()
+
+    def test_nan_propagates(self):
+        # the masked kernel read a NaN as outside the support, so 0.0
+        assert np.isnan(SmoothBump(center=(0.0,), width=1.0).values(np.array([[math.nan]]))[0])
+        g = SmoothBump(center=(0.0,), width=1.0).heat_factors[0]
+        y = np.array([math.nan, 0.5])
+        assert np.isnan(g.samples(y, True)[:, 0]).all()
+        assert np.isfinite(g.samples(y, True)[:, 1]).all()
 
 
 class TestProductAndScaledFactors:

@@ -206,20 +206,25 @@ def _full_circle_batch(f, alpha, X):
     polar sums taken over every angle of the trapezoid circle."""
     scale = ops.field_scale(f)
     reach = max(ops._reach(f.quad_box, x) for x in X)
-    delta = 2e-4 * scale
+    c0 = 256 * 2e-4 * scale  # the product panel [0, c0] at the kernel singularity
     order, cap = ops._BATCH_RADIAL[2]
     n_theta = ops._FOLD_ANGLES
-    r, wr = ops._radial_panels(delta, reach, cap * scale, order)
-    wr = wr * r ** (-1.0 - alpha)
+    gl_t, _ = np.polynomial.legendre.leggauss(order)
+    r, wr = ops._radial_panels(c0, reach, cap * scale, order)
+    wr = np.concatenate([c0**-alpha * ops._product_weights(order, alpha), wr * r ** (-1.0 - alpha)])
+    r = np.concatenate([0.5 * c0 * (1.0 + gl_t), r])
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     Z = (r[:, None, None] * omega).reshape(-1, 2)
     w = (np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta))[:, None] * np.tile(omega, (r.size, 1))
     f1, f2 = f.heat_factors
-    core = np.array([(w * (f1(x[0] + Z[:, 0]) * f2(x[1] + Z[:, 1]))[:, None]).sum(axis=0)
+    # f(x + z) - f(x), as in the definition: the product panel's weights
+    # reach ~6e3, and against f(x + z) alone the rounding of the O(1)
+    # samples read ~4e-13 relative
+    core = np.array([(w * (f1(x[0] + Z[:, 0]) * f2(x[1] + Z[:, 1])
+                           - f1(x[:1]) * f2(x[1:]))[:, None]).sum(axis=0)
                      for x in X])
-    corr = math.pi * delta ** (1.0 - alpha) / (1.0 - alpha)
-    return mu(2, alpha) * (core + corr * f.grad_values(X))
+    return mu(2, alpha) * core
 
 
 def _panel_loop(delta, reach, step_cap, order):
@@ -327,6 +332,48 @@ class TestBatchTensorGrid:
         assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
 
 
+class TestProductPanel:
+    """The batch gradient's first radial panel, [0, 256 delta], weighs its
+    samples by product integration against r^(-alpha)."""
+
+    @pytest.mark.parametrize("order", [10, 24])
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_weights_integrate_monomials(self, order, alpha):
+        # sum_j W_j x_j^k = int_0^1 x^(k - alpha) dx for every k < order
+        t, _ = np.polynomial.legendre.leggauss(order)
+        x = 0.5 * (1.0 + t)
+        W = ops._product_weights(order, alpha) * x
+        for k in range(order):
+            assert W @ x**k == pytest.approx(1.0 / (k + 1.0 - alpha), rel=1e-13)
+
+    def test_weights_cached_read_only(self):
+        w = ops._product_weights(24, 0.5)
+        assert ops._product_weights(24, 0.5) is w and not w.flags.writeable
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_gaussian_matches_spectral(self, alpha):
+        # the Taylor window and geometric panels it replaced were 9e-10 off
+        g = Gaussian(center=(0.0,), width=1.0)
+        xs = np.linspace(-2.5, 2.5, 11)
+        batch = ops.frac_gradient_batch(g, alpha, xs[:, None])[:, 0]
+        spec = np.array([ops.spectral_gradient_1d(g, alpha, x) for x in xs])
+        assert np.max(np.abs(batch - spec)) <= 1e-12 * np.max(np.abs(spec))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_bump_matches_adaptive(self, alpha):
+        # the reference stops at its floor, err estimates up to 1.1e-10,
+        # short of rel_tol; that is still far below the bound
+        f = SmoothBump(center=(0.0,), width=0.8)
+        xs = np.linspace(-1.5, 1.5, 13)
+        batch = ops.frac_gradient_batch(f, alpha, xs[:, None])[:, 0]
+        res = [ops.frac_gradient(f, alpha, float(x), QuadSpec(rel_tol=1e-12), detail=True)
+               for x in xs]
+        ref = np.array([r.value[0] for r in res])
+        scale = np.max(np.abs(ref))
+        assert max(float(np.max(r.err_estimate)) for r in res) <= 1e-9 * scale
+        assert np.max(np.abs(batch - ref)) <= 1e-8 * scale
+
+
 def _ibp_2d_fold_call():
     """(field, alpha, targets) of the largest n = 2 batch call of the ibp
     suite: the 8,232-point grid of the ibp_2d case."""
@@ -426,17 +473,20 @@ class TestBatchBlocks:
         assert outputs[0] == outputs[1]
 
     def test_fold_working_set(self, fold_call):
-        # factor 2's odd and even parts (4.1 MiB here) and a block of factor
-        # 1; the whole sample of both factors peaked at 15.9 MiB
+        # a chunk of (radius, angle) columns of both factors' parts at a time;
+        # the whole sample of both factors peaked at 15.9 MiB, and factor 2's
+        # parts kept whole against a block of factor 1 at 6.9 MiB
         f, alpha, X = fold_call
-        assert _traced_peak_mib(lambda: ops.frac_gradient_batch(f, alpha, X)) <= 8.0
+        assert _traced_peak_mib(lambda: ops.frac_gradient_batch(f, alpha, X)) <= 3.0
 
     def test_pairings_working_set(self):
-        # the whole targets x radial-nodes sample peaked at 13.2 MiB
+        # a chunk of offsets of a block of targets at a time; the whole
+        # targets x radial-nodes sample peaked at 13.2 MiB, and whole rows of
+        # 8-row blocks at 3.3 MiB
         chi = IntervalIndicator(a=-1.0, b=1.0)
         family = ops.default_test_family()
         assert _traced_peak_mib(
-            lambda: ops._variation_pairings(chi, DEFAULT_ALPHAS, family)) <= 5.0
+            lambda: ops._variation_pairings(chi, DEFAULT_ALPHAS, family)) <= 2.0
 
 
 class TestBatchRoutes:
