@@ -378,7 +378,8 @@ def _bump_1d(t: np.ndarray) -> np.ndarray:
 
 
 def _bump_1d_d1(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
+    """The kernel's derivative, 0 outside (-1, 1); a NaN stays NaN."""
+    out = np.where(np.isnan(t), t, 0.0)
     inside = np.abs(t) < 1.0
     ti = t[inside]
     om = 1.0 - ti**2
@@ -387,7 +388,8 @@ def _bump_1d_d1(t: np.ndarray) -> np.ndarray:
 
 
 def _bump_1d_d2(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
+    """The kernel's second derivative, 0 outside (-1, 1); a NaN stays NaN."""
+    out = np.where(np.isnan(t), t, 0.0)
     inside = np.abs(t) < 1.0
     ti = t[inside]
     om = 1.0 - ti**2

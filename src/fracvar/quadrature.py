@@ -636,9 +636,13 @@ def integrate_1d(
     ``p`` means f ~ |x - p|^g near p (required g > -1 when p lies in [a, b]);
     a pair with ``p = +/-inf`` declares an algebraic tail f ~ |x|^(-g) toward
     that end (required g > 1).  Infinite endpoints require a matching tail
-    declaration.
+    declaration.  f returns one value per point (ValueError otherwise:
+    ``integrate_core`` integrates a vector-valued f).
     """
     res = integrate_core(f, a, b, singularities, spec)
+    if res.value.size != 1:
+        raise ValueError(f"integrate_1d takes a scalar integrand, but f returned "
+                         f"{res.value.size} values per point; use integrate_core")
     return replace(res, value=float(res.value[0]))
 
 

@@ -40,7 +40,7 @@ from .fields import (
     d_alpha_measure,
 )
 from .quadrature import (OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre_panels,
-                         integrate_1d)
+                         integrate_1d, integrate_core)
 
 __all__ = [
     "CaseResult",
@@ -135,22 +135,38 @@ def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float]):
     return gauss_legendre_panels(edges, 14)
 
 
+def _orders(alpha: Sequence[float]) -> list[float]:
+    """The order grid as checked floats (ValueError outside the operators' range)."""
+    return [ops._check_alpha(a) for a in np.atleast_1d(alpha)]
+
+
+def _grad_rows(f: ScalarField, alphas: Sequence[float], xs: np.ndarray) -> np.ndarray:
+    """The 1-d batch gradient of f at the points xs, an (m, A) array with
+    one column per order: the field is sampled once for all orders
+    (``operators._grad_batch_1d``), and each column is bit for bit the
+    one-order ``frac_gradient_batch``."""
+    return ops._grad_batch_1d(f, alphas, xs[:, None], ops._batch_box(f)).T
+
+
+def _ibp_lhs(f: ScalarField, comp: ScalarField, alphas: Sequence[float]) -> np.ndarray:
+    """int f div_a phi dx (n = 1, phi = (comp,)) at each order, one integral
+    of the order vector over the union of the two boxes."""
+    lo = min(float(f.quad_box[0][0]), float(comp.quad_box[0][0]))
+    hi = max(float(f.quad_box[1][0]), float(comp.quad_box[1][0]))
+
+    def lhs_fn(xs: np.ndarray) -> np.ndarray:
+        return f.values(xs[:, None])[:, None] * _grad_rows(comp, alphas, xs)
+
+    return integrate_core(lhs_fn, lo, hi, spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
+
+
 def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     """int f div_a phi dx = -<phi, D^a f> for smooth pairs, n = 1 (by ``pair``) and 2."""
     report = SuiteReport("ibp", tolerance=1e-6)
     f1 = Gaussian(center=(0.3,), width=1.0)
     comp = SmoothBump(center=(-0.2,), width=1.5)
-    lo_f, hi_f = float(f1.quad_box[0][0]), float(f1.quad_box[1][0])
-    lo_p, hi_p = float(comp.quad_box[0][0]), float(comp.quad_box[1][0])
-    for a in np.atleast_1d(alpha):
-        a = float(a)
-
-        def lhs_fn(xs: np.ndarray) -> np.ndarray:
-            div = ops.frac_gradient_batch(comp, a, xs[:, None])[:, 0]
-            return f1.values(xs[:, None]) * div
-
-        lhs = integrate_1d(lhs_fn, min(lo_f, lo_p), max(hi_f, hi_p),
-                           spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12)).require()
+    alphas = _orders(alpha)
+    for a, lhs in zip(alphas, _ibp_lhs(f1, comp, alphas).tolist()):
         rhs = -d_alpha_measure(f1, a).pair(VectorField(components=(comp,)))
         report.add_compare(f"ibp_1d_a{a}", a, 1, lhs, rhs, tol=1e-6,
                            inputs="gaussian(0.3,1) vs bump(-0.2,1.5)")
@@ -245,24 +261,28 @@ def suite_hardy_optimal(alpha: Sequence[float] = IDENTITY_ALPHAS) -> SuiteReport
     return report
 
 
-def _atom_pairing(fa: FAlpha, bump: ScalarField, a: float) -> float:
-    """int f_a(x) div_a phi(x) dx, with f_a read through exact offsets from
-    its singular points 0 and 1."""
+def _atom_pairings(bump: ScalarField, alphas: Sequence[float]) -> np.ndarray:
+    """int f_a(x) div_a phi(x) dx at each order a, with each order's f_a
+    read through exact offsets from its singular points 0 and 1: one
+    integral of the order vector per window, whose singular points are
+    declared at the smallest order (f_a ~ |x - p|^(a - 1) there)."""
     spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-11)
+    fas = [FAlpha(alpha=a) for a in alphas]
 
     def pairing(xs: np.ndarray, dx) -> np.ndarray:
-        div_phi = ops.frac_gradient_batch(bump, a, xs[:, None])[:, 0]
-        return fa.values_from_offsets(dx) * div_phi
+        f_rows = np.stack([fa.values_from_offsets(dx) for fa in fas], axis=1)
+        return f_rows * _grad_rows(bump, alphas, xs)
 
     g = OffsetIntegrand(pairing)
+    edge = min(alphas) - 1.0
     windows = (
         (-math.inf, -0.4, [(-math.inf, 3.0)]),
-        (-0.4, 0.4, [(0.0, a - 1.0)]),
+        (-0.4, 0.4, [(0.0, edge)]),
         (0.4, 0.6, []),
-        (0.6, 1.4, [(1.0, a - 1.0)]),
+        (0.6, 1.4, [(1.0, edge)]),
         (1.4, math.inf, [(math.inf, 3.0)]),
     )
-    return sum(integrate_1d(g, lo, hi, sings, spec).require() for lo, hi, sings in windows)
+    return sum(integrate_core(g, lo, hi, sings, spec).require() for lo, hi, sings in windows)
 
 
 # the lower ends of the log-divergence fit of the chain suite
@@ -285,14 +305,14 @@ def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
         (SmoothBump(center=(5.0,), width=1.0), "phi vanishing at both atoms"),
     )
     logs = np.log(1.0 / np.asarray(_CHAIN_EPS))
-    for a in np.atleast_1d(alpha):
-        a = float(a)
+    alphas = _orders(alpha)
+    pairings = [_atom_pairings(bump, alphas).tolist() for bump, _ in bumps]
+    for i, a in enumerate(alphas):
         fa = FAlpha(alpha=a)
-        for bump, label in bumps:
+        for (bump, label), vals in zip(bumps, pairings):
             # 0.0 - x, not -x: phi(1) - phi(0) is +0.0 for a phi vanishing at both atoms
             expected = 0.0 - d_alpha_measure(fa, a).pair(VectorField(components=(bump,)))
-            val = _atom_pairing(fa, bump, a)
-            report.add_compare(f"pairing_a{a}_{label}", a, 1, val, expected, tol=1e-4,
+            report.add_compare(f"pairing_a{a}_{label}", a, 1, vals[i], expected, tol=1e-4,
                                inputs=label)
         # log-divergence slope of the one-sided weighted integral
         m_abs = abs(mu(1, -a))
@@ -319,6 +339,10 @@ _GG_GEOMETRIES = (
 )
 
 
+# the integrals of the batch gradient over half-lines (gauss-green, hardy-half, weighted)
+_HALF_LINE_SPEC = QuadSpec(rel_tol=1e-8, abs_tol=1e-11)
+
+
 def _grad_integral(f: ScalarField, a: float, lo: float, hi: float, absolute: bool) -> float:
     """int_lo^hi grad_a f dx (of |grad_a f| if ``absolute``) over a half-line
     in one dimension, with its infinite end declared as a 1 + a tail."""
@@ -328,8 +352,22 @@ def _grad_integral(f: ScalarField, a: float, lo: float, hi: float, absolute: boo
         return np.abs(grad) if absolute else grad
 
     end = hi if math.isinf(hi) else lo
-    return integrate_1d(g, lo, hi, singularities=[(end, 1.0 + a)],
-                        spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11)).require()
+    return integrate_1d(g, lo, hi, singularities=[(end, 1.0 + a)], spec=_HALF_LINE_SPEC).require()
+
+
+def _tail_integrals(f: ScalarField, alphas: Sequence[float], r: float) -> np.ndarray:
+    """int_{|x| > r} |grad_a f| dx at each order a (n = 1): one integral over
+    x > r of |grad_a f| at x and at -x, the two half-line tails of every
+    order side by side, the tail declared as 1 + a at the smallest order."""
+    A = len(alphas)
+
+    def g(xs: np.ndarray) -> np.ndarray:
+        grad = np.abs(_grad_rows(f, alphas, np.concatenate([xs, -xs])))
+        return np.concatenate([grad[: xs.size], grad[xs.size:]], axis=1)
+
+    both = integrate_core(g, r, math.inf, singularities=[(math.inf, 1.0 + min(alphas))],
+                          spec=_HALF_LINE_SPEC).require()
+    return both[:A] + both[A:]
 
 
 def _positive_side(nu_sign: float, x0: float) -> tuple[float, float]:
@@ -407,13 +445,13 @@ def suite_weighted_hardy(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport
     """int f w(|x|, r) dx <= int_{|x|>r} |grad_a f| dx for f >= 0 (n = 1)."""
     report = SuiteReport("weighted", tolerance=1e-6)
     f = SmoothBump(center=(0.0,), width=1.0)
-    for a in np.atleast_1d(alpha):
-        a = float(a)
-        for r in (0.5, 1.0, 2.0):
+    alphas = _orders(alpha)
+    radii = (0.5, 1.0, 2.0)
+    tails = [_tail_integrals(f, alphas, r).tolist() for r in radii]
+    for i, a in enumerate(alphas):
+        for r, tail in zip(radii, tails):
             lhs = _weighted_hardy_lhs(f, a, r).require()
-            rhs = _grad_integral(f, a, r, math.inf, absolute=True)
-            rhs += _grad_integral(f, a, -math.inf, -r, absolute=True)
-            report.add_margin(f"wh_a{a}_r{r}", a, 1, lhs, rhs, tol=1e-6,
+            report.add_margin(f"wh_a{a}_r{r}", a, 1, lhs, tail[i], tol=1e-6,
                               inputs=f"bump(0,1), r={r}")
     report.add_margin("wh_zero_field", 0.5, 1, 0.0, 0.0, tol=1e-6, inputs="f = 0")
     return report
@@ -498,23 +536,27 @@ def suite_variation_bound(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteRepor
     return report
 
 
+def _l1_norms(f: ScalarField, alphas: Sequence[float]) -> np.ndarray:
+    """||grad_a f||_1 (n = 1) at each order a, one integral of the order
+    vector over the line, the kinks of f's support edges declared and both
+    tails declared as 1 + a at the smallest order."""
+    lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
+    tail = 1.0 + min(alphas)
+    return integrate_core(
+        lambda xs: np.abs(_grad_rows(f, alphas, xs)), -math.inf, math.inf,
+        singularities=[(lo, 0.0), (hi, 0.0), (math.inf, tail), (-math.inf, tail)],
+        spec=QuadSpec(rel_tol=1e-7, abs_tol=1e-10),
+    ).require()
+
+
 def suite_gagliardo_bound(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     """L1 norm of the fractional gradient vs mu(1, a) times the Gagliardo
     seminorm, for a smooth bump (n = 1)."""
     report = SuiteReport("gagliardo", tolerance=1e-6)
     f = SmoothBump(center=(0.0,), width=1.0)
-    for a in np.atleast_1d(alpha):
-        a = float(a)
+    alphas = _orders(alpha)
+    for a, lhs in zip(alphas, _l1_norms(f, alphas).tolist()):
         seminorm = ops.gagliardo_seminorm(f, a)
-
-        def absg(xs: np.ndarray) -> np.ndarray:
-            return np.abs(ops.frac_gradient_batch(f, a, xs[:, None])[:, 0])
-
-        lhs = integrate_1d(
-            absg, -math.inf, math.inf,
-            singularities=[(-1.0, 0.0), (1.0, 0.0), (math.inf, 1.0 + a), (-math.inf, 1.0 + a)],
-            spec=QuadSpec(rel_tol=1e-7, abs_tol=1e-10),
-        ).require()
         report.add_margin(f"gag_a{a}", a, 1, lhs, mu(1, a) * seminorm, tol=1e-6,
                           inputs="bump(0,1)")
     return report

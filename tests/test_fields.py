@@ -28,6 +28,8 @@ from fracvar.fields import (
     UnsupportedFieldError,
     VectorField,
     _bump_1d,
+    _bump_1d_d1,
+    _bump_1d_d2,
     as_points,
     d_alpha_measure,
     eval as feval,
@@ -270,9 +272,28 @@ class TestBumpKernel:
         assert g.samples(y, True).tobytes() == ref.tobytes()
         assert g.samples(y, False).tobytes() == val[None].tobytes()
 
+    def test_derivatives_bit_identical_inside_and_zero_outside(self):
+        # the masked formulas; a NaN now stays NaN instead of reading as outside
+        inside = np.abs(self.T) < 1.0
+        ti = self.T[inside]
+        om = 1.0 - ti**2
+        s = -2.0 * ti / om**2
+        d1, d2 = np.zeros_like(self.T), np.zeros_like(self.T)
+        d1[inside] = np.exp(1.0 - 1.0 / om) * s
+        d2[inside] = np.exp(1.0 - 1.0 / om) * (s**2 + (-2.0 - 6.0 * ti**2) / om**3)
+        assert _bump_1d_d1(self.T).tobytes() == d1.tobytes()
+        assert _bump_1d_d2(self.T).tobytes() == d2.tobytes()
+        t = np.array([math.nan, math.inf, -math.inf, 0.5])
+        for kernel in (_bump_1d_d1, _bump_1d_d2):
+            got = kernel(t)
+            assert np.isnan(got[0]) and got[1] == got[2] == 0.0 and np.isfinite(got[3])
+
     def test_nan_propagates(self):
         # the masked kernel read a NaN as outside the support, so 0.0
         assert np.isnan(SmoothBump(center=(0.0,), width=1.0).values(np.array([[math.nan]]))[0])
+        b = SmoothBump(center=(0.0,), width=1.0)
+        assert np.isnan(b.grad_values(np.array([[math.nan]]))).all()
+        assert np.isnan(b.laplacian_values(np.array([[math.nan]]))).all()
         g = SmoothBump(center=(0.0,), width=1.0).heat_factors[0]
         y = np.array([math.nan, 0.5])
         assert np.isnan(g.samples(y, True)[:, 0]).all()

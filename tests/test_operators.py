@@ -33,7 +33,8 @@ from fracvar.fields import (
     UnsupportedFieldError,
     VectorField,
 )
-from fracvar.quadrature import QuadratureBudgetError, QuadSpec, _Counter, default_spec, integrate_1d
+from fracvar.quadrature import (QuadratureBudgetError, QuadSpec, _Counter, default_spec,
+                               gauss_legendre_panels, integrate_1d)
 from fracvar.suites import DEFAULT_ALPHAS, run_suite
 
 
@@ -210,7 +211,7 @@ def _full_circle_batch(f, alpha, X):
     order, cap = ops._BATCH_RADIAL[2]
     n_theta = ops._FOLD_ANGLES
     gl_t, _ = np.polynomial.legendre.leggauss(order)
-    r, wr = ops._radial_panels(c0, reach, cap * scale, order)
+    r, wr = _panel_loop(c0, reach, cap * scale, order)
     wr = np.concatenate([c0**-alpha * ops._product_weights(order, alpha), wr * r ** (-1.0 - alpha)])
     r = np.concatenate([0.5 * c0 * (1.0 + gl_t), r])
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
@@ -228,11 +229,12 @@ def _full_circle_batch(f, alpha, X):
 
 
 def _panel_loop(delta, reach, step_cap, order):
-    """Gauss-Legendre nodes and weights built panel by panel."""
+    """Gauss-Legendre nodes and weights built panel by panel, the last panel
+    the first to end at or past reach."""
     gl_t, gl_w = np.polynomial.legendre.leggauss(order)
     nodes, weights, lo = [], [], delta
     while lo < reach:
-        hi = min(lo + min(lo, step_cap), reach)
+        hi = lo + min(lo, step_cap)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         nodes.append(mid + half * gl_t)
         weights.append(half * gl_w)
@@ -327,9 +329,52 @@ class TestBatchTensorGrid:
         (2e-4, 4e-4, 0.4, 5),  # reach = 2 delta
     ])
     def test_radial_panels_bit_identical_to_panel_loop(self, delta, reach, step_cap, order):
-        r, w = ops._radial_panels(delta, reach, step_cap, order)
+        r, w = gauss_legendre_panels(ops._radial_edges(delta, reach, step_cap), order)
         r_ref, w_ref = _panel_loop(delta, reach, step_cap, order)
         assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+class TestAlignedRadialRule:
+    """The batch gradient's radial rule ends on the field's fixed edge
+    sequence, at the first edge at or past the call's farthest reach, and is
+    cached per edge sequence."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("f", [SmoothBump(center=(-0.2,), width=1.5),
+                                   Gaussian(center=(0.3,), width=1.0)], ids=["bump", "gaussian"])
+    def test_a_value_does_not_depend_on_the_other_targets(self, f, alpha):
+        # with the last panel cut at the call's reach and the samples at
+        # x + r and x - r summed apart, these read up to 1.4e-8 (bump) and
+        # 2.2e-11 (Gaussian) apart
+        X = np.linspace(-1.8, 1.4, 30)[:, None]
+        batch = ops.frac_gradient_batch(f, alpha, X)[:, 0]
+        alone = np.array([ops.frac_gradient_batch(f, alpha, X[i:i + 1])[0, 0]
+                          for i in range(X.shape[0])])
+        assert np.max(np.abs(batch - alone) / np.abs(batch)) <= 1e-13
+
+    def test_last_panel_ends_at_the_first_edge_past_the_reach(self):
+        f = SmoothBump(center=(0.1,), width=0.9)
+        X = np.array([[0.3], [-0.5], [1.2]])
+        r, _ = ops._radial_rule(f, ops._batch_box(f), X)
+        reach = max(ops._reach(f.quad_box, x) for x in X)
+        order, cap = ops._BATCH_RADIAL[1]
+        edges = ops._radial_edges(ops._PRODUCT_EDGE * 2e-4 * 0.9, reach, cap * 0.9)
+        assert edges[-2] < reach <= edges[-1]
+        assert r.size == order * len(edges) and r.max() < edges[-1]
+
+    def test_rule_is_cached_and_read_only(self):
+        f = SmoothBump(center=(0.1,), width=0.9)
+        X = np.array([[0.3], [-0.5]])
+        r, weights = ops._radial_rule(f, ops._batch_box(f), X)
+        w = weights(0.5)
+        hits = ops._edge_rule.cache_info().hits
+        r2, weights2 = ops._radial_rule(f, ops._batch_box(f), X[::-1])
+        assert ops._edge_rule.cache_info().hits == hits + 1
+        assert r2 is r and weights2(0.5) is w
+        for arr in (r, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestProductPanel:
@@ -1664,6 +1709,27 @@ class TestGagliardo:
         f, pinned = self.UNCUT[name]
         for a, ref in zip((0.25, 0.5, 0.75), pinned):
             assert ops.gagliardo_seminorm(f, a) == pytest.approx(ref, rel=1e-8)
+
+    # the bump's seminorms at alpha = 0.25, 0.5, 0.75 before the two halves
+    # of the support were folded into one outer integral
+    UNFOLDED = (24.26095448292469, 17.269575425113025, 22.0450487835444)
+
+    def test_folded_outer_keeps_the_seminorm(self, monkeypatch):
+        # each outer evaluation runs one lockstep batch on both halves' nodes:
+        # 52 batches for these three seminorms before the fold
+        batches = 0
+        batch = ops._adaptive_batch
+
+        def counted(*args):
+            nonlocal batches
+            batches += 1
+            return batch(*args)
+
+        monkeypatch.setattr(ops, "_adaptive_batch", counted)
+        f = SmoothBump(center=(0.0,), width=1.0)
+        for a, ref in zip((0.25, 0.5, 0.75), self.UNFOLDED):
+            assert abs(ops.gagliardo_seminorm(f, a) - ref) <= 1e-10 * ref
+        assert batches <= 26
 
     def test_kink_cut_lockstep_rounds(self, monkeypatch):
         # each call of a batch integrand is one lockstep round; bisecting

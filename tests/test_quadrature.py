@@ -123,6 +123,14 @@ class TestIntegrate1d:
         with pytest.raises(ValueError):
             integrate_1d(lambda x: np.exp(-x), 0.0, math.inf)
 
+    def test_vector_integrand_is_refused(self):
+        # it returned component 0, judged converged on both components
+        with pytest.raises(ValueError, match="2 values per point; use integrate_core"):
+            integrate_1d(lambda x: np.stack([x, x**2], 1), 0.0, 1.0)
+        # one value per point, as a column, is a scalar integrand
+        col = integrate_1d(lambda x: (x**2)[:, None], 0.0, 1.0)
+        assert col.value == integrate_1d(lambda x: x**2, 0.0, 1.0).value
+
     def test_budget_flag(self):
         spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
         res = integrate_1d(lambda x: np.abs(x) ** -0.9, 0.0, 1.0,

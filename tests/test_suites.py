@@ -10,9 +10,10 @@ import pytest
 
 from fracvar import cli, suites
 from fracvar.constants import mu
-from fracvar.fields import SignedMeasure, SmoothBump
+from fracvar.fields import Gaussian, SignedMeasure, SmoothBump
 from fracvar.quadrature import QuadSpec
 from fracvar.suites import (
+    DEFAULT_ALPHAS,
     SUITE_NAMES,
     SuiteReport,
     reports_to_csv,
@@ -268,6 +269,40 @@ def test_single_order_suite_runs_each_order_in_turn(name):
     parts = [run_suite(name, (a,)) for a in (0.3, 0.6)]
     assert both.cases == parts[0].cases + parts[1].cases
     assert {c.alpha for c in suites._SUITE_RUNNERS[name]().cases} == {0.5}
+
+
+_BUMP = SmoothBump(center=(0.0,), width=1.0)
+
+# each order-axis integral of the suites, its QuadSpec rel_tol, and the
+# scale below which it is compared absolutely: the pairing against a phi
+# that vanishes at both atoms is 0 up to quadrature error, on the scale of
+# the other pairings' +-1
+_ORDER_AXIS = {
+    "ibp_lhs": (lambda al: suites._ibp_lhs(Gaussian(center=(0.3,), width=1.0),
+                                           SmoothBump(center=(-0.2,), width=1.5), al), 1e-9, 0.0),
+    "pairing_phi0": (lambda al: suites._atom_pairings(SmoothBump(center=(0.0,), width=0.8), al),
+                     1e-8, 0.0),
+    "pairing_phi1": (lambda al: suites._atom_pairings(SmoothBump(center=(1.0,), width=0.8), al),
+                     1e-8, 0.0),
+    "pairing_vanishing": (lambda al: suites._atom_pairings(SmoothBump(center=(5.0,), width=1.0),
+                                                           al), 1e-8, 1.0),
+    **{f"tails_r{r}": (lambda al, r=r: suites._tail_integrals(_BUMP, al, r), 1e-8, 0.0)
+       for r in (0.5, 1.0, 2.0)},
+    "l1_norm": (lambda al: suites._l1_norms(_BUMP, al), 1e-7, 0.0),
+}
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_ALPHAS, (0.1, 0.45, 0.9)], ids=["default", "wide"])
+@pytest.mark.parametrize("name", sorted(_ORDER_AXIS))
+def test_order_axis_matches_the_per_order_route(name, grid):
+    # one integral of the order vector against one integral per order, each
+    # converged to the same QuadSpec; they differ by their error estimates
+    fn, rel_tol, floor = _ORDER_AXIS[name]
+    joint = fn(grid)
+    assert joint.shape == (len(grid),)
+    for a, value in zip(grid, joint.tolist()):
+        alone = float(fn((a,))[0])
+        assert abs(value - alone) <= rel_tol * max(abs(alone), floor), (a, value, alone)
 
 
 def test_hardy_follows_the_order_override():
