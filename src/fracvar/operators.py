@@ -18,10 +18,11 @@ fractional Laplacian sharing the same singular-kernel machinery:
   summed exactly below the grid.  Larger orders and other fields take the
   Riesz potential in n >= 2 as one radial integral of angular profiles,
 * smooth fields in n = 1 without ``heat_factors`` (``FAlpha``,
-  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the Taylor-corrected
-  annulus: the Taylor correction 2 delta^(1-alpha)/(1-alpha) f'(x) (resp.
-  the Laplacian's) replaces (x - delta, x + delta), and delta is halved,
-  adding back shells, until the value stabilizes within tolerance,
+  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the shrinking
+  annulus: (x - delta, x + delta) is one product panel on [0, delta]
+  (``_product_panel``) of the odd part f(x + r) - f(x - r) (the
+  Laplacian's even part f(x + r) + f(x - r) - 2 f(x)), and delta is
+  halved, adding back shells, until the value stabilizes within tolerance,
 * indicator fields, which declare their ``region``: the kernel integral over
   the region is decomposed geometrically, since generic cubature cannot see
   the jump: interval pieces and spherical wedges with exact angular moments
@@ -53,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ball_volume, gamma, mu, nu, sphere_area
+from .constants import gamma, mu, nu, sphere_area
 from .fields import (
     AxisBox,
     Gaussian,
@@ -182,15 +183,16 @@ def _profiles(values, center, n, abs_tol, rel_tol, bound, counter, moments=False
 
 
 def _shrink_annulus(
-    annulus, corr, delta: float, reach: float, far: float, spec: QuadSpec, counter: _Counter
+    annulus, ball, delta: float, reach: float, far: float, spec: QuadSpec, counter: _Counter
 ):
-    """Taylor-corrected shrinking-annulus limit of a singular kernel integral.
+    """Shrinking-annulus limit of a singular kernel integral.
 
     ``annulus(r_in, r_out)`` integrates the kernel over the shell r_in < |y - x|
-    < r_out and ``corr(delta)`` is the Taylor correction for the removed ball
-    B_delta(x).  delta is halved, adding back shells, until the corrected value
-    moves by at most tol = max(abs_tol, rel_tol |value + far|) / 4, where
-    ``far`` is the part of the full integral added outside (0 if none).
+    < r_out and ``ball(delta)`` over the removed ball B_delta(x), one product
+    panel on [0, delta] (``_product_panel``).  delta is halved, adding back
+    shells, until the value moves by at most tol = max(abs_tol, rel_tol
+    |value + far|) / 4, where ``far`` is the part of the full integral added
+    outside (0 if none).
 
     Two rules end the loop at the rounding floor of the shells instead of the
     budget, both without convergence:
@@ -210,7 +212,7 @@ def _shrink_annulus(
     ``far`` out.
     """
     core = annulus(delta, reach)
-    value = core.value + corr(delta)
+    value = core.value + ball(delta)
     mass = float(np.max(np.abs(core.value)))  # sum of |shell|, the scale of core's rounding
     best_step, best = math.inf, (value, core.err_estimate)  # the value at the smallest step
     stale, prev_step = 0, math.inf
@@ -219,7 +221,7 @@ def _shrink_annulus(
         shell = annulus(new_delta, delta)
         core = core + shell
         mass += float(np.max(np.abs(shell.value)))
-        new_value = core.value + corr(new_delta)
+        new_value = core.value + ball(new_delta)
         step = float(np.max(np.abs(new_value - value)))
         delta, value = new_delta, new_value
         tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0
@@ -239,15 +241,18 @@ _STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus l
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    """Taylor-corrected annulus evaluation, in n = 1, for fields with a
-    closed-form gradient and without ``heat_factors``.
+    """Shrinking-annulus evaluation, in n = 1, for fields with a closed-form
+    gradient and without ``heat_factors``.
 
-    Each shell folds the two sides of x into one integral over r,
-    of (f(x + r) - f(x - r)) r^(-1-a) on [r_in, r_out], so the mirror
-    cancellation happens at every node (``fold_from_offsets``).  A declared
-    singular point p of the field sits at r = |x - p|, where the side that
-    reaches it reads its offset exactly, +/- dr(|x - p|); the shells are cut
-    where a side leaves the support.  No shell is asked to resolve its
+    The ball (x - delta, x + delta) is one product panel on [0, delta] of
+    the odd part f(x + r) - f(x - r); the first delta stays below half the
+    distance from x to the nearest declared singular point, so that the
+    panel never straddles it.  Each shell folds the two sides of x into one
+    integral over r, of (f(x + r) - f(x - r)) r^(-1-a) on [r_in, r_out], so
+    the mirror cancellation happens at every node (``fold_from_offsets``).
+    A declared singular point p of the field sits at r = |x - p|, where the
+    side that reaches it reads its offset exactly, +/- dr(|x - p|); the
+    shells are cut where a side leaves the support.  No shell is asked to resolve its
     integral below the rounding noise of a difference of two field values.
     A field without a support box adds its two tails as before, and the
     annulus loop's tolerance is relative to the whole integral, tails
@@ -297,16 +302,16 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     behind = {p: x0 - p for p, _ in sings if p < x0}
     r_sings = [(abs(p - x0), e) for p, e in sings if p != x0]
 
-    def folded(r: np.ndarray, dr) -> np.ndarray:
+    def odd(r: np.ndarray, dr) -> np.ndarray:
         def plus(c: float) -> np.ndarray:  # offsets of x + r
             return dr(ahead[c]) if c in ahead else (x0 - c) + r
 
         def minus(c: float) -> np.ndarray:  # offsets of x - r
             return -dr(behind[c]) if c in behind else (x0 - c) - r
 
-        return field.fold_from_offsets(x0, r, plus, minus) * r ** (-1.0 - alpha)
+        return field.fold_from_offsets(x0, r, plus, minus)
 
-    folded = OffsetIntegrand(folded)
+    folded = OffsetIntegrand(lambda r, dr: odd(r, dr) * r ** (-1.0 - alpha))
     # f(x + r) - f(x - r) computed as a difference carries rounding noise of
     # about eps (2 |f(x)| + |x f'(x)|) that does not shrink with r; no shell
     # is asked for more than that noise integrated against r^(-1-a)
@@ -324,13 +329,16 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
                 ))
         return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
 
-    omega_1 = ball_volume(1)
+    def ball(d: float) -> float:
+        def sample(r: np.ndarray) -> np.ndarray:
+            counter.add(2 * r.size)
+            return odd(r, lambda c: r - c)
 
-    def corr(d: float) -> np.ndarray:
-        return omega_1 * d ** (1.0 - alpha) / (1.0 - alpha) * grad_x
+        return _product_panel(sample, d, alpha)
 
-    delta = min(field.smooth_scale / 2.0, reach / 4.0)
-    core = _shrink_annulus(annulus, corr, delta, reach, tail.value, spec, counter)
+    delta = min(field.smooth_scale / 2.0, reach / 4.0,
+                0.5 * min((r for r, _ in r_sings), default=math.inf))
+    core = _shrink_annulus(annulus, ball, delta, reach, tail.value, spec, counter)
     return QuadResult(mu(1, alpha) * (core.value + tail.value),
                       abs(mu(1, alpha)) * (core.err_estimate + tail.err_estimate),
                       counter.used, core.converged)
@@ -511,7 +519,7 @@ def frac_gradient(
     then ``heat_factors``, in every n (the Gaussian subordination route,
     ``_grad_heat``), which in n >= 2 every other field needs
     (UnsupportedFieldError otherwise); in n = 1 ``has_gradient`` (the
-    Taylor-corrected annulus, ``_grad_smooth``).
+    shrinking annulus, ``_grad_smooth``).
 
     The heat route's accuracy floors where a factor's heat convolutions are
     panel sums (a bump, or a product other than of two Gaussians): their
@@ -704,7 +712,7 @@ def frac_laplacian(
     t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2) is summed exactly
     below the grid.  In n >= 2 a smooth field needs ``heat_factors``
     (UnsupportedFieldError otherwise); in n = 1 one without them takes the
-    Taylor-corrected annulus (``_laplacian_annulus``).
+    shrinking annulus (``_laplacian_annulus``).
     """
     beta = _check_alpha(beta, "beta")
     pt = _check_off_jump(f, x)
@@ -748,19 +756,16 @@ def frac_laplacian(
 
 
 def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, spec: QuadSpec):
-    """The Taylor-corrected annulus limit of int (f(x+y) - f(x)) / |y|^(1+beta) dy
-    for a smooth field on the line with a finite evaluation box, far term included."""
+    """The shrinking-annulus limit of int (f(x+y) - f(x)) / |y|^(1+beta) dy
+    for a smooth field on the line with a finite evaluation box, far term
+    included.  The ball (x - delta, x + delta) is one product panel on
+    [0, delta] of the even part f(x + r) + f(x - r) - 2 f(x), at order beta."""
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Laplacian of non-compact smooth fields not supported")
     reach = max(_reach(box, pt), 2.0 * field_scale(f))
     counter = _Counter(spec.max_evals)
     rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    try:
-        lap_x = float(f.laplacian_values(pt[None, :])[0])
-    except UnsupportedFieldError:
-        lap_x = None
-
     x0 = float(pt[0])
 
     def kernel(y: np.ndarray) -> np.ndarray:
@@ -771,15 +776,16 @@ def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, s
                 + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
 
     far = -fx * sphere_area(1) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
-    omega_1 = ball_volume(1)
 
-    def corr(dlt: float) -> float:
-        if lap_x is None:
-            return 0.0
-        return lap_x * omega_1 * dlt ** (2.0 - beta) / (2.0 * (2.0 - beta))
+    def ball(dlt: float) -> float:
+        def sample(r: np.ndarray) -> np.ndarray:
+            counter.add(2 * r.size)
+            return f.values((x0 + r)[:, None]) + f.values((x0 - r)[:, None]) - 2.0 * fx
+
+        return _product_panel(sample, dlt, beta)
 
     delta = min(field_scale(f) / 2.0, reach / 4.0)
-    res = _shrink_annulus(annulus, corr, delta, reach, far, spec, counter)
+    res = _shrink_annulus(annulus, ball, delta, reach, far, spec, counter)
     return replace(res, value=res.value + far)
 
 
@@ -895,43 +901,17 @@ def spectral_gradient_1d(f: ScalarField, alpha: float, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _abs_taylor_window(c1: float, c2: float, delta: float, alpha: float) -> float:
-    """int_{-delta}^{delta} |c1 d + c2 d^2/2| |d|^(-1-alpha) dd, exactly.
-
-    Quadratic Taylor model of |f(x0) - f(y)| near the diagonal; evaluating the
-    polynomial instead of the difference avoids the cancellation noise that
-    otherwise floods the kernel singularity.
-    """
-
-    def one_side(b1: float, b2: float) -> float:
-        # int_0^delta d^(-alpha) |b1 + b2 d / 2| dd with explicit sign split
-        def primitive(t0: float, t1: float, s: float) -> float:
-            return s * (
-                b1 * (t1 ** (1.0 - alpha) - t0 ** (1.0 - alpha)) / (1.0 - alpha)
-                + 0.5 * b2 * (t1 ** (2.0 - alpha) - t0 ** (2.0 - alpha)) / (2.0 - alpha)
-            )
-
-        if b2 != 0.0:
-            root = -2.0 * b1 / b2
-            if 0.0 < root < delta:
-                s0 = math.copysign(1.0, b1) if b1 != 0.0 else math.copysign(1.0, b2)
-                return primitive(0.0, root, s0) + primitive(root, delta, -s0)
-        s = math.copysign(1.0, b1 + 0.5 * b2 * delta) if (b1 or b2) else 0.0
-        return primitive(0.0, delta, s)
-
-    # d > 0 side uses (c1, c2); d < 0 maps to (-c1, c2) under d -> -d
-    return one_side(c1, c2) + one_side(-c1, c2)
-
-
 _KINK_HALVINGS = 24  # bisections that place a Gagliardo inner panel's cut, to 2^-24 of its width
 
 
 def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = None) -> float:
     """Double integral of |f(x) - f(y)| / |x - y|^(1 + alpha) over the line.
 
-    Smooth compactly supported fields only.  The inner integral is split into
-    an analytic Taylor window around the diagonal (no cancellation noise),
-    geometric panels grading away from it, and the exact power tail
+    Smooth compactly supported fields only.  The inner integral at x0 is
+    split into a product panel on [0, d] on each side of the diagonal
+    (``_product_panel`` of |f(x0 + s) - f(x0)| + |f(x0 - s) - f(x0)|, with
+    d = 2e-4 field scales, less near the support's ends), geometric panels
+    grading away from it, and the exact power tail
     |f(x)| ((x - lo)^-a + (hi - x)^-a) / a outside the support.  The panels
     of all outer nodes of a Gauss-Kronrod panel run as one lockstep batch of
     adaptive integrals.  The integrand has a kink where f(y) = f(x): a panel
@@ -951,8 +931,8 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     alpha = _check_alpha(alpha)
     if f.dim != 1:
         raise ValueError("gagliardo_seminorm is implemented for n = 1")
-    if not (f.is_smooth and f.has_gradient):
-        raise UnsupportedFieldError("gagliardo_seminorm needs a smooth field with gradient")
+    if not f.is_smooth:
+        raise UnsupportedFieldError("gagliardo_seminorm needs a smooth field")
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("gagliardo_seminorm needs compact support")
@@ -968,18 +948,16 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
 
     def inner(x0: np.ndarray) -> np.ndarray:
         """Inner integrals at the nodes x0, all inside (lo, hi)."""
-        pts = x0[:, None]
-        fx = f.values(pts)
-        c1 = f.grad_values(pts)[:, 0]
-        try:
-            c2 = f.laplacian_values(pts)
-        except UnsupportedFieldError:
-            c2 = np.zeros_like(x0)
+        fx = f.values(x0[:, None])
         d_eff = np.minimum(np.minimum(delta, 0.25 * (x0 - lo)), 0.25 * (hi - x0))
-        out = np.array([
-            _abs_taylor_window(u, v, d, alpha)
-            for u, v, d in zip(c1.tolist(), c2.tolist(), d_eff.tolist())
-        ])
+
+        def window(s: np.ndarray) -> np.ndarray:
+            def dist(y: np.ndarray) -> np.ndarray:  # |f(y) - f(x0)| on the (m, order) nodes
+                return np.abs(f.values(y.reshape(-1, 1)).reshape(y.shape) - fx[:, None])
+
+            return dist(x0[:, None] + s) + dist(x0[:, None] - s)
+
+        out = _product_panel(window, d_eff, alpha)
 
         # geometric panels [r, min(2r, width)] away from the window, r = d_eff 2^k
         # (exact) while r < width; one column per k and side, summed into out
@@ -1031,11 +1009,7 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
         sums[col, node] = v
         for row in sums:
             out = out + row
-        # the window and the tail in Python floats: numpy's vector pow can
-        # round differently from the scalar pow these formulas were pinned with
-        tail = [abs(u) * ((x - lo) ** (-alpha) + (hi - x) ** (-alpha)) / alpha
-                for u, x in zip(fx.tolist(), x0.tolist())]
-        return out + np.array(tail)
+        return out + np.abs(fx) * ((x0 - lo) ** -alpha + (hi - x0) ** -alpha) / alpha
 
     def outer(xs: np.ndarray) -> np.ndarray:
         out = np.empty(xs.size)
@@ -1221,6 +1195,18 @@ def _product_weights(order: int, alpha: float) -> np.ndarray:
     out = np.linalg.solve(vander.T, moments) / (0.5 * (t + 1.0))
     out.flags.writeable = False
     return out
+
+
+def _product_panel(sample, d, alpha: float):
+    """int_0^d g(r) r^(-1-alpha) dr for a g with g(0) = 0 and g(r)/r smooth,
+    from ``sample(r)`` = g(r) at the batch's product nodes of [0, d] weighed by
+    d^(-alpha) ``_product_weights`` (the first panel of ``_radial_rule``).
+    An array d (m,) gives m panels at once: ``sample`` then maps the (m,
+    order) nodes to samples of that shape."""
+    order = _BATCH_RADIAL[1][0]
+    t, _ = gauss_legendre(order)
+    d = np.asarray(d, dtype=float)
+    return d**-alpha * (sample(d[..., None] * (0.5 * (t + 1.0))) @ _product_weights(order, alpha))
 
 
 _GRID_PANELS = 8  # Gauss-Legendre panels per axis of a support grid

@@ -1,0 +1,27 @@
+"""scripts/mutants.py on one suite."""
+
+import importlib.util
+from pathlib import Path
+
+from fracvar import operators as ops
+
+_spec = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).resolve().parents[1] / "scripts" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+def test_caught_mutant_exits_0_and_is_restored(capsys):
+    batch = ops._grad_batch_1d
+    assert mutants.main(["--mutant", "n1_batch_neg", "--suite", "chain"]) == 0
+    out = capsys.readouterr().out
+    assert "unmutated run: all 12 cases pass" in out
+    assert "n1_batch_neg: caught by 6 cases (chain)" in out
+    assert ops._grad_batch_1d is batch
+
+
+def test_surviving_mutant_exits_1(capsys):
+    seminorm = ops.gagliardo_seminorm
+    assert mutants.main(["--mutant", "gagliardo_x2", "--suite", "chain"]) == 1
+    assert "gagliardo_x2: SURVIVED" in capsys.readouterr().out
+    assert ops.gagliardo_seminorm is seminorm

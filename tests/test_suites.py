@@ -117,6 +117,16 @@ def test_verify_all_matches_the_golden_csv(tmp_path):
         f"the verify CSV moved; see python scripts/csv_diff.py {GOLDEN_CSV} {out}")
 
 
+def test_chain_log_slope_at_a_high_order():
+    # the remainder of P(eps) carries an eps^(1-a) term, which decays only as
+    # eps^0.1 at a = 0.9: a line in ln(1/eps) read the slope 14% off
+    rep = run_suite("chain", (0.9,))
+    case = next(c for c in rep.cases if c.case_id == "log_slope_a0.9")
+    assert case.tol == 0.02
+    assert case.passed and case.rel_err <= 1e-8
+    assert rep.passed
+
+
 @pytest.mark.parametrize("runner", [suites.suite_chain_failure, suites.suite_ibp])
 def test_negated_measure_pairing_fails_a_case(monkeypatch, runner):
     """The right sides of chain and ibp come from ``SignedMeasure.pair``: a
