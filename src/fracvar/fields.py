@@ -1,11 +1,11 @@
 """Catalog of analytic fields the verification suites evaluate operators on.
 
 Each field knows the metadata the quadrature engine needs: exact or effective
-support box, algebraic tail rate, singular set, smoothness, and (for smooth
-entries) closed-form first and second derivatives used by near-field
-corrections.  Raw ``values`` are total functions (indicator boundaries give 0,
-within-ulp singular hits give 0); the public :func:`eval` refuses declared
-singular points instead.  Operators pick their path from traits, not classes:
+support box, algebraic tail rate, singular set and smoothness; a tensor
+product's per-axis ``heat_factors`` carry the only derivatives an operator
+reads (no field has a closed-form gradient or Laplacian).  Raw ``values``
+are total functions (indicator boundaries give 0, within-ulp singular hits
+give 0); the public :func:`eval` refuses declared singular points instead.  Operators pick their path from traits, not classes:
 an indicator's ``region`` and a tensor product's per-axis ``heat_factors``.
 """
 
@@ -195,6 +195,10 @@ class ScalarField:
 
     @property
     def has_gradient(self) -> bool:
+        """Whether the n = 1 annulus (``frac_gradient`` of a field without
+        ``heat_factors``), the batch gradient and the density variation
+        measure may evaluate this field's fractional gradient: a routing
+        trait, not a derivative the field supplies."""
         return False
 
     @property
@@ -216,9 +220,11 @@ class ScalarField:
         """Per-axis factors g_i, f(x) = g_1(x_1) ... g_n(x_n) up to rounding;
         None unless the field is such a product (a ``ProductField`` unless
         both of its fields are).  Each factor is callable on coordinates and
-        has ``deriv(y)`` = g_i'(y), ``support``, the ends of the interval
-        outside which g_i vanishes (a Gaussian's at center +- 6 width, as in
-        its ``quad_box``), and ``heat(x, t, check, deriv)``, which returns
+        has ``deriv(y)`` = g_i'(y) and ``deriv2(y)`` = g_i''(y), the only
+        derivatives of a field that an operator reads (on the heat routes),
+        ``support``, the ends of the interval outside which g_i vanishes (a
+        Gaussian's at center +- 6 width, as in its ``quad_box``), and
+        ``heat(x, t, check, deriv)``, which returns
         G_t g_i(x), G_t g_i'(x) (arrays of shape (x.size, t.size), G_t g(x) =
         int g(y) exp(-t (x - y)^2) dy; the second is None unless ``deriv``,
         and G_t g_i does not depend on it) and the number of samples drawn,
@@ -264,12 +270,6 @@ class ScalarField:
         if not (self.is_smooth and self.has_gradient):
             raise UnsupportedFieldError(f"variation measure of {self.kind} is not identified")
         return SignedMeasure(density=(self, alpha))
-
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        raise UnsupportedFieldError(f"{self.kind} has no closed-form gradient")
-
-    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
-        raise UnsupportedFieldError(f"{self.kind} has no closed-form laplacian")
 
     def __call__(self, x) -> float | np.ndarray:
         X = as_points(x, self.dim)
@@ -351,18 +351,6 @@ class Gaussian(ScalarField):
         c = np.asarray(self.center)
         return self.amplitude * np.exp(-math.pi * _norm2(X, c) / self.width**2)
 
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        f = self.values(X)
-        return (-2.0 * math.pi / self.width**2) * (X - c) * f[:, None]
-
-    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        f = self.values(X)
-        q = _norm2(X, c)
-        w2 = self.width**2
-        return f * (4.0 * math.pi**2 * q / w2**2 - 2.0 * math.pi * self.dim / w2)
-
 
 def _bump_1d(t: np.ndarray) -> np.ndarray:
     """exp(1 - 1/(1 - t^2)) inside (-1, 1) and 0 outside, in one temporary:
@@ -424,6 +412,11 @@ class _GaussianAxis:
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return (-2.0 * math.pi / self.width**2) * (y - self.center) * self(y)
+
+    def deriv2(self, y: np.ndarray) -> np.ndarray:
+        a = math.pi / self.width**2
+        d = y - self.center
+        return (4.0 * a * a * d * d - 2.0 * a) * self(y)
 
     def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
         a = math.pi / self.width**2
@@ -558,6 +551,9 @@ class _BumpAxis(_WindowedAxis):
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return _bump_1d_d1((y - self.center) / self.width) / self.width
 
+    def deriv2(self, y: np.ndarray) -> np.ndarray:
+        return _bump_1d_d2((y - self.center) / self.width) / self.width**2
+
 
 @dataclass(frozen=True)
 class _ProductAxis(_WindowedAxis):
@@ -576,6 +572,10 @@ class _ProductAxis(_WindowedAxis):
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return self.left.deriv(y) * self.right(y) + self.left(y) * self.right.deriv(y)
+
+    def deriv2(self, y: np.ndarray) -> np.ndarray:
+        l, r = self.left, self.right
+        return l.deriv2(y) * r(y) + 2.0 * l.deriv(y) * r.deriv(y) + l(y) * r.deriv2(y)
 
     def samples(self, y: np.ndarray, deriv: bool) -> np.ndarray:
         # each factor and derivative once per sample, by the arithmetic above
@@ -620,6 +620,9 @@ class _ScaledAxis:
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         return self.factor * self.base.deriv(y)
+
+    def deriv2(self, y: np.ndarray) -> np.ndarray:
+        return self.factor * self.base.deriv2(y)
 
     def heat(self, x: np.ndarray, t: np.ndarray, check: bool = False, deriv: bool = True):
         G, dG, samples = self.base.heat(x, t, check, deriv)
@@ -671,37 +674,10 @@ class SmoothBump(ScalarField):
     def heat_factors(self) -> tuple:
         return tuple(_BumpAxis(c, w) for c, w in zip(self.center, self.width))
 
-    def _t(self, X: np.ndarray) -> np.ndarray:
-        return (X - np.asarray(self.center)) / np.asarray(self.width)
-
     def values(self, X: np.ndarray) -> np.ndarray:
         out = np.ones(X.shape[0])
         for i, factor in enumerate(self.heat_factors):
             out = out * factor(X[:, i])
-        return out
-
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        t = self._t(X)
-        parts = [_bump_1d(t[:, i]) for i in range(self.dim)]
-        grad = np.empty_like(X)
-        for i in range(self.dim):
-            pi = _bump_1d_d1(t[:, i]) / self.width[i]
-            for j in range(self.dim):
-                if j != i:
-                    pi = pi * parts[j]
-            grad[:, i] = pi
-        return grad
-
-    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
-        t = self._t(X)
-        parts = [_bump_1d(t[:, i]) for i in range(self.dim)]
-        out = np.zeros(X.shape[0])
-        for i in range(self.dim):
-            term = _bump_1d_d2(t[:, i]) / self.width[i] ** 2
-            for j in range(self.dim):
-                if j != i:
-                    term = term * parts[j]
-            out += term
         return out
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
@@ -912,15 +888,6 @@ class FAlpha(ScalarField):
             )
         split = self.values_from_offsets(plus) - self.values_from_offsets(minus)
         return np.where(near, mu(1, -self.alpha) * pairs, split)
-
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        m = mu(1, -self.alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = m * (self.alpha - 1.0) * (
-                np.abs(x) ** (self.alpha - 2.0) - np.abs(x - 1.0) ** (self.alpha - 2.0)
-            )
-        return np.where(np.isfinite(g), g, 0.0)[:, None]
 
     def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
         x0 = as_points(x, 1)[0, 0]
@@ -1163,21 +1130,6 @@ class ProductField(ScalarField):
     def values(self, X: np.ndarray) -> np.ndarray:
         return self.left.values(X) * self.right.values(X)
 
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        return (
-            self.left.grad_values(X) * self.right.values(X)[:, None]
-            + self.right.grad_values(X) * self.left.values(X)[:, None]
-        )
-
-    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
-        gl = self.left.grad_values(X)
-        gr = self.right.grad_values(X)
-        return (
-            self.left.laplacian_values(X) * self.right.values(X)
-            + self.right.laplacian_values(X) * self.left.values(X)
-            + 2.0 * np.einsum("ij,ij->i", gl, gr)
-        )
-
 
 @dataclass(frozen=True)
 class ScaledField(ScalarField):
@@ -1245,12 +1197,6 @@ class ScaledField(ScalarField):
     def fold_from_offsets(self, x0: float, r: np.ndarray, plus, minus) -> np.ndarray:
         return self.factor * self.base.fold_from_offsets(x0, r, plus, minus)
 
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.grad_values(X)
-
-    def laplacian_values(self, X: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.laplacian_values(X)
-
 
 def _ramp(t: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
@@ -1261,18 +1207,6 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     h1 = np.exp(-1.0 / tm)
     h2 = np.exp(-1.0 / (1.0 - tm))
     out[mid] = h1 / (h1 + h2)
-    return out
-
-
-def _ramp_d1(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    h1 = np.exp(-1.0 / tm)
-    h2 = np.exp(-1.0 / (1.0 - tm))
-    d1 = h1 / tm**2
-    d2 = h2 / (1.0 - tm) ** 2
-    out[mid] = (d1 * h2 + h1 * d2) / (h1 + h2) ** 2
     return out
 
 
@@ -1321,14 +1255,6 @@ class OddPlateau(ScalarField):
         x = X[:, 0]
         return np.tanh(x / self.core) * _ramp((self.span - np.abs(x)) / self.edge)
 
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        cut = _ramp((self.span - np.abs(x)) / self.edge)
-        dcut = _ramp_d1((self.span - np.abs(x)) / self.edge) * (-np.sign(x) / self.edge)
-        th = np.tanh(x / self.core)
-        g = (1.0 - th**2) / self.core * cut + th * dcut
-        return g[:, None]
-
 
 @dataclass(frozen=True)
 class OddBumpPair(ScalarField):
@@ -1373,14 +1299,6 @@ class OddBumpPair(ScalarField):
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
         return _bump_1d((x - self.offset) / self.scale) - _bump_1d((x + self.offset) / self.scale)
-
-    def grad_values(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        g = (
-            _bump_1d_d1((x - self.offset) / self.scale)
-            - _bump_1d_d1((x + self.offset) / self.scale)
-        ) / self.scale
-        return g[:, None]
 
 
 # ---------------------------------------------------------------------------

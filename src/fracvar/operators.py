@@ -241,8 +241,8 @@ _STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus l
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    """Shrinking-annulus evaluation, in n = 1, for fields with a closed-form
-    gradient and without ``heat_factors``.
+    """Shrinking-annulus evaluation, in n = 1, for fields that ``has_gradient``
+    and have no ``heat_factors``; it reads the field's values only.
 
     The ball (x - delta, x + delta) is one product panel on [0, delta] of
     the odd part f(x + r) - f(x - r); the first delta stays below half the
@@ -253,7 +253,8 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     A declared singular point p of the field sits at r = |x - p|, where the
     side that reaches it reads its offset exactly, +/- dr(|x - p|); the
     shells are cut where a side leaves the support.  No shell is asked to resolve its
-    integral below the rounding noise of a difference of two field values.
+    integral below the rounding noise of a difference of two field values,
+    whose slope term is read from one fold sample (2 evaluations).
     A field without a support box adds its two tails as before, and the
     annulus loop's tolerance is relative to the whole integral, tails
     included.  The loop stops at the rounding floor of its shells
@@ -263,7 +264,6 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     counter = _Counter(spec.max_evals)
     rel = spec.rel_tol / 4.0
     absr = spec.abs_tol / 4.0
-    grad_x = field.grad_values(x[None, :])[0]
     # the kernel reads x - p from the field's declared singular points exactly
     sings = list(field.singularities)
 
@@ -312,10 +312,20 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         return field.fold_from_offsets(x0, r, plus, minus)
 
     folded = OffsetIntegrand(lambda r, dr: odd(r, dr) * r ** (-1.0 - alpha))
+
+    def sample(r: np.ndarray) -> np.ndarray:
+        counter.add(2 * r.size)
+        return odd(r, lambda c: r - c)
+
+    delta = min(field.smooth_scale / 2.0, reach / 4.0,
+                0.5 * min((r for r, _ in r_sings), default=math.inf))
     # f(x + r) - f(x - r) computed as a difference carries rounding noise of
     # about eps (2 |f(x)| + |x f'(x)|) that does not shrink with r; no shell
-    # is asked for more than that noise integrated against r^(-1-a)
-    noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0 * grad_x[0]))
+    # is asked for more than that noise integrated against r^(-1-a).  The
+    # slope |f'(x)| is read from one fold at r = h, well inside the first ball
+    h = 1e-3 * delta
+    slope = abs(float(sample(np.array([h]))[0])) / (2.0 * h)
+    noise = _EPS * (2.0 * abs(float(field.values(x[None, :])[0])) + abs(x0) * slope)
 
     def annulus(r_in: float, r_out: float) -> QuadResult:
         cuts = sorted({r for r in right + left if r_in < r < r_out} | {r_in, r_out})
@@ -330,14 +340,8 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
 
     def ball(d: float) -> float:
-        def sample(r: np.ndarray) -> np.ndarray:
-            counter.add(2 * r.size)
-            return odd(r, lambda c: r - c)
-
         return _product_panel(sample, d, alpha)
 
-    delta = min(field.smooth_scale / 2.0, reach / 4.0,
-                0.5 * min((r for r, _ in r_sings), default=math.inf))
     core = _shrink_annulus(annulus, ball, delta, reach, tail.value, spec, counter)
     return QuadResult(mu(1, alpha) * (core.value + tail.value),
                       abs(mu(1, alpha)) * (core.err_estimate + tail.err_estimate),
@@ -385,6 +389,17 @@ def _heat_products(f: ScalarField, X: np.ndarray, columns, counter: _Counter):
         for i, g in enumerate(factors):
             limit[:, k] *= g.deriv(X[:, i]) if i == j else g(X[:, i])
     return F, limit
+
+
+def _laplacian_limit(f: ScalarField, X: np.ndarray) -> np.ndarray:
+    """pi^(n/2) Laplacian f(x) / 4 at the targets X (m, n) of a field with
+    ``heat_factors``, from the factors' second derivatives: the sum over i
+    of g_i''(x_i) prod_(j != i) g_j(x_j)."""
+    factors = f.heat_factors
+    vals = [g(X[:, i]) for i, g in enumerate(factors)]
+    lap = sum(g.deriv2(X[:, i]) * math.prod(vals[:i] + vals[i + 1:])
+              for i, g in enumerate(factors))
+    return math.pi ** (f.dim / 2.0) * lap / 4.0
 
 
 def _subordinate(f: ScalarField, X: np.ndarray, F, b: float, tail, decay: float,
@@ -519,7 +534,7 @@ def frac_gradient(
     then ``heat_factors``, in every n (the Gaussian subordination route,
     ``_grad_heat``), which in n >= 2 every other field needs
     (UnsupportedFieldError otherwise); in n = 1 ``has_gradient`` (the
-    shrinking annulus, ``_grad_smooth``).
+    shrinking annulus, ``_grad_smooth``, from the field's values alone).
 
     The heat route's accuracy floors where a factor's heat convolutions are
     panel sums (a bump, or a product other than of two Gaussians): their
@@ -709,7 +724,8 @@ def frac_laplacian(
     in every n, Gaussian subordination, nu(n, beta)/Gamma(b) int_0^inf
     t^(b-1) [prod_i G_t g_i(x_i) - f(x) (pi/t)^(n/2)] dt with
     b = (n + beta)/2, whose large-t form is pi^(n/2) Laplacian f(x)/4
-    t^(beta/2 - 1); the pure power f(x) (pi/t)^(n/2) is summed exactly
+    t^(beta/2 - 1), the Laplacian from the factors' second derivatives
+    (``_laplacian_limit``); the pure power f(x) (pi/t)^(n/2) is summed exactly
     below the grid.  In n >= 2 a smooth field needs ``heat_factors``
     (UnsupportedFieldError otherwise); in n = 1 one without them takes the
     shrinking annulus (``_laplacian_annulus``).
@@ -746,7 +762,7 @@ def frac_laplacian(
         X = pt[None, :]
         counter = _Counter(spec.max_evals)
         F, limit = _heat_products(f, X, (None,), counter)
-        tail = math.pi ** (n / 2.0) * f.laplacian_values(X)[:, None] / 4.0
+        tail = _laplacian_limit(f, X)[:, None]
         res = _subordinate(f, X, F, b, tail, 1.0 - beta / 2.0, b, spec, counter,
                            power=(-limit, n / 2.0))
         res = _scaled(res, const / gamma(b))
@@ -1389,8 +1405,10 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     relative in n = 1 (at alpha in [0.1, 0.9], 5.7e-9 on bumps against
     a tight ``frac_gradient``, 7.6e-14 on a Gaussian against
     ``spectral_gradient_1d``), and in n = 2, with ``_FOLD_ANGLES`` trapezoid
-    angles, ~1e-5 relative for the catalog's smooth fields (no error
-    estimate; ``frac_gradient`` gives one).  The n = 2 sum folds each orbit
+    angles, ~1e-5 relative for the catalog's smooth fields (against a tight
+    heat-route reference, 1.04e-5 to 1.19e-5 of the largest component on
+    the three ``ibp_2d`` grids and at most 7.4e-6 on a 5 x 4 grid; no error
+    estimate, ``frac_gradient`` gives one).  The n = 2 sum folds each orbit
     {(+-c, +-s)} of the circle's symmetries z1 -> -z1, z2 -> -z2 into one
     term, so it runs over the ``_FOLD_ANGLES``/4 + 1 angles in [0, pi/2];
     each factor is evaluated once per distinct coordinate at +-r c (or

@@ -290,10 +290,9 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
         # Non-finite values can only come from evaluating within one ulp of a
         # declared singularity (measure zero); drop them rather than poison
         # sums, charging the panel error with a neighbor-scale bound for each
-        # drop.  A panel with no finite node has no such scale: one that is
-        # infinite at every node lies within one ulp of a pole and is dropped
-        # free, as before; one with a NaN is undefined, and its infinite
-        # error keeps the integral from converging.
+        # drop.  A panel with no finite node has no such scale, and its mass
+        # (a NaN, or a pole closer than its offsets can say) is unknown: its
+        # infinite error keeps the integral from converging.
         finite = np.isfinite(V)
         drop_charge = None
         if not finite.all():
@@ -303,7 +302,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                 if col_finite.any():
                     scale = float(np.max(np.abs(V[i][col_finite])))
                     drop_charge[i] = abs(half[i]) * float(_W_K[~col_finite].sum()) * scale
-                elif np.isnan(V[i]).any():
+                else:
                     drop_charge[i] = math.inf
             V = np.where(finite, V, 0.0)
         h = half[:, None]

@@ -125,9 +125,17 @@ def _gl_grid_aligned(lo: float, hi: float, cuts: Sequence[float]):
     given cut points, and panels at most 0.9 wide between them.
 
     Bump-type fields are non-analytic at their support edges; aligning panel
-    boundaries there keeps the composite rule spectrally accurate.
+    boundaries there keeps the composite rule spectrally accurate.  Cuts
+    closer than rounding (a few eps of hi - lo) to lo, hi or the cut before
+    them are one cut: two boxes whose edges differ by an ulp give no sliver
+    panel of repeated nodes.  lo and hi stay exact.
     """
-    cuts = sorted({lo, hi, *[c for c in cuts if lo < c < hi]})
+    tiny = 4.0 * np.finfo(float).eps * (hi - lo)
+    kept = [lo]
+    for c in sorted(c for c in cuts if lo + tiny < c < hi - tiny):
+        if c - kept[-1] > tiny:
+            kept.append(c)
+    cuts = kept + [hi]
     edges = [lo]
     for p, q in zip(cuts[:-1], cuts[1:]):
         parts = max(1, math.ceil((q - p) / 0.9))

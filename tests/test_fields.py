@@ -27,6 +27,10 @@ from fracvar.fields import (
     SmoothBump,
     UnsupportedFieldError,
     VectorField,
+    _BumpAxis,
+    _GaussianAxis,
+    _ProductAxis,
+    _ScaledAxis,
     _bump_1d,
     _bump_1d_d1,
     _bump_1d_d2,
@@ -291,10 +295,9 @@ class TestBumpKernel:
     def test_nan_propagates(self):
         # the masked kernel read a NaN as outside the support, so 0.0
         assert np.isnan(SmoothBump(center=(0.0,), width=1.0).values(np.array([[math.nan]]))[0])
-        b = SmoothBump(center=(0.0,), width=1.0)
-        assert np.isnan(b.grad_values(np.array([[math.nan]]))).all()
-        assert np.isnan(b.laplacian_values(np.array([[math.nan]]))).all()
         g = SmoothBump(center=(0.0,), width=1.0).heat_factors[0]
+        assert np.isnan(g.deriv(np.array([math.nan]))).all()
+        assert np.isnan(g.deriv2(np.array([math.nan]))).all()
         y = np.array([math.nan, 0.5])
         assert np.isnan(g.samples(y, True)[:, 0]).all()
         assert np.isfinite(g.samples(y, True)[:, 1]).all()
@@ -353,6 +356,75 @@ class TestProductAndScaledFactors:
             ref, dref, ref_samples = base.heat_factors[0].heat(x, t, check)
             assert np.array_equal(G, -2.5 * ref) and np.array_equal(dG, -2.5 * dref)
             assert samples == ref_samples
+
+
+def _mp_factor(kind, c, w, k=1.0):
+    """k exp(-pi (y - c)^2 / w^2) or k times the bump of center c and width w,
+    in mpmath."""
+    mp = pytest.importorskip("mpmath")
+
+    def gaussian(y):
+        return k * mp.exp(-mp.pi * (y - c) ** 2 / mp.mpf(w) ** 2)
+
+    def bump(y):
+        u = (y - c) / mp.mpf(w)
+        return k * mp.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+
+    return gaussian if kind == "gaussian" else bump
+
+
+class TestFactorSecondDerivatives:
+    """``deriv2`` of every kind of heat factor against mpmath's derivative of
+    the factor's formula.  A value test cannot see a wrong second
+    derivative: a negated Gaussian one moved the n = 1 Laplacian at order
+    0.5 by 1.2e-10, and a product's without its 2 l'r' term moved one at
+    order 0.75 by 5.4e-9, still converged."""
+
+    Y = np.linspace(-1.5, 1.5, 61)
+    # (field, axis, factor kind, the factor as a product of mpmath formulas)
+    CASES = [
+        (Gaussian(center=(0.3, -0.2), width=0.8), 1, _GaussianAxis,
+         [("gaussian", -0.2, 0.8)]),
+        (Gaussian(center=(0.3,), width=0.8, amplitude=-1.7), 0, _ScaledAxis,
+         [("gaussian", 0.3, 0.8, -1.7)]),
+        (SmoothBump(center=(0.1,), width=0.7), 0, _BumpAxis, [("bump", 0.1, 0.7)]),
+        (ScaledField(base=SmoothBump(center=(0.1,), width=0.7), factor=-2.5), 0, _ScaledAxis,
+         [("bump", 0.1, 0.7, -2.5)]),
+        # two Gaussians merge into one scaled Gaussian (``_gaussian_product``)
+        (ProductField(left=Gaussian(center=(0.0,), width=1.0),
+                      right=Gaussian(center=(0.6,), width=1.2)), 0, _ScaledAxis,
+         [("gaussian", 0.0, 1.0), ("gaussian", 0.6, 1.2)]),
+        (ProductField(left=Gaussian(center=(0.5,), width=0.9),
+                      right=SmoothBump(center=(0.1,), width=0.7)), 0, _ProductAxis,
+         [("gaussian", 0.5, 0.9), ("bump", 0.1, 0.7)]),
+        (ProductField(left=SmoothBump(center=(-0.2,), width=1.0),
+                      right=ScaledField(base=SmoothBump(center=(0.3,), width=0.8),
+                                        factor=1.5)), 0, _ProductAxis,
+         [("bump", -0.2, 1.0), ("bump", 0.3, 0.8, 1.5)]),
+    ]
+    IDS = ["gaussian", "gaussian-amplitude", "bump", "scaled-bump", "gaussian-product",
+           "product", "bump-product"]
+
+    @pytest.mark.parametrize("field, axis, kind, formula", CASES, ids=IDS)
+    def test_against_mpmath(self, field, axis, kind, formula):
+        mp = pytest.importorskip("mpmath")
+        g = field.heat_factors[axis]
+        assert isinstance(g, kind)
+        parts = [_mp_factor(*p) for p in formula]
+
+        def ref_fn(y):
+            return mp.fprod(p(y) for p in parts)
+
+        with mp.workdps(40):
+            ref2 = np.array([float(mp.diff(ref_fn, mp.mpf(y), 2)) for y in self.Y])
+            ref1 = np.array([float(mp.diff(ref_fn, mp.mpf(y), 1)) for y in self.Y])
+        assert np.max(np.abs(g.deriv2(self.Y) - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+        assert np.max(np.abs(g.deriv(self.Y) - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+
+    @pytest.mark.parametrize("field, axis", [c[:2] for c in CASES], ids=IDS)
+    def test_nan_propagates(self, field, axis):
+        got = field.heat_factors[axis].deriv2(np.array([math.nan, 0.25]))
+        assert np.isnan(got[0]) and np.isfinite(got[1])
 
 
 class TestAsPoints:
@@ -601,14 +673,6 @@ class TestTestFamilyFields:
         assert feval(q, 1.0) == pytest.approx(1.0)
         assert feval(q, -1.0) == pytest.approx(-1.0)
         assert feval(q, 3.0) == 0.0
-
-    def test_plateau_gradient_consistency(self):
-        p = OddPlateau(span=5.0, core=0.35, edge=0.8)
-        xs = np.array([[0.1], [1.0], [4.5]])
-        g = p.grad_values(xs)
-        h = 1e-6
-        fd = (p.values(xs + h) - p.values(xs - h)) / (2.0 * h)
-        assert np.allclose(g[:, 0], fd, rtol=1e-5, atol=1e-7)
 
 
 class TestJson:

@@ -51,14 +51,20 @@ class TestIntegrate1d:
         assert res.err_estimate >= abs(res.value - 2.0)
 
     def test_arcsin_weight(self):
-        # both endpoints singular; value floored near 2e-8 by double precision
-        # (offsets below one ulp of +/-1 are unrepresentable)
-        res = integrate_1d(
-            lambda s: ((1.0 - s) * (1.0 + s)) ** -0.5, -1.0, 1.0,
-            singularities=[(-1.0, -0.5), (1.0, -0.5)],
-        )
+        # both endpoints singular: read from the exact offsets the weight
+        # gives pi to rounding; computed from s, offsets below one ulp of
+        # +/-1 read as 0, the panels next to the poles are infinite at every
+        # node, and their unknown mass (2.3e-8) keeps the integral from
+        # converging instead of going unreported
+        sings = [(-1.0, -0.5), (1.0, -0.5)]
+        res = integrate_1d(OffsetIntegrand(lambda s, dx: (-dx(1.0) * dx(-1.0)) ** -0.5),
+                           -1.0, 1.0, singularities=sings)
         assert res.converged
-        assert res.value == pytest.approx(math.pi, abs=5e-8)
+        assert abs(res.value - math.pi) <= 1e-13
+        plain = integrate_1d(lambda s: ((1.0 - s) * (1.0 + s)) ** -0.5, -1.0, 1.0,
+                             singularities=sings)
+        assert not plain.converged
+        assert plain.err_estimate == math.inf
 
     @pytest.mark.parametrize("f", [
         lambda x: np.full_like(x, np.nan),

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracvar import cli, suites
 from fracvar.constants import mu
 from fracvar.fields import Gaussian, SignedMeasure, SmoothBump
-from fracvar.quadrature import QuadSpec
+from fracvar.quadrature import QuadSpec, gauss_legendre_panels
 from fracvar.suites import (
     DEFAULT_ALPHAS,
     SUITE_NAMES,
@@ -135,6 +136,21 @@ def test_negated_measure_pairing_fails_a_case(monkeypatch, runner):
     pair = SignedMeasure.pair
     monkeypatch.setattr(SignedMeasure, "pair", lambda self, phi: -pair(self, phi))
     assert not all(c.passed for c in runner().cases)
+
+
+def test_aligned_grid_nodes_are_distinct():
+    # the ibp_2d boxes end at y = -0.1 + 1.2 = 1.0999999999999999 and at 1.1:
+    # one cut, not a 2.2e-16 sliver panel whose 14 nodes repeat its neighbor's
+    ends = (-0.1 + 1.2, 1.1)
+    assert ends[0] != ends[1]
+    xs, w = suites._gl_grid_aligned(-1.25, 1.55, [-1.3, -1.1, *ends, 1.55])
+    assert xs.size == 5 * 14
+    assert np.min(np.diff(xs)) > 1e-3
+    assert float(np.sum(w)) == pytest.approx(2.8, rel=1e-14)
+    # a cut within rounding of an end merges into it, and lo and hi stay exact
+    got = suites._gl_grid_aligned(0.0, 1.0, [np.nextafter(0.0, 1.0), 1.0 - 1e-16])
+    ref = gauss_legendre_panels([0.0, 0.5, 1.0], 14)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 def test_weighted_lhs_against_mpmath():
