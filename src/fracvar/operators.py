@@ -18,11 +18,12 @@ fractional Laplacian sharing the same singular-kernel machinery:
   summed exactly below the grid.  Larger orders and other fields take the
   Riesz potential in n >= 2 as one radial integral of angular profiles,
 * smooth fields in n = 1 without ``heat_factors`` (``FAlpha``,
-  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the shrinking
-  annulus: (x - delta, x + delta) is one product panel on [0, delta]
+  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the annulus:
+  (x - delta, x + delta) is one product panel on [0, delta]
   (``_product_panel``) of the odd part f(x + r) - f(x - r) (the
   Laplacian's even part f(x + r) + f(x - r) - 2 f(x)), and delta is
-  halved, adding back shells, until the value stabilizes within tolerance,
+  halved, adding back shells, until the panel's 24- and 12-node rules
+  agree within tolerance (``_annulus_limit``),
 * indicator fields, which declare their ``region``: the kernel integral over
   the region is decomposed geometrically, since generic cubature cannot see
   the jump: interval pieces and spherical wedges with exact angular moments
@@ -182,67 +183,37 @@ def _profiles(values, center, n, abs_tol, rel_tol, bound, counter, moments=False
 # ---------------------------------------------------------------------------
 
 
-def _shrink_annulus(
-    annulus, ball, delta: float, reach: float, far: float, spec: QuadSpec, counter: _Counter
-):
-    """Shrinking-annulus limit of a singular kernel integral.
-
-    ``annulus(r_in, r_out)`` integrates the kernel over the shell r_in < |y - x|
-    < r_out and ``ball(delta)`` over the removed ball B_delta(x), one product
-    panel on [0, delta] (``_product_panel``).  delta is halved, adding back
-    shells, until the value moves by at most tol = max(abs_tol, rel_tol
-    |value + far|) / 4, where ``far`` is the part of the full integral added
-    outside (0 if none).
-
-    Two rules end the loop at the rounding floor of the shells instead of the
-    budget, both without convergence:
-
-    * once the steps stop falling, only noise is added.  When
-      ``_STALE_HALVINGS`` halvings in a row neither bring a step smaller than
-      the smallest one so far nor halve the step before them, the loop stops
-      and returns the value at that smallest step.  Early, pre-asymptotic
-      steps may rise, or one may be small by accident, before the steps
-      settle into their geometric decay; neither stops a loop whose steps
-      keep halving;
-    * the value is a sum of shells, so it carries a rounding error of about
-      eps times the sum of their magnitudes, which no step shows.  A value
-      whose steps meet tol while that floor exceeds it has not converged.
-
-    ``annulus`` returns a QuadResult; the result's value and error leave
-    ``far`` out.
-    """
+def _annulus_limit(annulus, sample, alpha: float, delta: float, reach: float, far: float,
+                   spec: QuadSpec, counter: _Counter):
+    """int_0^reach of a singular kernel integral in r: ``annulus(delta, reach)``
+    plus the product panel of ``sample`` on [0, delta], with delta halved
+    (adding ``annulus(delta / 2, delta)``) until the panel's 24- and 12-node
+    rules agree within tol = max(abs_tol, rel_tol |value + far|) / 4, ``far``
+    being added outside.  A difference that rises from one halving to the
+    next is the samples' rounding floor, and eps sum |shell| the shells':
+    either ends without convergence.  Value and error (the shells' plus the
+    rules' difference) leave ``far`` out."""
     core = annulus(delta, reach)
-    value = core.value + ball(delta)
     mass = float(np.max(np.abs(core.value)))  # sum of |shell|, the scale of core's rounding
-    best_step, best = math.inf, (value, core.err_estimate)  # the value at the smallest step
-    stale, prev_step = 0, math.inf
-    for _ in range(80):
-        new_delta = delta / 2.0
-        shell = annulus(new_delta, delta)
+    prev = math.inf
+    while True:
+        fine = _product_panel(sample, delta, alpha)
+        diff = float(np.max(np.abs(fine - _product_panel(sample, delta, alpha, order=12))))
+        value = core.value + fine
+        tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(value + far)))) / 4.0
+        converged = diff <= tol
+        if converged or diff > prev or counter.used > spec.max_evals:
+            return QuadResult(value, core.err_estimate + diff, counter.used,
+                              converged and core.converged and _EPS * mass <= tol)
+        shell = annulus(delta / 2.0, delta)
         core = core + shell
         mass += float(np.max(np.abs(shell.value)))
-        new_value = core.value + ball(new_delta)
-        step = float(np.max(np.abs(new_value - value)))
-        delta, value = new_delta, new_value
-        tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(new_value + far)))) / 4.0
-        if step <= tol:
-            return QuadResult(value, core.err_estimate + step, counter.used,
-                              core.converged and _EPS * mass <= tol)
-        if step < best_step:
-            best_step, best = step, (value, core.err_estimate + step)
-        stale = 0 if step == best_step or step <= prev_step / 2.0 else stale + 1
-        prev_step = step
-        if stale >= _STALE_HALVINGS or counter.used > spec.max_evals:
-            break
-    return QuadResult(best[0], best[1], counter.used, False)
-
-
-_STALE_HALVINGS = 4  # halvings in a row without progress that end the annulus loop
+        delta, prev = delta / 2.0, diff
 
 
 def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    """Shrinking-annulus evaluation, in n = 1, for fields that ``has_gradient``
-    and have no ``heat_factors``; it reads the field's values only.
+    """Annulus evaluation, in n = 1, for fields that ``has_gradient`` and
+    have no ``heat_factors``; it reads the field's values only.
 
     The ball (x - delta, x + delta) is one product panel on [0, delta] of
     the odd part f(x + r) - f(x - r); the first delta stays below half the
@@ -255,10 +226,9 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     shells are cut where a side leaves the support.  No shell is asked to resolve its
     integral below the rounding noise of a difference of two field values,
     whose slope term is read from one fold sample (2 evaluations).
-    A field without a support box adds its two tails as before, and the
-    annulus loop's tolerance is relative to the whole integral, tails
-    included.  The loop stops at the rounding floor of its shells
-    (``_shrink_annulus``).
+    A field without a support box adds its two tails, and the tolerance of
+    the first panel (``_annulus_limit``) is relative to the whole integral,
+    tails included.
     """
     box = _field_box(field)
     counter = _Counter(spec.max_evals)
@@ -339,10 +309,7 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
                 ))
         return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
 
-    def ball(d: float) -> float:
-        return _product_panel(sample, d, alpha)
-
-    core = _shrink_annulus(annulus, ball, delta, reach, tail.value, spec, counter)
+    core = _annulus_limit(annulus, sample, alpha, delta, reach, tail.value, spec, counter)
     return QuadResult(mu(1, alpha) * (core.value + tail.value),
                       abs(mu(1, alpha)) * (core.err_estimate + tail.err_estimate),
                       counter.used, core.converged)
@@ -534,7 +501,7 @@ def frac_gradient(
     then ``heat_factors``, in every n (the Gaussian subordination route,
     ``_grad_heat``), which in n >= 2 every other field needs
     (UnsupportedFieldError otherwise); in n = 1 ``has_gradient`` (the
-    shrinking annulus, ``_grad_smooth``, from the field's values alone).
+    annulus, ``_grad_smooth``, from the field's values alone).
 
     The heat route's accuracy floors where a factor's heat convolutions are
     panel sums (a bump, or a product other than of two Gaussians): their
@@ -728,7 +695,7 @@ def frac_laplacian(
     (``_laplacian_limit``); the pure power f(x) (pi/t)^(n/2) is summed exactly
     below the grid.  In n >= 2 a smooth field needs ``heat_factors``
     (UnsupportedFieldError otherwise); in n = 1 one without them takes the
-    shrinking annulus (``_laplacian_annulus``).
+    annulus (``_laplacian_annulus``).
     """
     beta = _check_alpha(beta, "beta")
     pt = _check_off_jump(f, x)
@@ -772,10 +739,10 @@ def frac_laplacian(
 
 
 def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, spec: QuadSpec):
-    """The shrinking-annulus limit of int (f(x+y) - f(x)) / |y|^(1+beta) dy
-    for a smooth field on the line with a finite evaluation box, far term
-    included.  The ball (x - delta, x + delta) is one product panel on
-    [0, delta] of the even part f(x + r) + f(x - r) - 2 f(x), at order beta."""
+    """int (f(x+y) - f(x)) / |y|^(1+beta) dy for a smooth field on the line
+    with a finite evaluation box, far term included, by ``_annulus_limit``:
+    the ball (x - delta, x + delta) is one product panel on [0, delta] of
+    the even part f(x + r) + f(x - r) - 2 f(x), at order beta."""
     box = _field_box(f)
     if box is None:
         raise UnsupportedFieldError("Laplacian of non-compact smooth fields not supported")
@@ -793,15 +760,12 @@ def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, s
 
     far = -fx * sphere_area(1) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
 
-    def ball(dlt: float) -> float:
-        def sample(r: np.ndarray) -> np.ndarray:
-            counter.add(2 * r.size)
-            return f.values((x0 + r)[:, None]) + f.values((x0 - r)[:, None]) - 2.0 * fx
-
-        return _product_panel(sample, dlt, beta)
+    def sample(r: np.ndarray) -> np.ndarray:
+        counter.add(2 * r.size)
+        return f.values((x0 + r)[:, None]) + f.values((x0 - r)[:, None]) - 2.0 * fx
 
     delta = min(field_scale(f) / 2.0, reach / 4.0)
-    res = _shrink_annulus(annulus, ball, delta, reach, far, spec, counter)
+    res = _annulus_limit(annulus, sample, beta, delta, reach, far, spec, counter)
     return replace(res, value=res.value + far)
 
 
@@ -1213,13 +1177,13 @@ def _product_weights(order: int, alpha: float) -> np.ndarray:
     return out
 
 
-def _product_panel(sample, d, alpha: float):
+def _product_panel(sample, d, alpha: float, order: int | None = None):
     """int_0^d g(r) r^(-1-alpha) dr for a g with g(0) = 0 and g(r)/r smooth,
-    from ``sample(r)`` = g(r) at the batch's product nodes of [0, d] weighed by
-    d^(-alpha) ``_product_weights`` (the first panel of ``_radial_rule``).
-    An array d (m,) gives m panels at once: ``sample`` then maps the (m,
-    order) nodes to samples of that shape."""
-    order = _BATCH_RADIAL[1][0]
+    from ``sample(r)`` = g(r) at the ``order`` product nodes of [0, d] (by
+    default the batch's 24, the first panel of ``_radial_rule``) weighed by
+    d^(-alpha) ``_product_weights``.  An array d (m,) gives m panels at
+    once: ``sample`` then maps the (m, order) nodes to samples of that shape."""
+    order = order or _BATCH_RADIAL[1][0]
     t, _ = gauss_legendre(order)
     d = np.asarray(d, dtype=float)
     return d**-alpha * (sample(d[..., None] * (0.5 * (t + 1.0))) @ _product_weights(order, alpha))

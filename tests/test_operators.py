@@ -613,7 +613,9 @@ class TestBatchRoutes:
 
 class TestFoldedAnnulus:
     """The n = 1 annulus integrates f(x + r) - f(x - r) over each shell in r,
-    and stops at the rounding floor of its shells."""
+    and halves its first product panel [0, delta] until the panel's 24- and
+    12-node rules agree, or stops where their difference rises, at the
+    rounding floor of the samples."""
 
     @pytest.mark.parametrize("a, x", [
         (0.75, 0.18776619318958226),  # eval-mix seed 1: converged=False, 0.5 s before the fold
@@ -642,9 +644,9 @@ class TestFoldedAnnulus:
 
     def test_stop_rule_at_rounding_floor(self):
         # with the plain difference of the two values, the rounding noise of
-        # each shell grows like delta^-a while the steps must reach 2.5e-13:
-        # the steps stop falling, and the loop ends within a few halvings
-        # (750 evaluations; all 80 halvings take about 8,900)
+        # the panel's samples grows like delta^-a while its two rules must
+        # agree to 2.5e-13: their difference stops falling, and the loop ends
+        # within a few halvings (725 evaluations)
         f = _DifferencedFAlpha(alpha=0.75)
         res = ops.frac_gradient(f, 0.75, 0.1357, detail=True)
         assert not res.converged
@@ -652,23 +654,37 @@ class TestFoldedAnnulus:
         with pytest.raises(QuadratureBudgetError):
             ops.frac_gradient(f, 0.75, 0.1357)
 
+    @pytest.mark.parametrize("f", [FAlpha(alpha=0.5), OddBumpPair()], ids=["f_alpha", "odd_pair"])
+    def test_budget_exhaustion(self, f):
+        spec = QuadSpec(max_evals=100)
+        res = ops.frac_gradient(f, 0.5, 0.3, spec, detail=True)
+        assert not res.converged and res.evals_used > 100
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(f, 0.5, 0.3, spec)
+
     @pytest.mark.parametrize("a, x, ref", [
-        # mu(1, a) int_0^inf (f(x + t) - f(x - t)) t^(-1-a) dt by mpmath at 30 digits
+        # mu(1, a) int_0^inf (f(x + t) - f(x - t)) t^(-1-a) dt by mpmath at 60
+        # digits, which agree with 90 to 17; at 30, f(x + t) - f(x - t) near
+        # t = 0 loses digits, and the order-0.75 values read 2.4e-9 off
         (0.25, -0.8989, 0.6595462171619431),
         (0.25, 0.45, -0.6834922960387048),
         (0.5, -0.8989, 0.703693023106095),
         (0.5, -0.3, 0.5207218410847188),
         (0.5, 0.93, -0.542007083536738),
-        # its first step is small by accident, and the next four, though larger,
-        # fall geometrically: the stop rule must not fire on them
         (0.5, 0.4776403439728828, -0.8525533965934597),
-        (0.75, -0.3, 0.5894386738288476),
-        (0.75, 0.45, -0.9394799027842019),
-        (0.75, 0.93, -0.4424757752097982),
+        (0.75, -0.3, 0.5894386752591784),
+        (0.75, 0.45, -0.9394799050348838),
+        (0.75, 0.93, -0.44247577541674205),
     ])
     def test_bump_against_mpmath(self, a, x, ref):
-        g = ops.frac_gradient(SmoothBump(center=(0.0,), width=1.0), a, x)
-        assert g[0] == pytest.approx(ref, rel=1e-8)
+        # the bump without its heat factors takes the annulus, whose estimate
+        # covers its error; with them, the heat route
+        f = SmoothBump(center=(0.0,), width=1.0)
+        res = ops.frac_gradient(_PlainField(f), a, x, detail=True)
+        assert res.converged
+        assert res.value[0] == pytest.approx(ref, rel=1e-10)
+        assert abs(res.value[0] - ref) <= res.err_estimate
+        assert ops.frac_gradient(f, a, x)[0] == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("a, x, ref", [
         # spectral_gradient_1d, the frequency-side route
@@ -779,9 +795,9 @@ class TestSubordination:
 
     @pytest.mark.parametrize("a", [0.25, 0.75])
     def test_bump_1d_matches_adaptive(self, a):
-        # the reference is the n = 1 shrinking annulus, with its product
-        # panel at the kernel singularity, which fields without heat_factors
-        # still take
+        # the reference is the n = 1 annulus, whose first product panel at
+        # the kernel singularity is halved until its 24- and 12-node rules
+        # agree; fields without heat_factors take it
         f = SmoothBump(center=(0.1,), width=1.3)
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
         X = np.array([[0.3], [-0.9], [1.35], [2.5]])
