@@ -9,7 +9,10 @@ edited.  A mutant is caught when a case fails or the run raises.  The n = 1
 batch gradient is patched only through ``operators._grad_batch_1d``, which
 ``frac_gradient_batch`` calls in n = 1 and the suites call directly, and the
 n = 2 batch through ``frac_gradient_batch`` on fields in n = 2 only, so that
-no mutant is applied twice (a x -1 mutant would cancel).
+no mutant is applied twice (a x -1 mutant would cancel).  ``parity_flip``
+negates the ``parity`` of every field class that reports one, so the batch
+gives the mirrored targets of an even field the signs of an odd one, and the
+reverse.
 
 Runs the unmutated suites first, then every mutant (or those named), and
 prints the cases that catch each one.  Exits 1 if the unmutated run fails or
@@ -28,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fracvar import operators as ops  # noqa: E402
 from fracvar import suites  # noqa: E402
-from fracvar.fields import SignedMeasure  # noqa: E402
+from fracvar.fields import OddBumpPair, OddPlateau, SignedMeasure, SmoothBump  # noqa: E402
 
 
 def _scaled(k: float):
@@ -46,6 +49,10 @@ def _n2(transform):
         return batch
 
     return patch
+
+
+def _negated(orig):
+    return property(lambda self: -orig.fget(self))
 
 
 def _shifted_orders(orig):
@@ -67,6 +74,7 @@ MUTANTS = {
     "n2_batch_neg2": [(ops, "frac_gradient_batch", _n2(lambda g: g * np.array([1.0, -1.0])))],
     "gagliardo_x0.99": [(ops, "gagliardo_seminorm", _scaled(0.99))],
     "gagliardo_x2": [(ops, "gagliardo_seminorm", _scaled(2.0))],
+    "parity_flip": [(cls, "parity", _negated) for cls in (SmoothBump, OddBumpPair, OddPlateau)],
 }
 
 

@@ -210,6 +210,15 @@ class ScalarField:
         return 1.0
 
     @property
+    def parity(self) -> int:
+        """+1 if the field is even about the origin, f(-x) = f(x), -1 if it is
+        odd, f(-x) = -f(x), and 0 if it is neither or not known to be.  A
+        field reports +-1 only where ``values`` keeps the symmetry bit for
+        bit; the n = 1 batch gradient then samples it once for a pair of
+        mirrored targets (``operators._grad_batch_1d``)."""
+        return 0
+
+    @property
     def region(self) -> HalfSpace | AxisBox | None:
         """The set the field is the indicator of (a half-space, or an axis box,
         an interval in n = 1); None unless the field is an indicator."""
@@ -669,6 +678,12 @@ class SmoothBump(ScalarField):
     @property
     def smooth_scale(self) -> float:
         return min(self.width)
+
+    @property
+    def parity(self) -> int:
+        # each factor's (y - 0) / w keeps the sign of y exactly, and _bump_1d
+        # reads only its square
+        return 1 if all(c == 0.0 for c in self.center) else 0
 
     @cached_property
     def heat_factors(self) -> tuple:
@@ -1251,6 +1266,10 @@ class OddPlateau(ScalarField):
     def smooth_scale(self) -> float:
         return min(self.core, self.edge)
 
+    @property
+    def parity(self) -> int:
+        return -1  # tanh is odd, and the ramp reads |x|
+
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
         return np.tanh(x / self.core) * _ramp((self.span - np.abs(x)) / self.edge)
@@ -1295,6 +1314,10 @@ class OddBumpPair(ScalarField):
     @property
     def smooth_scale(self) -> float:
         return self.scale
+
+    @property
+    def parity(self) -> int:
+        return -1  # the lobes swap at -x, and a - b = -(b - a) exactly
 
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]

@@ -887,26 +887,29 @@ _KINK_HALVINGS = 24  # bisections that place a Gagliardo inner panel's cut, to 2
 def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = None) -> float:
     """Double integral of |f(x) - f(y)| / |x - y|^(1 + alpha) over the line.
 
-    Smooth compactly supported fields only.  The inner integral at x0 is
-    split into a product panel on [0, d] on each side of the diagonal
-    (``_product_panel`` of |f(x0 + s) - f(x0)| + |f(x0 - s) - f(x0)|, with
-    d = 2e-4 field scales, less near the support's ends), geometric panels
-    grading away from it, and the exact power tail
-    |f(x)| ((x - lo)^-a + (hi - x)^-a) / a outside the support.  The panels
-    of all outer nodes of a Gauss-Kronrod panel run as one lockstep batch of
-    adaptive integrals.  The integrand has a kink where f(y) = f(x): a panel
-    whose ends differ in the sign of f(y) - f(x) is cut there, the crossing
-    placed by ``_KINK_HALVINGS`` bisections, and its two pieces join the
-    batch, so the adaptive rule does not spend its rounds bisecting toward
-    the kink (it still resolves any kink the cut misses).  The outer
-    integral over the support (lo, hi) is folded: its two halves, mapped
-    from their ends as a declared end is mapped (x = lo + h t^3 and
-    hi - h t^3, h = (hi - lo)/2), are one integral over t in (0, 1), so each
-    evaluation runs one lockstep batch on both halves' nodes and there are
-    half as many batches.  The parts outside the support are integrals with
-    the support edge declared and a 1 + alpha tail; all three share one
-    evaluation budget.  Raises QuadratureBudgetError when an inner or the
-    outer integral does not converge.
+    Smooth compactly supported fields only.  The integrand is symmetric in
+    (x, y), so the seminorm is twice the integral over y > x.  The inner
+    integral at x0 covers y > x0: a product panel on [0, d]
+    (``_product_panel`` of |f(x0 + s) - f(x0)|, with d = 2e-4 field
+    scales, less near either end of the support (lo, hi), so that mirrored
+    nodes get mirrored panels), geometric panels grading away from it out
+    to hi, and the exact power tail |f(x0)| (hi - x0)^-a / a beyond the
+    support.  The panels of all outer nodes of a Gauss-Kronrod panel run as
+    one lockstep batch of adaptive integrals.  The integrand has a kink
+    where f(y) = f(x0): a panel whose ends differ in the sign of
+    f(y) - f(x0) is cut there, the crossing placed by ``_KINK_HALVINGS``
+    bisections, and its two pieces join the batch, so the adaptive rule
+    does not spend its rounds bisecting toward the kink (it still resolves
+    any kink the cut misses).  The outer integral over the support is
+    folded: its two halves, mapped from their ends as a declared end is
+    mapped (x = lo + h t^3 and hi - h t^3, h = (hi - lo)/2), are one
+    integral over t in (0, 1), so each evaluation runs one lockstep batch
+    on both halves' nodes.  Left of the support the inner integral is
+    int |f(y)| |x - y|^(-1-alpha) dy, summed on the support grid, with the
+    support edge declared and a 1 + alpha tail; right of it the inner
+    integral is 0.  The two outer parts share one evaluation budget.
+    Raises QuadratureBudgetError when an inner or the outer integral does
+    not converge.
     """
     alpha = _check_alpha(alpha)
     if f.dim != 1:
@@ -922,40 +925,29 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     rel_in, abs_in = spec.rel_tol / 4.0, spec.abs_tol
     delta = 2e-4 * field_scale(f)
 
-    # cached far-field: G(x) = int |f(y)| |x - y|^(-1-alpha) dy for x beyond the support
+    # cached far-field: G(x) = int |f(y)| |x - y|^(-1-alpha) dy for x left of the support
     ys, wf = _support_grid(f, 48)
     ys, wabs = ys[:, 0], np.abs(wf)
 
     def inner(x0: np.ndarray) -> np.ndarray:
-        """Inner integrals at the nodes x0, all inside (lo, hi)."""
+        """Inner integrals over y > x0 at the nodes x0, all inside (lo, hi)."""
         fx = f.values(x0[:, None])
         d_eff = np.minimum(np.minimum(delta, 0.25 * (x0 - lo)), 0.25 * (hi - x0))
 
-        def window(s: np.ndarray) -> np.ndarray:
-            def dist(y: np.ndarray) -> np.ndarray:  # |f(y) - f(x0)| on the (m, order) nodes
-                return np.abs(f.values(y.reshape(-1, 1)).reshape(y.shape) - fx[:, None])
-
-            return dist(x0[:, None] + s) + dist(x0[:, None] - s)
+        def window(s: np.ndarray) -> np.ndarray:  # |f(x0 + s) - f(x0)| on the (m, order) nodes
+            y = x0[:, None] + s
+            return np.abs(f.values(y.reshape(-1, 1)).reshape(y.shape) - fx[:, None])
 
         out = _product_panel(window, d_eff, alpha)
 
-        # geometric panels [r, min(2r, width)] away from the window, r = d_eff 2^k
-        # (exact) while r < width; one column per k and side, summed into out
-        # in that order
-        node, a, b, col, n_cols = [], [], [], [], 0
-        for sgn, end in ((+1.0, hi), (-1.0, lo)):
-            width = np.abs(end - x0)
-            r = d_eff[:, None] * 2.0 ** np.arange(int(np.log2((width / d_eff).max())) + 3)
-            k, live = np.nonzero((r < width[:, None]).T)
-            r, r_next = r[live, k], np.minimum(2.0 * r[live, k], width[live])
-            near, far = x0[live] + sgn * r, x0[live] + sgn * r_next
-            a.append(np.minimum(near, far))
-            b.append(np.maximum(near, far))
-            node.append(live)
-            col.append(n_cols + k)
-            n_cols += int(k.max()) + 1
-        node, col = np.concatenate(node), np.concatenate(col)
-        a, b = np.concatenate(a), np.concatenate(b)
+        # geometric panels [x0 + r, x0 + min(2r, width)] past the window,
+        # r = d_eff 2^k (exact) while r < width = hi - x0; one column per k,
+        # summed into out in that order
+        width = hi - x0
+        r = d_eff[:, None] * 2.0 ** np.arange(int(np.log2((width / d_eff).max())) + 3)
+        col, node = np.nonzero((r < width[:, None]).T)
+        r = r[node, col]
+        a, b = x0[node] + r, x0[node] + np.minimum(2.0 * r, width[node])
 
         # the kink of |f(x0) - f(y)|: a panel whose ends differ in the sign
         # of f(y) - f(x0) is cut where the sign changes, found by bisection,
@@ -974,7 +966,7 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
         def g(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
             j = owner_of[owner][:, None]
             fy = f.values(y.reshape(-1, 1)).reshape(y.shape)
-            return np.abs(fx[j] - fy) * np.abs(y - x0[j]) ** (-1.0 - alpha)
+            return np.abs(fx[j] - fy) * (y - x0[j]) ** (-1.0 - alpha)
 
         b_left = b.copy()
         b_left[cut] = m
@@ -985,16 +977,18 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
         )
         v, v_right = v[: a.size], v[a.size :]
         v[cut] = v[cut] + v_right
-        sums = np.zeros((n_cols, x0.size))
+        sums = np.zeros((int(col.max()) + 1, x0.size))
         sums[col, node] = v
         for row in sums:
             out = out + row
-        return out + np.abs(fx) * ((x0 - lo) ** -alpha + (hi - x0) ** -alpha) / alpha
+        return out + np.abs(fx) * width**-alpha / alpha
 
     def outer(xs: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.size)
+        # the inner integral over y > x: G(x) left of the support, 0 right of it
+        out = np.zeros(xs.size)
+        left = xs <= lo
+        out[left] = np.vecdot(np.abs(xs[left, None] - ys) ** (-1.0 - alpha), wabs)
         inside = (lo < xs) & (xs < hi)
-        out[~inside] = np.vecdot(np.abs(xs[~inside, None] - ys) ** (-1.0 - alpha), wabs)
         if inside.any():
             out[inside] = inner(xs[inside])
         return out
@@ -1009,17 +1003,14 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
         v = outer(np.concatenate([lo + d, hi - d]))
         return (3.0 * half) * t**2 * (v[: t.size] + v[t.size :])
 
-    # the support part and the two outside parts share one evaluation budget
+    # the support part and the left outside part share one evaluation budget
     outer_spec = QuadSpec(rel_tol=max(spec.rel_tol, 1e-7), abs_tol=spec.abs_tol,
                           max_evals=spec.max_evals)
     outer_counter = _Counter(spec.max_evals)
-    tail = 1.0 + alpha
     res = (integrate_core(support, 0.0, 1.0, (), outer_spec, outer_counter)
-           + integrate_core(outer, -math.inf, lo, [(lo, 0.0), (-math.inf, tail)], outer_spec,
-                            outer_counter)
-           + integrate_core(outer, hi, math.inf, [(hi, 0.0), (math.inf, tail)], outer_spec,
-                            outer_counter))
-    return float(res.require("Gagliardo outer integral")[0])
+           + integrate_core(outer, -math.inf, lo, [(lo, 0.0), (-math.inf, 1.0 + alpha)],
+                            outer_spec, outer_counter))
+    return 2.0 * float(res.require("Gagliardo outer integral")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1119,6 +1110,7 @@ def default_test_family() -> tuple[VectorField, ...]:
 
 
 _VALUE_BLOCK = 1 << 15  # sampled values per block of rows in _row_blocks
+_MIRROR_VALUES = 1 << 17  # odd-part values per group of row blocks of an even or odd field
 
 
 def _row_blocks(m: int, k: int):
@@ -1135,6 +1127,19 @@ def _row_blocks(m: int, k: int):
         e = s + step if m - s > step + 1 else m
         yield s, e
         s = e
+
+
+def _block_groups(blocks, limit: int):
+    """Runs of consecutive row blocks (s, e) that span at most ``limit``
+    rows, a block that spans more on its own."""
+    group = []
+    for s, e in blocks:
+        if group and e - group[0][0] > limit:
+            yield group
+            group = []
+        group.append((s, e))
+    if group:
+        yield group
 
 
 def _radial_edges(start: float, reach: float, step_cap: float) -> tuple[float, ...]:
@@ -1301,7 +1306,20 @@ def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) 
     sample's odd part f(x + r) - f(x - r) is contracted with every order's
     kernel weights before the next is taken.  Only the
     weights and the contractions depend on the order, so each row is bit
-    for bit the one-order call."""
+    for bit the one-order call.
+
+    A field with a ``parity`` p (even or odd about 0, bit for bit) has
+    f(-x +- r) = p f(x -+ r), so the odd part at -x is -p times the one at
+    x.  When the near targets repeat an |x|, they are taken a group of
+    row blocks at a time (``_block_groups``, up to ``_MIRROR_VALUES``
+    odd-part values), f is sampled at each distinct |x| of the group
+    (``np.unique`` with the inverse index), and each block's product runs
+    on the rows the block would have sampled, mapped back with their
+    signs.  A BLAS product
+    rounds a row by where it sits among the product's rows, so the values
+    are bit for bit those of the unfolded batch only because the blocks
+    keep their rows.  Far targets are not folded: their sum on the mirrored
+    support grid would run in mirrored order and round differently."""
     out = np.empty((len(alphas), X.shape[0]))
     far = _far_targets(f, box, X)
     if far.any():
@@ -1323,16 +1341,36 @@ def _grad_batch_1d(f: ScalarField, alphas: Sequence[float], X: np.ndarray, box) 
     weights = [kernel(a) for a in alphas]
     core = np.zeros((len(alphas), Xn.shape[0]))
     step = _NEAR_COLUMNS // 2
-    for s, e in _row_blocks(Xn.shape[0], 2 * r.size):
+    fold = False
+    if f.parity:
+        # fold only a call whose near targets repeat an |x| (np.unique without
+        # return_inverse would import numpy.ma, 20 ms in a fresh process)
+        xa = np.sort(np.abs(Xn[:, 0]))
+        fold = bool((xa[1:] == xa[:-1]).any())
+    limit = _MIRROR_VALUES // min(step, r.size) if fold else 0
+    for group in _block_groups(_row_blocks(Xn.shape[0], 2 * r.size), limit):
+        s0, e0 = group[0][0], group[-1][1]
+        x = Xn[s0:e0, 0]
+        if fold:
+            # f(-x +- r) = parity f(x -+ r) bit for bit, so the odd part at -x
+            # is -parity times the one at x: f is sampled at each distinct |x|
+            x, mirror = np.unique(np.abs(x), return_inverse=True)
+            sign = np.where(Xn[s0:e0, :1] < 0.0, -float(f.parity), 1.0)
         for c in range(0, r.size, step):
             cols = slice(c, c + step)
             offs = np.concatenate([r[cols], -r[cols]])
-            vals = f.values((Xn[s:e, None, 0] + offs).reshape(-1, 1)).reshape(e - s, 2, -1)
             # the odd part f(x + r) - f(x - r) first: its terms are of the
             # size of the sum, and the panels past a target's reach add zeros
-            odd = vals[:, 0] - vals[:, 1]
-            for i, w in enumerate(weights):
-                core[i, s:e] += odd @ w[cols]
+            odd = np.empty((x.size, offs.size // 2))
+            for a, b in _row_blocks(x.size, 2 * r.size):
+                vals = f.values((x[a:b, None] + offs).reshape(-1, 1)).reshape(b - a, 2, -1)
+                odd[a:b] = vals[:, 0] - vals[:, 1]
+            # each block's product runs on the rows the block would sample
+            for s, e in group:
+                rows = slice(s - s0, e - s0)
+                block = sign[rows] * odd[mirror[rows]] if fold else odd[rows]
+                for i, w in enumerate(weights):
+                    core[i, s:e] += block @ w[cols]
     for i, a in enumerate(alphas):
         out[i, near] = mu(1, a) * core[i]
     return out
@@ -1381,7 +1419,10 @@ def frac_gradient_batch(f: ScalarField, alpha: float, X) -> np.ndarray:
     the working set is bounded in every dimension: in n = 1 a block of
     targets (``_row_blocks``) and ``_NEAR_COLUMNS`` offsets, in n = 2
     ``_FOLD_COLUMNS`` (radius, angle) columns of a block of each factor's
-    coordinates.  The values do not depend on the row blocks.
+    coordinates.  The values do not depend on the row blocks.  In n = 1 an
+    even or odd field (``ScalarField.parity``) is sampled once per distinct
+    |x| of a group of near targets, and its values are bit for bit those of
+    the unfolded batch (``_grad_batch_1d``).
     """
     alpha = _check_alpha(alpha)
     _check_batch_field(f)

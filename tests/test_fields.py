@@ -675,6 +675,35 @@ class TestTestFamilyFields:
         assert feval(q, 3.0) == 0.0
 
 
+def _parity_fields():
+    from fracvar.operators import default_test_family
+
+    family = [phi.components[0] for phi in default_test_family()]
+    return [f for f in family if isinstance(f, (OddBumpPair, OddPlateau))] + [
+        SmoothBump(center=(0.0,), width=1.0), SmoothBump(center=(0.0,), width=0.7)]
+
+
+class TestParity:
+    @pytest.mark.parametrize("f", _parity_fields(), ids=repr)
+    def test_mirror_is_exact(self, f):
+        # on [0, hi] and past it, with the support edge hi, its neighbours
+        # one ulp away and random points; equal as floats (a zero may
+        # differ in sign)
+        assert f.parity == (1 if isinstance(f, SmoothBump) else -1)
+        hi = float(f.support_box[1][0])
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.linspace(0.0, 1.5 * hi, 3001), rng.uniform(0.0, hi, 2000),
+                            np.nextafter(hi, [0.0, 2.0 * hi])])[:, None]
+        assert np.array_equal(f.values(-x), f.parity * f.values(x))
+
+    @pytest.mark.parametrize("f", [
+        SmoothBump(center=(0.3,)), SmoothBump(center=(0.0, 0.5)), Gaussian(center=(0.0,)),
+        IntervalIndicator(a=-1.0, b=1.0), ScaledField(base=OddBumpPair(), factor=2.0),
+    ], ids=repr)
+    def test_other_fields_report_none(self, f):
+        assert f.parity == 0
+
+
 class TestJson:
     @pytest.mark.parametrize(
         "desc,kind",

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from fracvar import operators as ops
+from fracvar.fields import OddPlateau
 
 _spec = importlib.util.spec_from_file_location(
     "mutants", Path(__file__).resolve().parents[1] / "scripts" / "mutants.py")
@@ -25,3 +26,12 @@ def test_surviving_mutant_exits_1(capsys):
     assert mutants.main(["--mutant", "gagliardo_x2", "--suite", "chain"]) == 1
     assert "gagliardo_x2: SURVIVED" in capsys.readouterr().out
     assert ops.gagliardo_seminorm is seminorm
+
+
+def test_parity_flip_is_caught_and_restored(capsys):
+    parity = OddPlateau.__dict__["parity"]
+    assert mutants.main(["--mutant", "parity_flip", "--suite", "varbound"]) == 0
+    out = capsys.readouterr().out
+    assert "parity_flip: caught by 3 cases (varbound)" in out
+    assert "quality_a0.25; quality_a0.5; quality_a0.75" in out
+    assert OddPlateau.__dict__["parity"] is parity and OddPlateau().parity == -1

@@ -25,6 +25,7 @@ from fracvar.fields import (
     HalfSpaceIndicator,
     IntervalIndicator,
     OddBumpPair,
+    OddPlateau,
     ProductField,
     ScalarField,
     ScaledField,
@@ -38,6 +39,7 @@ from fracvar.fields import (
 )
 from fracvar.quadrature import (QuadratureBudgetError, QuadSpec, _Counter, default_spec,
                                gauss_legendre_panels, integrate_1d)
+from fracvar import suites
 from fracvar.suites import DEFAULT_ALPHAS, run_suite
 
 
@@ -1824,6 +1826,39 @@ class TestGagliardo:
             assert abs(ops.gagliardo_seminorm(f, a) - ref) <= 2e-11 * ref, a
         assert batches[0.25] + batches[0.5] + batches[0.75] <= 26
 
+    def test_off_center_bump_meets_the_layer_cake(self):
+        # the seminorm is translation invariant and scales as w^(1-a) in the
+        # width: the one-sided inner integrals meet the exact value to
+        # 8.7e-12 relative off the origin too
+        f = SmoothBump(center=(0.3,), width=0.7)
+        for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            ref = 0.7 ** (1.0 - a) * self._layer_cake(a)
+            assert abs(ops.gagliardo_seminorm(f, a) - ref) <= 2e-11 * ref, a
+
+    def test_odd_pair_keeps_the_two_sided_seminorm(self):
+        # the values of the two-sided inner integrals at 0.25, 0.5, 0.75
+        f = OddBumpPair(offset=1.0, scale=0.5)
+        pinned = (28.851299749091375, 24.42286780587276, 37.07520500201151)
+        for a, ref in zip((0.25, 0.5, 0.75), pinned):
+            assert ops.gagliardo_seminorm(f, a) == pytest.approx(ref, rel=1e-12)
+
+    def test_inner_integrals_are_one_sided(self, monkeypatch):
+        # the integrals over y > x only: the two-sided inner integrals of
+        # the three default seminorms were 37,334 intervals
+        intervals = 0
+        batch = ops._adaptive_batch
+
+        def counted(g, a, b, *args):
+            nonlocal intervals
+            intervals += a.size
+            return batch(g, a, b, *args)
+
+        monkeypatch.setattr(ops, "_adaptive_batch", counted)
+        f = SmoothBump(center=(0.0,), width=1.0)
+        for a in (0.25, 0.5, 0.75):
+            ops.gagliardo_seminorm(f, a)
+        assert intervals <= 18_667
+
     def test_kink_cut_lockstep_rounds(self, monkeypatch):
         # each call of a batch integrand is one lockstep round; bisecting
         # toward the kinks took 908 rounds for these three seminorms
@@ -1925,6 +1960,69 @@ class TestVariationLowerBound:
         zero = ScaledField(base=SmoothBump(center=(0.0,), width=1.0), factor=0.0)
         family = ops.default_test_family()[:3]
         assert ops.variation_lower_bound(zero, 0.5, family) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestParityFold:
+    """The n = 1 batch samples an even or odd field at each distinct |x| of a
+    row block; the values are those of the unfolded batch, bit for bit."""
+
+    ALPHAS = (0.25, 0.5, 0.75)
+
+    @staticmethod
+    def _unfolded(monkeypatch, fields):
+        for cls in {type(f) for f in fields}:
+            monkeypatch.setattr(cls, "parity", 0)
+
+    def test_variation_pairing_grid(self, monkeypatch):
+        xs, _ = ops._support_grid(IntervalIndicator(a=-1.0, b=1.0), 16)
+        fields = [phi.components[0] for phi in ops.default_test_family()]
+        assert sum(f.parity != 0 for f in fields) == 15
+        folded = [ops._grad_batch_1d(f, self.ALPHAS, xs, ops._batch_box(f)) for f in fields]
+        self._unfolded(monkeypatch, fields)
+        for f, rows in zip(fields, folded):
+            assert rows.tobytes() == ops._grad_batch_1d(f, self.ALPHAS, xs,
+                                                        ops._batch_box(f)).tobytes(), f
+
+    def test_tail_targets(self, monkeypatch):
+        # the weighted suite's tail integrals take |grad| at x and -x
+        f = SmoothBump(center=(0.0,), width=1.0)
+        targets = []
+        batch = ops._grad_batch_1d
+
+        def recorded(g, alphas, X, box):
+            targets.append(X.copy())
+            return batch(g, alphas, X, box)
+
+        monkeypatch.setattr(ops, "_grad_batch_1d", recorded)
+        for r in (0.5, 1.0, 2.0):
+            suites._tail_integrals(f, self.ALPHAS, r)
+        monkeypatch.setattr(ops, "_grad_batch_1d", batch)
+        assert all(np.array_equal(X[len(X) // 2:], -X[:len(X) // 2]) for X in targets)
+        box = ops._batch_box(f)
+        folded = [batch(f, self.ALPHAS, X, box) for X in targets]
+        self._unfolded(monkeypatch, [f])
+        for X, rows in zip(targets, folded):
+            assert rows.tobytes() == batch(f, self.ALPHAS, X, box).tobytes()
+
+    def test_mirrors_are_sampled_once(self, monkeypatch):
+        f = OddPlateau(span=5.0, core=0.35, edge=0.8)
+        xs = np.linspace(0.25, 2.0, 8)
+        X = np.concatenate([xs, -xs])[:, None]
+        points = []
+        values = OddPlateau.values
+
+        def counted(self, P):
+            points.append(P.shape[0])
+            return values(self, P)
+
+        monkeypatch.setattr(OddPlateau, "values", counted)
+        folded = ops._grad_batch_1d(f, self.ALPHAS, X, ops._batch_box(f))
+        sampled = sum(points)
+        points.clear()
+        self._unfolded(monkeypatch, [f])
+        unfolded = ops._grad_batch_1d(f, self.ALPHAS, X, ops._batch_box(f))
+        assert 2 * sampled == sum(points)
+        assert folded.tobytes() == unfolded.tobytes()
 
 
 class TestThreeDimensions:
