@@ -412,41 +412,28 @@ def _segment_with_sings(
     return sum(pieces[1:], pieces[0])
 
 
-def _jump_pieces(region, inside: bool):
-    """The pieces where chi(y) - chi(x) != 0 for the indicator chi of an n = 1
-    region (an interval or a half-line) and x inside or outside, and its sign."""
+def _jump_integral(region, inside: bool, kernel, tail: float, spec: QuadSpec) -> QuadResult:
+    """int (chi(y) - chi(x)) kernel(y) dy for the indicator chi of an n = 1
+    region (an interval or a half-line) and x inside it or not: +/- the
+    integrals of kernel over the pieces where chi(y) != chi(x), each one
+    ``integrate_core`` integral with the tail exponent ``tail`` declared at
+    an infinite end.  The pieces share one evaluation budget."""
     if isinstance(region, HalfSpace):
         x0 = region.x0[0]
         lo, hi = (x0, math.inf) if region.nu[0] > 0 else (-math.inf, x0)
     else:
         lo, hi = region.lo[0], region.hi[0]
-    if not inside:
-        return ((lo, hi),), 1.0
-    return tuple((a, b) for a, b in ((-math.inf, lo), (hi, math.inf)) if a < b), -1.0
-
-
-def _grad_indicator_1d(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec):
-    fx = float(field.values(x[None, :])[0])
-    pieces, sign = _jump_pieces(field.region, fx == 1.0)
+    if inside:
+        pieces = [(a, b) for a, b in ((-math.inf, lo), (hi, math.inf)) if a < b]
+    else:
+        pieces = [(lo, hi)]
     counter = _Counter(spec.max_evals)
-    rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    x0 = float(x[0])
-
-    def kernel(y: np.ndarray) -> np.ndarray:
-        d = y - x0
-        return np.sign(d) * np.abs(d) ** (-1.0 - alpha)
-
-    piece_spec = QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals)
-    total = QuadResult(0.0, 0.0, 0, True)
-    for a, b in pieces:
-        sings = [(x0, -1.0 - alpha)] if not (a <= x0 <= b) else []
-        tails = [(e, 1.0 + alpha) for e in (a, b) if math.isinf(e)]
-        if tails:
-            total = total + integrate_core(kernel, a, b, sings + tails, piece_spec, counter)
-        else:
-            total = total + _segment(kernel, a, b, None, None, rel, absr, counter)
-    return QuadResult(np.array([mu(1, alpha) * sign * float(total.value[0])]),
-                      abs(mu(1, alpha)) * total.err_estimate, counter.used, total.converged)
+    parts = [integrate_core(kernel, a, b, [(e, tail) for e in (a, b) if math.isinf(e)], spec,
+                            counter)
+             for a, b in pieces]
+    res = sum(parts[1:], parts[0])
+    return QuadResult(-res.value if inside else res.value, res.err_estimate, counter.used,
+                      res.converged)
 
 
 def _grad_halfspace(H: HalfSpace, alpha: float, x: np.ndarray, spec: QuadSpec):
@@ -519,7 +506,12 @@ def frac_gradient(
     spec = spec or default_spec(n)
     region = f.region
     if region is not None and n == 1:
-        res = _grad_indicator_1d(f, alpha, pt, spec)
+        x0 = float(pt[0])
+        res = _jump_integral(region, float(f.values(pt[None, :])[0]) == 1.0,
+                             lambda y: np.sign(y - x0) * np.abs(y - x0) ** (-1.0 - alpha),
+                             1.0 + alpha, spec)
+        res = QuadResult(mu(1, alpha) * res.value, abs(mu(1, alpha)) * res.err_estimate,
+                         res.evals_used, res.converged)
     elif isinstance(region, HalfSpace):
         res = _grad_halfspace(region, alpha, pt, spec)
     elif region is not None:
@@ -712,16 +704,9 @@ def frac_laplacian(
                                    detail=True)
         res = _scaled(res, -const if inside else const)
     elif region is not None and n == 1:
-        # 1-d indicators: difference is +/-1 on interval pieces
-        pieces, sign = _jump_pieces(region, fx == 1.0)
         x0 = float(pt[0])
-        counter = _Counter(spec.max_evals)
-        parts = []
-        for a, b in pieces:
-            g = lambda y: np.abs(y - x0) ** (-1.0 - beta)
-            tails = [(e, 1.0 + beta) for e in (a, b) if math.isinf(e)]
-            parts.append(integrate_core(g, a, b, tails, spec, counter))
-        res = _scaled(sum(parts[1:], parts[0]), const * sign)
+        res = _scaled(_jump_integral(region, fx == 1.0, lambda y: np.abs(y - x0) ** (-1.0 - beta),
+                                     1.0 + beta, spec), const)
     elif not f.is_smooth:
         raise UnsupportedFieldError(f"no Laplacian evaluation path for {f.kind}")
     elif n >= 2 or f.heat_factors is not None:
@@ -810,7 +795,6 @@ def nl_gradient(
     fx = float(f.values(ptf[None, :])[0])
     gx = float(g.values(ptf[None, :])[0])
     counter = _Counter(spec.max_evals)
-    rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
 
     if n == 1:
         x0 = float(ptf[0])
@@ -821,13 +805,13 @@ def nl_gradient(
             dg = g.values(y[:, None]) - gx
             return np.sign(d) * np.abs(d) ** (-1.0 - alpha) * df * dg
 
-        res = (_segment(kern, x0, x0 + reach, 1.0 - alpha, None, rel, absr, counter)
-               + _segment(kern, x0 - reach, x0, None, 1.0 - alpha, rel, absr, counter))
+        res = integrate_core(kern, x0 - reach, x0 + reach, [(x0, 1.0 - alpha)], spec, counter)
     else:
 
         def h(Y: np.ndarray) -> np.ndarray:
             return (f.values(Y) - fx) * (g.values(Y) - gx)
 
+        rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
         bound = f.sup_norm_bound * g.sup_norm_bound
         profile, flags = _profiles(h, ptf, n, absr, rel, bound, counter, moments=True)
 
@@ -905,9 +889,10 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     mapped (x = lo + h t^3 and hi - h t^3, h = (hi - lo)/2), are one
     integral over t in (0, 1), so each evaluation runs one lockstep batch
     on both halves' nodes.  Left of the support the inner integral is
-    int |f(y)| |x - y|^(-1-alpha) dy, summed on the support grid, with the
-    support edge declared and a 1 + alpha tail; right of it the inner
-    integral is 0.  The two outer parts share one evaluation budget.
+    int |f(y)| (y - x)^(-1-alpha) dy; integrated over x < lo first
+    (Fubini), that part is (1/alpha) int_lo^hi |f(y)| (y - lo)^-alpha dy,
+    one integral with the support edge declared.  Right of the support the
+    inner integral is 0.  The two outer parts share one evaluation budget.
     Raises QuadratureBudgetError when an inner or the outer integral does
     not converge.
     """
@@ -924,10 +909,6 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
     counter = _Counter(spec.max_evals)
     rel_in, abs_in = spec.rel_tol / 4.0, spec.abs_tol
     delta = 2e-4 * field_scale(f)
-
-    # cached far-field: G(x) = int |f(y)| |x - y|^(-1-alpha) dy for x left of the support
-    ys, wf = _support_grid(f, 48)
-    ys, wabs = ys[:, 0], np.abs(wf)
 
     def inner(x0: np.ndarray) -> np.ndarray:
         """Inner integrals over y > x0 at the nodes x0, all inside (lo, hi)."""
@@ -983,33 +964,31 @@ def gagliardo_seminorm(f: ScalarField, alpha: float, spec: QuadSpec | None = Non
             out = out + row
         return out + np.abs(fx) * width**-alpha / alpha
 
-    def outer(xs: np.ndarray) -> np.ndarray:
-        # the inner integral over y > x: G(x) left of the support, 0 right of it
-        out = np.zeros(xs.size)
-        left = xs <= lo
-        out[left] = np.vecdot(np.abs(xs[left, None] - ys) ** (-1.0 - alpha), wabs)
-        inside = (lo < xs) & (xs < hi)
-        if inside.any():
-            out[inside] = inner(xs[inside])
-        return out
-
     half = 0.5 * (hi - lo)
 
     def support(t: np.ndarray) -> np.ndarray:
         # both halves of (lo, hi), mapped from their ends as integrate_1d
         # maps a declared (p, 0) end, x = lo + half t^3 and hi - half t^3,
-        # summed at each t from one call of inner on both halves' nodes
+        # summed at each t from one call of inner on both halves' nodes; a
+        # node that rounds onto lo or hi contributes 0
         d = half * t**3
-        v = outer(np.concatenate([lo + d, hi - d]))
+        xs = np.concatenate([lo + d, hi - d])
+        inside = (lo < xs) & (xs < hi)
+        v = np.zeros(xs.size)
+        v[inside] = inner(xs[inside])
         return (3.0 * half) * t**2 * (v[: t.size] + v[t.size :])
+
+    def left(y: np.ndarray) -> np.ndarray:
+        # the inner integrals at x < lo, int |f(y)| (y - x)^(-1-alpha) dy,
+        # integrated over x < lo first (Fubini)
+        return np.abs(f.values(y[:, None])) * (y - lo) ** -alpha / alpha
 
     # the support part and the left outside part share one evaluation budget
     outer_spec = QuadSpec(rel_tol=max(spec.rel_tol, 1e-7), abs_tol=spec.abs_tol,
                           max_evals=spec.max_evals)
     outer_counter = _Counter(spec.max_evals)
     res = (integrate_core(support, 0.0, 1.0, (), outer_spec, outer_counter)
-           + integrate_core(outer, -math.inf, lo, [(lo, 0.0), (-math.inf, 1.0 + alpha)],
-                            outer_spec, outer_counter))
+           + integrate_core(left, lo, hi, [(lo, 0.0)], outer_spec, outer_counter))
     return 2.0 * float(res.require("Gagliardo outer integral")[0])
 
 

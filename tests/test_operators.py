@@ -50,6 +50,19 @@ class TestFracGradient:
         g = ops.frac_gradient(hs, 0.5, 1.0)
         assert g[0] == pytest.approx(0.3989422804014327, rel=1e-8)
 
+    @pytest.mark.parametrize("field, x", [
+        (IntervalIndicator(), 0.95),
+        (IntervalIndicator(), 1.05),
+        (HalfSpaceIndicator(halfspace=HalfSpace.make((1.0,))), 0.25),
+    ])
+    def test_indicator_budget_exhaustion(self, field, x):
+        # the jump pieces of a 1-d indicator share one budget: starved, the
+        # gradient reports converged=False, and the bare call raises
+        starved = QuadSpec(max_evals=100)
+        assert not ops.frac_gradient(field, 0.5, x, starved, detail=True).converged
+        with pytest.raises(QuadratureBudgetError):
+            ops.frac_gradient(field, 0.5, x, starved)
+
     def test_even_field_zero_at_center(self):
         g = ops.frac_gradient(Gaussian(center=(0.4,), width=1.0), 0.5, 0.4)
         assert abs(g[0]) < 1e-10
@@ -1835,12 +1848,15 @@ class TestGagliardo:
             ref = 0.7 ** (1.0 - a) * self._layer_cake(a)
             assert abs(ops.gagliardo_seminorm(f, a) - ref) <= 2e-11 * ref, a
 
-    def test_odd_pair_keeps_the_two_sided_seminorm(self):
-        # the values of the two-sided inner integrals at 0.25, 0.5, 0.75
-        f = OddBumpPair(offset=1.0, scale=0.5)
-        pinned = (28.851299749091375, 24.42286780587276, 37.07520500201151)
-        for a, ref in zip((0.25, 0.5, 0.75), pinned):
-            assert ops.gagliardo_seminorm(f, a) == pytest.approx(ref, rel=1e-12)
+    @pytest.mark.parametrize("offset, scale", [(1.0, 0.5), (2.0, 1.0), (1.5, 1.5)])
+    def test_odd_pair_meets_the_layer_cake(self, offset, scale):
+        # with disjoint lobes (offset >= scale), f(x) - f(y) = b+(x) + b-(y)
+        # on the cross terms, so the seminorm is that of the two lobes apart:
+        # 2 scale^(1-a) times the layer-cake value, exactly
+        f = OddBumpPair(offset=offset, scale=scale)
+        for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+            ref = 2.0 * scale ** (1.0 - a) * self._layer_cake(a)
+            assert abs(ops.gagliardo_seminorm(f, a) - ref) <= 6e-10 * ref, a
 
     def test_inner_integrals_are_one_sided(self, monkeypatch):
         # the integrals over y > x only: the two-sided inner integrals of
