@@ -32,7 +32,6 @@ from .fields import (
     HalfSpaceIndicator,
     IntervalIndicator,
     MagicCube,
-    Mollified,
     ScalarField,
     SignedMeasure,
     SingularPointError,
@@ -42,8 +41,6 @@ from .fields import (
     d_alpha_measure,
     eval,
     field_from_json,
-    mollify,
-    precise_representative,
 )
 from .operators import (
     default_test_family,
@@ -62,8 +59,6 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     integrate_1d,
-    integrate_ball,
-    integrate_complement,
 )
 from .suites import SuiteReport, reports_to_csv, run_all
 

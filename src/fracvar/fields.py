@@ -19,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ball_volume, mu, nu
-from .quadrature import (OffsetIntegrand, QuadSpec, SingularPointError, cube_kernel_integral,
-                         gauss_hermite, gauss_legendre_panels, integrate_1d,
-                         integrate_ball)
+from .constants import mu, nu
+from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_hermite,
+                         gauss_legendre_panels, integrate_1d)
 
 __all__ = [
     "ScalarField",
@@ -32,7 +31,6 @@ __all__ = [
     "SignedMeasure",
     "SingularPointError",
     "UnsupportedFieldError",
-    "NonConvergentAverageError",
     "Gaussian",
     "SmoothBump",
     "IntervalIndicator",
@@ -40,14 +38,11 @@ __all__ = [
     "HalfSpaceIndicator",
     "FAlpha",
     "MagicCube",
-    "Mollified",
     "ProductField",
     "ScaledField",
     "OddPlateau",
     "OddBumpPair",
     "eval",
-    "mollify",
-    "precise_representative",
     "d_alpha_measure",
     "field_from_json",
 ]
@@ -55,10 +50,6 @@ __all__ = [
 
 class UnsupportedFieldError(ValueError):
     """Operation not defined for this catalog entry."""
-
-
-class NonConvergentAverageError(RuntimeError):
-    """Shrinking ball averages did not stabilize within budget."""
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -284,12 +275,6 @@ class ScalarField:
         X = as_points(x, self.dim)
         out = self.values(X)
         return float(out[0]) if np.asarray(x).ndim <= 1 and np.asarray(x).size <= self.dim else out
-
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        """Mean of the field over B_r(x); default is numeric quadrature."""
-        x = as_points(x, self.dim)[0]
-        res = integrate_ball(self.values, x, r, spec)
-        return res.require() / (ball_volume(self.dim) * r**self.dim)
 
 
 def _intersection(a, b):
@@ -695,10 +680,6 @@ class SmoothBump(ScalarField):
             out = out * factor(X[:, i])
         return out
 
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        spec = spec or QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
-        return super().ball_average(x, r, spec)
-
 
 @dataclass(frozen=True)
 class IntervalIndicator(ScalarField):
@@ -726,11 +707,6 @@ class IntervalIndicator(ScalarField):
     def values(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
         return np.where((x > self.a) & (x < self.b), 1.0, 0.0)
-
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        x0 = as_points(x, 1)[0, 0]
-        lo, hi = max(self.a, x0 - r), min(self.b, x0 + r)
-        return max(0.0, hi - lo) / (2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -773,27 +749,6 @@ class CubeIndicator(ScalarField):
     def is_singular(self, x) -> bool:
         return self.region.on_boundary(as_points(x, self.dim)[0])
 
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        pt = as_points(x, self.dim)[0]
-        lo, hi = self.support_box
-        if self.dim == 1:
-            a, b = max(lo[0], pt[0] - r), min(hi[0], pt[0] + r)
-            return max(0.0, b - a) / (2.0 * r)
-        if self.dim == 2:
-            # area of box cap: integrate the chord overlap across axis 0
-            def chord(y1: np.ndarray) -> np.ndarray:
-                half = np.sqrt(np.maximum(0.0, r**2 - (y1 - pt[0]) ** 2))
-                top = np.minimum(hi[1], pt[1] + half)
-                bot = np.maximum(lo[1], pt[1] - half)
-                return np.maximum(0.0, top - bot)
-
-            a, b = max(lo[0], pt[0] - r), min(hi[0], pt[0] + r)
-            if not a < b:
-                return 0.0
-            res = integrate_1d(chord, a, b, spec=spec or QuadSpec(rel_tol=1e-9))
-            return res.require() / (math.pi * r**2)
-        raise UnsupportedFieldError("cube ball averages implemented for n <= 2")
-
 
 @dataclass(frozen=True)
 class HalfSpaceIndicator(ScalarField):
@@ -822,16 +777,6 @@ class HalfSpaceIndicator(ScalarField):
 
     def is_singular(self, x) -> bool:
         return self.halfspace.on_boundary(as_points(x, self.dim)[0])
-
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        # volume fraction of the ball on the positive side (spherical cap)
-        pt = as_points(x, self.dim)
-        t = float(np.clip(self.halfspace.signed_distance(pt)[0] / r, -1.0, 1.0))
-        if self.dim == 1:
-            return 0.5 * (1.0 + t)
-        if self.dim == 2:
-            return 1.0 - (math.acos(t) - t * math.sqrt(1.0 - t * t)) / math.pi
-        return 1.0 - (1.0 - t) ** 2 * (2.0 + t) / 4.0
 
 
 @dataclass(frozen=True)
@@ -903,15 +848,6 @@ class FAlpha(ScalarField):
             )
         split = self.values_from_offsets(plus) - self.values_from_offsets(minus)
         return np.where(near, mu(1, -self.alpha) * pairs, split)
-
-    def ball_average(self, x: np.ndarray, r: float, spec: QuadSpec | None = None) -> float:
-        x0 = as_points(x, 1)[0, 0]
-        sing = [(p, e) for p, e in self.singularities if x0 - r < p < x0 + r]
-        res = integrate_1d(
-            lambda y: self.values(y[:, None]), x0 - r, x0 + r, singularities=sing,
-            spec=spec or QuadSpec(rel_tol=1e-9),
-        )
-        return res.require() / (2.0 * r)
 
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """The atom pair +delta_0 - delta_1, at the field's own order only."""
@@ -1001,94 +937,6 @@ class MagicCube(ScalarField):
             "for dim >= 2 the variation measure of magic_cube is a surface measure, "
             "which this atomic+density representation cannot hold"
         )
-
-
-@dataclass(frozen=True)
-class Mollified(ScalarField):
-    """Convolution of a base field with the standard bump mollifier at scale eps."""
-
-    base: ScalarField = dc_field(default_factory=lambda: IntervalIndicator())
-    eps: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if self.base.dim > 2:
-            raise UnsupportedFieldError("mollification implemented for dim <= 2")
-
-    @property
-    def kind(self) -> str:
-        return "mollified"
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def support_box(self):
-        box = self.base.support_box
-        if box is None:
-            return None
-        lo, hi = box
-        return lo - self.eps, hi + self.eps
-
-    @property
-    def quad_box(self):
-        lo, hi = self.base.quad_box
-        return lo - self.eps, hi + self.eps
-
-    @property
-    def decay_exponent(self) -> float:
-        return self.base.decay_exponent
-
-    @property
-    def is_smooth(self) -> bool:
-        return True
-
-    @property
-    def smooth_scale(self) -> float:
-        return min(self.eps, self.base.smooth_scale)
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._value_at(p) for p in X])
-
-    def _value_at(self, p: np.ndarray) -> float:
-        rho = _MOLLIFIER_NORM[self.dim] / self.eps**self.dim
-        if self.dim == 1:
-            x0 = p[0]
-
-            def g(y: np.ndarray, dy) -> np.ndarray:
-                # the base reads its singular points through exact offsets
-                return _bump_1d(-dy(x0) / self.eps) * self.base.values_from_offsets(dy)
-
-            sing = [(s, e) for s, e in self.base.singularities if x0 - self.eps < s < x0 + self.eps]
-            res = integrate_1d(
-                OffsetIntegrand(g), x0 - self.eps, x0 + self.eps, singularities=sing,
-                spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
-            )
-            return rho * res.require()
-
-        def g2(Y: np.ndarray) -> np.ndarray:
-            t = np.linalg.norm((p - Y) / self.eps, axis=1)
-            return _bump_1d(t) * self.base.values(Y)
-
-        res = integrate_ball(g2, p, self.eps, QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
-        return rho * res.require()
-
-
-def _mollifier_norm_1d() -> float:
-    res = integrate_1d(_bump_1d, -1.0, 1.0, spec=QuadSpec(rel_tol=1e-13, abs_tol=1e-16))
-    return 1.0 / res.require()
-
-
-def _mollifier_norm_2d() -> float:
-    res = integrate_1d(
-        lambda r: r * _bump_1d(r), 0.0, 1.0, spec=QuadSpec(rel_tol=1e-13, abs_tol=1e-16)
-    )
-    return 1.0 / (2.0 * math.pi * res.require())
-
-
-_MOLLIFIER_NORM = {1: _mollifier_norm_1d(), 2: _mollifier_norm_2d()}
 
 
 @dataclass(frozen=True)
@@ -1418,38 +1266,6 @@ def eval(field: ScalarField, x) -> float:  # noqa: A001 - spec operation name
     return float(field.values(X)[0])
 
 
-def mollify(field: ScalarField, eps: float) -> Mollified:
-    """Smooth a field by convolution with the standard bump mollifier."""
-    return Mollified(base=field, eps=eps)
-
-
-def precise_representative(
-    field: ScalarField,
-    x,
-    rel_tol: float = 1e-6,
-    max_levels: int = 14,
-) -> float:
-    """Limit of ball averages at x, computed by shrinking radii until stable."""
-    X = as_points(x, field.dim)[0]
-    r = 0.25 * min(1.0, field.smooth_scale)
-    prev = None
-    hits = 0
-    for _ in range(max_levels):
-        avg = field.ball_average(X, r)
-        if prev is not None:
-            if abs(avg - prev) <= rel_tol * max(1.0, abs(avg)):
-                hits += 1
-                if hits >= 2:
-                    return avg
-            else:
-                hits = 0
-        prev = avg
-        r *= 0.25
-    raise NonConvergentAverageError(
-        f"ball averages of {field.kind} at {X.tolist()} did not stabilize"
-    )
-
-
 def d_alpha_measure(field: ScalarField, alpha: float) -> SignedMeasure:
     """D^alpha f, with int f div_alpha phi dx = -<phi, D^alpha f> (``pair``).
 
@@ -1503,6 +1319,4 @@ def field_from_json(obj) -> ScalarField:
         return FAlpha(alpha=float(obj["alpha"]))
     if kind == "magic_cube":
         return MagicCube(alpha=float(obj["alpha"]), ndim=int(obj.get("dim", 1)))
-    if kind == "mollified":
-        return Mollified(base=field_from_json(obj["base"]), eps=float(obj["eps"]))
     raise ValueError(f"unknown field kind {kind!r}")

@@ -18,7 +18,7 @@ fractional Laplacian sharing the same singular-kernel machinery:
   summed exactly below the grid.  Larger orders and other fields take the
   Riesz potential in n >= 2 as one radial integral of angular profiles,
 * smooth fields in n = 1 without ``heat_factors`` (``FAlpha``,
-  ``Mollified``, ``OddPlateau``, ``OddBumpPair``) take the annulus:
+  ``OddPlateau``, ``OddBumpPair``) take the annulus:
   (x - delta, x + delta) is one product panel on [0, delta]
   (``_product_panel``) of the odd part f(x + r) - f(x - r) (the
   Laplacian's even part f(x + r) + f(x - r) - 2 f(x)), and delta is

@@ -43,12 +43,12 @@ Design notes
   ``_adaptive_batch``, whose tuples ``_segment`` and the batch's callers
   turn into results.
 
-Balls and complements in n = 2, 3 factor into a radial integral of angular
-averages; angular quadrature is the doubling trapezoid rule (n = 2) or a
-Gauss-Legendre x trapezoid product (n = 3), both with fixed node layouts.
-``angular_profile`` refines each radius on its own, evaluates a level only
-if its open radii fit into the budget, and its convergence flag is AND-ed
-into the result of the radial integral.
+The operators' kernel integrals in n = 2, 3 factor into a radial integral
+of angular averages; angular quadrature is the doubling trapezoid rule
+(n = 2) or a Gauss-Legendre x trapezoid product (n = 3), both with fixed
+node layouts.  ``angular_profile`` refines each radius on its own, evaluates
+a level only if its open radii fit into the budget, and its convergence flag
+is AND-ed into the result of the radial integral.
 Cube kernel integrals (``cube_kernel_integral``) are sums of face fluxes.
 """
 
@@ -72,8 +72,6 @@ __all__ = [
     "cube_kernel_integral",
     "integrate_1d",
     "integrate_core",
-    "integrate_ball",
-    "integrate_complement",
     "default_spec",
     "gauss_hermite",
     "gauss_legendre",
@@ -861,110 +859,6 @@ def angular_profile(
         if not live.size:
             return QuadResult(mom if moments else s0, float(inc.max()), counter.used, True)
     return QuadResult(mom if moments else s0, float(inc.max()), counter.used, False)
-
-
-def _as_point_fn(f: Callable[[np.ndarray], np.ndarray], n: int):
-    """Adapt an (m, n)-point function to a 1-d coordinate function when n = 1."""
-    if n == 1:
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.asarray(f(np.asarray(x, dtype=float)[:, None]), dtype=float)
-
-        return g
-    return f
-
-
-def integrate_ball(
-    f: Callable[[np.ndarray], np.ndarray],
-    center: Sequence[float],
-    radius: float,
-    spec: QuadSpec | None = None,
-) -> QuadResult:
-    """Integral of f over the ball B_radius(center), n = len(center) in {1, 2, 3}."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    n = center.size
-    if n not in (1, 2, 3):
-        raise ValueError(f"integrate_ball supports n in {{1,2,3}}, got n = {n}")
-    spec = spec or default_spec(n)
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    if n == 1:
-        g = _as_point_fn(f, 1)
-        return integrate_1d(g, center[0] - radius, center[0] + radius, spec=spec)
-    counter = _Counter(spec.max_evals)
-    ang_tol = max(spec.abs_tol / radius ** (n - 1), spec.rel_tol) * 1e-2
-    ang_ok = True
-
-    def radial(r: np.ndarray) -> np.ndarray:
-        nonlocal ang_ok
-        prof = angular_profile(f, center, r, n, ang_tol, counter)
-        ang_ok = ang_ok and prof.converged
-        return r ** (n - 1) * prof.value
-
-    res = _segment(radial, 0.0, radius, None, None, spec.rel_tol / 2, spec.abs_tol / 2, counter)
-    return QuadResult(float(res.value[0]), res.err_estimate, counter.used,
-                      res.converged and ang_ok and counter.used <= spec.max_evals)
-
-
-def integrate_complement(
-    f: Callable[[np.ndarray], np.ndarray],
-    center: Sequence[float],
-    radius: float,
-    tail_exponent: float,
-    spec: QuadSpec | None = None,
-) -> QuadResult:
-    """Integral of f over {|x - center| > radius} for f ~ |x|^(-tail_exponent).
-
-    Dyadic shells are integrated until the analytic power-law closure of the
-    remaining tail is below tolerance; the closure is then added with its own
-    magnitude charged to the error estimate.
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    n = center.size
-    if n not in (1, 2, 3):
-        raise ValueError(f"integrate_complement supports n in {{1,2,3}}, got n = {n}")
-    spec = spec or default_spec(n)
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    if not tail_exponent > n:
-        raise ValueError(f"tail_exponent must exceed n = {n} for convergence")
-    counter = _Counter(spec.max_evals)
-    ang_tol = max(spec.abs_tol, spec.rel_tol) * 1e-2
-    ang_ok = True
-
-    def shell_density(r: np.ndarray) -> np.ndarray:
-        nonlocal ang_ok
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if n == 1:
-            pts = np.concatenate([center[0] + r, center[0] - r])
-            counter.add(pts.size)
-            vals = np.asarray(f(pts[:, None]), dtype=float)
-            s0 = vals[: r.size] + vals[r.size :]
-        else:
-            prof = angular_profile(f, center, r, n, ang_tol, counter)
-            ang_ok = ang_ok and prof.converged
-            s0 = prof.value
-        return r ** (n - 1) * s0
-
-    total = QuadResult(0.0, 0.0, 0, True)
-    r_lo = radius
-    for _ in range(140):
-        r_hi = 2.0 * r_lo
-        total = total + _segment(
-            shell_density, r_lo, r_hi, None, None, spec.rel_tol / 4, spec.abs_tol / 4, counter
-        )
-        g_end = float(shell_density(np.array([r_hi]))[0])
-        closure = g_end * r_hi / (tail_exponent - n)
-        if abs(closure) <= 0.5 * max(spec.abs_tol, spec.rel_tol * _magnitude(total.value)):
-            total = total + QuadResult(closure, 0.5 * abs(closure), 0, True)
-            break
-        if counter.used > spec.max_evals:
-            break
-        r_lo = r_hi
-    else:
-        total = replace(total, converged=False)
-    return QuadResult(float(total.value[0]), total.err_estimate, counter.used,
-                      total.converged and ang_ok and counter.used <= spec.max_evals)
 
 
 # ---------------------------------------------------------------------------

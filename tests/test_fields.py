@@ -1,4 +1,4 @@
-"""Field catalog: evaluation, metadata, mollification, averages, measures."""
+"""Field catalog: evaluation, metadata, heat factors, measures."""
 
 import math
 
@@ -16,8 +16,6 @@ from fracvar.fields import (
     HalfSpaceIndicator,
     IntervalIndicator,
     MagicCube,
-    Mollified,
-    NonConvergentAverageError,
     OddBumpPair,
     OddPlateau,
     ProductField,
@@ -38,8 +36,6 @@ from fracvar.fields import (
     d_alpha_measure,
     eval as feval,
     field_from_json,
-    mollify,
-    precise_representative,
 )
 from fracvar.quadrature import QuadSpec, integrate_1d
 
@@ -307,7 +303,7 @@ class TestProductAndScaledFactors:
     """A product's factor l_i r_i and a scaled field's first factor k g_1."""
 
     def test_product_factors_need_both_fields(self):
-        smooth = mollify(IntervalIndicator(), 0.3)  # smooth, but no factors
+        smooth = OddBumpPair()  # smooth, but no factors
         assert ProductField(left=SmoothBump(), right=smooth).heat_factors is None
         assert ProductField(left=smooth, right=Gaussian()).heat_factors is None
         assert ScaledField(base=smooth, factor=2.0).heat_factors is None
@@ -438,80 +434,6 @@ class TestAsPoints:
     def test_no_points(self):
         assert as_points(np.empty((0, 3)), 3).shape == (0, 3)
         assert as_points([], 1).shape == (0, 1)
-
-
-class TestMollify:
-    def test_full_mass_average_at_center(self):
-        m = mollify(IntervalIndicator(a=-1.0, b=1.0), 0.25)
-        assert feval(m, 0.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_support_growth(self):
-        m = mollify(IntervalIndicator(a=-1.0, b=1.0), 0.1)
-        lo, hi = m.support_box
-        assert lo[0] == pytest.approx(-1.1)
-        assert hi[0] == pytest.approx(1.1)
-        assert feval(m, 1.2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_converges_to_field_at_continuity_points(self):
-        g = Gaussian(center=(0.0,), width=1.0)
-        for x in (-0.7, 0.0, 0.4, 1.3):
-            vals = [feval(mollify(g, eps), x) for eps in (0.2, 0.05, 0.0125)]
-            errs = [abs(v - feval(g, x)) for v in vals]
-            assert errs[-1] < 1e-4
-            assert errs[0] > errs[-1] or errs[0] < 1e-8
-
-    def test_preserves_nonnegativity_and_mass(self):
-        chi = IntervalIndicator(a=-1.0, b=1.0)
-        m = mollify(chi, 0.2)
-        grid = np.linspace(-1.5, 1.5, 101)[:, None]
-        assert np.all(m.values(grid) >= -1e-14)
-        mass = integrate_1d(lambda x: m.values(x[:, None]), -1.2, 1.2,
-                            spec=QuadSpec(rel_tol=1e-8)).value
-        assert mass == pytest.approx(2.0, rel=1e-6)
-
-
-    @pytest.mark.parametrize("x", [1.03, 0.97])
-    def test_falpha_base_next_to_singular_point(self, x):
-        # the window [x - eps, x + eps] holds the singular point 1 of f_a,
-        # which the base reads through exact offsets; reference by mpmath
-        mp = pytest.importorskip("mpmath")
-        m, a, eps = Mollified(FAlpha(0.5), 0.1), 0.5, 0.1
-        with mp.workdps(30):
-            c = mp.mpf(mu(1, -a))
-
-            def fa(y):
-                return c * (abs(y) ** (a - 1) * mp.sign(y) - abs(y - 1) ** (a - 1) * mp.sign(y - 1))
-
-            def bump(t):
-                return mp.e ** (1 - 1 / (1 - t * t)) if abs(t) < 1 else mp.mpf(0)
-
-            x0, e = mp.mpf(x), mp.mpf(eps)
-            norm = mp.quad(bump, [-1, 0, 1])
-            ref = float(mp.quad(lambda y: bump((x0 - y) / e) * fa(y), [x0 - e, 1, x0 + e])
-                        / (norm * e))
-        assert feval(m, x) == pytest.approx(ref, rel=1e-10)
-
-
-class TestPreciseRepresentative:
-    def test_interval_jump_midpoint(self):
-        chi = IntervalIndicator(a=-1.0, b=1.0)
-        assert precise_representative(chi, 1.0) == pytest.approx(0.5, abs=1e-9)
-
-    def test_continuity_point_matches_eval(self):
-        g = Gaussian(center=(0.0,), width=1.0)
-        for x in (-0.3, 0.9):
-            assert precise_representative(g, x) == pytest.approx(feval(g, x), rel=1e-6)
-
-    def test_half_space_on_hyperplane(self):
-        hs = HalfSpaceIndicator(halfspace=HalfSpace.make((0.6, 0.8)))
-        # ball-average oracle: exactly half the ball lies on each side
-        assert precise_representative(hs, (0.0, 0.0)) == pytest.approx(0.5, abs=1e-9)
-
-    def test_f_alpha_at_origin(self):
-        # the odd singular part averages to zero; the remaining term is
-        # continuous with value mu(1, -a)
-        fa = FAlpha(alpha=0.5)
-        assert precise_representative(fa, 0.0) == pytest.approx(mu(1, -0.5), rel=1e-4)
 
 
 class TestMagicCube:
@@ -715,7 +637,6 @@ class TestJson:
             ('{"kind":"cube_indicator","dim":2}', CubeIndicator),
             ('{"kind":"half_space_indicator","nu":[3,4],"x0":[0,0]}', HalfSpaceIndicator),
             ('{"kind":"magic_cube","alpha":0.5,"dim":1}', MagicCube),
-            ('{"kind":"mollified","base":{"kind":"interval_indicator"},"eps":0.1}', type(mollify(IntervalIndicator(), 0.1))),
         ],
     )
     def test_descriptors(self, desc, kind):

@@ -2054,10 +2054,3 @@ class TestThreeDimensions:
 
         ref = half_space_gradient(0.5, hs.halfspace, (0.3, -0.2, 1.5))
         assert np.max(np.abs(g - ref)) < 1e-8 * np.max(np.abs(ref))
-
-    def test_half_space_ball_average_3d(self):
-        # spherical-cap volume fraction at half a radius of signed distance
-        hs = HalfSpaceIndicator(halfspace=HalfSpace.make((0.0, 0.0, 1.0)))
-        frac = hs.ball_average(np.array([0.0, 0.0, 0.5]), 1.0)
-        t = 0.5
-        assert frac == pytest.approx(1.0 - (1.0 - t) ** 2 * (2.0 + t) / 4.0, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Quadrature engine: declared singularities, tails, balls, complements."""
+"""Quadrature engine: declared singularities, tails, angular profiles."""
 
 import math
 
@@ -25,8 +25,6 @@ from fracvar.quadrature import (
     _segment,
     angular_profile,
     integrate_1d,
-    integrate_ball,
-    integrate_complement,
     log_trapezoid,
 )
 
@@ -152,6 +150,13 @@ class TestIntegrate1d:
             )
             ref = gamma(a / 2.0) * gamma((n - 1.0) / 2.0) / (2.0 * gamma((n + a - 1.0) / 2.0))
             assert res.value == pytest.approx(ref, rel=1e-10)
+
+    def test_near_field_tensor_identity(self):
+        # int_{B_delta} z^2 / |z|^(n + a + 1) dz = omega_n delta^(1-a)/(1-a)
+        # with n = 1, a = 1/2, delta = 1 this is 4 (radial antiderivative)
+        res = integrate_1d(lambda z: np.abs(z) ** 2 * np.abs(z) ** -2.5, -1.0, 1.0,
+                           singularities=[(0.0, -0.5)])
+        assert res.value == pytest.approx(4.0, rel=1e-10)
 
 
 def _lockstep_family(J: int = 60, seed: int = 3):
@@ -369,61 +374,3 @@ class TestQuadSpec:
         res = integrate_1d(lambda x: np.exp(-x * x), -3.0, 3.0, spec=spec)
         assert res.converged
         assert res.err_estimate <= max(spec.abs_tol, spec.rel_tol * abs(res.value))
-
-
-class TestBallAndComplement:
-    def test_ball_area_2d(self):
-        res = integrate_ball(lambda p: np.ones(p.shape[0]), [0.0, 0.0], 1.0)
-        assert res.converged
-        assert res.value == pytest.approx(math.pi, rel=1e-8)
-        assert res.err_estimate >= abs(res.value - math.pi)
-
-    def test_ball_volume_3d(self):
-        res = integrate_ball(lambda p: np.ones(p.shape[0]), [0.0, 0.0, 0.0], 1.0,
-                             QuadSpec(rel_tol=1e-7))
-        assert res.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-7)
-
-    def test_ball_1d_is_interval(self):
-        res = integrate_ball(lambda p: p[:, 0] ** 2, [0.5], 0.5)
-        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-    def test_complement_radial_power(self):
-        # int_{|z| > 1} |z|^-(1 + 1/2) dz = 2 / (1/2) = 4 in one dimension
-        res = integrate_complement(lambda p: np.abs(p[:, 0]) ** -1.5, [0.0], 1.0, 1.5)
-        assert res.converged
-        assert res.value == pytest.approx(4.0, rel=1e-8)
-        assert res.err_estimate >= abs(res.value - 4.0)
-
-    def test_complement_2d(self):
-        # int_{|z|>1} |z|^-3 dz = 2 pi int_1^inf r^-2 dr = 2 pi
-        res = integrate_complement(
-            lambda p: np.linalg.norm(p, axis=1) ** -3.0, [0.0, 0.0], 1.0, 3.0
-        )
-        assert res.value == pytest.approx(2.0 * math.pi, rel=1e-6)
-
-    def test_near_field_tensor_identity(self):
-        # int_{B_delta} z^2 / |z|^(n + a + 1) dz = omega_n delta^(1-a)/(1-a)
-        # with n = 1, a = 1/2, delta = 1 this is 4 (radial antiderivative)
-        res = integrate_1d(lambda z: np.abs(z) ** 2 * np.abs(z) ** -2.5, -1.0, 1.0,
-                           singularities=[(0.0, -0.5)])
-        assert res.value == pytest.approx(4.0, rel=1e-10)
-
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
-    def test_radius_must_be_positive_and_finite(self, radius):
-        # radius 0 returned 0 and radius -1 returned pi/2 for this integral
-        # of pi over the plane, both with converged=True
-        def f(X):
-            return (1.0 + (X * X).sum(axis=1)) ** -2
-
-        with pytest.raises(ValueError):
-            integrate_complement(f, (0.0, 0.0), radius, 4.0)
-        with pytest.raises(ValueError):
-            integrate_ball(f, (0.0, 0.0), radius)
-
-    def test_complement_requires_decay(self):
-        with pytest.raises(ValueError):
-            integrate_complement(lambda p: np.ones(p.shape[0]), [0.0], 1.0, 0.5)
-
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            integrate_ball(lambda p: np.ones(p.shape[0]), [0.0] * 4, 1.0)

@@ -230,6 +230,17 @@ def test_nlgrad_without_second_field_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: nlgrad needs a second field")
 
 
+def test_unknown_field_kind_is_usage_error(capsys):
+    # mollified is not a catalog kind
+    code = cli.main([
+        "eval", "--op", "grad", "--alpha", "0.5",
+        "--field", '{"kind":"mollified","base":{"kind":"interval_indicator"},"eps":0.1}',
+        "--points", "0.3",
+    ])
+    assert code == 2
+    assert "unknown field kind" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--op", "grad", "--field", '{"kind":"half_space_indicator","nu":[0,0]}',
      "--points", "1,1"],
