@@ -24,6 +24,10 @@ from fracvar.quadrature import (
     _Counter,
     _segment,
     angular_profile,
+    default_spec,
+    gauss_hermite,
+    gauss_legendre,
+    gauss_legendre_panels,
     integrate_1d,
     log_trapezoid,
 )
@@ -157,6 +161,24 @@ class TestIntegrate1d:
         res = integrate_1d(lambda z: np.abs(z) ** 2 * np.abs(z) ** -2.5, -1.0, 1.0,
                            singularities=[(0.0, -0.5)])
         assert res.value == pytest.approx(4.0, rel=1e-10)
+
+    def test_complement_of_an_interval(self):
+        # int_{|z| > 1} |z|^-(1 + 1/2) dz = 2 / (1/2) = 4, one tail per side
+        def f(z):
+            return np.abs(z) ** -1.5
+
+        res = (integrate_1d(f, -math.inf, -1.0, singularities=[(-math.inf, 1.5)])
+               + integrate_1d(f, 1.0, math.inf, singularities=[(math.inf, 1.5)]))
+        assert res.converged
+        assert res.value == pytest.approx(4.0, rel=1e-8)
+        assert res.err_estimate >= abs(res.value - 4.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_bounds_must_be_ordered(self, a, b):
+        # an empty, reversed or NaN range is refused, not integrated to a
+        # value flagged converged
+        with pytest.raises(ValueError, match="need a < b"):
+            integrate_1d(lambda x: np.ones_like(x), a, b)
 
 
 def _lockstep_family(J: int = 60, seed: int = 3):
@@ -374,3 +396,63 @@ class TestQuadSpec:
         res = integrate_1d(lambda x: np.exp(-x * x), -3.0, 3.0, spec=spec)
         assert res.converged
         assert res.err_estimate <= max(spec.abs_tol, spec.rel_tol * abs(res.value))
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("order", [1, 4, 10])
+    def test_legendre_degree_of_exactness(self, order):
+        # exact for x^k up to k = 2 order - 1, not for x^(2 order)
+        x, w = gauss_legendre(order)
+        for k in range(2 * order):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.dot(w, x**k) == pytest.approx(exact, abs=1e-14)
+        assert abs(np.dot(w, x ** (2 * order)) - 2.0 / (2 * order + 1)) > 1e-6
+
+    def test_rules_are_cached_and_read_only(self):
+        for rule in (gauss_legendre, gauss_hermite):
+            assert rule(7) is rule(7)
+            x, w = rule(7)
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_hermite_moments(self, order):
+        # int z^(2k) exp(-z^2) dz = Gamma(k + 1/2); odd moments vanish
+        z, w = gauss_hermite(order)
+        for k in range(order):
+            assert np.dot(w, z ** (2 * k)) == pytest.approx(gamma(k + 0.5), rel=1e-13)
+            assert np.dot(w, z ** (2 * k + 1)) == pytest.approx(0.0, abs=1e-13)
+
+    def test_legendre_panels(self):
+        # order nodes inside each panel, in panel order; exact for degree
+        # 2 order - 1 over the union
+        edges = [0.0, 0.5, 2.0, 3.0]
+        x, w = gauss_legendre_panels(edges, 3)
+        assert x.shape == w.shape == (9,)
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            assert np.all((lo < x[3 * i:3 * i + 3]) & (x[3 * i:3 * i + 3] < hi))
+            assert w[3 * i:3 * i + 3].sum() == pytest.approx(hi - lo, rel=1e-14)
+        assert np.dot(w, x**5) == pytest.approx(3.0**6 / 6.0, rel=1e-13)
+
+
+class TestDefaultsAndOverrides:
+    @pytest.mark.parametrize("n, rel_tol", [(1, 1e-8), (2, 1e-6), (3, 1e-5)])
+    def test_default_spec_per_dimension(self, n, rel_tol):
+        assert default_spec(n) == QuadSpec(rel_tol=rel_tol)
+
+    def test_overrides_set_the_named_fields(self):
+        spec = QuadSpec.from_overrides({"rel_tol": 1e-10, "max_evals": 500})
+        assert spec == QuadSpec(rel_tol=1e-10, abs_tol=QuadSpec().abs_tol, max_evals=500)
+        assert QuadSpec.from_overrides({}) == QuadSpec()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"near_radius": 0.1}, "invalid quadrature overrides"),
+        ({"rel_tol": -1.0}, "rel_tol and abs_tol must be positive"),
+    ])
+    def test_bad_overrides_raise_value_error(self, overrides, message):
+        # an unknown field is a ValueError as a bad value is, so the command
+        # line reports both as usage errors
+        with pytest.raises(ValueError, match=message):
+            QuadSpec.from_overrides(overrides)

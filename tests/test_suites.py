@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracvar import cli, suites
+from fracvar import cli, operators, suites
 from fracvar.constants import mu
-from fracvar.fields import Gaussian, SignedMeasure, SmoothBump
+from fracvar.fields import Gaussian, SignedMeasure, SmoothBump, field_from_json
 from fracvar.quadrature import QuadSpec, gauss_legendre_panels
 from fracvar.suites import (
     DEFAULT_ALPHAS,
@@ -228,6 +228,35 @@ def test_nlgrad_without_second_field_is_usage_error(capsys):
                      "--field", '{"kind":"gaussian","center":[0]}', "--points", "0.3"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: nlgrad needs a second field")
+
+
+@pytest.mark.parametrize("op, desc, point, exact", [
+    ("grad", '{"kind":"gaussian","center":[0],"width":1,"dim":1}', "0.3", None),
+    ("grad", '{"kind":"smooth_bump","center":[0.1],"width":1,"dim":1}', "0.3", None),
+    ("grad", '{"kind":"interval_indicator","a":-1,"b":1}', "0.3", None),
+    ("laplacian", '{"kind":"cube_indicator","dim":2}', "0.3,0.2", None),
+    ("grad", '{"kind":"half_space_indicator","nu":[3,4],"x0":[0,0]}', "0.3,0.2", None),
+    # I_a f_a is the indicator of (0, 1), and I_(1-a) of the magic cube
+    # the indicator of [-1, 1]
+    ("riesz", '{"kind":"f_alpha","alpha":0.5}', "0.3", 1.0),
+    ("riesz", '{"kind":"magic_cube","alpha":0.5,"dim":1}', "0.3", 1.0),
+], ids=["gaussian", "smooth_bump", "interval_indicator", "cube_indicator",
+        "half_space_indicator", "f_alpha", "magic_cube"])
+def test_eval_of_each_field_kind(op, desc, point, exact, capsys):
+    # every catalog kind goes through the command line to the library's value
+    assert cli.main(["eval", "--op", op, "--alpha", "0.5", "--field", desc,
+                     "--points", point]) == 0
+    field = field_from_json(desc)
+    p = np.array([float(v) for v in point.split(",")])
+    fn = {"grad": operators.frac_gradient, "laplacian": operators.frac_laplacian,
+          "riesz": operators.riesz_potential}[op]
+    res = fn(field, 0.5, p, detail=True)
+    values = np.atleast_1d(res.require())
+    row = [*p, *values, res.err_estimate]
+    assert capsys.readouterr().out == (
+        ",".join(format(float(v), ".17g") for v in row) + f",{res.evals_used}\n")
+    if exact is not None:
+        assert abs(values[0] - exact) <= res.err_estimate
 
 
 def test_unknown_field_kind_is_usage_error(capsys):
