@@ -9,7 +9,9 @@ edited.  A mutant is caught when a case fails or the run raises.  The n = 1
 batch gradient is patched only through ``operators._grad_batch_1d``, which
 ``frac_gradient_batch`` calls in n = 1 and the suites call directly, and the
 n = 2 batch through ``frac_gradient_batch`` on fields in n = 2 only, so that
-no mutant is applied twice (a x -1 mutant would cancel).  ``parity_flip``
+no mutant is applied twice (a x -1 mutant would cancel).  The seminorm is
+patched through ``operators._gagliardo_seminorms``, its order-grid form, which
+the ``gagliardo`` suite calls and ``gagliardo_seminorm`` wraps.  ``parity_flip``
 negates the ``parity`` of every field class that reports one, so the batch
 gives the mirrored targets of an even field the signs of an odd one, and the
 reverse.
@@ -72,8 +74,8 @@ MUTANTS = {
     "n2_batch_x1.1": [(ops, "frac_gradient_batch", _n2(lambda g: 1.1 * g))],
     "n2_batch_swap": [(ops, "frac_gradient_batch", _n2(lambda g: g[:, ::-1]))],
     "n2_batch_neg2": [(ops, "frac_gradient_batch", _n2(lambda g: g * np.array([1.0, -1.0])))],
-    "gagliardo_x0.99": [(ops, "gagliardo_seminorm", _scaled(0.99))],
-    "gagliardo_x2": [(ops, "gagliardo_seminorm", _scaled(2.0))],
+    "gagliardo_x0.99": [(ops, "_gagliardo_seminorms", _scaled(0.99))],
+    "gagliardo_x2": [(ops, "_gagliardo_seminorms", _scaled(2.0))],
     "parity_flip": [(cls, "parity", _negated) for cls in (SmoothBump, OddBumpPair, OddPlateau)],
 }
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import mu, nu
 from .quadrature import (QuadSpec, SingularPointError, cube_kernel_integral, gauss_hermite,
-                         gauss_legendre_panels, integrate_1d)
+                         gauss_legendre_panels, integrate_many)
 
 __all__ = [
     "ScalarField",
@@ -266,7 +266,8 @@ class ScalarField:
 
     def variation_measure(self, alpha: float) -> "SignedMeasure":
         """D^alpha f where it is known; by default the density, the fractional
-        gradient of a smooth field (ValueError for an order outside (0, 1))."""
+        gradient of a smooth field, held with the order or order grid
+        (ValueError for an order outside (0, 1))."""
         if not (self.is_smooth and self.has_gradient):
             raise UnsupportedFieldError(f"variation measure of {self.kind} is not identified")
         return SignedMeasure(density=(self, alpha))
@@ -675,8 +676,9 @@ class SmoothBump(ScalarField):
         return tuple(_BumpAxis(c, w) for c, w in zip(self.center, self.width))
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        out = np.ones(X.shape[0])
-        for i, factor in enumerate(self.heat_factors):
+        first, *rest = self.heat_factors
+        out = first(X[:, 0])
+        for i, factor in enumerate(rest, 1):
             out = out * factor(X[:, i])
         return out
 
@@ -1203,16 +1205,19 @@ class SignedMeasure:
     """A vector measure on R^n, checked when built (ValueError): atoms (point,
     vector weight) at distinct points, each point and weight of length n with
     finite entries, plus an optional density, grad_a f of a smooth f on R^n
-    with a in (0, 1), held as (f, a)."""
+    with a in (0, 1), held as (f, a).  A density held with an order grid,
+    (f, (a1, a2, ...)), stands for one measure per order, and ``pair``
+    returns one value per order."""
 
     atoms: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] = ()
-    density: tuple[ScalarField, float] | None = None
+    density: tuple[ScalarField, float | tuple[float, ...]] | None = None
     _PAIR_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-12)  # the rule of the density pairing
 
     def __post_init__(self) -> None:
         dims = {len(v) for atom in self.atoms for v in atom}
         if self.density is not None:
-            if not 0.0 < self.density[1] < 1.0:
+            orders = np.atleast_1d(np.asarray(self.density[1], dtype=float))
+            if not (orders.size and np.all((0.0 < orders) & (orders < 1.0))):
                 raise ValueError(f"the density's order must lie in (0, 1), not {self.density[1]}")
             dims.add(self.density[0].dim)
         if len(dims) > 1 or not all(math.isfinite(c) for a in self.atoms for v in a for c in v):
@@ -1224,12 +1229,17 @@ class SignedMeasure:
     def total_atomic_variation(self) -> float:
         return float(sum(np.linalg.norm(w) for _, w in self.atoms))
 
-    def pair(self, phi: VectorField) -> float:
+    def pair(self, phi: VectorField) -> float | np.ndarray:
         """<phi, mu>: the sum of w . phi(p) over the atoms, plus the density's
-        int phi grad_a f over phi's support box, by ``frac_gradient_batch`` at
-        ``_PAIR_SPEC`` (n = 1 only, else UnsupportedFieldError).  phi needs n
-        smooth components of compact support on R^n (else ValueError for the
-        count or dimension, UnsupportedFieldError for the rest)."""
+        int phi grad_a f over phi's support box, by the n = 1 batch gradient
+        at ``_PAIR_SPEC`` (n = 1 only, else UnsupportedFieldError).  A
+        density with an order grid gives an array, one pairing per order:
+        the orders' integrals run in lockstep (``integrate_many``), each
+        round one batch gradient of every order on the distinct points of
+        all of them, and each is bit for bit the one-order pairing when the
+        batch gradient is elementwise in its targets.  phi needs n smooth
+        components of compact support on R^n (else ValueError for the count
+        or dimension, UnsupportedFieldError for the rest)."""
         n = len(self.atoms[0][0]) if self.atoms else self.density and self.density[0].dim
         if (not isinstance(phi, VectorField) or len(phi.components) != phi.dim
                 or n not in (None, phi.dim)):
@@ -1242,14 +1252,24 @@ class SignedMeasure:
         if self.density is not None:
             if n != 1:
                 raise UnsupportedFieldError(f"density pairing implemented for n = 1, not n = {n}")
-            from .operators import frac_gradient_batch
+            from . import operators as ops
 
-            def integrand(xs: np.ndarray) -> np.ndarray:
-                grad = frac_gradient_batch(*self.density, xs[:, None])[:, 0]
+            f, order = self.density
+            alphas = [ops._check_alpha(a) for a in np.atleast_1d(order).tolist()]
+            ops._check_batch_field(f)
+            box = ops._batch_box(f)
+
+            def integrand(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+                # the orders share one range, so their points often coincide:
+                # the batch runs once on each distinct point
+                pts, at = np.unique(xs, return_inverse=True)
+                grad = ops._grad_batch_1d(f, alphas, pts[:, None], box)[owner, at]
                 return phi.values(xs[:, None])[:, 0] * grad
 
             (lo,), (hi,) = boxes[0]
-            total += integrate_1d(integrand, float(lo), float(hi), spec=self._PAIR_SPEC).require()
+            res = integrate_many(integrand, [(float(lo), float(hi))] * len(alphas), self._PAIR_SPEC)
+            vals = np.array([float(r.require()[0]) for r in res])
+            return total + (vals if np.ndim(order) else float(vals[0]))
         return total
 
 
@@ -1271,7 +1291,8 @@ def d_alpha_measure(field: ScalarField, alpha: float) -> SignedMeasure:
 
     f_alpha and 1-d magic_cube at their own order (not NaN) give the atom
     pairs +delta_0 - delta_1 and +delta_-1 - delta_1; smooth fields give the
-    density grad_alpha f, held as (f, alpha).  Everything else raises
+    density grad_alpha f, held as (f, alpha), or with an order grid when
+    ``alpha`` is a tuple of orders.  Everything else raises
     UnsupportedFieldError.
     """
     return field.variation_measure(alpha)

@@ -26,10 +26,16 @@ Design notes
   eps^(1+g); at p = 0 it does not (subnormals are dense).
 * Integrands are evaluated in vectorized batches (callables take and return
   numpy arrays); evaluation counts are tracked against ``max_evals``.
-* Many independent scalar integrals can run in lockstep
-  (``_adaptive_batch``): each round is one ``_gk15`` call on the panels of
-  all of them, each integral making the scalar routine's decisions bit for
-  bit.
+* Many independent integrals can run in lockstep (``_adaptive_batch``):
+  each round is one ``_gk15`` call on the panels of all of them, each
+  integral making the scalar routine's decisions bit for bit, at its own
+  tolerances and with scalar or vector values.
+* One planner (``_plan``) turns a range with declared singularities into
+  leaves, the adaptive integrals it needs: cuts, endpoint and tail maps,
+  the tolerance split and the summation order.  ``integrate_core`` runs
+  the leaves one after another; ``integrate_many`` runs the leaves of many
+  ranges in lockstep, each range bit for bit ``integrate_core`` on it
+  alone when the integrand is elementwise in its points.
 * Fixed composite Gauss--Legendre rules, on the panels between given
   edges, all come from ``gauss_legendre_panels``.
 * Integrals over t in (0, inf) of t^(b-1) F(t), where F is a product of
@@ -40,8 +46,8 @@ Design notes
   (value, error estimate, evaluations, convergence flag), and results of
   the pieces of one integral add with ``+``.  The panel routines keep raw
   tuples: ``_gk15`` (values and errors per panel), ``_adaptive`` and
-  ``_adaptive_batch``, whose tuples ``_segment`` and the batch's callers
-  turn into results.
+  ``_adaptive_batch``, whose tuples the leaf runners and the batch's
+  callers turn into results.
 
 The operators' kernel integrals in n = 2, 3 factor into a radial integral
 of angular averages; angular quadrature is the doubling trapezoid rule
@@ -58,7 +64,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +78,7 @@ __all__ = [
     "cube_kernel_integral",
     "integrate_1d",
     "integrate_core",
+    "integrate_many",
     "default_spec",
     "gauss_hermite",
     "gauss_legendre",
@@ -161,7 +168,8 @@ class QuadResult:
 
 class OffsetIntegrand:
     """An integrand ``fn(x, dx)`` that reads offsets from its singular points
-    through ``dx(c)``, which returns x - c.
+    through ``dx(c)``, which returns x - c (``fn(x, dx, owner)`` for
+    ``integrate_many``, where c may also be an array, one entry per point).
 
     On a segment mapped from a declared singular endpoint p the engine holds
     d = x - p exactly (d = +/- h t^m, never recomputed from x), and ``dx(c)``
@@ -172,15 +180,11 @@ class OffsetIntegrand:
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[np.ndarray, Callable[[float], np.ndarray]], np.ndarray]):
+    def __init__(self, fn: Callable[..., np.ndarray]):
         self.fn = fn
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.at(0.0, x)
-
-    def at(self, p: float, d: np.ndarray) -> np.ndarray:
-        """Evaluate at x = p + d with the offset d from p known exactly."""
-        return self.fn(p + d, lambda c: d + (p - c))
+        return self.fn(x, lambda c: x - c)
 
 
 # 15-point Kronrod extension of 7-point Gauss (standard QUADPACK constants).
@@ -424,44 +428,57 @@ def _adaptive_batch(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
+    rel_tol: float | np.ndarray,
+    abs_tol: float | np.ndarray,
     counter: _Counter,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_adaptive`` for independent scalar integrals over [a[j], b[j]], in lockstep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_adaptive`` for independent integrals over [a[j], b[j]], in lockstep.
 
     ``g(x, owner)`` returns the integrand of integral ``owner[j]`` at the 15
-    points ``x[j]``.  Each round evaluates the panels of every unfinished
-    integral in one call, and each integral makes the decisions of the scalar
-    routine: it bisects its worst interval (largest error, ties by lo, then
-    hi), keeps the same running sums, stall counter and width floor, and sums
-    its pieces in (lo, hi) order.  So integral j returns bit for bit what
-    ``_adaptive`` returns for ``x -> g(x[None], [j])[0]`` on [a[j], b[j]].
-    When ``counter`` runs out during a round, every integral evaluated in it
-    stops with converged=False.  Returns (value[J], err[J], converged[J]).
+    points ``x[j]``: a (p, 15) array, or (p, 15, k) for k-vector values.
+    Each round evaluates the panels of every unfinished integral in one
+    call, and each integral makes the decisions of the scalar routine at its
+    own tolerances ``rel_tol[j]``, ``abs_tol[j]`` (arrays, or one scalar for
+    all): it bisects its worst interval (largest error, ties by lo, then
+    hi), keeps the same running sums, stall counter and width floor, and
+    sums its pieces in (lo, hi) order.  So integral j returns bit for bit
+    what ``_adaptive`` returns for ``x -> g(x[None], [j])[0]`` on
+    [a[j], b[j]].  When ``counter`` runs out during a round, every integral
+    evaluated in it stops with converged=False.  Returns (value, err[J],
+    converged[J], evals[J]): value[J] for scalar values, (J, k) for vector
+    ones, and the evaluations charged for each integral.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    rel = np.broadcast_to(np.asarray(rel_tol, dtype=float), a.shape)
+    tol_abs = np.broadcast_to(np.asarray(abs_tol, dtype=float), a.shape)
+    vector = []  # whether g returns k-vectors, read from its first call
 
     def panels(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
-        val, err, ok = _gk15(lambda x: g(x.reshape(-1, _NODES.size), owner).ravel(), lo, hi,
-                             counter)
-        return val[:, 0], err, ok
+        def h(x: np.ndarray) -> np.ndarray:
+            fx = np.asarray(g(x.reshape(-1, _NODES.size), owner), dtype=float)
+            if not vector:
+                vector.append(fx.ndim > 2)
+            return fx.reshape(x.size, -1)
+
+        return _gk15(h, lo, hi, counter)
 
     val, err, ok = panels(a, b, np.arange(a.size))
-    settled = err <= np.fmax(abs_tol, rel_tol * np.abs(val))
+    settled = err <= np.fmax(tol_abs, rel * np.max(np.abs(val), axis=1))
     # an integral settled by its first panel is that one piece, summed from 0.0
     value, err_tot, converged = 0.0 + val, 0.0 + err, ok & settled
-    open_idx = np.flatnonzero(~settled).tolist()
-    states = {
-        j: _AdaptiveState(*args, ok)
-        for j, *args in zip(open_idx, a[open_idx].tolist(), b[open_idx].tolist(),
-                            val[open_idx].tolist(), err[open_idx].tolist())
-    }
-    active = open_idx
+    evals = np.full(a.size, _NODES.size)
+    # the open integrals' states and tolerances; scalar integrals keep Python
+    # floats in their states, vector ones rows
+    open_idx = np.flatnonzero(~settled)
+    rows = val[open_idx] if vector[0] else val[open_idx, 0].tolist()
+    active = open_idx.tolist()
+    states = {j: _AdaptiveState(*args, ok) for j, *args in zip(
+        active, a[open_idx].tolist(), b[open_idx].tolist(), rows, err[open_idx].tolist())}
+    tols = dict(zip(active, zip(rel[open_idx].tolist(), tol_abs[open_idx].tolist())))
     while active:
         todo = [(j, item) for j in active
-                if (item := states[j].next_split(rel_tol, abs_tol)) is not None]
+                if (item := states[j].next_split(*tols[j])) is not None]
         if not todo:
             break
         owner = np.array([j for j, _ in todo])
@@ -470,15 +487,17 @@ def _adaptive_batch(
         mid = 0.5 * (lo + hi)
         v, e, ok = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
                           np.concatenate([owner, owner]))
+        evals[owner] += 2 * _NODES.size
         r = len(todo)
-        v, e, mid = v.tolist(), e.tolist(), mid.tolist()
+        v = v if vector[0] else v[:, 0].tolist()
+        e, mid = e.tolist(), mid.tolist()
         for i, (j, item) in enumerate(todo):
             states[j].split(item, mid[i], v[i], e[i], v[r + i], e[r + i])
             states[j].converged = states[j].converged and ok
         active = owner.tolist() if ok else []
     for j, state in states.items():
-        value[j], err_tot[j], converged[j] = state.result(rel_tol, abs_tol)
-    return value, err_tot, converged
+        value[j], err_tot[j], converged[j] = state.result(*tols[j])
+    return (value if vector[0] else value[:, 0]), err_tot, converged, evals
 
 
 def _power_m(exponent: float) -> int:
@@ -488,17 +507,117 @@ def _power_m(exponent: float) -> int:
     return min(64, max(1, math.ceil(3.0 / (1.0 + exponent))))
 
 
-def _mapped(f: Callable[[np.ndarray], np.ndarray], p: float, h: float, m: int):
-    """f(x) |dx/dt| on t in [0, 1] under x = p + h t^m, anchored at p."""
-    jac_scale = m * abs(h)
+class _Leaf(NamedTuple):
+    """One adaptive integral of an integration plan, over [lo, hi] at its
+    tolerances.  With m > 1 it runs in t on (0, 1) under v = p + h t^m, the
+    substitution of a declared endpoint p; with a ``tail`` (anchor,
+    direction s, s) the point v in (0, 1] maps to x = anchor + direction
+    s (1 - v)/v, the half-line beyond the anchor."""
+
+    lo: float
+    hi: float
+    rel_tol: float
+    abs_tol: float
+    m: int = 1
+    p: float = 0.0
+    h: float = 1.0
+    tail: tuple[float, float, float] | None = None
+
+
+def _leaf_nodes(t, m: int, p, h, tail):
+    """The points x of leaves with power m at their nodes t, the exact offset
+    d of x = p + d from the mapped endpoint p (p = 0, d = x where there is
+    none), and the Jacobians of the tail and the power map (None for a map
+    the leaves lack).  p, h and the tail's entries are scalars, or columns
+    that broadcast against t, one row per leaf; m stays a Python int, so
+    that ``t**m`` takes numpy's scalar-exponent path in both cases."""
+    jac_tail = jac_power = None
+    if m > 1:
+        d = h * t**m
+        jac_power = (m * abs(h)) * t ** (m - 1)
+        x = p + d
+    else:
+        p, d, x = 0.0, t, t
+    if tail is not None:
+        anchor, sdir, s = tail
+        jac_tail = s / x**2
+        x = anchor + sdir * (1.0 - x) / x
+        p, d = 0.0, x
+    return x, p, d, jac_tail, jac_power
+
+
+def _evaluate(f, x: np.ndarray, p, d, *owner) -> np.ndarray:
+    """f at the points x = p + d; an :class:`OffsetIntegrand` reads its
+    offsets from c as d + (p - c).  ``owner`` (lockstep calls) is passed on."""
+    if isinstance(f, OffsetIntegrand):
+        return f.fn(x, lambda c: d + (p - c), *owner)
+    return f(x, *owner)
+
+
+def _leaf_integrand(f, leaf: _Leaf):
+    """f in the variable of ``leaf``, times the Jacobians of its maps (the
+    tail's first); f itself on a leaf without maps."""
+    if leaf.m == 1 and leaf.tail is None:
+        return f
 
     def g(t: np.ndarray) -> np.ndarray:
-        d = h * t**m
-        vals = np.asarray(f.at(p, d) if isinstance(f, OffsetIntegrand) else f(p + d), dtype=float)
-        jac = jac_scale * t ** (m - 1)
-        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+        x, p, d, jac_tail, jac_power = _leaf_nodes(t, leaf.m, leaf.p, leaf.h, leaf.tail)
+        vals = np.asarray(_evaluate(f, x, p, d), dtype=float)
+        shape = (-1,) + (1,) * (vals.ndim - 1)
+        for jac in (jac_tail, jac_power):
+            if jac is not None:
+                vals = vals * jac.reshape(shape)
+        return vals
 
     return g
+
+
+def _segment_leaves(p: float, q: float, g_left: float | None, g_right: float | None,
+                    rel_tol: float, abs_tol: float) -> list[_Leaf]:
+    """The leaves of [p, q] with optional declared endpoint exponents: a
+    segment with both ends declared is halved, each half at abs_tol / 2,
+    and a declared end with power m > 1 is mapped by x = p + (q - p) t^m."""
+    if g_left is not None and g_right is not None:
+        mid = 0.5 * (p + q)
+        return (_segment_leaves(p, mid, g_left, None, rel_tol, abs_tol / 2)
+                + _segment_leaves(mid, q, None, g_right, rel_tol, abs_tol / 2))
+    if g_left is not None and _power_m(g_left) > 1:
+        return [_Leaf(0.0, 1.0, rel_tol, abs_tol, _power_m(g_left), p, q - p)]
+    if g_right is not None and _power_m(g_right) > 1:
+        return [_Leaf(0.0, 1.0, rel_tol, abs_tol, _power_m(g_right), q, p - q)]
+    return [_Leaf(p, q, rel_tol, abs_tol)]
+
+
+def _tail_leaf(anchor: float, tau: float, direction: int, rel_tol: float,
+               abs_tol: float) -> _Leaf:
+    """The leaf of [anchor, +inf) (direction=+1) or (-inf, anchor].
+
+    Uses x = anchor + direction * s (1 - v)/v, s = max(1, |anchor|), so the
+    point at infinity maps to v = 0; working in v directly avoids the 1 - u
+    cancellation that would otherwise send evaluation points to the literal
+    endpoint.  The image of the tail behaves like v^(tau - 2) near v = 0,
+    a declared end of [0, 1].
+    """
+    s = max(1.0, abs(anchor))
+    (leaf,) = _segment_leaves(0.0, 1.0, tau - 2.0, None, rel_tol, abs_tol)
+    return leaf._replace(tail=(anchor, direction * s, s))
+
+
+def _run_leaves(f, leaves: Sequence[_Leaf], counter: _Counter) -> list[QuadResult]:
+    """Each leaf by ``_adaptive``, one after another on the shared counter."""
+    out = []
+    for leaf in leaves:
+        value, err, converged = _adaptive(_leaf_integrand(f, leaf), leaf.lo, leaf.hi,
+                                          leaf.rel_tol, leaf.abs_tol, counter)
+        out.append(QuadResult(value, err, counter.used, converged))
+    return out
+
+
+def _combine(pieces: Sequence[tuple[int, ...]], results: Sequence[QuadResult]) -> QuadResult:
+    """The sum of a plan's leaf results: each piece's leaves first, then the
+    pieces in order, as the pieces of one integral add."""
+    sums = [sum((results[i] for i in piece[1:]), results[piece[0]]) for piece in pieces]
+    return sum(sums[1:], sums[0])
 
 
 def _segment(
@@ -515,17 +634,8 @@ def _segment(
 
     The value is ``_adaptive``'s value vector; ``evals_used`` reads ``counter``.
     """
-    if g_left is not None and g_right is not None:
-        mid = 0.5 * (p + q)
-        return (_segment(f, p, mid, g_left, None, rel_tol, abs_tol / 2, counter)
-                + _segment(f, mid, q, None, g_right, rel_tol, abs_tol / 2, counter))
-    g, lo, hi = f, p, q
-    if g_left is not None and _power_m(g_left) > 1:
-        g, lo, hi = _mapped(f, p, q - p, _power_m(g_left)), 0.0, 1.0
-    elif g_right is not None and _power_m(g_right) > 1:
-        g, lo, hi = _mapped(f, q, p - q, _power_m(g_right)), 0.0, 1.0
-    value, err, converged = _adaptive(g, lo, hi, rel_tol, abs_tol, counter)
-    return QuadResult(value, err, counter.used, converged)
+    leaves = _segment_leaves(p, q, g_left, g_right, rel_tol, abs_tol)
+    return _combine([tuple(range(len(leaves)))], _run_leaves(f, leaves, counter))
 
 
 def _tail_segment(
@@ -537,38 +647,26 @@ def _tail_segment(
     abs_tol: float,
     counter: _Counter,
 ) -> QuadResult:
-    """Integrate f over [anchor, +inf) (direction=+1) or (-inf, anchor].
+    """Integrate f over [anchor, +inf) (direction=+1) or (-inf, anchor] by
+    the map of ``_tail_leaf``."""
+    (res,) = _run_leaves(f, [_tail_leaf(anchor, tau, direction, rel_tol, abs_tol)], counter)
+    return res
 
-    Uses x = anchor + direction * s (1 - v)/v so the point at infinity maps to
-    v = 0; working in v directly avoids the 1 - u cancellation that would
-    otherwise send evaluation points to the literal endpoint.
+
+def _plan(
+    a: float, b: float, singularities: Sequence[tuple[float, float]], spec: QuadSpec
+) -> tuple[list[_Leaf], list[tuple[int, ...]]]:
+    """The integration plan of [a, b] with declared singularities: its
+    leaves, and the pieces that sum them (leaf indices, one tuple per
+    segment between cuts and per tail).
+
+    The declared points inside the range cut it; each segment's declared
+    ends are mapped (``_segment_leaves``), and an infinite end runs over the
+    tail beyond an anchor one unit (or |ref|) past the outermost finite
+    reference (``_tail_leaf``).  Every leaf runs at rel_tol / 4, and the
+    absolute tolerance is split as abs_tol / nseg / 2 over the segments and
+    tails.  ``integrate_core`` and ``integrate_many`` run the same plan.
     """
-    s = max(1.0, abs(anchor))
-
-    def g(v: np.ndarray) -> np.ndarray:
-        x = anchor + direction * s * (1.0 - v) / v
-        jac = s / v**2
-        vals = np.asarray(f(x), dtype=float)
-        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-    # Image of the tail: integrand ~ v^(tau-2) near v = 0.
-    return _segment(g, 0.0, 1.0, tau - 2.0, None, rel_tol, abs_tol, counter)
-
-
-def integrate_core(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    singularities: Sequence[tuple[float, float]] = (),
-    spec: QuadSpec | None = None,
-    counter: _Counter | None = None,
-) -> QuadResult:
-    """Shared integration plan; f may be vector-valued (returns (m, k) arrays).
-
-    Returns the result with a value vector; ``evals_used`` reads the counter,
-    which callers may share across several integrals.
-    """
-    spec = spec or QuadSpec()
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
     points: dict[float, float] = {}
@@ -608,16 +706,114 @@ def integrate_core(
     rel_seg = spec.rel_tol / 4.0
     abs_seg = spec.abs_tol / max(nseg, 1) / 2.0
 
-    counter = counter or _Counter(spec.max_evals)
-    pieces = [_segment(f, p, q, points.get(p), points.get(q), rel_seg, abs_seg, counter)
+    groups = [_segment_leaves(p, q, points.get(p), points.get(q), rel_seg, abs_seg)
               for p, q in zip(edges[:-1], edges[1:])]
     if anchor_hi is not None:
-        pieces.append(_tail_segment(f, anchor_hi, float(tail_hi), +1, rel_seg, abs_seg, counter))
+        groups.append([_tail_leaf(anchor_hi, float(tail_hi), +1, rel_seg, abs_seg)])
     if anchor_lo is not None:
-        pieces.append(_tail_segment(f, anchor_lo, float(tail_lo), -1, rel_seg, abs_seg, counter))
-    total = sum(pieces[1:], pieces[0])
+        groups.append([_tail_leaf(anchor_lo, float(tail_lo), -1, rel_seg, abs_seg)])
+    leaves, pieces = [], []
+    for group in groups:
+        pieces.append(tuple(range(len(leaves), len(leaves) + len(group))))
+        leaves += group
+    return leaves, pieces
+
+
+def integrate_core(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    singularities: Sequence[tuple[float, float]] = (),
+    spec: QuadSpec | None = None,
+    counter: _Counter | None = None,
+) -> QuadResult:
+    """Shared integration plan; f may be vector-valued (returns (m, k) arrays).
+
+    Returns the result with a value vector; ``evals_used`` reads the counter,
+    which callers may share across several integrals.  The leaves of the
+    plan (``_plan``) run one after another.
+    """
+    spec = spec or QuadSpec()
+    leaves, pieces = _plan(a, b, singularities, spec)
+    counter = counter or _Counter(spec.max_evals)
+    total = _combine(pieces, _run_leaves(f, leaves, counter))
     return QuadResult(np.atleast_1d(total.value), total.err_estimate, counter.used,
                       total.converged and counter.used <= spec.max_evals)
+
+
+def integrate_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray] | OffsetIntegrand,
+    ranges: Sequence[tuple],
+    spec: QuadSpec | None = None,
+) -> list[QuadResult]:
+    """Independent integrals over the ``ranges`` (a, b) or (a, b,
+    singularities), in lockstep: one result per range, as ``integrate_core``
+    returns it.
+
+    ``f(x, owner)`` returns the integrand of range ``owner[i]`` at the point
+    ``x[i]``, one value or a k-vector per point (the same k for every
+    range); an :class:`OffsetIntegrand` takes ``fn(x, dx, owner)``.  Each
+    range is planned as ``integrate_core`` plans it (``_plan``), and the
+    leaves of all ranges run through ``_adaptive_batch``, so each round is
+    one call of f on the open panels of every range.  The ranges share one
+    counter with a budget of ``spec.max_evals`` per range; a range that
+    takes more than ``spec.max_evals`` evaluations itself does not
+    converge.  When f is elementwise in its points, each range's value,
+    ``err_estimate`` and flag are bit for bit those of ``integrate_core``
+    on that range alone (``evals_used`` counts the range's own
+    evaluations).
+    """
+    spec = spec or QuadSpec()
+    plans = [_plan(float(r[0]), float(r[1]), r[2] if len(r) > 2 else (), spec) for r in ranges]
+    leaves = [leaf for plan_leaves, _ in plans for leaf in plan_leaves]
+    sizes = [len(plan_leaves) for plan_leaves, _ in plans]
+    range_of = np.repeat(np.arange(len(plans)), sizes)
+    # leaves with one map shape (power m, tail or not) map their nodes together
+    kinds = sorted({(leaf.m, leaf.tail is not None) for leaf in leaves})
+    kind_of = np.array([kinds.index((leaf.m, leaf.tail is not None)) for leaf in leaves])
+    P = np.array([leaf.p for leaf in leaves])
+    H = np.array([leaf.h for leaf in leaves])
+    T = np.array([leaf.tail or (0.0, 0.0, 0.0) for leaf in leaves])
+
+    def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        x, d = np.empty_like(t), np.empty_like(t)
+        p = np.zeros_like(t)
+        jac_tail, jac_power = np.ones_like(t), np.ones_like(t)
+        kind = kind_of[owner]
+        for k, (m, tailed) in enumerate(kinds):
+            rows = kind == k
+            if not rows.any():
+                continue
+            leaf = owner[rows][:, None]
+            tail = (T[leaf, 0], T[leaf, 1], T[leaf, 2]) if tailed else None
+            x[rows], p[rows], d[rows], jt, jp = _leaf_nodes(t[rows], m, P[leaf], H[leaf], tail)
+            if jt is not None:
+                jac_tail[rows] = jt
+            if jp is not None:
+                jac_power[rows] = jp
+        vals = np.asarray(_evaluate(f, x.ravel(), p.ravel(), d.ravel(),
+                                    np.repeat(range_of[owner], t.shape[1])), dtype=float)
+        shape = t.shape + vals.shape[1:]
+        jac_shape = t.shape + (1,) * (vals.ndim - 1)
+        return vals.reshape(shape) * jac_tail.reshape(jac_shape) * jac_power.reshape(jac_shape)
+
+    counter = _Counter(spec.max_evals * len(plans))
+    value, err, converged, evals = _adaptive_batch(
+        g, np.array([leaf.lo for leaf in leaves]), np.array([leaf.hi for leaf in leaves]),
+        np.array([leaf.rel_tol for leaf in leaves]), np.array([leaf.abs_tol for leaf in leaves]),
+        counter)
+    value = value.reshape(len(leaves), -1)
+    err, converged, evals = err.tolist(), converged.tolist(), evals.tolist()
+    out, start = [], 0
+    for (plan_leaves, pieces), size in zip(plans, sizes):
+        results = [QuadResult(value[i], err[i], evals[i], converged[i])
+                   for i in range(start, start + size)]
+        total = _combine(pieces, results)
+        used = sum(evals[start:start + size])
+        out.append(QuadResult(np.atleast_1d(total.value), total.err_estimate, used,
+                              total.converged and used <= spec.max_evals))
+        start += size
+    return out
 
 
 def integrate_1d(

@@ -13,6 +13,14 @@ cases, ``hardy``'s table rows at 0.5 and the zero-field checks of ``ibp``
 and ``weighted``).  ``run_all`` returns (reports, exit code): 0 when every
 case passes, 1 otherwise; the CLI adds 2 for usage errors and 3 for an
 exhausted quadrature budget.
+
+Each family of independent 1-d integrals of a suite (the atom pairings and
+log-slope integrals of ``chain``, the half-line and Hardy-weighted integrals
+of ``gauss-green`` and ``hardy-half``, ``hardy``'s kernel integrals,
+``weighted``'s left sides and tails, ``ibp``'s density pairings and the
+outer ranges of ``gagliardo``'s seminorms) runs as one lockstep call per field
+(``quadrature.integrate_many``), each integral bit for bit what it gives
+alone when its integrand is elementwise in its points.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .fields import (
     d_alpha_measure,
 )
 from .quadrature import (OffsetIntegrand, QuadResult, QuadSpec, gauss_legendre_panels,
-                         integrate_1d, integrate_core)
+                         integrate_core, integrate_many)
 
 __all__ = [
     "CaseResult",
@@ -174,8 +182,10 @@ def suite_ibp(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     f1 = Gaussian(center=(0.3,), width=1.0)
     comp = SmoothBump(center=(-0.2,), width=1.5)
     alphas = _orders(alpha)
-    for a, lhs in zip(alphas, _ibp_lhs(f1, comp, alphas).tolist()):
-        rhs = -d_alpha_measure(f1, a).pair(VectorField(components=(comp,)))
+    # the density held with the order grid pairs every order in one lockstep call
+    pairs = d_alpha_measure(f1, tuple(alphas)).pair(VectorField(components=(comp,))).tolist()
+    for a, lhs, pair in zip(alphas, _ibp_lhs(f1, comp, alphas).tolist(), pairs):
+        rhs = -pair
         report.add_compare(f"ibp_1d_a{a}", a, 1, lhs, rhs, tol=1e-6,
                            inputs="gaussian(0.3,1) vs bump(-0.2,1.5)")
     # zero case: f identically 0 pairs to 0 = 0
@@ -251,16 +261,18 @@ def suite_halfspace(
 def suite_hardy_optimal(alpha: Sequence[float] = IDENTITY_ALPHAS) -> SuiteReport:
     """Interval-indicator optimal-constant identity and its Hardy integral."""
     report = SuiteReport("hardy", tolerance=1e-8)
-    for a in np.atleast_1d(alpha):
-        a = float(a)
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    # one |x|^-a integral per order, in lockstep (a per-owner exponent array
+    # rounds as the scalar one: -a is none of numpy's fast-path exponents)
+    neg = -np.array(alphas)
+    quads = _scalars(integrate_many(lambda x, owner: np.abs(x) ** neg[owner],
+                                   [(-1.0, 1.0, [(0.0, -a)]) for a in alphas],
+                                   QuadSpec(rel_tol=1e-10, abs_tol=1e-13)))
+    for a, quad in zip(alphas, quads):
         hardy_integral, variation, hardy_constant = cf.interval_identities(a)
         report.add_compare(
             f"identity_a{a}", a, 1, hardy_constant * hardy_integral, variation, tol=1e-14
         )
-        quad = integrate_1d(
-            lambda x: np.abs(x) ** -a, -1.0, 1.0, singularities=[(0.0, -a)],
-            spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13),
-        ).require()
         report.add_compare(f"hardy_integral_a{a}", a, 1, quad, hardy_integral, tol=1e-8)
     hi5, var5, c5 = cf.interval_identities(0.5)
     report.add_compare("row_hardy_integral_0.5", 0.5, 1, hi5, 4.0, tol=1e-12)
@@ -269,19 +281,41 @@ def suite_hardy_optimal(alpha: Sequence[float] = IDENTITY_ALPHAS) -> SuiteReport
     return report
 
 
-def _atom_pairings(bump: ScalarField, alphas: Sequence[float]) -> np.ndarray:
-    """int f_a(x) div_a phi(x) dx at each order a, with each order's f_a
-    read through exact offsets from its singular points 0 and 1: one
-    integral of the order vector per window, whose singular points are
-    declared at the smallest order (f_a ~ |x - p|^(a - 1) there)."""
+def _values(results: Sequence[QuadResult]) -> list[np.ndarray]:
+    """The value vectors of lockstep results, each required to converge."""
+    return [r.require() for r in results]
+
+
+def _scalars(results: Sequence[QuadResult]) -> list[float]:
+    """The values of scalar lockstep results, each required to converge."""
+    return [float(v[0]) for v in _values(results)]
+
+
+def _by_owner(fields: Sequence[ScalarField], field_of: np.ndarray, owner: np.ndarray, fn):
+    """``fn(field, sel)`` for the points ``sel`` (a boolean mask) of each
+    field, the field of a point's owner being ``fields[field_of[owner]]``,
+    stacked back in point order: one call per field present."""
+    which = field_of[owner]
+    out = None
+    for k, f in enumerate(fields):
+        sel = which == k
+        if sel.any():
+            vals = fn(f, sel)
+            if out is None:
+                out = np.empty((owner.size,) + vals.shape[1:])
+            out[sel] = vals
+    return out
+
+
+def _atom_pairings(bumps: Sequence[ScalarField], alphas: Sequence[float]) -> list[np.ndarray]:
+    """int f_a(x) div_a phi(x) dx at each order a, for each bump phi, with
+    each order's f_a read through exact offsets from its singular points 0
+    and 1: one integral of the order vector per window and bump, whose
+    singular points are declared at the smallest order (f_a ~ |x - p|^(a - 1)
+    there), all in lockstep; each round samples each bump's batch gradient
+    once, on the points of all its windows."""
     spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-11)
     fas = [FAlpha(alpha=a) for a in alphas]
-
-    def pairing(xs: np.ndarray, dx) -> np.ndarray:
-        f_rows = np.stack([fa.values_from_offsets(dx) for fa in fas], axis=1)
-        return f_rows * _grad_rows(bump, alphas, xs)
-
-    g = OffsetIntegrand(pairing)
     edge = min(alphas) - 1.0
     windows = (
         (-math.inf, -0.4, [(-math.inf, 3.0)]),
@@ -290,7 +324,15 @@ def _atom_pairings(bump: ScalarField, alphas: Sequence[float]) -> np.ndarray:
         (0.6, 1.4, [(1.0, edge)]),
         (1.4, math.inf, [(math.inf, 3.0)]),
     )
-    return sum(integrate_core(g, lo, hi, sings, spec).require() for lo, hi, sings in windows)
+    bump_of = np.arange(len(bumps) * len(windows)) // len(windows)
+
+    def pairing(xs: np.ndarray, dx, owner: np.ndarray) -> np.ndarray:
+        f_rows = np.stack([fa.values_from_offsets(dx) for fa in fas], axis=1)
+        return f_rows * _by_owner(bumps, bump_of, owner,
+                                  lambda bump, sel: _grad_rows(bump, alphas, xs[sel]))
+
+    vals = _values(integrate_many(OffsetIntegrand(pairing), windows * len(bumps), spec))
+    return [sum(vals[k * len(windows):(k + 1) * len(windows)]) for k in range(len(bumps))]
 
 
 # the lower ends of the log-divergence fit of the chain suite
@@ -316,9 +358,21 @@ def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     eps = np.asarray(_CHAIN_EPS)
     logs = np.log(1.0 / eps)
     alphas = _orders(alpha)
-    pairings = [_atom_pairings(bump, alphas).tolist() for bump, _ in bumps]
+    pairings = [p.tolist() for p in _atom_pairings([bump for bump, _ in bumps], alphas)]
+    # the one-sided weighted integrals of every (order, eps), in lockstep;
+    # each round samples each order's f_a once
+    fas = [FAlpha(alpha=a) for a in alphas]
+    order_of = np.repeat(np.arange(len(alphas)), len(_CHAIN_EPS))
+    neg = -np.array(alphas)
+
+    def weighted(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        f_abs = _by_owner(fas, order_of, owner, lambda fa, sel: np.abs(fa.values(x[sel][:, None])))
+        return f_abs * x ** neg[order_of[owner]]
+
+    ps_all = _scalars(integrate_many(weighted, [(e, 0.5) for _ in alphas for e in _CHAIN_EPS],
+                                    QuadSpec(rel_tol=1e-10, abs_tol=1e-13)))
     for i, a in enumerate(alphas):
-        fa = FAlpha(alpha=a)
+        fa = fas[i]
         for (bump, label), vals in zip(bumps, pairings):
             # 0.0 - x, not -x: phi(1) - phi(0) is +0.0 for a phi vanishing at both atoms
             expected = 0.0 - d_alpha_measure(fa, a).pair(VectorField(components=(bump,)))
@@ -326,13 +380,7 @@ def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
                                inputs=label)
         # log-divergence slope of the one-sided weighted integral
         m_abs = abs(mu(1, -a))
-        ps = [
-            integrate_1d(
-                lambda x: np.abs(fa.values(x[:, None])) * x ** -a, eps, 0.5,
-                spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13),
-            ).require()
-            for eps in _CHAIN_EPS
-        ]
+        ps = ps_all[i * len(_CHAIN_EPS):(i + 1) * len(_CHAIN_EPS)]
         basis = np.stack([logs, np.ones_like(eps), eps ** (1.0 - a)], axis=1)
         slope = float(np.linalg.lstsq(basis, np.asarray(ps), rcond=None)[0][0])
         report.add_compare(f"log_slope_a{a}", a, 1, slope, m_abs, tol=0.02,
@@ -340,13 +388,15 @@ def suite_chain_failure(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
     return report
 
 
-# (name, bump center, bump width, sign of the normal, hyperplane offset x0)
+# the bump of the half-space suites, and their geometries: (name, sign of
+# the normal, hyperplane offset x0)
+_GG_BUMP = SmoothBump(center=(0.0,), width=1.0)
 _GG_GEOMETRIES = (
-    ("hyperplane_through_peak", 0.0, 1.0, +1.0, 0.0),
-    ("support_inside_positive", 0.0, 1.0, +1.0, -2.0),
-    ("offset_interior", 0.0, 1.0, +1.0, 0.4),
-    ("negative_normal", 0.0, 1.0, -1.0, 0.3),
-    ("support_inside_negative", 0.0, 1.0, +1.0, 3.0),
+    ("hyperplane_through_peak", +1.0, 0.0),
+    ("support_inside_positive", +1.0, -2.0),
+    ("offset_interior", +1.0, 0.4),
+    ("negative_normal", -1.0, 0.3),
+    ("support_inside_negative", +1.0, 3.0),
 )
 
 
@@ -354,31 +404,35 @@ _GG_GEOMETRIES = (
 _HALF_LINE_SPEC = QuadSpec(rel_tol=1e-8, abs_tol=1e-11)
 
 
-def _grad_integral(f: ScalarField, a: float, lo: float, hi: float, absolute: bool) -> float:
-    """int_lo^hi grad_a f dx (of |grad_a f| if ``absolute``) over a half-line
-    in one dimension, with its infinite end declared as a 1 + a tail."""
+def _grad_integrals(f: ScalarField, a: float, sides, absolute: bool) -> list[float]:
+    """int_lo^hi grad_a f dx (of |grad_a f| if ``absolute``) over each
+    half-line (lo, hi) of ``sides`` in one dimension, with its infinite end
+    declared as a 1 + a tail: one lockstep call, each round one batch
+    gradient on the points of every half-line."""
 
-    def g(xs: np.ndarray) -> np.ndarray:
+    def g(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
         grad = ops.frac_gradient_batch(f, a, xs[:, None])[:, 0]
         return np.abs(grad) if absolute else grad
 
-    end = hi if math.isinf(hi) else lo
-    return integrate_1d(g, lo, hi, singularities=[(end, 1.0 + a)], spec=_HALF_LINE_SPEC).require()
+    ranges = [(lo, hi, [(hi if math.isinf(hi) else lo, 1.0 + a)]) for lo, hi in sides]
+    return _scalars(integrate_many(g, ranges, _HALF_LINE_SPEC))
 
 
-def _tail_integrals(f: ScalarField, alphas: Sequence[float], r: float) -> np.ndarray:
-    """int_{|x| > r} |grad_a f| dx at each order a (n = 1): one integral over
-    x > r of |grad_a f| at x and at -x, the two half-line tails of every
-    order side by side, the tail declared as 1 + a at the smallest order."""
+def _tail_integrals(f: ScalarField, alphas: Sequence[float], radii) -> list[np.ndarray]:
+    """int_{|x| > r} |grad_a f| dx at each order a (n = 1) for each radius r:
+    one integral per radius over x > r of |grad_a f| at x and at -x, the two
+    half-line tails of every order side by side, the tail declared as 1 + a
+    at the smallest order; the radii run in lockstep, each round one batch
+    gradient on the points of all of them."""
     A = len(alphas)
 
-    def g(xs: np.ndarray) -> np.ndarray:
+    def g(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
         grad = np.abs(_grad_rows(f, alphas, np.concatenate([xs, -xs])))
         return np.concatenate([grad[: xs.size], grad[xs.size:]], axis=1)
 
-    both = integrate_core(g, r, math.inf, singularities=[(math.inf, 1.0 + min(alphas))],
-                          spec=_HALF_LINE_SPEC).require()
-    return both[:A] + both[A:]
+    tail = [(math.inf, 1.0 + min(alphas))]
+    both = _values(integrate_many(g, [(r, math.inf, tail) for r in radii], _HALF_LINE_SPEC))
+    return [v[:A] + v[A:] for v in both]
 
 
 def _positive_side(nu_sign: float, x0: float) -> tuple[float, float]:
@@ -386,16 +440,17 @@ def _positive_side(nu_sign: float, x0: float) -> tuple[float, float]:
     return (x0, math.inf) if nu_sign > 0 else (-math.inf, x0)
 
 
-def _hardy_weighted_integral(f: ScalarField, a: float, x0: float) -> float:
-    """(mu(1,a)/a) int f(x) |x - x0|^(-a) dx over the support of f, with the
-    kernel read through the exact offset from x0."""
+def _hardy_weighted_integrals(f: ScalarField, a: float, x0s: Sequence[float]) -> list[float]:
+    """(mu(1,a)/a) int f(x) |x - x0|^(-a) dx over the support of f for each
+    x0 of ``x0s``, with the kernel read through the exact offset from x0:
+    one lockstep call."""
     lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
-    sings = [(x0, -a)] if lo <= x0 <= hi else []
-    val = integrate_1d(
-        OffsetIntegrand(lambda xs, dx: f.values(xs[:, None]) * np.abs(dx(x0)) ** -a), lo, hi,
-        singularities=sings, spec=QuadSpec(rel_tol=1e-9, abs_tol=1e-12),
-    ).require()
-    return mu(1, a) / a * val
+    centers = np.array(x0s, dtype=float)
+    g = OffsetIntegrand(
+        lambda xs, dx, owner: f.values(xs[:, None]) * np.abs(dx(centers[owner])) ** -a)
+    ranges = [(lo, hi, [(x0, -a)] if lo <= x0 <= hi else []) for x0 in x0s]
+    vals = _scalars(integrate_many(g, ranges, QuadSpec(rel_tol=1e-9, abs_tol=1e-12)))
+    return [mu(1, a) / a * v for v in vals]
 
 
 def suite_gauss_green(alpha: Sequence[float] = (0.5,)) -> SuiteReport:
@@ -409,12 +464,12 @@ def suite_gauss_green(alpha: Sequence[float] = (0.5,)) -> SuiteReport:
     report = SuiteReport("gauss-green", tolerance=1e-4)
     for a in np.atleast_1d(alpha):
         a = float(a)
-        for name, c, w, nu_sign, x0 in _GG_GEOMETRIES:
-            f = SmoothBump(center=(c,), width=w)
-            lhs = _hardy_weighted_integral(f, a, x0)
-            rhs = -nu_sign * _grad_integral(f, a, *_positive_side(nu_sign, x0), absolute=False)
-            report.add_compare(f"gg_{name}", a, 1, lhs, rhs, tol=1e-4,
-                               inputs=f"bump({c},{w}), nu={nu_sign:+.0f}, x0={x0}")
+        lhs = _hardy_weighted_integrals(_GG_BUMP, a, [x0 for _, _, x0 in _GG_GEOMETRIES])
+        sides = [_positive_side(nu_sign, x0) for _, nu_sign, x0 in _GG_GEOMETRIES]
+        flux = _grad_integrals(_GG_BUMP, a, sides, absolute=False)
+        for (name, nu_sign, x0), left, right in zip(_GG_GEOMETRIES, lhs, flux):
+            report.add_compare(f"gg_{name}", a, 1, left, -nu_sign * right, tol=1e-4,
+                               inputs=f"bump(0.0,1.0), nu={nu_sign:+.0f}, x0={x0}")
         report.add_compare("gg_zero_field", a, 1, 0.0, 0.0, tol=1e-4, inputs="f = 0")
     return report
 
@@ -424,32 +479,36 @@ def suite_hardy_halfspace(alpha: Sequence[float] = (0.5,)) -> SuiteReport:
     report = SuiteReport("hardy-half", tolerance=1e-6)
     for a in np.atleast_1d(alpha):
         a = float(a)
-        for name, c, w, nu_sign, x0 in _GG_GEOMETRIES:
-            f = SmoothBump(center=(c,), width=w)
-            lhs = _hardy_weighted_integral(f, a, x0)
-            rhs = _grad_integral(f, a, *_positive_side(nu_sign, x0), absolute=True)
-            report.add_margin(f"hh_{name}", a, 1, lhs, rhs, tol=1e-6,
-                              inputs=f"bump({c},{w}), nu={nu_sign:+.0f}, x0={x0}")
+        lhs = _hardy_weighted_integrals(_GG_BUMP, a, [x0 for _, _, x0 in _GG_GEOMETRIES])
+        sides = [_positive_side(nu_sign, x0) for _, nu_sign, x0 in _GG_GEOMETRIES]
+        rhs = _grad_integrals(_GG_BUMP, a, sides, absolute=True)
+        for (name, nu_sign, x0), left, right in zip(_GG_GEOMETRIES, lhs, rhs):
+            report.add_margin(f"hh_{name}", a, 1, left, right, tol=1e-6,
+                              inputs=f"bump(0.0,1.0), nu={nu_sign:+.0f}, x0={x0}")
         report.add_margin("hh_zero_field", a, 1, 0.0, 0.0, tol=1e-6, inputs="f = 0")
     return report
 
 
-def _weighted_hardy_lhs(f: ScalarField, a: float, r: float) -> QuadResult:
-    """int f(x) w(|x|, r) dx for the n = 1 weight of ``closed_forms.weight_w``.
+def _weighted_hardy_lhs(f: ScalarField, cases: Sequence[tuple[float, float]]) -> list[QuadResult]:
+    """int f(x) w(|x|, r) dx for the n = 1 weight of ``closed_forms.weight_w``
+    at each (a, r) of ``cases``, in lockstep.
 
     The kernel |t - r| (t = |x|) is read through the exact offset from r or
-    -r, the declared singular points inside the support.
+    -r, the declared singular points inside the support.  The order and
+    radius are per-owner arrays; -a is none of numpy's fast-path exponents,
+    so the powers round as with a scalar exponent.
     """
     lo, hi = float(f.quad_box[0][0]), float(f.quad_box[1][0])
-    scale = mu(1, a) / (2.0 * a)
+    A, R = (np.array(col) for col in zip(*cases))
+    scale = np.array([mu(1, a) / (2.0 * a) for a in A.tolist()])
 
-    def wfun(xs: np.ndarray, dx) -> np.ndarray:
+    def wfun(xs: np.ndarray, dx, owner: np.ndarray) -> np.ndarray:
+        a, r = A[owner], R[owner]
         near = np.abs(np.where(xs >= 0.0, dx(r), dx(-r)))
-        return scale * (near**-a + (np.abs(dx(0.0)) + r) ** -a) * f.values(xs[:, None])
+        return scale[owner] * (near**-a + (np.abs(dx(0.0)) + r) ** -a) * f.values(xs[:, None])
 
-    sings = [(p, -a) for p in (-r, r) if lo < p < hi]
-    return integrate_1d(OffsetIntegrand(wfun), lo, hi, singularities=sings,
-                        spec=QuadSpec(rel_tol=1e-8, abs_tol=1e-11))
+    ranges = [(lo, hi, [(p, -a) for p in (-r, r) if lo < p < hi]) for a, r in cases]
+    return integrate_many(OffsetIntegrand(wfun), ranges, QuadSpec(rel_tol=1e-8, abs_tol=1e-11))
 
 
 def suite_weighted_hardy(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport:
@@ -458,11 +517,11 @@ def suite_weighted_hardy(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteReport
     f = SmoothBump(center=(0.0,), width=1.0)
     alphas = _orders(alpha)
     radii = (0.5, 1.0, 2.0)
-    tails = [_tail_integrals(f, alphas, r).tolist() for r in radii]
+    tails = [t.tolist() for t in _tail_integrals(f, alphas, radii)]
+    lhs = iter(_scalars(_weighted_hardy_lhs(f, [(a, r) for a in alphas for r in radii])))
     for i, a in enumerate(alphas):
         for r, tail in zip(radii, tails):
-            lhs = _weighted_hardy_lhs(f, a, r).require()
-            report.add_margin(f"wh_a{a}_r{r}", a, 1, lhs, tail[i], tol=1e-6,
+            report.add_margin(f"wh_a{a}_r{r}", a, 1, next(lhs), tail[i], tol=1e-6,
                               inputs=f"bump(0,1), r={r}")
     report.add_margin("wh_zero_field", 0.5, 1, 0.0, 0.0, tol=1e-6, inputs="f = 0")
     return report
@@ -566,8 +625,8 @@ def suite_gagliardo_bound(alpha: Sequence[float] = DEFAULT_ALPHAS) -> SuiteRepor
     report = SuiteReport("gagliardo", tolerance=1e-6)
     f = SmoothBump(center=(0.0,), width=1.0)
     alphas = _orders(alpha)
-    for a, lhs in zip(alphas, _l1_norms(f, alphas).tolist()):
-        seminorm = ops.gagliardo_seminorm(f, a)
+    seminorms = ops._gagliardo_seminorms(f, alphas).tolist()
+    for a, lhs, seminorm in zip(alphas, _l1_norms(f, alphas).tolist(), seminorms):
         report.add_margin(f"gag_a{a}", a, 1, lhs, mu(1, a) * seminorm, tol=1e-6,
                           inputs="bump(0,1)")
     return report

@@ -513,6 +513,17 @@ class TestDAlphaMeasure:
                            spec=QuadSpec(rel_tol=1e-10, abs_tol=1e-13)).require()
         assert m.pair(VectorField(components=(phi,))) == pytest.approx(ref, rel=1e-8)
 
+    def test_order_grid_density_pairs_each_order(self):
+        """A density held with an order grid pairs to one value per order,
+        each the one-order pairing up to the batch gradient's rounding."""
+        f = Gaussian(center=(0.3,), width=1.0)
+        phi = VectorField(components=(SmoothBump(center=(-0.2,), width=1.5),))
+        orders = (0.25, 0.5, 0.75)
+        got = d_alpha_measure(f, orders).pair(phi)
+        assert got.shape == (3,)
+        for a, value in zip(orders, got.tolist()):
+            assert value == pytest.approx(d_alpha_measure(f, a).pair(phi), rel=1e-14, abs=0.0)
+
     # at 5.0 phi vanishes at both atoms, and phi(1) - phi(0) is +0.0
     @pytest.mark.parametrize("center", [0.0, 1.0, 5.0])
     def test_atom_pairing_is_phi1_minus_phi0_bit_for_bit(self, center):
@@ -539,8 +550,11 @@ class TestDAlphaMeasure:
         (_GAUSS1, 0.0, ValueError),
         (_GAUSS1, 1.0, ValueError),
         (_BUMP1, -0.5, ValueError),
+        (_GAUSS1, (0.5, 1.0), ValueError),
+        (_GAUSS1, (), ValueError),
     ], ids=["f_alpha_other_order", "indicator", "f_alpha_nan", "magic_cube_nan", "density_nan",
-            "density_inf", "density_0", "density_1", "density_negative"])
+            "density_inf", "density_0", "density_1", "density_negative", "density_grid_1",
+            "density_grid_empty"])
     def test_order_mismatch_and_unknown_fields(self, field, alpha, error):
         with pytest.raises(error, match="order|not identified"):
             d_alpha_measure(field, alpha)

@@ -22,10 +22,10 @@ def test_caught_mutant_exits_0_and_is_restored(capsys):
 
 
 def test_surviving_mutant_exits_1(capsys):
-    seminorm = ops.gagliardo_seminorm
+    seminorms = ops._gagliardo_seminorms
     assert mutants.main(["--mutant", "gagliardo_x2", "--suite", "chain"]) == 1
     assert "gagliardo_x2: SURVIVED" in capsys.readouterr().out
-    assert ops.gagliardo_seminorm is seminorm
+    assert ops._gagliardo_seminorms is seminorms
 
 
 def test_parity_flip_is_caught_and_restored(capsys):

@@ -2010,8 +2010,7 @@ class TestParityFold:
             return batch(g, alphas, X, box)
 
         monkeypatch.setattr(ops, "_grad_batch_1d", recorded)
-        for r in (0.5, 1.0, 2.0):
-            suites._tail_integrals(f, self.ALPHAS, r)
+        suites._tail_integrals(f, self.ALPHAS, (0.5, 1.0, 2.0))
         monkeypatch.setattr(ops, "_grad_batch_1d", batch)
         assert all(np.array_equal(X[len(X) // 2:], -X[:len(X) // 2]) for X in targets)
         box = ops._batch_box(f)

@@ -29,6 +29,8 @@ from fracvar.quadrature import (
     gauss_legendre,
     gauss_legendre_panels,
     integrate_1d,
+    integrate_core,
+    integrate_many,
     log_trapezoid,
 )
 
@@ -210,16 +212,34 @@ def _lockstep_family(J: int = 60, seed: int = 3):
 class TestAdaptiveBatch:
     def test_bit_identical_to_scalar_adaptive(self):
         a, b, g, scalar = _lockstep_family()
-        value, err, conv = _adaptive_batch(g, a, b, 1e-9, 1e-12, _Counter(10**8))
+        value, err, conv, evals = _adaptive_batch(g, a, b, 1e-9, 1e-12, _Counter(10**8))
         for j in range(a.size):
-            v, e, c = _adaptive(scalar(j), a[j], b[j], 1e-9, 1e-12, _Counter(10**8))
-            assert (value[j], err[j], conv[j]) == (v[0], e, c), j
+            counter = _Counter(10**8)
+            v, e, c = _adaptive(scalar(j), a[j], b[j], 1e-9, 1e-12, counter)
+            assert (value[j], err[j], conv[j], evals[j]) == (v[0], e, c, counter.used), j
+
+        # k-vector values and a tolerance per integral: each integral bisects
+        # on the max-norm of its vector as the scalar routine does
+        abs_tol = 10.0 ** -np.arange(10, 13).repeat(a.size // 3)
+
+        def gv(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            v = g(x, owner)
+            return np.stack([v, np.sin(x) * v, np.cos(3.0 * x)], axis=-1)
+
+        value, err, conv, evals = _adaptive_batch(gv, a, b, 1e-9, abs_tol, _Counter(10**8))
+        assert value.shape == (a.size, 3)
+        for j in range(a.size):
+            counter = _Counter(10**8)
+            v, e, c = _adaptive(lambda x, j=j: gv(x[None, :], np.array([j]))[0], a[j], b[j],
+                                1e-9, abs_tol[j], counter)
+            assert value[j].tobytes() == v.tobytes(), j
+            assert (err[j], conv[j], evals[j]) == (e, c, counter.used), j
 
     def test_budget_out_mid_round(self):
         a, b, g, scalar = _lockstep_family(J=40)
         # one first panel each, then 15 points more: the second round overruns
         counter = _Counter(15 * a.size + 15)
-        value, err, conv = _adaptive_batch(g, a, b, 1e-9, 1e-12, counter)
+        value, err, conv, _ = _adaptive_batch(g, a, b, 1e-9, 1e-12, counter)
         assert counter.used > counter.budget
         one_panel = 0
         for j in range(a.size):
@@ -283,6 +303,88 @@ class TestAdaptiveBatch:
         _, err, conv = _adaptive(f, a, b, 1e-9, 1e-12, counter)
         assert not conv
         assert counter.used < 50_000
+
+
+def _many_cases():
+    """(f, range) pairs for ``integrate_many``: a finite range, a declared
+    point inside, both ends declared (one mapped by t^2, numpy's squaring
+    path), a tail each way and both, and a declared point next to a tail."""
+    return [
+        (lambda x: np.cos(3.0 * x) * np.exp(x), (-1.0, 2.0)),
+        (lambda x: np.abs(x - 0.3) ** -0.4 * np.cos(x), (-1.0, 2.0, [(0.3, -0.4)])),
+        (lambda x: np.abs(x) ** -0.5 * np.abs(1.0 - x) ** 0.5, (0.0, 1.0, [(0.0, -0.5),
+                                                                         (1.0, 0.5)])),
+        (lambda x: (1.0 + x * x) ** -1.25, (0.5, math.inf, [(math.inf, 2.5)])),
+        (lambda x: (1.0 + x * x) ** -1.25, (-math.inf, -0.5, [(-math.inf, 2.5)])),
+        (lambda x: 1.0 / (1.0 + x**4), (-math.inf, math.inf, [(math.inf, 4.0), (-math.inf, 4.0)])),
+        (lambda x: np.exp(-x * x) * np.abs(x) ** -0.5, (-math.inf, 3.0, [(-math.inf, 6.0),
+                                                                       (0.0, -0.5)])),
+    ]
+
+
+class TestIntegrateMany:
+    @staticmethod
+    def _same(got: QuadResult, ref: QuadResult) -> bool:
+        return (got.value.tobytes() == ref.value.tobytes() and got.err_estimate == ref.err_estimate
+                and got.converged == ref.converged and got.evals_used == ref.evals_used)
+
+    def test_each_range_bit_for_bit_integrate_core(self):
+        cases = _many_cases()
+
+        def f(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            out = np.empty(x.size)
+            for k, (fk, _) in enumerate(cases):
+                sel = owner == k
+                out[sel] = fk(x[sel])
+            return out
+
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-13)
+        results = integrate_many(f, [r for _, r in cases], spec)
+        for (fk, r), got in zip(cases, results):
+            ref = integrate_core(fk, *r[:2], r[2] if len(r) > 2 else (), spec)
+            assert got.converged and self._same(got, ref), r
+
+    def test_offset_integrand_at_its_declared_points(self):
+        # the kernel |x - c|^-0.9 read through the exact offset from each
+        # range's own c, with 2-vector values
+        centers = np.array([1.0, 0.3, -1.0, 1e8])
+        weights = np.array([1.0, -2.0])
+
+        def fn(x, dx, owner):
+            return (np.abs(dx(centers[owner])) ** -0.9 * np.exp(-x * x))[:, None] * weights
+
+        ranges = [(-1.0, 1.0, [(c, -0.9)]) for c in centers[:3]] + [(1e8 - 1.0, 1e8,
+                                                                      [(1e8, -0.9)])]
+        results = integrate_many(OffsetIntegrand(fn), ranges)
+        for c, r, got in zip(centers.tolist(), ranges, results):
+            alone = integrate_core(OffsetIntegrand(
+                lambda x, dx, c=c: (np.abs(dx(c)) ** -0.9 * np.exp(-x * x))[:, None] * weights), *r)
+            assert got.value.shape == (2,)
+            assert got.converged and self._same(got, alone), c
+
+    def test_unconverged_range_is_flagged(self):
+        # 100 evaluations cannot resolve the oscillating range; the smooth one
+        # settles within them, bit for bit as alone
+        spec = QuadSpec(max_evals=100)
+        ranges = [(0.0, 1.0), (0.0, 50.0)]
+
+        def f(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            return np.where(owner == 0, np.exp(x), np.sin(x * x))
+
+        smooth, wild = integrate_many(f, ranges, spec)
+        assert smooth.converged
+        assert self._same(smooth, integrate_core(np.exp, 0.0, 1.0, spec=spec))
+        assert not wild.converged
+        assert wild.evals_used > spec.max_evals
+        with pytest.raises(QuadratureBudgetError):
+            wild.require("wild range")
+        assert not integrate_core(lambda x: np.sin(x * x), 0.0, 50.0, spec=spec).converged
+
+    def test_bad_ranges_are_refused(self):
+        with pytest.raises(ValueError, match="need a < b"):
+            integrate_many(lambda x, owner: x, [(0.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="tail exponent"):
+            integrate_many(lambda x, owner: x, [(0.0, math.inf)])
 
 
 class TestQuadResult:

@@ -11,7 +11,7 @@ import pytest
 
 from fracvar import cli, operators, suites
 from fracvar.constants import mu
-from fracvar.fields import Gaussian, SignedMeasure, SmoothBump, field_from_json
+from fracvar.fields import FAlpha, Gaussian, SignedMeasure, SmoothBump, field_from_json
 from fracvar.quadrature import QuadSpec, gauss_legendre_panels
 from fracvar.suites import (
     DEFAULT_ALPHAS,
@@ -128,6 +128,29 @@ def test_chain_log_slope_at_a_high_order():
     assert rep.passed
 
 
+def test_chain_integrals_run_in_lockstep(monkeypatch):
+    # one integral after another, the chain suite made 113 batch-gradient
+    # calls and 336 log-slope integrand calls (one f_a sample each); in
+    # lockstep each round samples each bump's batch gradient and each
+    # order's f_a once for every integral still open
+    calls = {"batch": 0, "f_alpha": 0}
+    batch, values = operators._grad_batch_1d, FAlpha.values
+
+    def counted_batch(*args):
+        calls["batch"] += 1
+        return batch(*args)
+
+    def counted_values(self, X):
+        calls["f_alpha"] += 1
+        return values(self, X)
+
+    monkeypatch.setattr(operators, "_grad_batch_1d", counted_batch)
+    monkeypatch.setattr(FAlpha, "values", counted_values)
+    assert suites.suite_chain_failure().passed
+    assert calls["batch"] <= 113 // 2
+    assert calls["f_alpha"] <= 336 // 2
+
+
 @pytest.mark.parametrize("runner", [suites.suite_chain_failure, suites.suite_ibp])
 def test_negated_measure_pairing_fails_a_case(monkeypatch, runner):
     """The right sides of chain and ibp come from ``SignedMeasure.pair``: a
@@ -158,7 +181,7 @@ def test_weighted_lhs_against_mpmath():
     # tanh-sinh split at +/-r and 0
     mp = pytest.importorskip("mpmath")
     a, r = 0.75, 0.5
-    res = suites._weighted_hardy_lhs(SmoothBump(center=(0.0,), width=1.0), a, r)
+    (res,) = suites._weighted_hardy_lhs(SmoothBump(center=(0.0,), width=1.0), [(a, r)])
     assert res.converged
     assert res.evals_used < 5000
 
@@ -168,7 +191,7 @@ def test_weighted_lhs_against_mpmath():
 
     with mp.workdps(30):
         ref = mp.quad(integrand, [-1, -r, 0, r, 1])
-    assert res.value == pytest.approx(mu(1, a) / (2 * a) * float(ref), rel=1e-8)
+    assert float(res.value[0]) == pytest.approx(mu(1, a) / (2 * a) * float(ref), rel=1e-8)
 
 
 def test_verify_budget_exhaustion_exit_code(monkeypatch, tmp_path):
@@ -346,13 +369,13 @@ _BUMP = SmoothBump(center=(0.0,), width=1.0)
 _ORDER_AXIS = {
     "ibp_lhs": (lambda al: suites._ibp_lhs(Gaussian(center=(0.3,), width=1.0),
                                            SmoothBump(center=(-0.2,), width=1.5), al), 1e-9, 0.0),
-    "pairing_phi0": (lambda al: suites._atom_pairings(SmoothBump(center=(0.0,), width=0.8), al),
-                     1e-8, 0.0),
-    "pairing_phi1": (lambda al: suites._atom_pairings(SmoothBump(center=(1.0,), width=0.8), al),
-                     1e-8, 0.0),
-    "pairing_vanishing": (lambda al: suites._atom_pairings(SmoothBump(center=(5.0,), width=1.0),
-                                                           al), 1e-8, 1.0),
-    **{f"tails_r{r}": (lambda al, r=r: suites._tail_integrals(_BUMP, al, r), 1e-8, 0.0)
+    "pairing_phi0": (lambda al: suites._atom_pairings([SmoothBump(center=(0.0,), width=0.8)],
+                                                      al)[0], 1e-8, 0.0),
+    "pairing_phi1": (lambda al: suites._atom_pairings([SmoothBump(center=(1.0,), width=0.8)],
+                                                      al)[0], 1e-8, 0.0),
+    "pairing_vanishing": (lambda al: suites._atom_pairings([SmoothBump(center=(5.0,), width=1.0)],
+                                                           al)[0], 1e-8, 1.0),
+    **{f"tails_r{r}": (lambda al, r=r: suites._tail_integrals(_BUMP, al, [r])[0], 1e-8, 0.0)
        for r in (0.5, 1.0, 2.0)},
     "l1_norm": (lambda al: suites._l1_norms(_BUMP, al), 1e-7, 0.0),
 }
