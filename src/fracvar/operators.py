@@ -76,8 +76,6 @@ from .quadrature import (
     _EPS,
     _Counter,
     _adaptive_batch,
-    _segment,
-    _tail_segment,
     angular_profile,
     cube_kernel_integral,
     default_spec,
@@ -224,17 +222,16 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
     the mirror cancellation happens at every node (``fold_from_offsets``).
     A declared singular point p of the field sits at r = |x - p|, where the
     side that reaches it reads its offset exactly, +/- dr(|x - p|); the
-    shells are cut where a side leaves the support.  No shell is asked to resolve its
-    integral below the rounding noise of a difference of two field values,
-    whose slope term is read from one fold sample (2 evaluations).
+    shells are cut where a side leaves the support.  Each shell is one
+    ``integrate_core`` range whose abs_tol is at least the rounding noise
+    of a difference of two field values integrated over it, the noise's
+    slope term read from one fold sample (2 evaluations).
     A field without a support box adds its two tails, and the tolerance of
     the first panel (``_annulus_limit``) is relative to the whole integral,
     tails included.
     """
     box = _field_box(field)
     counter = _Counter(spec.max_evals)
-    rel = spec.rel_tol / 4.0
-    absr = spec.abs_tol / 4.0
     # the kernel reads x - p from the field's declared singular points exactly
     sings = list(field.singularities)
 
@@ -251,11 +248,10 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
         # algebraic tail: rays handled by declared tail exponents
         reach = 4.0 + float(np.max(np.abs(x))) + max((abs(p) for p, _ in sings), default=0.0)
         tau = 1.0 + alpha + field.decay_exponent
-        tail_spec = QuadSpec(rel_tol=rel, abs_tol=absr, max_evals=spec.max_evals)
         tail = (integrate_core(kernel, x[0] + reach, math.inf, sings + [(math.inf, tau)],
-                               tail_spec, counter)
+                               spec, counter)
                 + integrate_core(kernel, -math.inf, x[0] - reach, sings + [(-math.inf, tau)],
-                                 tail_spec, counter))
+                                 spec, counter))
         if not tail.converged:
             return tail
 
@@ -305,9 +301,9 @@ def _grad_smooth(field: ScalarField, alpha: float, x: np.ndarray, spec: QuadSpec
             m_ = 0.5 * (a_ + b_)
             if right[0] < m_ < right[1] or left[0] < m_ < left[1]:
                 floor = noise * (a_**-alpha - b_**-alpha) / alpha
-                shells.append(_segment_with_sings(
-                    folded, a_, b_, r_sings, rel, max(absr, floor), counter
-                ))
+                shells.append(integrate_core(folded, a_, b_, r_sings,
+                                             replace(spec, abs_tol=max(spec.abs_tol, floor)),
+                                             counter))
         return sum(shells, QuadResult(np.zeros(1), 0.0, 0, True))
 
     core = _annulus_limit(annulus, sample, alpha, delta, reach, tail.value, spec, counter)
@@ -399,20 +395,6 @@ def _grad_heat(f: ScalarField, alpha: float, X: np.ndarray, spec: QuadSpec, coun
     return QuadResult(k * res.value, abs(k) * res.err_estimate, res.evals_used, res.converged)
 
 
-def _segment_with_sings(
-    f, a: float, b: float, sings, rel: float, absr: float, counter: _Counter
-) -> QuadResult:
-    """Finite-interval integral with declared singular points inside or at the ends."""
-    exps = dict(sings)
-    pts = sorted(p for p in exps if a < p < b)
-    if not pts:
-        return _segment(f, a, b, exps.get(a), exps.get(b), rel, absr, counter)
-    edges = [a] + pts + [b]
-    pieces = [_segment(f, p, q, exps.get(p), exps.get(q), rel, absr / len(edges), counter)
-              for p, q in zip(edges[:-1], edges[1:])]
-    return sum(pieces[1:], pieces[0])
-
-
 def _jump_integral(region, inside: bool, kernel, tail: float, spec: QuadSpec) -> QuadResult:
     """int (chi(y) - chi(x)) kernel(y) dy for the indicator chi of an n = 1
     region (an interval or a half-line) and x inside it or not: +/- the
@@ -468,9 +450,8 @@ def _grad_halfspace(H: HalfSpace, alpha: float, x: np.ndarray, spec: QuadSpec):
 
         edge_exp = 1.0
 
-    rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-    res = (_segment(moment, a, 8.0 * a + 8.0, edge_exp, None, rel, absr, counter)
-           + _tail_segment(moment, 8.0 * a + 8.0, 1.0 + alpha, +1, rel, absr, counter))
+    res = integrate_core(moment, a, math.inf, [(a, edge_exp), (math.inf, 1.0 + alpha)], spec,
+                         counter)
     return QuadResult(mu(n, alpha) * sign * res.value, abs(mu(n, alpha)) * res.err_estimate,
                       counter.used, res.converged)
 
@@ -623,9 +604,8 @@ def riesz_potential(
         def radial(r: np.ndarray) -> np.ndarray:
             return r ** (s - 1.0) * profile(r)
 
-        rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
-        res = _segment(radial, 0.0, _reach(box, pt), s - 1.0 if s < 1.0 else None, None, rel,
-                       absr, counter)
+        sings = [(0.0, s - 1.0)] if s < 1.0 else []
+        res = integrate_core(radial, 0.0, _reach(box, pt), sings, spec, counter)
         res = _scaled(replace(res, converged=res.converged and all(flags)), k)
     return res if detail else res.require("Riesz potential")
 
@@ -734,15 +714,14 @@ def _laplacian_annulus(f: ScalarField, beta: float, pt: np.ndarray, fx: float, s
         raise UnsupportedFieldError("Laplacian of non-compact smooth fields not supported")
     reach = max(_reach(box, pt), 2.0 * field_scale(f))
     counter = _Counter(spec.max_evals)
-    rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
     x0 = float(pt[0])
 
     def kernel(y: np.ndarray) -> np.ndarray:
         return (f.values(y[:, None]) - fx) * np.abs(y - x0) ** (-1.0 - beta)
 
     def annulus(r_in: float, r_out: float) -> QuadResult:
-        return (_segment(kernel, x0 + r_in, x0 + r_out, None, None, rel, absr, counter)
-                + _segment(kernel, x0 - r_out, x0 - r_in, None, None, rel, absr, counter))
+        return (integrate_core(kernel, x0 + r_in, x0 + r_out, (), spec, counter)
+                + integrate_core(kernel, x0 - r_out, x0 - r_in, (), spec, counter))
 
     far = -fx * sphere_area(1) * reach ** (-beta) / beta  # exact once f ~ 0 beyond reach
 
@@ -812,14 +791,14 @@ def nl_gradient(
         def h(Y: np.ndarray) -> np.ndarray:
             return (f.values(Y) - fx) * (g.values(Y) - gx)
 
-        rel, absr = spec.rel_tol / 4.0, spec.abs_tol / 4.0
         bound = f.sup_norm_bound * g.sup_norm_bound
-        profile, flags = _profiles(h, ptf, n, absr, rel, bound, counter, moments=True)
+        profile, flags = _profiles(h, ptf, n, spec.abs_tol / 4.0, spec.rel_tol / 4.0, bound,
+                                   counter, moments=True)
 
         def moment(r: np.ndarray) -> np.ndarray:
             return r[:, None] ** (-1.0 - alpha) * profile(r)
 
-        res = _segment(moment, 0.0, reach, 1.0 - alpha, None, rel, absr, counter)
+        res = integrate_core(moment, 0.0, reach, [(0.0, 1.0 - alpha)], spec, counter)
         res = replace(res, converged=res.converged and all(flags))
     k = mu(n, alpha)
     res = QuadResult(k * res.value, abs(k) * res.err_estimate, res.evals_used, res.converged)

@@ -32,10 +32,14 @@ Design notes
   tolerances and with scalar or vector values.
 * One planner (``_plan``) turns a range with declared singularities into
   leaves, the adaptive integrals it needs: cuts, endpoint and tail maps,
-  the tolerance split and the summation order.  ``integrate_core`` runs
-  the leaves one after another; ``integrate_many`` runs the leaves of many
-  ranges in lockstep, each range bit for bit ``integrate_core`` on it
-  alone when the integrand is elementwise in its points.
+  the tolerance split and the summation order.  It is the only code that
+  splits a range's tolerance: every 1-d range integral of the operators is
+  an ``integrate_core`` or ``integrate_many`` call at the caller's spec.
+  ``integrate_core`` runs the leaves one after another (``_adaptive``, the
+  cheaper loop for a few leaves); ``integrate_many`` runs the leaves of
+  many ranges in lockstep (``_adaptive_batch``), each range bit for bit
+  ``integrate_core`` on it alone when the integrand is elementwise in its
+  points.
 * Fixed composite Gauss--Legendre rules, on the panels between given
   edges, all come from ``gauss_legendre_panels``.
 * Integrals over t in (0, inf) of t^(b-1) F(t), where F is a product of
@@ -46,8 +50,8 @@ Design notes
   (value, error estimate, evaluations, convergence flag), and results of
   the pieces of one integral add with ``+``.  The panel routines keep raw
   tuples: ``_gk15`` (values and errors per panel), ``_adaptive`` and
-  ``_adaptive_batch``, whose tuples the leaf runners and the batch's
-  callers turn into results.
+  ``_adaptive_batch``, whose tuples ``integrate_core``, ``integrate_many``
+  and the batch's other callers turn into results.
 
 The operators' kernel integrals in n = 2, 3 factor into a radial integral
 of angular averages; angular quadrature is the doubling trapezoid rule
@@ -603,54 +607,11 @@ def _tail_leaf(anchor: float, tau: float, direction: int, rel_tol: float,
     return leaf._replace(tail=(anchor, direction * s, s))
 
 
-def _run_leaves(f, leaves: Sequence[_Leaf], counter: _Counter) -> list[QuadResult]:
-    """Each leaf by ``_adaptive``, one after another on the shared counter."""
-    out = []
-    for leaf in leaves:
-        value, err, converged = _adaptive(_leaf_integrand(f, leaf), leaf.lo, leaf.hi,
-                                          leaf.rel_tol, leaf.abs_tol, counter)
-        out.append(QuadResult(value, err, counter.used, converged))
-    return out
-
-
 def _combine(pieces: Sequence[tuple[int, ...]], results: Sequence[QuadResult]) -> QuadResult:
     """The sum of a plan's leaf results: each piece's leaves first, then the
     pieces in order, as the pieces of one integral add."""
     sums = [sum((results[i] for i in piece[1:]), results[piece[0]]) for piece in pieces]
     return sum(sums[1:], sums[0])
-
-
-def _segment(
-    f: Callable[[np.ndarray], np.ndarray],
-    p: float,
-    q: float,
-    g_left: float | None,
-    g_right: float | None,
-    rel_tol: float,
-    abs_tol: float,
-    counter: _Counter,
-) -> QuadResult:
-    """Integrate f over [p, q] with optional declared endpoint exponents.
-
-    The value is ``_adaptive``'s value vector; ``evals_used`` reads ``counter``.
-    """
-    leaves = _segment_leaves(p, q, g_left, g_right, rel_tol, abs_tol)
-    return _combine([tuple(range(len(leaves)))], _run_leaves(f, leaves, counter))
-
-
-def _tail_segment(
-    f: Callable[[np.ndarray], np.ndarray],
-    anchor: float,
-    tau: float,
-    direction: int,
-    rel_tol: float,
-    abs_tol: float,
-    counter: _Counter,
-) -> QuadResult:
-    """Integrate f over [anchor, +inf) (direction=+1) or (-inf, anchor] by
-    the map of ``_tail_leaf``."""
-    (res,) = _run_leaves(f, [_tail_leaf(anchor, tau, direction, rel_tol, abs_tol)], counter)
-    return res
 
 
 def _plan(
@@ -665,7 +626,9 @@ def _plan(
     tail beyond an anchor one unit (or |ref|) past the outermost finite
     reference (``_tail_leaf``).  Every leaf runs at rel_tol / 4, and the
     absolute tolerance is split as abs_tol / nseg / 2 over the segments and
-    tails.  ``integrate_core`` and ``integrate_many`` run the same plan.
+    tails; no caller divides its tolerances before.  ``integrate_core`` and
+    ``integrate_many`` run the same plan.  A declaration with a NaN point or
+    exponent raises ValueError; one outside [a, b] is ignored.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
@@ -674,6 +637,8 @@ def _plan(
     for p, e in singularities:
         p = float(p)
         e = float(e)
+        if math.isnan(p) or math.isnan(e):
+            raise ValueError(f"singularity ({p}, {e}) needs a point and an exponent, not NaN")
         if math.isinf(p):
             if p > 0:
                 tail_hi = e
@@ -731,12 +696,17 @@ def integrate_core(
 
     Returns the result with a value vector; ``evals_used`` reads the counter,
     which callers may share across several integrals.  The leaves of the
-    plan (``_plan``) run one after another.
+    plan (``_plan``) run one after another, each by ``_adaptive``.
     """
     spec = spec or QuadSpec()
     leaves, pieces = _plan(a, b, singularities, spec)
     counter = counter or _Counter(spec.max_evals)
-    total = _combine(pieces, _run_leaves(f, leaves, counter))
+    results = []
+    for leaf in leaves:
+        value, err, converged = _adaptive(_leaf_integrand(f, leaf), leaf.lo, leaf.hi,
+                                          leaf.rel_tol, leaf.abs_tol, counter)
+        results.append(QuadResult(value, err, counter.used, converged))
+    total = _combine(pieces, results)
     return QuadResult(np.atleast_1d(total.value), total.err_estimate, counter.used,
                       total.converged and counter.used <= spec.max_evals)
 
@@ -764,6 +734,8 @@ def integrate_many(
     evaluations).
     """
     spec = spec or QuadSpec()
+    if not ranges:
+        return []
     plans = [_plan(float(r[0]), float(r[1]), r[2] if len(r) > 2 else (), spec) for r in ranges]
     leaves = [leaf for plan_leaves, _ in plans for leaf in plan_leaves]
     sizes = [len(plan_leaves) for plan_leaves, _ in plans]
@@ -1170,10 +1142,8 @@ def cube_kernel_integral(
             K = D * S**k * (0.5 * ell) * _exprel(k * ell)
         return (K / ch) @ (w * (hi - lo))
 
-    counter = _Counter(spec.max_evals // len(rows))
-    flux = _segment(
-        boundary_sum, 0.0, 1.0, None, None, spec.rel_tol / 4.0, spec.abs_tol * abs(E - n), counter
-    )
+    flux_spec = replace(spec, abs_tol=spec.abs_tol * abs(E - n))
+    flux = integrate_core(boundary_sum, 0.0, 1.0, (), flux_spec, _Counter(spec.max_evals // len(rows)))
     res = QuadResult(factor * float(flux.value[0]), abs(factor) * flux.err_estimate,
                      flux.evals_used * len(rows), flux.converged)
     return res if detail else res.require("cube kernel integral")

@@ -2053,3 +2053,26 @@ class TestThreeDimensions:
 
         ref = half_space_gradient(0.5, hs.halfspace, (0.3, -0.2, 1.5))
         assert np.max(np.abs(g - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, nu, tangent", [
+    (2, (0.6, 0.8), (0.8, -0.6)),
+    (3, (2 / 7, 3 / 7, 6 / 7), (3 / 7, -2 / 7, 0.0)),
+])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_half_space_gradient_matches_closed_form(n, nu, tangent, alpha):
+    # the wedge route's radial integral, from the edge at r = |d| out over
+    # the algebraic tail, at near, middle and far distances on both sides
+    # of the hyperplane, against (mu(1, a)/a) nu / |d|^a
+    from fracvar.closed_forms import half_space_gradient
+
+    H = HalfSpace.make(nu, (0.1,) * n)
+    hs = HalfSpaceIndicator(halfspace=H)
+    spec = QuadSpec(rel_tol=1e-10)
+    for d in (1e-3, 0.7, 40.0):
+        for side in (1.0, -1.0):
+            x = 0.1 + side * d * np.array(nu) + 0.3 * np.array(tangent)
+            res = ops.frac_gradient(hs, alpha, x, spec, detail=True)
+            ref = half_space_gradient(alpha, H, x)
+            assert res.converged, (d, side)
+            assert np.max(np.abs(res.value - ref)) <= spec.rel_tol * np.max(np.abs(ref)), (d, side)

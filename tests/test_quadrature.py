@@ -22,7 +22,6 @@ from fracvar.quadrature import (
     _gk15,
     _panel_error,
     _Counter,
-    _segment,
     angular_profile,
     default_spec,
     gauss_hermite,
@@ -181,6 +180,22 @@ class TestIntegrate1d:
         # value flagged converged
         with pytest.raises(ValueError, match="need a < b"):
             integrate_1d(lambda x: np.ones_like(x), a, b)
+
+    @pytest.mark.parametrize("decl", [(math.nan, 0.5), (0.5, math.nan), (0.0, math.nan),
+                                      (math.inf, math.nan)])
+    def test_nan_declarations_are_refused(self, decl):
+        # a NaN point was dropped without a word, and a NaN exponent failed in
+        # the power map with Python's float-to-int error; both are refused by
+        # the planner, for one range and for many
+        with pytest.raises(ValueError, match="not NaN"):
+            integrate_core(lambda x: np.ones_like(x), 0.0, 1.0, [decl])
+        with pytest.raises(ValueError, match="not NaN"):
+            integrate_many(lambda x, owner: np.ones_like(x), [(0.0, 1.0), (0.0, 1.0, [decl])])
+
+    def test_declarations_outside_the_range_are_ignored(self):
+        plain = integrate_core(np.exp, 0.0, 1.0)
+        declared = integrate_core(np.exp, 0.0, 1.0, [(2.0, -0.5), (-1.0, -1.5), (math.inf, 2.0)])
+        assert declared == plain
 
 
 def _lockstep_family(J: int = 60, seed: int = 3):
@@ -386,6 +401,10 @@ class TestIntegrateMany:
         with pytest.raises(ValueError, match="tail exponent"):
             integrate_many(lambda x, owner: x, [(0.0, math.inf)])
 
+    def test_no_ranges_no_results(self):
+        assert integrate_many(lambda x, owner: x, []) == []
+        assert integrate_many(OffsetIntegrand(lambda x, dx, owner: x), ()) == []
+
 
 class TestQuadResult:
     def test_sum_adds_values_and_errors_and_ands_flags(self):
@@ -400,8 +419,9 @@ class TestQuadResult:
 
     def test_sum_counts_shared_evaluations_once(self):
         counter = _Counter(10**6)
-        left = _segment(np.cos, 0.0, 1.0, None, None, 1e-10, 1e-13, counter)
-        right = _segment(np.exp, 1.0, 2.0, None, None, 1e-10, 1e-13, counter)
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-13)
+        left = integrate_core(np.cos, 0.0, 1.0, (), spec, counter)
+        right = integrate_core(np.exp, 1.0, 2.0, (), spec, counter)
         total = left + right
         assert 0 < left.evals_used < right.evals_used == counter.used
         assert total.evals_used == counter.used
